@@ -12,7 +12,7 @@ from .hadamard import (BetaProfile, ball_inclusion_test, beta_profile,
 from .indices import ConormBounds, RegularityReport, regularity_index, set_conorm_bounds
 from .invert import (InversionTrace, ekeland_descent, inverse_lipschitz_probe,
                      path_lift_invert, semismooth_newton)
-from .linalg import HullSet, conorm, dist_to_hull, singular_values, spectral_norm, surjectivity_index
+from .linalg import conorm, dist_to_hull, singular_values, spectral_norm, surjectivity_index
 from .maps import (MapModel, dini_derivatives, evaluate, local_lipschitz_estimate,
                    make_map, numeric_jacobian, theta_back_substitute, theta_map)
 from .properties import chain_rule_check, mvt_check, optimality_check

@@ -14,7 +14,7 @@ from scipy.stats import qmc
 from .indices import regularity_index
 from .invert import path_lift_invert
 from .linalg import as_vector
-from .maps import evaluate
+from .maps import _uniform_ball, evaluate
 
 __all__ = [
     "BetaProfile",
@@ -146,11 +146,7 @@ def ball_inclusion_test(model, provider, x0, delta, profile, samples=50,
     y0 = evaluate(model, x0)
     passed = 0
     for _ in range(samples):
-        d = rng.standard_normal(y0.size)
-        nrm = np.linalg.norm(d)
-        if nrm == 0.0:
-            d[0], nrm = 1.0, 1.0
-        y = y0 + d / nrm * rho * rng.uniform() ** (1.0 / y0.size)
+        y = y0 + _uniform_ball(rng, y0.size) * rho
         trace = path_lift_invert(model, provider, x0, y, steps=steps, tol=tol,
                                  rng=rng)
         if (trace.status == "converged"

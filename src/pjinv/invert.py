@@ -7,8 +7,8 @@ limiting path-lifting condition fails for the map.
 
 import numpy as np
 
-from .linalg import HullSet, as_vector, conorm, dist_to_hull
-from .maps import evaluate
+from .linalg import as_vector, conorm, dist_to_hull
+from .maps import _uniform_ball, evaluate
 from .pseudojac import build_set
 
 __all__ = [
@@ -74,12 +74,9 @@ def _newton_element(model, x, provider, rng):
         # a singleton is trivially the max-conorm vertex; skip the SVD and
         # let the solve itself detect (near-)singularity
         return jset.vertices[0], None, jset
-    best, best_conorm = None, -1.0
-    for v in jset.vertices:
-        c = conorm(v)
-        if c > best_conorm:
-            best, best_conorm = v, c
-    return best, best_conorm, jset
+    conorms = conorm(jset.vertices)
+    best = int(np.argmax(conorms))  # ties go to the first vertex
+    return jset.vertices[best], float(conorms[best]), jset
 
 
 def _newton_direction(t_op, r):
@@ -225,12 +222,11 @@ def ekeland_descent(model, provider, y, x0, lam=1e-3, eps=1e-3, tol=1e-8,
         jset = build_set(model, x, provider, rng=rng)
         r = evaluate(model, x) - y
         moved = False
-        candidates = []
-        for v in jset.vertices:
-            if v.shape[0] == v.shape[1] and conorm(v) > 1e-12:
-                candidates.append(np.linalg.solve(v, -r))
-            else:
-                candidates.append(np.linalg.lstsq(v, -r, rcond=None)[0])
+        square = jset.shape[0] == jset.shape[1]
+        solvable = (conorm(jset.vertices) > 1e-12) & square
+        candidates = [np.linalg.solve(v, -r) if ok
+                      else np.linalg.lstsq(v, -r, rcond=None)[0]
+                      for v, ok in zip(jset.vertices, solvable)]
         for _ in range(2 * model.dim_in):
             d = rng.standard_normal(model.dim_in)
             candidates.append(d / np.linalg.norm(d) * max(phi, tol))
@@ -255,9 +251,9 @@ def ekeland_descent(model, provider, y, x0, lam=1e-3, eps=1e-3, tol=1e-8,
             continue
         # stalled: test lambda-stationarity of the dual set
         ystar = r / phi
-        duals = np.stack([v.T @ ystar for v in jset.vertices])
-        hull = HullSet(duals, jset.radius * np.linalg.norm(ystar) + lam)
-        stationary_distance = dist_to_hull(np.zeros(model.dim_in), hull)
+        stationary_distance = dist_to_hull(
+            np.zeros(model.dim_in), ystar @ jset.vertices,
+            jset.radius * np.linalg.norm(ystar) + lam)
         if stationary_distance <= eps:
             status = "stationary"
         break
@@ -281,8 +277,8 @@ def inverse_lipschitz_probe(model, region_center, region_radius, pairs=1000,
     rng = np.random.default_rng(rng)
     best = None
     for _ in range(pairs):
-        x1 = center + _ball(rng, center.size) * region_radius
-        x2 = center + _ball(rng, center.size) * region_radius
+        x1 = center + _uniform_ball(rng, center.size) * region_radius
+        x2 = center + _uniform_ball(rng, center.size) * region_radius
         df = np.linalg.norm(evaluate(model, x1) - evaluate(model, x2))
         if df < 1e-14:
             continue
@@ -292,11 +288,3 @@ def inverse_lipschitz_probe(model, region_center, region_radius, pairs=1000,
         raise ValueError("all sampled pairs had coincident images")
     return best
 
-
-def _ball(rng, n):
-    d = rng.standard_normal(n)
-    nrm = np.linalg.norm(d)
-    if nrm == 0.0:
-        d[0] = 1.0
-        nrm = 1.0
-    return d / nrm * rng.uniform() ** (1.0 / n)

@@ -13,7 +13,6 @@ __all__ = [
     "spectral_norm",
     "conorm",
     "surjectivity_index",
-    "HullSet",
     "project_to_hull",
     "dist_to_hull",
 ]
@@ -22,8 +21,16 @@ __all__ = [
 def as_matrix(a):
     """Coerce to a 2-d float array and validate finiteness."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+    if a.ndim != 2:
         raise ValueError(f"expected a nonempty 2-d array, got shape {a.shape}")
+    return _as_stack(a)
+
+
+def _as_stack(a):
+    # a float array of shape (..., m, n), every matrix nonempty and finite
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-2] < 1 or a.shape[-1] < 1:
+        raise ValueError(f"expected nonempty matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
@@ -41,75 +48,40 @@ def as_vector(x):
     return x
 
 
-def singular_values(a, rel_tol=1e-13, max_sweeps=64):
-    """Singular values of a dense matrix by one-sided Jacobi iteration.
-
-    Columns of (a transposed copy of) the matrix are orthogonalized by plane
-    rotations until every off-diagonal inner product is below ``rel_tol``
-    relative to the column norms; the singular values are the final column
-    norms.
+def singular_values(a):
+    """Singular values of a matrix, or of each matrix in a stack, by LAPACK.
 
     Parameters
     ----------
-    a : array_like, shape (m, n)
-    rel_tol : float
-        Relative convergence tolerance on column orthogonality.
-    max_sweeps : int
-        Maximum number of full Jacobi sweeps.
+    a : array_like, shape (..., m, n)
 
     Returns
     -------
-    ndarray, shape (min(m, n),)
+    ndarray, shape (..., min(m, n))
         Singular values in nonincreasing order.
     """
-    a = as_matrix(a)
-    m, n = a.shape
-    w = a.copy() if m >= n else a.T.copy()
-    k = w.shape[1]
-    if k == 1:
-        return np.array([np.linalg.norm(w[:, 0])])
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                app = w[:, p] @ w[:, p]
-                aqq = w[:, q] @ w[:, q]
-                apq = w[:, p] @ w[:, q]
-                denom = np.sqrt(app * aqq)
-                if denom == 0.0 or abs(apq) <= rel_tol * denom:
-                    continue
-                off = max(off, abs(apq) / denom)
-                zeta = (aqq - app) / (2.0 * apq)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                if zeta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                wp = w[:, p].copy()
-                w[:, p] = c * wp - s * w[:, q]
-                w[:, q] = s * wp + c * w[:, q]
-        if off <= rel_tol:
-            break
-    sv = np.sqrt(np.einsum("ij,ij->j", w, w))
-    return np.sort(sv)[::-1]
+    return np.linalg.svd(_as_stack(a), compute_uv=False)
 
 
 def spectral_norm(a):
-    """Largest singular value."""
-    return float(singular_values(a)[0])
+    """Largest singular value; an array of them for a stack of matrices."""
+    top = singular_values(a)[..., 0]
+    return float(top) if top.ndim == 0 else top
 
 
 def conorm(a):
     """Co-norm of a linear map: inf of ||Ax|| over unit vectors x.
 
     Equals the smallest singular value when the map has a trivial kernel;
-    zero whenever the domain dimension exceeds the codomain dimension.
+    zero whenever the domain dimension exceeds the codomain dimension.  A
+    stack of shape (..., m, n) gives an array of co-norms of shape (...).
     """
-    a = as_matrix(a)
-    m, n = a.shape
-    if n > m:
-        return 0.0
-    return float(singular_values(a)[-1])
+    a = _as_stack(a)
+    if a.shape[-1] > a.shape[-2]:
+        low = np.zeros(a.shape[:-2])
+    else:
+        low = singular_values(a)[..., -1]
+    return float(low) if low.ndim == 0 else low
 
 
 def surjectivity_index(a):
@@ -117,38 +89,7 @@ def surjectivity_index(a):
 
     For an invertible square matrix this equals 1 / ||A^-1||.
     """
-    return conorm(as_matrix(a).T)
-
-
-class HullSet:
-    """Convex set co(vertices) + radius * closed-unit-ball, immutable.
-
-    Parameters
-    ----------
-    vertices : array_like, shape (k, d)
-        Nonempty list of points of equal dimension.
-    radius : float
-        Nonnegative ball inflation radius.
-    """
-
-    __slots__ = ("vertices", "radius")
-
-    def __init__(self, vertices, radius=0.0):
-        v = np.atleast_2d(np.asarray(vertices, dtype=float))
-        if v.shape[0] < 1 or not np.all(np.isfinite(v)):
-            raise ValueError("hull vertices must be a nonempty finite array")
-        if not (radius >= 0.0):
-            raise ValueError("hull radius must be >= 0")
-        v.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "radius", float(radius))
-
-    def __setattr__(self, *_):
-        raise AttributeError("HullSet is immutable")
-
-    @property
-    def dim(self):
-        return self.vertices.shape[1]
+    return conorm(np.swapaxes(_as_stack(a), -1, -2))
 
 
 def project_to_hull(p, vertices, gap_tol=1e-10, max_iter=50000):
@@ -216,11 +157,16 @@ def project_to_hull(p, vertices, gap_tol=1e-10, max_iter=50000):
     return x, float(np.linalg.norm(x - p))
 
 
-def dist_to_hull(p, hull, gap_tol=1e-10):
-    """Distance from a point to a HullSet, clamped at zero.
+def dist_to_hull(p, vertices, radius=0.0, gap_tol=1e-10):
+    """Distance from a point to co(vertices) + radius * closed-unit-ball.
 
     Returns max(d - radius, 0) where d is the distance to the convex hull
-    of the vertex list.
+    of the vertex list, a nonempty finite array of shape (k, dim).
     """
-    _, d = project_to_hull(p, hull.vertices, gap_tol=gap_tol)
-    return max(d - hull.radius, 0.0)
+    v = np.atleast_2d(np.asarray(vertices, dtype=float))
+    if v.shape[0] < 1 or not np.all(np.isfinite(v)):
+        raise ValueError("hull vertices must be a nonempty finite array")
+    if not (radius >= 0.0):
+        raise ValueError("hull radius must be >= 0")
+    _, d = project_to_hull(p, v, gap_tol=gap_tol)
+    return max(d - radius, 0.0)

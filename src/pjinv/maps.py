@@ -6,7 +6,7 @@ Catalog identifiers: "identity", "linear:<matrix-file>", "theta-a:<n>:<c>",
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, conorm
 
 __all__ = [
     "MapModel",
@@ -113,16 +113,30 @@ def numeric_jacobian(model, x, step=None):
         raise DomainError(f"{model.name}: point outside domain box")
     if step is None:
         step = 1e-6 * (1.0 + np.linalg.norm(x))
-    fn = model.fn  # bypass per-call validation in the inner stencil loop
-    cols = []
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = step
-        cols.append((fn(x + e) - fn(x - e)) / (2.0 * step))
-    jac = np.column_stack(cols)
+    jac = _central_differences(model, x[None, :], step)[0]
     if not np.all(np.isfinite(jac)):
         raise FloatingPointError(f"{model.name}: non-finite finite-difference Jacobian")
     return jac
+
+
+def _central_differences(model, zs, step):
+    """Central-difference Jacobians at each row of zs, shape (k, m, n).
+
+    All 2 * k * n stencil points go to the oracle in two batch calls; a
+    model without ``fn_batch`` is evaluated row by row through ``fn``.
+    Points are not validated, and non-finite entries are passed through.
+    """
+    k, n = zs.shape
+    stencil = np.eye(n) * step
+    plus = (zs[:, None, :] + stencil).reshape(k * n, n)
+    minus = (zs[:, None, :] - stencil).reshape(k * n, n)
+    if model.fn_batch is not None:
+        fp = np.asarray(model.fn_batch(plus), dtype=float)
+        fm = np.asarray(model.fn_batch(minus), dtype=float)
+    else:
+        fp = np.array([model.fn(z) for z in plus], dtype=float)
+        fm = np.array([model.fn(z) for z in minus], dtype=float)
+    return (fp - fm).reshape(k, n, -1).transpose(0, 2, 1) / (2.0 * step)
 
 
 def local_lipschitz_estimate(model, x, r, samples=1000, rng=None):
@@ -176,6 +190,10 @@ def dini_derivatives(phi, x, v, t0=1e-2, rho=0.5, k=20):
 
 
 def _uniform_ball(rng, n):
+    """One point drawn uniformly in the closed unit ball of R^n.
+
+    Draws n standard normals, then one uniform, from rng.
+    """
     d = rng.standard_normal(n)
     nrm = np.linalg.norm(d)
     if nrm == 0.0:
@@ -289,7 +307,7 @@ def linear_map(a, name=None):
     if m == n and abs(np.linalg.det(a)) > 0:
         ainv = np.linalg.inv(a)
         inverse = lambda y: ainv @ y
-        sigma_min = float(np.linalg.svd(a, compute_uv=False)[-1])
+        sigma_min = conorm(a)
     else:
         sigma_min = 0.0
     return MapModel(

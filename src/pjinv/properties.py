@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .linalg import HullSet, as_vector, dist_to_hull, spectral_norm
+from .linalg import as_vector, dist_to_hull, spectral_norm
 from .maps import MapModel, evaluate
 from .pseudojac import PseudoJacobianSet, build_set, validity_check
 
@@ -28,11 +28,10 @@ def mvt_check(model, provider, u, v, segment_samples=64, tol=1e-6, rng=None,
     for t in np.linspace(0.0, 1.0, segment_samples):
         jset = build_set(model, u + t * direction, provider, rng=rng)
         max_radius = max(max_radius, jset.radius)
-        for vert in jset.vertices:
-            points.append(vert @ direction)
-    hull = HullSet(np.asarray(points), max_radius * np.linalg.norm(direction))
+        points.append(jset.vertices @ direction)
     gap = evaluate(model, v) - evaluate(model, u)
-    dist = dist_to_hull(gap, hull, gap_tol=gap_tol)
+    dist = dist_to_hull(gap, np.concatenate(points),
+                        max_radius * np.linalg.norm(direction), gap_tol=gap_tol)
     return dist, dist <= tol
 
 
@@ -47,9 +46,8 @@ def optimality_check(scalar_model, provider, x0, tol=1e-6, rng=None):
         raise ValueError("optimality check needs a scalar map")
     x0 = as_vector(x0)
     jset = build_set(scalar_model, x0, provider, rng=rng)
-    rows = np.asarray([vert[0] for vert in jset.vertices])
-    hull = HullSet(rows, jset.radius)
-    dist = dist_to_hull(np.zeros(scalar_model.dim_in), hull)
+    dist = dist_to_hull(np.zeros(scalar_model.dim_in), jset.vertices[:, 0],
+                        jset.radius)
     return dist, dist <= tol
 
 
@@ -60,8 +58,8 @@ def compose_with_smooth_outer(outer_deriv, inner_set):
     radius is scaled by its spectral norm (a sound over-approximation).
     """
     outer = np.asarray(outer_deriv, dtype=float)
-    vertices = [outer @ vert for vert in inner_set.vertices]
-    return PseudoJacobianSet(vertices, spectral_norm(outer) * inner_set.radius)
+    return PseudoJacobianSet(outer @ inner_set.vertices,
+                             spectral_norm(outer) * inner_set.radius)
 
 
 def chain_rule_check(model_f, model_g, provider_f, x, trials=1000, tol=1e-3,

@@ -8,8 +8,9 @@ support function of such a set is closed-form.
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector
-from .maps import dini_derivatives, evaluate, local_lipschitz_estimate, numeric_jacobian
+from .linalg import as_vector
+from .maps import (DomainError, _central_differences, dini_derivatives, evaluate,
+                   local_lipschitz_estimate, numeric_jacobian)
 
 __all__ = [
     "PseudoJacobianSet",
@@ -29,21 +30,27 @@ MAX_REDRAWS = 16
 
 
 class PseudoJacobianSet:
-    """co(vertices) + radius * unit ball of m x n operators, immutable."""
+    """co(vertices) + radius * unit ball of m x n operators, immutable.
+
+    ``vertices`` is one read-only float array of shape (k, m, n).
+    """
 
     __slots__ = ("vertices", "radius")
 
     def __init__(self, vertices, radius=0.0):
-        vs = tuple(as_matrix(v) for v in vertices)
-        if not vs:
+        try:
+            vs = np.array(vertices, dtype=float)
+        except ValueError:
+            raise ValueError("all vertices must share one shape") from None
+        if vs.shape[:1] == (0,):
             raise ValueError("vertex list must be nonempty")
-        shape = vs[0].shape
-        if any(v.shape != shape for v in vs):
-            raise ValueError("all vertices must share one shape")
+        if vs.ndim != 3 or 0 in vs.shape:
+            raise ValueError(f"expected nonempty m x n vertices, got shape {vs.shape}")
+        if not np.all(np.isfinite(vs)):
+            raise ValueError("matrix entries must be finite")
         if not (radius >= 0.0):
             raise ValueError("radius must be >= 0")
-        for v in vs:
-            v.setflags(write=False)
+        vs.setflags(write=False)
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "radius", float(radius))
 
@@ -52,7 +59,7 @@ class PseudoJacobianSet:
 
     @property
     def shape(self):
-        return self.vertices[0].shape
+        return self.vertices.shape[1:]
 
 
 class ProviderSpec:
@@ -102,9 +109,9 @@ def exact_singleton(model, x):
     """Singleton set {f'(x)} at a differentiability point."""
     x = as_vector(x)
     if model.deriv is not None:
-        jac = as_matrix(model.deriv(x))
+        jac = model.deriv(x)
     elif model.smooth_part is not None and model.lip_part is None:
-        jac = as_matrix(model.smooth_part(x))
+        jac = model.smooth_part(x)
     else:
         jac = numeric_jacobian(model, x)
     return PseudoJacobianSet([jac], 0.0)
@@ -125,23 +132,8 @@ def sum_rule(model, x, spec=None):
     if model.smooth_part is None or model.lip_part is None:
         raise ValueError(f"{model.name}: sum provider needs smooth_part and lip_part")
     r = spec.lip_radius if spec is not None else 1e-2
-    return PseudoJacobianSet([as_matrix(model.smooth_part(x))],
+    return PseudoJacobianSet([model.smooth_part(x)],
                              float(model.lip_part(x, r)))
-
-
-def _batched_jacobians(model, zs, step):
-    """Central-difference Jacobians at each row of zs via the batch oracle.
-
-    Returns an (len(zs), dim_out, dim_in) array; arithmetic is identical to
-    numeric_jacobian with the same step.
-    """
-    m, n = zs.shape
-    stencil = np.eye(n) * step
-    plus = (zs[:, None, :] + stencil[None, :, :]).reshape(m * n, n)
-    minus = (zs[:, None, :] - stencil[None, :, :]).reshape(m * n, n)
-    fp = np.asarray(model.fn_batch(plus), dtype=float)
-    fm = np.asarray(model.fn_batch(minus), dtype=float)
-    return (fp - fm).reshape(m, n, -1).transpose(0, 2, 1) / (2.0 * step)
 
 
 def sampled_clarke(model, x, spec, rng=None):
@@ -149,45 +141,36 @@ def sampled_clarke(model, x, spec, rng=None):
 
     Vertices are central-difference Jacobians at spec.m points drawn
     uniformly in B(x, spec.delta); points where differentiation fails are
-    re-drawn (at most MAX_REDRAWS times each).  The slack spec.eps inflates
-    the set to account for the delta-ball closure.
+    re-drawn together, at most MAX_REDRAWS times.  The slack spec.eps
+    inflates the set to account for the delta-ball closure.
     """
     x = as_vector(x)
+    if x.size != model.dim_in:
+        raise ValueError(f"{model.name}: expected dim {model.dim_in}, got {x.size}")
     rng = np.random.default_rng(rng)
     step = spec.delta * 1e-4
-    if model.fn_batch is not None \
-            and np.max(np.abs(x)) + spec.delta < model.domain_halfwidth:
-        d = rng.standard_normal((spec.m, x.size))
+
+    def jacobians_at_new_points(count):
+        # count points uniform in B(x, delta): all normals, then all uniforms
+        d = rng.standard_normal((count, x.size))
         nrm = np.linalg.norm(d, axis=1, keepdims=True)
         nrm[nrm == 0.0] = 1.0
-        radii = spec.delta * rng.uniform(size=(spec.m, 1)) ** (1.0 / x.size)
+        radii = spec.delta * rng.uniform(size=(count, 1)) ** (1.0 / x.size)
         zs = x + d / nrm * radii
-        jacs = _batched_jacobians(model, zs, step)
-        vertices = []
-        for j in range(spec.m):
-            if np.all(np.isfinite(jacs[j])):
-                vertices.append(jacs[j])
-            else:
-                vertices.append(_redraw_jacobian(model, x, spec, step, rng))
-        return PseudoJacobianSet(vertices, spec.eps)
-    vertices = [_redraw_jacobian(model, x, spec, step, rng)
-                for _ in range(spec.m)]
-    return PseudoJacobianSet(vertices, spec.eps)
+        if np.max(np.abs(zs)) > model.domain_halfwidth:
+            raise DomainError(f"{model.name}: point outside domain box")
+        return _central_differences(model, zs, step)
 
-
-def _redraw_jacobian(model, x, spec, step, rng):
-    for attempt in range(MAX_REDRAWS + 1):
-        d = rng.standard_normal(x.size)
-        nrm = np.linalg.norm(d)
-        if nrm == 0.0:
-            continue
-        z = x + d / nrm * spec.delta * rng.uniform() ** (1.0 / x.size)
-        try:
-            return numeric_jacobian(model, z, step=step)
-        except FloatingPointError:
-            if attempt == MAX_REDRAWS:
-                raise
-    raise FloatingPointError(f"{model.name}: no valid sample direction")
+    jacs = jacobians_at_new_points(spec.m)
+    for _ in range(MAX_REDRAWS):
+        bad = ~np.all(np.isfinite(jacs), axis=(1, 2))
+        if not bad.any():
+            break
+        jacs[bad] = jacobians_at_new_points(int(bad.sum()))
+    if not np.all(np.isfinite(jacs)):
+        raise FloatingPointError(f"{model.name}: non-finite finite-difference "
+                                 f"Jacobian after {MAX_REDRAWS} redraws")
+    return PseudoJacobianSet(jacs, spec.eps)
 
 
 def build_set(model, x, spec, rng=None):
@@ -205,16 +188,20 @@ def support_function(jset, ystar, v):
     """sup of <ystar, T v> over the set; exact for this representation."""
     ystar = as_vector(ystar)
     v = as_vector(v)
-    best = max(float(ystar @ (V @ v)) for V in jset.vertices)
+    best = float(np.einsum("i,kij,j->k", ystar, jset.vertices, v).max())
     return best + jset.radius * np.linalg.norm(ystar) * np.linalg.norm(v)
 
 
 def pj_combine(alpha, j1, j2):
-    """Set for alpha*f + g: all pairwise sums alpha*V1 + V2, radii combined."""
+    """Set for alpha*f + g: all pairwise sums alpha*V1 + V2, radii combined.
+
+    Vertices are ordered with the j1 index major.
+    """
     if j1.shape != j2.shape:
         raise ValueError("operator shapes differ")
-    vertices = [alpha * a + b for a in j1.vertices for b in j2.vertices]
-    return PseudoJacobianSet(vertices, abs(alpha) * j1.radius + j2.radius)
+    vertices = alpha * j1.vertices[:, None] + j2.vertices[None, :]
+    return PseudoJacobianSet(vertices.reshape(-1, *j1.shape),
+                             abs(alpha) * j1.radius + j2.radius)
 
 
 def validity_check(model, x, jset, trials=1000, tol=1e-3, rng=None,

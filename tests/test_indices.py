@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from pjinv.indices import (ConormBounds, regularity_index, set_conorm_bounds)
+import pjinv.linalg
+from pjinv.indices import (DEFAULT_NET, ConormBounds, regularity_index,
+                           set_conorm_bounds)
 from pjinv.linalg import conorm, spectral_norm
 from pjinv.maps import linear_map, theta_map
-from pjinv.pseudojac import PseudoJacobianSet, parse_provider
+from pjinv.pseudojac import (ProviderSpec, PseudoJacobianSet, parse_provider,
+                             sampled_clarke)
 
 
 class TestConormBoundsType:
@@ -89,6 +92,32 @@ class TestHullBounds:
         b = set_conorm_bounds(PseudoJacobianSet(vs), net=1e-3)
         assert not b.certified
         assert b.lower == 0.0
+
+    def test_three_vertices_certify_only_on_a_coarser_net(self):
+        # a 3-vertex mesh at net 1e-3 has 501,501 points, over the budget
+        rng = np.random.default_rng(5)
+        vs = [rng.standard_normal((2, 2)) + 2.0 * np.eye(2) for _ in range(3)]
+        assert not set_conorm_bounds(PseudoJacobianSet(vs), net=DEFAULT_NET).certified
+        assert set_conorm_bounds(PseudoJacobianSet(vs), net=1e-2).certified
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 32])
+    def test_at_most_two_svd_calls_per_bound(self, monkeypatch, k):
+        calls = []
+        original = pjinv.linalg.singular_values
+
+        def spy(a):
+            calls.append(np.shape(a))
+            return original(a)
+
+        monkeypatch.setattr(pjinv.linalg, "singular_values", spy)
+        spec = ProviderSpec("clarke", delta=1e-3, m=k, eps=0.0)
+        jset = sampled_clarke(theta_map("c", 3), np.array([0.1, -0.2, 0.3]),
+                              spec, rng=k)
+        for net in (DEFAULT_NET, 1e-2):
+            calls.clear()
+            bounds = set_conorm_bounds(jset, net=net)
+            # one for the mesh or the samples, one for diam when certifying
+            assert len(calls) == (2 if bounds.certified else 1), calls
 
     def test_net_validation(self):
         with pytest.raises(ValueError):

@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from pjinv.linalg import (HullSet, conorm, dist_to_hull, project_to_hull,
+from oracles import jacobi_conorm as oracle_conorm
+from oracles import jacobi_singular_values
+from pjinv.linalg import (conorm, dist_to_hull, project_to_hull,
                           singular_values, spectral_norm, surjectivity_index)
-
-
-def oracle_conorm(a):
-    # independent route: LAPACK SVD, zero when the kernel is forced nontrivial
-    a = np.asarray(a, dtype=float)
-    if a.shape[1] > a.shape[0]:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
 class TestConorm:
@@ -77,17 +71,17 @@ class TestSurjectivityIndex:
 
 class TestDistToHull:
     def test_point_inside_segment(self):
-        h = HullSet([[1.0, 0.0], [-1.0, 0.0]], 0.0)
-        assert dist_to_hull([0.0, 0.0], h) == pytest.approx(0.0, abs=1e-9)
+        h = [[1.0, 0.0], [-1.0, 0.0]]
+        assert dist_to_hull([0.0, 0.0], h, 0.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_ball_shrinks_distance(self):
-        h = HullSet([[0.0, 0.0]], 1.0)
-        assert dist_to_hull([2.0, 0.0], h) == pytest.approx(1.0, abs=1e-12)
+        h = [[0.0, 0.0]]
+        assert dist_to_hull([2.0, 0.0], h, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_projection_onto_segment(self):
         # oracle: analytic projection of (1,1) onto the segment (1,0)-(0,1)
-        h = HullSet([[1.0, 0.0], [0.0, 1.0]], 0.0)
-        assert dist_to_hull([1.0, 1.0], h) == pytest.approx(np.sqrt(0.5), abs=1e-9)
+        h = [[1.0, 0.0], [0.0, 1.0]]
+        assert dist_to_hull([1.0, 1.0], h, 0.0) == pytest.approx(np.sqrt(0.5), abs=1e-9)
 
     def test_tie_break_is_lowest_index(self):
         # vertices 1 and 2 tie for the first linear subproblem; lowest wins
@@ -102,9 +96,8 @@ class TestDistToHull:
             d = int(rng.integers(1, 4))
             verts = rng.standard_normal((int(rng.integers(1, 5)), d))
             radius = float(rng.uniform(0, 0.5))
-            h = HullSet(verts, radius)
             p = rng.standard_normal(d)
-            dist = dist_to_hull(p, h)
+            dist = dist_to_hull(p, verts, radius)
             # brute-force oracle: fine sampling of the hull
             lam = rng.dirichlet(np.ones(verts.shape[0]), size=20000)
             brute = np.min(np.linalg.norm(lam @ verts - p, axis=1))
@@ -115,9 +108,9 @@ class TestDistToHull:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            HullSet(np.empty((0, 2)), 0.0)
+            dist_to_hull(np.zeros(2), np.empty((0, 2)), 0.0)
         with pytest.raises(ValueError):
-            HullSet([[0.0]], -1.0)
+            dist_to_hull(np.zeros(1), [[0.0]], -1.0)
 
 
 def test_singular_values_match_lapack():
@@ -125,5 +118,12 @@ def test_singular_values_match_lapack():
     for _ in range(50):
         a = rng.standard_normal((rng.integers(1, 15), rng.integers(1, 15)))
         mine = singular_values(a)
-        ref = np.linalg.svd(a, compute_uv=False)
+        ref = jacobi_singular_values(a)
         assert np.max(np.abs(mine - ref)) <= 1e-11
+
+
+def test_jacobi_oracle_raises_when_not_converged():
+    # one sweep leaves sigma_min at 0.407 against a true 0.262
+    a = np.random.default_rng(0).standard_normal((8, 8))
+    with pytest.raises(RuntimeError):
+        jacobi_singular_values(a, max_sweeps=1)
