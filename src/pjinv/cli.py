@@ -1,8 +1,10 @@
 """Command-line surface and structured report emission.
 
 Commands: catalog, certify, invert, ball-check, profile, check.
-Exit codes: 0 success, 1 negative verdict, 2 config error, 3 computation
-failure.
+Exit codes: 0 success, 1 negative verdict, 2 config error (a malformed
+command line, config file, map, provider or option value), 3 computation
+failure (anything raised while a well-formed command computes, such as a
+DomainError or a non-finite set).
 """
 
 import argparse
@@ -13,10 +15,25 @@ import time
 import numpy as np
 
 from . import hadamard, indices, invert, properties
+from .linalg import _row_norms
 from .maps import make_map
 from .pseudojac import parse_provider
 
 __all__ = ["main", "load_config", "format_record"]
+
+
+class ConfigError(ValueError):
+    """A command that cannot be set up from its arguments (exit code 2)."""
+
+
+# option -> (test, requirement): values the computation would refuse
+_OPTION_RULES = {
+    "trials": (lambda v: v >= 1, ">= 1"),
+    "grid_n": (lambda v: v >= 2, ">= 2"),
+    "t_max": (lambda v: v is None or v > 0, "> 0"),
+    "delta": (lambda v: v >= 0, ">= 0"),
+    "samples": (lambda v: v >= 1, ">= 1"),
+}
 
 
 def load_config(path):
@@ -32,7 +49,7 @@ def load_config(path):
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
+                raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, val = line.partition("=")
             out[key.strip()] = _coerce(val.strip())
     return out
@@ -53,12 +70,18 @@ def _coerce(text):
 
 
 def parse_vector(text):
-    return np.array([float(p) for p in text.split(",")])
+    try:
+        x = np.array([float(p) for p in str(text).split(",")])
+    except ValueError:
+        raise ConfigError(f"expected comma-separated floats, got {text!r}") from None
+    if not np.all(np.isfinite(x)):
+        raise ConfigError(f"vector entries must be finite, got {text!r}")
+    return x
 
 
 def _round_floats(obj):
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+        return float(f"{obj:.12g}") if np.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in sorted(obj.items())}
     if isinstance(obj, (list, tuple)):
@@ -73,8 +96,12 @@ def _round_floats(obj):
 
 
 def format_record(record):
-    """Diff-stable serialization: sorted keys, 12 significant digits."""
-    return json.dumps(_round_floats(record), sort_keys=True) + "\n"
+    """Diff-stable serialization: sorted keys, 12 significant digits.
+
+    JSON has no token for inf or NaN; a non-finite float is written as null.
+    """
+    return json.dumps(_round_floats(record), sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def _emit(record, out_path):
@@ -160,28 +187,44 @@ def _apply_config(args):
             if attr == "map":
                 attr = "map_id"
             if not hasattr(args, attr):
-                raise ValueError(f"unknown config key {key!r}")
+                raise ConfigError(f"unknown config key {key!r}")
             if getattr(args, attr) == _build_parser().get_default(attr) or \
                     getattr(args, attr) is None:
                 setattr(args, attr, val)
     return args
 
 
-def _resolve(args, need_map=True):
-    model = None
-    if args.map_id:
-        model = make_map(str(args.map_id))
-    elif need_map:
-        raise ValueError("--map is required")
-    provider = parse_provider(str(args.provider))
-    return model, provider
+def _check_options(args):
+    for name, (ok, need) in _OPTION_RULES.items():
+        if not hasattr(args, name):
+            continue
+        value = getattr(args, name)
+        try:
+            good = ok(value)
+        except TypeError:
+            good = False
+        if not good:
+            raise ConfigError(f"--{name.replace('_', '-')} must be {need}, "
+                              f"got {value!r}")
+    if hasattr(args, "delta") and args.t_max is not None \
+            and args.delta > args.t_max:
+        raise ConfigError("--delta must not exceed --t-max")
+
+
+def _resolve(args):
+    if not args.map_id:
+        raise ConfigError("--map is required")
+    try:
+        return make_map(str(args.map_id)), parse_provider(str(args.provider))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _profile_for(model, provider, args, rng):
     analytic = None
     if args.analytic_beta:
         if model.analytic_beta is None:
-            raise ValueError(f"{model.name}: no analytic profile bound")
+            raise ConfigError(f"{model.name}: no analytic profile bound")
         analytic = model.analytic_beta
     t_max = args.t_max if args.t_max else 2.0
     return hadamard.beta_profile(
@@ -239,6 +282,10 @@ def cmd_invert(args):
     rng = np.random.default_rng(args.seed)
     y = parse_vector(args.target)
     x0 = parse_vector(args.x0) if args.x0 else np.zeros(model.dim_in)
+    if y.size != model.dim_out or x0.size != model.dim_in:
+        raise ConfigError(f"{model.name} maps R^{model.dim_in} to "
+                          f"R^{model.dim_out}; got --target of dim {y.size} "
+                          f"and --x0 of dim {x0.size}")
     if args.method == "newton":
         trace = invert.semismooth_newton(model, provider, y, x0, tol=args.tol,
                                          rng=rng)
@@ -335,6 +382,7 @@ def cmd_check(args):
         outer = MapModel(
             "dist-to-point", model.dim_out, 1,
             lambda y: np.array([np.linalg.norm(y - y0)]),
+            fn_batch=lambda ys: _row_norms(ys - y0)[:, None],
             deriv=lambda y: ((y - y0) / np.linalg.norm(y - y0)).reshape(1, -1))
         rate = properties.chain_rule_check(model, outer, provider,
                                            np.zeros(model.dim_in),
@@ -372,12 +420,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.command != "catalog":
             args = _apply_config(args)
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
+            _check_options(args)
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - map to the documented exit code

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .linalg import as_vector, conorm, spectral_norm
-from .maps import _uniform_ball
+from .maps import MAX_BATCH_ENTRIES, _uniform_ball
 from .pseudojac import build_set
 
 __all__ = [
@@ -98,8 +98,11 @@ def set_conorm_bounds(jset, net=DEFAULT_NET):
     2-vertex hulls qualify (a 3-vertex mesh has 501,501 points); 3 vertices
     need net >= about 1.6e-3 and 4 vertices net >= about 9.6e-3.  Any other
     set gets a sampled, non-certified bound: the minimum over the vertices
-    and 4,096 fixed-seed Dirichlet weights.  Each call makes at most two
-    batched singular-value computations.
+    and 4,096 fixed-seed Dirichlet weights.  Mesh points and samples are
+    evaluated in chunks of at most MAX_BATCH_ENTRIES matrix entries, one
+    batched singular-value computation per chunk, plus one for diam when
+    certifying.  The 1,001-point mesh of a 2-vertex set at the default net
+    fits in one chunk for operators of up to 2,095 entries (45 x 45).
     """
     if not (net > 0):
         raise ValueError("net must be > 0")
@@ -116,10 +119,14 @@ def set_conorm_bounds(jset, net=DEFAULT_NET):
     else:
         rng = np.random.default_rng(0)
         weights = np.vstack([np.eye(k), rng.dirichlet(np.ones(k), size=4096)])
-    combos = np.einsum("pk,kij->pij", weights, vertices)
-    values = conorm(combos)
-    i = int(np.argmin(values))  # the first minimum in mesh order
-    best, witness = values[i], combos[i]
+    chunk = max(MAX_BATCH_ENTRIES // (jset.shape[0] * jset.shape[1]), 1)
+    best = np.inf
+    for start in range(0, len(weights), chunk):
+        combos = np.einsum("pk,kij->pij", weights[start:start + chunk], vertices)
+        values = conorm(combos)
+        i = int(np.argmin(values))
+        if values[i] < best:  # keeps the first minimum in mesh order
+            best, witness = values[i], combos[i].copy()
     upper = max(best - jset.radius, 0.0)
     if not certifiable:
         return ConormBounds(0.0, upper, False, net, witness=witness)

@@ -29,9 +29,10 @@ MAX_HALVINGS = 40
 class InversionTrace:
     """Record of one inversion run.
 
-    status is one of "converged", "diverged", "step_underflow", "max_iter"
-    or "stationary" (descent stalled at a lambda-stationary point, reported
-    with the dual witness distance).
+    status is one of "converged", "diverged", "step_underflow", "max_iter",
+    "stationary" (descent stalled at a lambda-stationary point, reported
+    with the dual witness distance) or "overflow" (descent could not start:
+    the residual norm at x0 overflows, and is recorded as inf).
     """
 
     def __init__(self, method, t_grid, iterates, residuals, status,
@@ -204,15 +205,22 @@ def ekeland_descent(model, provider, y, x0, lam=1e-3, eps=1e-3, tol=1e-8,
     Candidate directions are Newton directions from each provider vertex
     followed by seeded random probes on stall.  When no candidate moves and
     the dual set {T* y_unit} + (radius + lam) * ball comes within eps of
-    the origin, the run stops at a lambda-stationary point.
+    the origin, the run stops at a lambda-stationary point.  When the
+    initial residual norm is not finite in floating point the run stops at
+    once with status "overflow"; a trial point whose residual is not finite
+    is rejected.  No comparison sees a NaN and no overflow warning is
+    raised.
     """
     if not (lam > 0 and eps > 0):
         raise ValueError("require lam > 0 and eps > 0")
     y = as_vector(y)
     x = as_vector(x0).copy()
     rng = np.random.default_rng(rng)
-    phi = np.linalg.norm(evaluate(model, x) - y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = float(np.linalg.norm(evaluate(model, x) - y))
     iterates, residuals = [x.copy()], [phi]
+    if not np.isfinite(phi):
+        return InversionTrace("ekeland", [1.0], iterates, residuals, "overflow")
     status = "max_iter"
     stationary_distance = None
     for _ in range(max_iter):
@@ -234,11 +242,14 @@ def ekeland_descent(model, provider, y, x0, lam=1e-3, eps=1e-3, tol=1e-8,
             s = 1.0
             for _ in range(MAX_HALVINGS):
                 trial_x = x + s * d
-                try:
-                    trial = np.linalg.norm(evaluate(model, trial_x) - y)
-                except ValueError:
-                    trial = np.inf
-                if trial < phi - lam * np.linalg.norm(trial_x - x):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    try:
+                        trial = np.linalg.norm(evaluate(model, trial_x) - y)
+                    except ValueError:
+                        trial = np.inf
+                    step = np.linalg.norm(trial_x - x)
+                # phi is finite and trial, step are never NaN
+                if trial < phi - lam * step:
                     x, phi = trial_x, trial
                     moved = True
                     break

@@ -48,6 +48,14 @@ def as_vector(x):
     return x
 
 
+def _row_norms(a):
+    # Euclidean norms over the last axis.  Each is the square root of one
+    # BLAS dot, as np.linalg.norm computes it for a single vector, so a
+    # stack and its rows one at a time give the same bits.
+    a = np.asarray(a, dtype=float)
+    return np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0, 0])
+
+
 def singular_values(a):
     """Singular values of a matrix, or of each matrix in a stack, by LAPACK.
 

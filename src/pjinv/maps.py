@@ -2,6 +2,12 @@
 
 Catalog identifiers: "identity", "linear:<matrix-file>", "theta-a:<n>:<c>",
 "theta-b:<n>", "theta-c:<n>", "exp1d", "complexsq", "abs-shift".
+
+``evaluate`` takes one point; ``evaluate_batch`` takes a (k, dim_in) array
+of points, makes one ``fn_batch`` call (or, for a model without one, one
+``fn`` call per row) and applies ``evaluate``'s checks to every row.
+Batched kernels keep each working array under ``MAX_BATCH_ENTRIES`` float
+entries and process larger jobs in blocks.
 """
 
 import numpy as np
@@ -11,6 +17,7 @@ from .linalg import as_matrix, as_vector, conorm
 __all__ = [
     "MapModel",
     "evaluate",
+    "evaluate_batch",
     "numeric_jacobian",
     "local_lipschitz_estimate",
     "dini_derivatives",
@@ -23,6 +30,8 @@ __all__ = [
 ]
 
 DEFAULT_DOMAIN_HALFWIDTH = 1e6
+# entries (16 MiB of floats) in one working array of a batched kernel
+MAX_BATCH_ENTRIES = 1 << 21
 
 
 class DomainError(ValueError):
@@ -99,6 +108,41 @@ def evaluate(model, x):
     return y
 
 
+def evaluate_batch(model, xs):
+    """Evaluate f at each row of a (k, dim_in) array; returns (k, dim_out).
+
+    Every row gets ``evaluate``'s checks, and the error raised is the one
+    that evaluating the rows in order would raise first: ValueError for a
+    wrong dimension or a non-finite input or output, DomainError for a
+    point outside the domain box.  Only the rows before the first bad input
+    reach the oracle.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != model.dim_in:
+        raise ValueError(f"{model.name}: expected dim {model.dim_in}, "
+                         f"got shape {xs.shape}")
+    bad = ~np.all(np.abs(xs) <= model.domain_halfwidth, axis=1)
+    stop = int(np.argmax(bad)) if bad.any() else len(xs)
+    ys = _oracle_rows(model, xs[:stop])
+    if ys.shape != (stop, model.dim_out):
+        raise ValueError(f"{model.name}: oracle returned shape {ys.shape}")
+    if not np.all(np.isfinite(ys)) or not np.all(np.isfinite(xs[stop:stop + 1])):
+        raise ValueError("vector entries must be finite")
+    if stop < len(xs):
+        raise DomainError(f"{model.name}: point outside domain box")
+    return ys
+
+
+def _oracle_rows(model, zs):
+    # f at each row of zs: one fn_batch call, or fn row by row without one
+    if len(zs) == 0:
+        return np.empty((0, model.dim_out))
+    if model.fn_batch is not None:
+        return np.asarray(model.fn_batch(zs), dtype=float)
+    return np.array([np.asarray(model.fn(z), dtype=float).reshape(-1)
+                     for z in zs])
+
+
 def numeric_jacobian(model, x, step=None):
     """Central-difference Jacobian, entrywise error O(step^2) for C^2 maps.
 
@@ -130,12 +174,8 @@ def _central_differences(model, zs, step):
     stencil = np.eye(n) * step
     plus = (zs[:, None, :] + stencil).reshape(k * n, n)
     minus = (zs[:, None, :] - stencil).reshape(k * n, n)
-    if model.fn_batch is not None:
-        fp = np.asarray(model.fn_batch(plus), dtype=float)
-        fm = np.asarray(model.fn_batch(minus), dtype=float)
-    else:
-        fp = np.array([model.fn(z) for z in plus], dtype=float)
-        fm = np.array([model.fn(z) for z in minus], dtype=float)
+    fp = _oracle_rows(model, plus)
+    fm = _oracle_rows(model, minus)
     return (fp - fm).reshape(k, n, -1).transpose(0, 2, 1) / (2.0 * step)
 
 

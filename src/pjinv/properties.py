@@ -3,7 +3,7 @@
 import numpy as np
 
 from .linalg import as_vector, dist_to_hull, spectral_norm
-from .maps import MapModel, evaluate
+from .maps import MapModel, evaluate, evaluate_batch
 from .pseudojac import PseudoJacobianSet, build_set, validity_check
 
 __all__ = ["mvt_check", "optimality_check", "chain_rule_check"]
@@ -81,6 +81,7 @@ def chain_rule_check(model_f, model_g, provider_f, x, trials=1000, tol=1e-3,
     composed_map = MapModel(
         f"{model_g.name}.{model_f.name}", model_f.dim_in, model_g.dim_out,
         lambda z: evaluate(model_g, evaluate(model_f, z)),
+        fn_batch=lambda zs: evaluate_batch(model_g, evaluate_batch(model_f, zs)),
         domain_halfwidth=model_f.domain_halfwidth,
     )
     return validity_check(composed_map, x, composed_set, trials=trials,

@@ -4,13 +4,20 @@ A set is represented as co(vertices) + radius * closed-unit-ball in operator
 spectral norm; every construction used here (singleton, Lipschitz ball, sum
 rule, finite generalized-derivative sample) is exactly of this form, and the
 support function of such a set is closed-form.
+
+``support_function`` accepts one pair (ystar, v) or stacks ystar (..., m)
+and v (..., n) with one common leading shape, and evaluates all pairs with
+one einsum over the stacked vertices.  ``validity_check`` runs its trials
+in blocks: one draw of all (ystar, v) pairs, one ``evaluate_batch`` call
+for all Dini points and two ``support_function`` calls per block.
 """
 
 import numpy as np
 
-from .linalg import as_vector
-from .maps import (DomainError, _central_differences, dini_derivatives, evaluate,
-                   local_lipschitz_estimate, numeric_jacobian)
+from .linalg import _row_norms, as_vector
+from .maps import (MAX_BATCH_ENTRIES, DomainError, _central_differences,
+                   evaluate, evaluate_batch, local_lipschitz_estimate,
+                   numeric_jacobian)
 
 __all__ = [
     "PseudoJacobianSet",
@@ -73,6 +80,8 @@ class ProviderSpec:
             raise ValueError(f"unknown provider kind {kind!r}")
         if not (delta > 0 and m >= 1 and eps >= 0):
             raise ValueError("require delta > 0, m >= 1, eps >= 0")
+        if not (lip_radius >= 0 and lip_samples >= 2):
+            raise ValueError("require lip_radius >= 0 and lip_samples >= 2")
         self.kind = kind
         self.delta = float(delta)
         self.m = int(m)
@@ -185,11 +194,19 @@ def build_set(model, x, spec, rng=None):
 
 
 def support_function(jset, ystar, v):
-    """sup of <ystar, T v> over the set; exact for this representation."""
-    ystar = as_vector(ystar)
-    v = as_vector(v)
-    best = float(np.einsum("i,kij,j->k", ystar, jset.vertices, v).max())
-    return best + jset.radius * np.linalg.norm(ystar) * np.linalg.norm(v)
+    """sup of <ystar, T v> over the set; exact for this representation.
+
+    ystar (..., m) and v (..., n) may be stacks with one common leading
+    shape; the result then has that shape, one value per pair.
+    """
+    ystar = np.atleast_1d(np.asarray(ystar, dtype=float))
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if ystar.shape[:-1] != v.shape[:-1]:
+        raise ValueError(f"ystar {ystar.shape} and v {v.shape} do not pair up")
+    if not (np.all(np.isfinite(ystar)) and np.all(np.isfinite(v))):
+        raise ValueError("vector entries must be finite")
+    best = np.einsum("...i,kij,...j->...k", ystar, jset.vertices, v).max(axis=-1)
+    return best + jset.radius * _row_norms(ystar) * _row_norms(v)
 
 
 def pj_combine(alpha, j1, j2):
@@ -214,28 +231,47 @@ def validity_check(model, x, jset, trials=1000, tol=1e-3, rng=None,
     passing trials.  The Dini limsup is approximated by a finite max, which
     can only under-estimate it, so the check is sound in the failure
     direction.
+
+    Each trial draws m + n standard normals (ystar first, then v, each
+    normalized; an all-zero draw becomes the first basis vector) and takes
+    the difference quotients of ``dini_derivatives``.  Trials run in blocks
+    of at most MAX_BATCH_ENTRIES evaluated entries, so memory does not grow
+    with ``trials``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not (t0 > 0 and 0 < rho < 1 and k >= 2):
+        raise ValueError("require t0 > 0, rho in (0,1), k >= 2")
     x = as_vector(x)
     rng = np.random.default_rng(rng)
+    m, n = model.dim_out, model.dim_in
+    fx = evaluate(model, x)
+    ts = [t0]
+    for _ in range(k - 1):
+        ts.append(ts[-1] * rho)
+    ts = np.array(ts)
+    block = max(MAX_BATCH_ENTRIES // (k * max(m, n)), 1)
     passed = 0
-    for _ in range(trials):
-        ystar = _unit(rng, model.dim_out)
-        v = _unit(rng, model.dim_in)
-        phi = lambda z: float(ystar @ evaluate(model, z))
-        upper, lower = dini_derivatives(phi, x, v, t0=t0, rho=rho, k=k)
+    for start in range(0, trials, block):
+        count = min(block, trials - start)
+        draws = rng.standard_normal((count, m + n))
+        ystar, v = _unit_rows(draws[:, :m]), _unit_rows(draws[:, m:])
+        zs = x + ts[:, None] * v[:, None, :]
+        fz = evaluate_batch(model, zs.reshape(-1, n)).reshape(count, k, m)
+        # one BLAS dot per point, as ystar @ evaluate(model, z) computes it:
+        # the quotients then match a loop over points to the bit
+        phi = (fz[:, :, None, :] @ ystar[:, None, :, None])[:, :, 0, 0]
+        base = (ystar[:, None, :] @ fx[:, None])[:, 0, 0]
+        quots = (phi - base[:, None]) / ts
         sup = support_function(jset, ystar, v)
         inf = -support_function(jset, -ystar, v)
-        if upper <= sup + tol and lower >= inf - tol:
-            passed += 1
+        ok = (quots.max(axis=1) <= sup + tol) & (quots.min(axis=1) >= inf - tol)
+        passed += int(np.count_nonzero(ok))
     return passed / trials
 
 
-def _unit(rng, n):
-    d = rng.standard_normal(n)
-    nrm = np.linalg.norm(d)
-    while nrm == 0.0:
-        d = rng.standard_normal(n)
-        nrm = np.linalg.norm(d)
-    return d / nrm
+def _unit_rows(d):
+    nrm = _row_norms(d)
+    zero = nrm == 0.0
+    d[zero, 0], nrm[zero] = 1.0, 1.0
+    return d / nrm[:, None]

@@ -4,10 +4,14 @@
 from the LAPACK routine the package uses; one-sided Jacobi computes small
 singular values to high relative accuracy (Demmel and Veselic, SIAM J.
 Matrix Anal. Appl. 13, 1992), so agreement with it is a real check.  The
-loop references evaluate set operations one vertex at a time.
+loop references evaluate set operations one vertex at a time, and
+``loop_validity_check`` runs the validity check one trial at a time.
 """
 
 import numpy as np
+
+from pjinv.maps import dini_derivatives, evaluate
+from pjinv.pseudojac import support_function
 
 
 def jacobi_singular_values(a, rel_tol=1e-13, max_sweeps=64):
@@ -69,3 +73,37 @@ def loop_support_function(vertices, radius, ystar, v):
 def loop_pj_combine(alpha, vertices1, vertices2):
     """alpha * V1 + V2 over all pairs, the first set's index major."""
     return [alpha * a + b for a in vertices1 for b in vertices2]
+
+
+def loop_validity_check(model, x, jset, trials=1000, tol=1e-3, rng=None,
+                        t0=1e-3, rho=0.5, k=20):
+    """validity_check one trial at a time: (pass rate, upper, lower failures).
+
+    Each trial draws a unit ystar, then a unit v, evaluates the k Dini
+    points one ``evaluate`` call each through ``dini_derivatives``, and
+    tests the upper form (upper Dini <= sup + tol) and the lower form
+    (lower Dini >= inf - tol) with one ``support_function`` call each.
+    """
+    x = np.asarray(x, dtype=float)
+    rng = np.random.default_rng(rng)
+    passed = upper_failed = lower_failed = 0
+    for _ in range(trials):
+        ystar = _unit(rng, model.dim_out)
+        v = _unit(rng, model.dim_in)
+        phi = lambda z: float(ystar @ evaluate(model, z))
+        upper, lower = dini_derivatives(phi, x, v, t0=t0, rho=rho, k=k)
+        upper_ok = upper <= support_function(jset, ystar, v) + tol
+        lower_ok = lower >= -support_function(jset, -ystar, v) - tol
+        passed += upper_ok and lower_ok
+        upper_failed += not upper_ok
+        lower_failed += not lower_ok
+    return passed / trials, upper_failed, lower_failed
+
+
+def _unit(rng, n):
+    d = rng.standard_normal(n)
+    nrm = np.linalg.norm(d)
+    while nrm == 0.0:
+        d = rng.standard_normal(n)
+        nrm = np.linalg.norm(d)
+    return d / nrm

@@ -59,6 +59,21 @@ class TestFormatRecord:
         assert once == twice
 
 
+class TestNonFiniteReports:
+    def test_format_record_writes_null(self):
+        text = format_record({"a": float("inf"), "b": [np.nan, 1.0]})
+        assert text == '{"a": null, "b": [null, 1.0]}\n'
+
+    def test_ekeland_overflow_report(self, capsys):
+        code, out, _ = run(capsys, "invert", "--map", "exp1d", "--provider",
+                           "exact", "--method", "ekeland", "--target", "1e300")
+        assert code == 1
+        assert "Infinity" not in out and "NaN" not in out
+        rec = json.loads(out)
+        assert rec["status"] == "overflow"
+        assert rec["final_residual"] is None
+
+
 class TestCatalog:
     def test_listing(self, capsys):
         code, out, _ = run(capsys, "catalog")
@@ -203,6 +218,40 @@ class TestExitCodes:
     def test_missing_map_is_config_error(self, capsys):
         code, _, _ = run(capsys, "certify")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "validity", "--map", "theta-c:3", "--trials", "0"],
+        ["invert", "--map", "identity", "--target", "1,2"],
+        ["invert", "--map", "identity", "--target", "1,x,3"],
+        ["invert", "--map", "identity", "--target", "1,inf,3"],
+        ["ball-check", "--map", "identity", "--delta", "3", "--t-max", "2"],
+        ["profile", "--map", "identity", "--grid-n", "1"],
+        ["certify", "--map", "identity", "--provider", "ball:m=1"],
+    ])
+    def test_malformed_option_is_config_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "config error" in err
+        assert out == ""
+
+    def test_overflow_while_computing_is_three(self, capsys):
+        # exp overflows on the far shells: a non-finite set mid-computation
+        with np.errstate(over="ignore"):
+            code, out, err = run(capsys, "profile", "--map", "exp1d",
+                                 "--provider", "exact", "--t-max", "5000")
+        assert code == 3
+        assert "computation failed" in err
+        assert out == ""
+
+    def test_domain_error_while_computing_is_three(self, capsys):
+        # a shell point of the radius-800 ball draws Clarke points beyond
+        # the domain box |x| <= 700 of exp1d
+        code, out, err = run(capsys, "profile", "--map", "exp1d", "--provider",
+                             "clarke:delta=1e-3,m=2,eps=0", "--t-max", "800",
+                             "--grid-n", "2", "--shell-samples", "4")
+        assert code == 3
+        assert "computation failed" in err and "outside domain box" in err
+        assert out == ""
 
     def test_computation_failure_maps_to_three(self, capsys, monkeypatch):
         def boom(*_args, **_kwargs):

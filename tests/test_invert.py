@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,17 @@ class TestEkeland:
         with pytest.raises(ValueError):
             ekeland_descent(identity_map(1), EXACT, np.zeros(1), np.zeros(1),
                             lam=0.0)
+
+    def test_overflowing_residual_stops_with_a_status(self):
+        # |e^0 - 1e300| is finite, but its square overflows in the norm;
+        # an overflow RuntimeWarning would raise here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = ekeland_descent(exp1d_map(), EXACT, np.array([1e300]),
+                                 np.zeros(1), rng=0)
+        assert tr.status == "overflow"
+        assert len(tr.iterates) == 1 and np.array_equal(tr.final_x, [0.0])
+        assert tr.final_residual == np.inf
 
 
 class TestInverseLipschitzProbe:

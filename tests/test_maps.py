@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from pjinv.maps import (DomainError, MapModel, abs_shift_map, catalog_ids,
-                        dini_derivatives, evaluate, exp1d_map, identity_map,
-                        linear_map, local_lipschitz_estimate, make_map,
-                        numeric_jacobian, theta_back_substitute, theta_map)
+                        dini_derivatives, evaluate, evaluate_batch, exp1d_map,
+                        identity_map, linear_map, local_lipschitz_estimate,
+                        make_map, numeric_jacobian, theta_back_substitute,
+                        theta_map)
 
 
 class TestEvaluate:
@@ -42,6 +43,93 @@ class TestEvaluate:
             xs = rng.uniform(-2.0, 2.0, (25, 1))
             assert np.allclose(m.fn_batch(xs)[:, 0],
                                [m(x)[0] for x in xs], atol=1e-14)
+
+
+def raised(call):
+    """The exception type a call raises, or None."""
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+    return None
+
+
+def overflowing(with_batch):
+    # exp(1000 x) is inf for x > 0.71: a finite point, a non-finite value
+    fn = lambda x: np.exp(1000.0 * x)
+    return MapModel("overflowing", 1, 1, fn, fn_batch=fn if with_batch else None)
+
+
+class TestEvaluateBatch:
+    def test_wrong_dimension_raises_like_evaluate(self):
+        m = theta_map("a", 3, 0.5)
+        assert raised(lambda: evaluate(m, np.zeros(2))) is ValueError
+        assert raised(lambda: evaluate_batch(m, np.zeros((4, 2)))) is ValueError
+        assert raised(lambda: evaluate_batch(m, np.zeros(3))) is ValueError
+
+    def test_outside_domain_raises_like_evaluate(self):
+        for m in (identity_map(2), exp1d_map()):
+            xs = np.zeros((3, m.dim_in))
+            xs[2, 0] = 2e6 if m.dim_in == 2 else 701.0
+            assert raised(lambda: evaluate(m, xs[2])) is DomainError
+            assert raised(lambda: evaluate_batch(m, xs)) is DomainError
+
+    @pytest.mark.parametrize("with_batch", [True, False])
+    def test_non_finite_output_raises_like_evaluate(self, with_batch):
+        m = overflowing(with_batch)
+        xs = np.array([[0.0], [1.0]])
+        with np.errstate(over="ignore"):
+            assert raised(lambda: evaluate(m, xs[1])) is ValueError
+            assert raised(lambda: evaluate_batch(m, xs)) is ValueError
+
+    def test_non_finite_input_raises_like_evaluate(self):
+        m = identity_map(2)
+        xs = np.array([[0.0, 0.0], [np.nan, 0.0]])
+        assert raised(lambda: evaluate(m, xs[1])) is ValueError
+        assert raised(lambda: evaluate_batch(m, xs)) is ValueError
+
+    def test_first_bad_row_decides(self):
+        # row order decides as in a loop of evaluate calls, and rows at or
+        # after the first point outside the box never reach the oracle
+        m = MapModel("exp1000", 1, 1, lambda x: np.exp(1000.0 * x),
+                     domain_halfwidth=5.0)
+        with np.errstate(over="ignore"):
+            assert raised(lambda: evaluate_batch(
+                m, np.array([[0.0], [1.0], [6.0]]))) is ValueError
+        assert raised(lambda: evaluate_batch(
+            m, np.array([[0.0], [6.0], [1.0]]))) is DomainError
+
+    def test_matches_fn_row_by_row_without_fn_batch(self):
+        calls = []
+
+        def fn(x):
+            calls.append(1)
+            return np.array([np.sin(x[0]) * x[1], x[0] ** 3, np.abs(x[1])])
+
+        m = MapModel("rows", 2, 3, fn)
+        xs = np.random.default_rng(0).uniform(-2.0, 2.0, (17, 2))
+        out = evaluate_batch(m, xs)
+        assert len(calls) == 17  # one fn call per row
+        np.testing.assert_array_equal(out, np.array([fn(x) for x in xs]))
+        assert evaluate_batch(m, np.empty((0, 2))).shape == (0, 3)
+
+    def test_one_fn_batch_call(self):
+        calls = []
+        base = theta_map("c", 3)
+
+        def fn_batch(xs):
+            calls.append(len(xs))
+            return base.fn_batch(xs)
+
+        m = MapModel("theta-c", 3, 3, base.fn, fn_batch=fn_batch)
+        xs = np.random.default_rng(1).uniform(-2.0, 2.0, (40, 3))
+        out = evaluate_batch(m, xs)
+        assert calls == [40]
+        np.testing.assert_array_equal(out, np.array([evaluate(base, x) for x in xs]))
+
+    def test_wrong_oracle_shape(self):
+        m = MapModel("short", 2, 2, lambda x: x, fn_batch=lambda xs: xs[:, :1])
+        assert raised(lambda: evaluate_batch(m, np.zeros((3, 2)))) is ValueError
 
 
 class TestNumericJacobian:
