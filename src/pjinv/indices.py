@@ -60,12 +60,16 @@ class RegularityReport:
 
 
 def _singleton_bounds(v, radius, net):
-    value = max(conorm(v) - radius, 0.0)
-    witness = v
     if radius > 0.0:
-        # rank-one perturbation along the minimal singular pair attains the bound
-        u_mat, sv, vt = np.linalg.svd(v)
+        # one SVD gives the co-norm (zero for a wide matrix) and the minimal
+        # singular pair, along which a rank-one perturbation attains the
+        # bound; the thin factors pair u_mat[:, -1] with sv[-1] for a tall v
+        u_mat, sv, vt = np.linalg.svd(v, full_matrices=False)
+        low = sv[-1] if v.shape[0] >= v.shape[1] else 0.0
         witness = v - radius * np.outer(u_mat[:, -1], vt[-1])
+    else:
+        low, witness = conorm(v), v
+    value = max(low - radius, 0.0)
     return ConormBounds(value, value, True, net, witness=witness)
 
 

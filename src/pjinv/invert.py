@@ -31,8 +31,8 @@ class InversionTrace:
 
     status is one of "converged", "diverged", "step_underflow", "max_iter",
     "stationary" (descent stalled at a lambda-stationary point, reported
-    with the dual witness distance) or "overflow" (descent could not start:
-    the residual norm at x0 overflows, and is recorded as inf).
+    with the dual witness distance) or "overflow" (Newton or descent could
+    not start: the residual norm at x0 overflows, and is recorded as inf).
     """
 
     def __init__(self, method, t_grid, iterates, residuals, status,
@@ -95,18 +95,28 @@ def _newton_direction(t_op, r):
     return np.linalg.lstsq(t_op, -r, rcond=None)[0], True
 
 
+def _residual(model, x, y):
+    """||f(x) - y||; inf where the norm overflows, with no overflow warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(evaluate(model, x) - y))
+
+
 def semismooth_newton(model, provider, y, x0, tol=1e-10, max_iter=100, rng=None):
     """Damped Newton iteration on the residual ||f(x) - y||.
 
     The Newton operator is the provider-set vertex with maximal co-norm;
     when every vertex is near-singular a least-squares pseudo-inverse step
-    is taken instead and flagged in the trace.
+    is taken instead and flagged in the trace.  When the initial residual
+    norm is not finite in floating point the run stops at once with status
+    "overflow"; a trial point whose residual is not finite is rejected.
     """
     y = as_vector(y)
     x = as_vector(x0).copy()
     rng = np.random.default_rng(rng)
-    residual = np.linalg.norm(evaluate(model, x) - y)
+    residual = _residual(model, x, y)
     iterates, residuals = [x.copy()], [residual]
+    if not np.isfinite(residual):
+        return InversionTrace("newton", [1.0], iterates, residuals, "overflow")
     used_pinv = False
     status = "max_iter"
     for _ in range(max_iter):
@@ -128,9 +138,10 @@ def semismooth_newton(model, provider, y, x0, tol=1e-10, max_iter=100, rng=None)
         accepted = False
         for _ in range(MAX_HALVINGS):
             try:
-                trial = np.linalg.norm(evaluate(model, x + s * d) - y)
+                trial = _residual(model, x + s * d, y)
             except ValueError:
                 trial = np.inf
+            # residual is finite, so an inf or NaN trial fails this test
             if trial <= (1.0 - ARMIJO_DECREASE * s) * residual:
                 accepted = True
                 break
@@ -216,8 +227,7 @@ def ekeland_descent(model, provider, y, x0, lam=1e-3, eps=1e-3, tol=1e-8,
     y = as_vector(y)
     x = as_vector(x0).copy()
     rng = np.random.default_rng(rng)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = float(np.linalg.norm(evaluate(model, x) - y))
+    phi = _residual(model, x, y)
     iterates, residuals = [x.copy()], [phi]
     if not np.isfinite(phi):
         return InversionTrace("ekeland", [1.0], iterates, residuals, "overflow")

@@ -43,7 +43,7 @@ def as_vector(x):
         x = x.reshape(1)
     if x.ndim != 1 or x.size < 1:
         raise ValueError(f"expected a nonempty 1-d array, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("vector entries must be finite")
     return x
 
@@ -103,13 +103,31 @@ def surjectivity_index(a):
 def project_to_hull(p, vertices, gap_tol=1e-10, max_iter=50000):
     """Euclidean projection of a point onto the convex hull of vertices.
 
-    Uses Frank-Wolfe with away steps (linearly convergent on polytopes).
-    The duality gap certifies a lower bound sqrt(max(0, dist^2 - 2*gap))
-    on the true distance; iteration stops once the current distance is
-    within ``gap_tol`` of that certified bound, so the returned distance
-    is accurate to ``gap_tol`` even for nearly degenerate hulls (where a
-    raw duality-gap threshold certifies far less).
-    Vertex-selection ties are broken by lowest index.
+    Wolfe's minimum-norm-point method (P. Wolfe, "Finding the nearest point
+    in a polytope", Math. Programming 11, 1976) on the shifted vertices
+    w = vertices - p.  It starts at vertex 0 with an active set of that
+    vertex alone; the active set never holds more than dim + 1 vertices.
+    Each major step makes one linear oracle call w @ g over all vertices
+    (ties go to the lowest index) and adds the minimiser to the active set;
+    g is the current point x less its least-squares component along the
+    active set's affine hull, which for the affine minimiser x is rounding
+    only.  Minor cycles then move x to the affine minimiser of the active
+    set, one small least-squares solve each, and drop vertices whose
+    weight reaches zero until every weight is positive.  The run stops at
+    the first of
+
+    (a) the duality gap at g, gap = g.g - min(w @ g), certifies the lower
+        bound sqrt(max(0, g.g - 2*gap)) on the true distance (for any g),
+        and ||x|| is within ``gap_tol`` of it;
+    (b) the oracle returns a vertex that is already active (or the active
+        set already spans the space), or a major step fails to decrease
+        ||x||^2 strictly: Wolfe's finite-termination test, which keeps
+        rounding from cycling;
+    (c) ``max_iter`` major steps.
+
+    The returned point is a convex combination of vertices whichever stop
+    ends the run, so its distance is attained: an upper bound on the true
+    distance, up to rounding.
 
     Returns
     -------
@@ -118,51 +136,67 @@ def project_to_hull(p, vertices, gap_tol=1e-10, max_iter=50000):
     """
     p = as_vector(p)
     v = np.atleast_2d(np.asarray(vertices, dtype=float))
-    k = v.shape[0]
     if v.shape[1] != p.size:
         raise ValueError("point and hull vertices have different dimensions")
-    lam = np.zeros(k)
-    lam[0] = 1.0
-    x = v[0].copy()
+    w = v - p
+    active, lam = [0], np.ones(1)
+    x = w[0]
+    xx = x @ x
     for _ in range(max_iter):
-        g = x - p
-        scores = v @ g
-        s = int(np.argmin(scores))  # argmin returns the lowest tied index
-        gap = g @ x - scores[s]
-        dist2 = g @ g
-        lb2 = dist2 - 2.0 * gap
-        certified_lb = np.sqrt(lb2) if lb2 > 0.0 else 0.0
-        if np.sqrt(dist2) - certified_lb <= gap_tol:
+        g = _off_affine(w[active], x)
+        gg = g @ g
+        scores = w @ g
+        j = int(np.argmin(scores))  # argmin returns the lowest tied index
+        lb2 = gg - 2.0 * (gg - scores[j])
+        if np.sqrt(xx) - (np.sqrt(lb2) if lb2 > 0.0 else 0.0) <= gap_tol:
             break
-        active = np.flatnonzero(lam > 0)
-        a = int(active[np.argmax(scores[active])])
-        if g @ x - scores[s] >= scores[a] - g @ x:
-            d = v[s] - x
-            gamma_max = 1.0
-            step_kind = "fw"
+        if j in active or len(active) > p.size:
+            break
+        new_active, new_lam = _corral(w, active + [j], np.append(lam, 0.0))
+        new_x = new_lam @ w[new_active]
+        new_xx = new_x @ new_x
+        if not new_xx < xx:
+            break
+        active, lam, x, xx = new_active, new_lam, new_x, new_xx
+    point = lam @ v[active]
+    return point, float(np.linalg.norm(point - p))
+
+
+def _off_affine(ws, x):
+    # x less its least-squares component along the affine hull of ws.  For
+    # the affine minimiser x of ws that component is rounding, about
+    # eps * max|ws| from the cancellation in x = lam @ ws; where ||x|| is not
+    # much larger, as on a sliver, it would decide the oracle's choice.
+    if len(ws) == 1:
+        return x
+    d = (ws[1:] - ws[0]).T
+    return x - d @ np.linalg.lstsq(d, x, rcond=None)[0]
+
+
+def _corral(w, active, lam):
+    # Wolfe's minor cycles: the convex weights lam over w[active] move to the
+    # affine minimiser alpha of those vertices when every alpha is positive;
+    # otherwise they move toward it until the first weight reaches zero, that
+    # vertex (and any other at zero) leaves, and the cycle repeats.
+    while True:
+        ws = w[active]
+        if len(active) == 1:
+            alpha = np.ones(1)
         else:
-            d = x - v[a]
-            if lam[a] >= 1.0:
-                d = v[s] - x
-                gamma_max = 1.0
-                step_kind = "fw"
-            else:
-                gamma_max = lam[a] / (1.0 - lam[a])
-                step_kind = "away"
-        dd = d @ d
-        if dd <= 0.0:
-            break
-        gamma = min(max(-(g @ d) / dd, 0.0), gamma_max)
-        if gamma <= 0.0:
-            break
-        if step_kind == "fw":
-            lam *= 1.0 - gamma
-            lam[s] += gamma
-        else:
-            lam *= 1.0 + gamma
-            lam[a] -= gamma
-        x = lam @ v
-    return x, float(np.linalg.norm(x - p))
+            beta = np.linalg.lstsq((ws[1:] - ws[0]).T, -ws[0], rcond=None)[0]
+            alpha = np.concatenate([[1.0 - beta.sum()], beta])
+        if np.all(alpha > 0.0):
+            return active, alpha
+        neg = np.flatnonzero(alpha <= 0.0)
+        # step length to each non-positive weight's zero; 0 for one at zero
+        steps = np.divide(lam[neg], lam[neg] - alpha[neg],
+                          out=np.zeros(neg.size), where=lam[neg] > 0.0)
+        first = int(np.argmin(steps))
+        lam = lam + steps[first] * (alpha - lam)
+        lam[neg[first]] = 0.0
+        keep = lam > 0.0
+        active = [a for a, kept in zip(active, keep) if kept]
+        lam = lam[keep]
 
 
 def dist_to_hull(p, vertices, radius=0.0, gap_tol=1e-10):

@@ -95,13 +95,24 @@ class MapModel:
         return f"MapModel({self.name!r}, {self.dim_in}->{self.dim_out})"
 
 
-def evaluate(model, x):
-    """Evaluate f(x), enforcing dimensions and the domain box."""
+def _check_point(model, x):
+    """x as a vector, checked against the model before any oracle sees it.
+
+    Raises ValueError for a wrong dimension or a non-finite entry and
+    DomainError for a point outside the domain box.
+    """
     x = as_vector(x)
     if x.size != model.dim_in:
         raise ValueError(f"{model.name}: expected dim {model.dim_in}, got {x.size}")
-    if np.max(np.abs(x)) > model.domain_halfwidth:
+    # the method form skips np.max's dispatch: this runs once per set built
+    if np.abs(x).max() > model.domain_halfwidth:
         raise DomainError(f"{model.name}: point outside domain box")
+    return x
+
+
+def evaluate(model, x):
+    """Evaluate f(x), enforcing dimensions and the domain box."""
+    x = _check_point(model, x)
     y = as_vector(model.fn(x))
     if y.size != model.dim_out:
         raise ValueError(f"{model.name}: oracle returned dim {y.size}")
@@ -150,11 +161,7 @@ def numeric_jacobian(model, x, step=None):
     piecewise smooth, so randomly perturbed probe points are differentiable
     almost surely.
     """
-    x = as_vector(x)
-    if x.size != model.dim_in:
-        raise ValueError(f"{model.name}: expected dim {model.dim_in}, got {x.size}")
-    if np.max(np.abs(x)) > model.domain_halfwidth:
-        raise DomainError(f"{model.name}: point outside domain box")
+    x = _check_point(model, x)
     if step is None:
         step = 1e-6 * (1.0 + np.linalg.norm(x))
     jac = _central_differences(model, x[None, :], step)[0]

@@ -16,8 +16,8 @@ import numpy as np
 
 from .linalg import _row_norms, as_vector
 from .maps import (MAX_BATCH_ENTRIES, DomainError, _central_differences,
-                   evaluate, evaluate_batch, local_lipschitz_estimate,
-                   numeric_jacobian)
+                   _check_point, evaluate, evaluate_batch,
+                   local_lipschitz_estimate, numeric_jacobian)
 
 __all__ = [
     "PseudoJacobianSet",
@@ -115,8 +115,12 @@ def parse_provider(text):
 
 
 def exact_singleton(model, x):
-    """Singleton set {f'(x)} at a differentiability point."""
-    x = as_vector(x)
+    """Singleton set {f'(x)} at a differentiability point.
+
+    x gets ``evaluate``'s checks (dimension, domain box) before any
+    derivative oracle sees it.
+    """
+    x = _check_point(model, x)
     if model.deriv is not None:
         jac = model.deriv(x)
     elif model.smooth_part is not None and model.lip_part is None:
@@ -136,10 +140,14 @@ def lipschitz_ball(model, x, spec, rng=None):
 
 
 def sum_rule(model, x, spec=None):
-    """{g'(x)} + Lip h(x) * ball for a decomposition f = g + h."""
-    x = as_vector(x)
+    """{g'(x)} + Lip h(x) * ball for a decomposition f = g + h.
+
+    x gets ``evaluate``'s checks (dimension, domain box) before any
+    derivative oracle sees it.
+    """
     if model.smooth_part is None or model.lip_part is None:
         raise ValueError(f"{model.name}: sum provider needs smooth_part and lip_part")
+    x = _check_point(model, x)
     r = spec.lip_radius if spec is not None else 1e-2
     return PseudoJacobianSet([model.smooth_part(x)],
                              float(model.lip_part(x, r)))

@@ -83,10 +83,8 @@ def test_03_mean_value_suite(capsys):
             u = rng.uniform(-2.0, 2.0, m.dim_in)
             v = rng.uniform(-2.0, 2.0, m.dim_in)
             d_exact, _ = mvt_check(m, EXACT, u, v, segment_samples=grid)
-            # certify the projection distance to 1e-7 only: the hulls here
-            # have thousands of vertices and the tolerance is 1e-3
             d_clarke, _ = mvt_check(m, clarke, u, v, segment_samples=64,
-                                    rng=i, gap_tol=1e-7)
+                                    rng=i)
             worst_exact = max(worst_exact, d_exact)
             worst_clarke = max(worst_clarke, d_clarke)
     ok = worst_exact <= 1e-6 and worst_clarke <= 1e-3

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,17 @@ class TestNonFiniteReports:
         rec = json.loads(out)
         assert rec["status"] == "overflow"
         assert rec["final_residual"] is None
+
+    def test_newton_overflow_report(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "invert", "--map", "exp1d", "--provider",
+                               "exact", "--method", "newton", "--target",
+                               "1e300")
+        assert code == 1
+        rec = json.loads(out)
+        assert rec["status"] == "overflow"
+        assert rec["final_x"] == [0.0] and rec["final_residual"] is None
 
 
 class TestCatalog:
@@ -235,12 +247,14 @@ class TestExitCodes:
         assert out == ""
 
     def test_overflow_while_computing_is_three(self, capsys):
-        # exp overflows on the far shells: a non-finite set mid-computation
-        with np.errstate(over="ignore"):
+        # the far shells leave the domain box |x| <= 700 of exp1d; the
+        # provider refuses them before its derivative oracle can overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, out, err = run(capsys, "profile", "--map", "exp1d",
                                  "--provider", "exact", "--t-max", "5000")
         assert code == 3
-        assert "computation failed" in err
+        assert "computation failed" in err and "outside domain box" in err
         assert out == ""
 
     def test_domain_error_while_computing_is_three(self, capsys):

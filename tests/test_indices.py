@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pjinv.linalg
+from oracles import jacobi_conorm
 from pjinv.indices import (DEFAULT_NET, ConormBounds, regularity_index,
                            set_conorm_bounds)
 from pjinv.linalg import conorm, spectral_norm
@@ -43,6 +44,30 @@ class TestSingletonBounds:
             assert spectral_norm(b.witness - a) == pytest.approx(r, abs=1e-9)
             assert conorm(b.witness) == pytest.approx(conorm(a) - r,
                                                       abs=1e-10)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 2), (2, 5)])
+    def test_one_svd_per_bound_with_a_ball(self, monkeypatch, shape):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            a = rng.standard_normal(shape)
+            r = 0.5 * jacobi_conorm(a) + 1e-3
+            calls.clear()
+            b = set_conorm_bounds(PseudoJacobianSet([a], r))
+            assert calls == [shape]
+            assert b.certified and b.lower == b.upper
+            assert abs(b.lower - max(jacobi_conorm(a) - r, 0.0)) <= 1e-12
+            if shape[0] >= shape[1]:
+                # the witness attains the bound for tall operators too
+                assert spectral_norm(b.witness - a) == pytest.approx(r, abs=1e-12)
+                assert conorm(b.witness) == pytest.approx(b.lower, abs=1e-12)
 
     def test_ball_swallows_conorm(self):
         b = set_conorm_bounds(PseudoJacobianSet([np.eye(2)], 2.0))

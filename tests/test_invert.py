@@ -149,6 +149,28 @@ class TestEkeland:
         assert tr.final_residual == np.inf
 
 
+class TestNewtonOverflow:
+    def test_overflowing_residual_stops_with_a_status(self):
+        # the residual norm at x0 overflows: no step is taken (the Armijo
+        # test inf <= inf once accepted a point outside the domain box) and
+        # no overflow RuntimeWarning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = semismooth_newton(exp1d_map(), EXACT, np.array([1e300]),
+                                   np.zeros(1), rng=0)
+        assert tr.status == "overflow"
+        assert len(tr.iterates) == 1 and np.array_equal(tr.final_x, [0.0])
+        assert tr.final_residual == np.inf
+
+    def test_path_lifting_never_leaves_the_box(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = path_lift_invert(exp1d_map(), EXACT, np.zeros(1),
+                                  np.array([1e300]), rng=0)
+        assert tr.status == "step_underflow"
+        assert np.array_equal(tr.final_x, [0.0])
+
+
 class TestInverseLipschitzProbe:
     def test_identity(self):
         est = inverse_lipschitz_probe(identity_map(2), np.zeros(2), 1.0,

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pjinv.properties
+from oracles import frank_wolfe_project
 from oracles import jacobi_conorm as oracle_conorm
 from oracles import jacobi_singular_values
 from pjinv.linalg import (conorm, dist_to_hull, project_to_hull,
                           singular_values, spectral_norm, surjectivity_index)
+from pjinv.maps import theta_map
+from pjinv.properties import mvt_check
+from pjinv.pseudojac import parse_provider
 
 
 class TestConorm:
@@ -110,7 +117,74 @@ class TestDistToHull:
         with pytest.raises(ValueError):
             dist_to_hull(np.zeros(2), np.empty((0, 2)), 0.0)
         with pytest.raises(ValueError):
+            project_to_hull(np.zeros(2), np.zeros((3, 1)))
+        with pytest.raises(ValueError):
             dist_to_hull(np.zeros(1), [[0.0]], -1.0)
+
+
+@st.composite
+def hull_problems(draw):
+    """(point, vertices): random, duplicate-vertex, sliver or 1-vertex hulls
+    in dims 1-6 at scales 1e-6 to 1e6, the point outside or inside."""
+    dim = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "duplicates", "sliver", "single"]))
+    count = draw(st.integers(2, 24))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    inside = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.standard_normal((count, dim))
+    if kind == "duplicates":
+        v = v[rng.integers(0, count, size=2 * count)]
+    elif kind == "sliver":
+        # a segment thickened by 1e-9 of its length
+        v = (rng.standard_normal((count, 1)) * rng.standard_normal(dim)
+             + 1e-9 * rng.standard_normal((count, dim)))
+    elif kind == "single":
+        v = v[:1]
+    p = rng.dirichlet(np.ones(len(v))) @ v if inside else \
+        3.0 * rng.standard_normal(dim)
+    return p * scale, v * scale
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(hull_problems())
+def test_projection_matches_frank_wolfe_oracle(problem):
+    p, v = problem
+    scale = max(np.max(np.abs(v)), np.max(np.abs(p)))
+    x, dist = project_to_hull(p, v)
+    assert dist == np.linalg.norm(x - p)
+    fw_x, fw_dist = frank_wolfe_project(p, v)
+    # the oracle's duality gap certifies a lower bound on the true distance
+    g = fw_x - p
+    lb2 = g @ g - 2.0 * (g @ fw_x - np.min(v @ g))
+    fw_lower = np.sqrt(lb2) if lb2 > 0.0 else 0.0
+    assert dist <= fw_dist + 1e-12 * scale
+    assert dist >= fw_lower - 1e-12 * scale
+
+
+def test_kink_crossing_hull_in_few_steps(monkeypatch):
+    # check mvt on a segment across the kink x_2 = 0 of theta-a:2: the 4,096
+    # vertex actions form a sliver about 7e-9 wide, on which Frank-Wolfe
+    # runs all 50,000 iterations without meeting its certificate and stops
+    # 6.5e-9 away.  The point lies in the hull: a convex combination within
+    # rounding of it exists, and an oracle that scores the vertices against
+    # the uncleaned iterate stops at 2.6e-9.
+    hulls = []
+
+    def capture(p, vertices, radius=0.0, gap_tol=1e-10):
+        hulls.append((p, vertices))
+        return dist_to_hull(p, vertices, radius, gap_tol=gap_tol)
+
+    monkeypatch.setattr(pjinv.properties, "dist_to_hull", capture)
+    mvt_check(theta_map("a", 2, 0.5),
+              parse_provider("clarke:delta=1e-4,m=64,eps=0"),
+              np.array([-0.3, -0.6]), np.array([0.5, 0.7]), rng=0)
+    (p, v), = hulls
+    assert v.shape == (4096, 2) and np.ptp(v[:, 1]) < 1e-8
+    _, dist = project_to_hull(p, v, max_iter=50)
+    _, fw_dist = frank_wolfe_project(p, v)
+    assert dist <= fw_dist + 1e-12
+    assert dist <= 1e-14
 
 
 def test_singular_values_match_lapack():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pjinv.linalg import spectral_norm
-from pjinv.maps import (MapModel, abs_shift_map, identity_map, linear_map,
-                        theta_map)
+from pjinv.maps import (DomainError, MapModel, abs_shift_map, exp1d_map,
+                        identity_map, linear_map, theta_map)
 from pjinv.pseudojac import (ProviderSpec, PseudoJacobianSet, build_set,
                              exact_singleton, lipschitz_ball, parse_provider,
                              pj_combine, sampled_clarke, sum_rule,
@@ -105,6 +105,18 @@ class TestConstructors:
         m = MapModel("plain", 1, 1, lambda x: x)
         with pytest.raises(ValueError):
             sum_rule(m, np.zeros(1))
+
+    @pytest.mark.parametrize("provider", ["exact", "sum"])
+    def test_derivative_providers_check_the_domain_box(self, provider):
+        # exp1d's box is |x| <= 700; exp'(705) is still finite, so without
+        # the check a point outside the box would yield a finite set
+        spec = parse_provider(provider)
+        assert build_set(exp1d_map(), np.array([700.0]), spec).vertices.shape \
+            == (1, 1, 1)
+        with pytest.raises(DomainError):
+            build_set(exp1d_map(), np.array([705.0]), spec)
+        with pytest.raises(ValueError):
+            build_set(exp1d_map(), np.zeros(2), spec)
 
     def test_clarke_abs_two_signs(self):
         spec = ProviderSpec("clarke", delta=1e-3, m=64, eps=0.0)
