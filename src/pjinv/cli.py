@@ -16,8 +16,8 @@ import numpy as np
 
 from . import hadamard, indices, invert, properties
 from .linalg import _row_norms
-from .maps import make_map
-from .pseudojac import parse_provider
+from .maps import MapModel, catalog_ids, make_map
+from .pseudojac import build_set, parse_provider, validity_check
 
 __all__ = ["main", "load_config", "format_record"]
 
@@ -179,18 +179,24 @@ def _build_parser():
     return parser
 
 
-def _apply_config(args):
+def _parse_args(argv):
+    """Parse argv; a flag given on the command line wins over a --config
+    file's value, which wins over the parser's default."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if getattr(args, "config", None):
-        cfg = load_config(args.config)
-        for key, val in cfg.items():
-            attr = key.replace("-", "_")
-            if attr == "map":
-                attr = "map_id"
-            if not hasattr(args, attr):
+        # config entries become flags that argparse checks, placed before
+        # the command line's own so that those override them
+        flags = []
+        for key, val in load_config(args.config).items():
+            attr = "map_id" if key == "map" else key.replace("-", "_")
+            if attr in ("command", "config") or not hasattr(args, attr):
                 raise ConfigError(f"unknown config key {key!r}")
-            if getattr(args, attr) == _build_parser().get_default(attr) or \
-                    getattr(args, attr) is None:
-                setattr(args, attr, val)
+            option = "--" + key.replace("_", "-")
+            if val is not False:
+                flags.append(option if val is True else f"{option}={val}")
+        args = parser.parse_args(argv[:1] + flags + argv[1:])
     return args
 
 
@@ -234,7 +240,6 @@ def _profile_for(model, provider, args, rng):
 
 
 def cmd_catalog(_args):
-    from .maps import catalog_ids
     for ident, desc in catalog_ids():
         print(f"{ident:24s} {desc}")
     return 0
@@ -341,20 +346,25 @@ def cmd_profile(args):
 
 def cmd_check(args):
     rng = np.random.default_rng(args.seed)
+    if args.suite == "optimality":
+        # a fixed scalar target, |x| with a Clarke provider, echoed as such
+        if args.map_id:
+            raise ConfigError("check optimality checks abs1d; --map does "
+                              "not apply")
+        args.map_id, args.provider = "abs1d", "clarke:delta=1e-3,m=32,eps=0"
+        model = MapModel("abs1d", 1, 1, np.abs)
+        provider = parse_provider(args.provider)
+    else:
+        model, provider = _resolve(args)
     record = {"command": "check", "suite": args.suite,
               "config": _config_echo(args)}
     if args.suite == "optimality":
-        # canonical scalar target: |x| via the clarke provider
-        from .maps import MapModel
-        absmap = MapModel("abs1d", 1, 1, lambda x: np.abs(x))
-        provider = parse_provider("clarke:delta=1e-3,m=32,eps=0")
         x0 = np.array([0.5]) if args.negative_control else np.array([0.0])
-        dist, ok = properties.optimality_check(absmap, provider, x0,
+        dist, ok = properties.optimality_check(model, provider, x0,
                                                tol=args.tol, rng=rng)
         record.update({"distance": dist, "pass": bool(ok)})
         success = (not ok) if args.negative_control else ok
     elif args.suite == "mvt":
-        model, provider = _resolve(args)
         dists = []
         for _ in range(max(args.trials // 10, 1)):
             u = rng.uniform(-1.0, 1.0, model.dim_in)
@@ -366,8 +376,6 @@ def cmd_check(args):
                        "pass": bool(max(dists) <= args.tol)})
         success = record["pass"]
     elif args.suite == "validity":
-        model, provider = _resolve(args)
-        from .pseudojac import build_set, validity_check
         x = np.zeros(model.dim_in)
         jset = build_set(model, x, provider, rng=rng)
         rate = validity_check(model, x, jset, trials=args.trials,
@@ -375,10 +383,7 @@ def cmd_check(args):
         record.update({"pass_rate": rate, "pass": bool(rate >= 0.99)})
         success = record["pass"]
     else:  # chain
-        model, provider = _resolve(args)
-        fx = model(np.zeros(model.dim_in))
-        y0 = fx + np.ones(model.dim_out)
-        from .maps import MapModel
+        y0 = model(np.zeros(model.dim_in)) + 1.0
         outer = MapModel(
             "dist-to-point", model.dim_out, 1,
             lambda y: np.array([np.linalg.norm(y - y0)]),
@@ -395,13 +400,10 @@ def cmd_check(args):
 
 
 def _config_echo(args):
+    # format_record sorts the keys
     skip = {"command", "func", "out", "csv", "config", "timing"}
-    echo = {}
-    for key, val in sorted(vars(args).items()):
-        if key in skip or callable(val):
-            continue
-        echo[key] = val
-    return echo
+    return {key: val for key, val in vars(args).items()
+            if key not in skip and not callable(val)}
 
 
 _COMMANDS = {
@@ -415,11 +417,9 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         if args.command != "catalog":
-            args = _apply_config(args)
             _check_options(args)
         return _COMMANDS[args.command](args)
     except (ConfigError, OSError) as exc:

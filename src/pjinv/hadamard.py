@@ -14,7 +14,7 @@ from scipy.stats import qmc
 from .indices import regularity_index
 from .invert import path_lift_invert
 from .linalg import as_vector
-from .maps import _uniform_ball, evaluate
+from .maps import _ball_points, _blocks, _uniform_ball, evaluate
 
 __all__ = [
     "BetaProfile",
@@ -68,11 +68,8 @@ def _halton_ball(n_dim, count, radius, center, seed=0):
     """Low-discrepancy points in the closed ball B(center, radius)."""
     sampler = qmc.Halton(d=n_dim + 1, scramble=True, seed=seed)
     u = sampler.random(count)
-    directions = ndtri(np.clip(u[:, :n_dim], 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(directions, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    radii = radius * u[:, n_dim:] ** (1.0 / n_dim)
-    return center + directions / norms * radii
+    normals = ndtri(np.clip(u[:, :n_dim], 1e-12, 1.0 - 1e-12))
+    return _ball_points(center, radius, normals, u[:, n_dim:])
 
 
 def beta_profile(model, provider, center, t_max, grid_n=DEFAULT_GRID_N,
@@ -91,17 +88,14 @@ def beta_profile(model, provider, center, t_max, grid_n=DEFAULT_GRID_N,
     grid = np.linspace(0.0, t_max, grid_n)
     if analytic_beta is not None:
         return BetaProfile(grid, [analytic_beta(t) for t in grid], "analytic")
-    beta = np.empty(grid_n)
-    beta[0] = regularity_index(model, provider, center, net=net, rng=rng).alpha
-    running = beta[0]
+    # each shell's minimum; BetaProfile takes the running minimum
+    beta = [regularity_index(model, provider, center, net=net, rng=rng).alpha]
     for j in range(1, grid_n):
         points = _halton_ball(center.size, samples_per_shell, grid[j], center,
                               seed=j)
-        for z in points:
-            running = min(running,
-                          regularity_index(model, provider, z, net=net,
-                                           rng=rng).alpha)
-        beta[j] = running
+        beta.append(min((regularity_index(model, provider, z, net=net,
+                                          rng=rng).alpha for z in points),
+                        default=np.inf))
     return BetaProfile(grid, beta, "sampled")
 
 
@@ -135,24 +129,25 @@ def ball_inclusion_test(model, provider, x0, delta, profile, samples=50,
                         rng=None):
     """Empirical check of B(f(x0), rho(delta)) <= f(B(x0, delta)).
 
-    Targets are drawn uniformly in the slightly shrunken guaranteed ball
-    and handed to the path-lifting inverter; a trial passes when a solution
-    lands inside the source ball with residual below tol.  Returns the pass
-    fraction; inverter hard failures count as test failures.
+    Targets are drawn uniformly in the slightly shrunken guaranteed ball,
+    a block of them at a time before the block's inversions, and handed to
+    the path-lifting inverter; a trial passes when a solution lands inside
+    the source ball with residual below tol.  Returns the pass fraction;
+    inverter hard failures count as test failures.
     """
     x0 = as_vector(x0)
     rng = np.random.default_rng(rng)
     rho = rho_at(profile, delta) * (1.0 - margin)
     y0 = evaluate(model, x0)
     passed = 0
-    for _ in range(samples):
-        y = y0 + _uniform_ball(rng, y0.size) * rho
-        trace = path_lift_invert(model, provider, x0, y, steps=steps, tol=tol,
-                                 rng=rng)
-        if (trace.status == "converged"
-                and trace.final_residual <= tol
-                and np.linalg.norm(trace.final_x - x0) < delta):
-            passed += 1
+    for block in _blocks(samples, y0.size):
+        for y in _uniform_ball(rng, y0, rho, block.stop - block.start):
+            trace = path_lift_invert(model, provider, x0, y, steps=steps,
+                                     tol=tol, rng=rng)
+            if (trace.status == "converged"
+                    and trace.final_residual <= tol
+                    and np.linalg.norm(trace.final_x - x0) < delta):
+                passed += 1
     return passed / samples
 
 

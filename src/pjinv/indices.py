@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .linalg import as_vector, conorm, spectral_norm
-from .maps import MAX_BATCH_ENTRIES, _uniform_ball
+from .maps import _blocks, _uniform_ball
 from .pseudojac import build_set
 
 __all__ = [
@@ -123,10 +123,9 @@ def set_conorm_bounds(jset, net=DEFAULT_NET):
     else:
         rng = np.random.default_rng(0)
         weights = np.vstack([np.eye(k), rng.dirichlet(np.ones(k), size=4096)])
-    chunk = max(MAX_BATCH_ENTRIES // (jset.shape[0] * jset.shape[1]), 1)
     best = np.inf
-    for start in range(0, len(weights), chunk):
-        combos = np.einsum("pk,kij->pij", weights[start:start + chunk], vertices)
+    for block in _blocks(len(weights), jset.shape[0] * jset.shape[1]):
+        combos = np.einsum("pk,kij->pij", weights[block], vertices)
         values = conorm(combos)
         i = int(np.argmin(values))
         if values[i] < best:  # keeps the first minimum in mesh order
@@ -156,39 +155,31 @@ def regularity_index(model, provider, x, radii=None, net=DEFAULT_NET,
     rng = np.random.default_rng(rng)
     shortcut = model.usc if use_usc_shortcut is None else use_usc_shortcut
 
+    def value(bounds):
+        return bounds.lower if bounds.certified else bounds.upper
+
     if shortcut:
         bounds = set_conorm_bounds(build_set(model, x, provider, rng=rng), net=net)
-        alpha = bounds.lower if bounds.certified else bounds.upper
         regular = bounds.certified and bounds.lower > 10.0 * net
         kind = "certified" if bounds.certified else "sampled"
-        return RegularityReport(alpha, regular, kind, bounds.witness, 0.0)
+        return RegularityReport(value(bounds), regular, kind, bounds.witness, 0.0)
 
     if radii is None:
         radii = [r * (1.0 + np.linalg.norm(x)) for r in (1.0, 0.1, 0.01)]
     if not radii:
         raise ValueError("radii must be nonempty")
-    best_alpha = -np.inf
-    best = None
-    all_certified = True
+    # per radius the first minimal bound over x and its sampled points;
+    # across radii the first maximal one
+    per_radius, all_certified = [], True
     for r in radii:
-        worst = np.inf
-        worst_bounds = None
-        points = [x] + [x + _uniform_ball(rng, x.size) * r
-                        for _ in range(samples_per_radius)]
-        for z in points:
-            bounds = set_conorm_bounds(build_set(model, z, provider, rng=rng),
-                                       net=net)
-            all_certified = all_certified and bounds.certified
-            val = bounds.lower if bounds.certified else bounds.upper
-            if val < worst:
-                worst = val
-                worst_bounds = bounds
-        if worst > best_alpha:
-            best_alpha = worst
-            best = (worst_bounds, r)
-    bounds, r_used = best
-    regular = all_certified and best_alpha > 10.0 * net
+        points = np.vstack([x, _uniform_ball(rng, x, r, samples_per_radius)])
+        found = [set_conorm_bounds(build_set(model, z, provider, rng=rng), net=net)
+                 for z in points]
+        all_certified = all_certified and all(b.certified for b in found)
+        per_radius.append((min(found, key=value), r))
+    bounds, r_used = max(per_radius, key=lambda pair: value(pair[0]))
+    alpha = value(bounds)
+    regular = all_certified and alpha > 10.0 * net
     kind = "certified" if all_certified else "sampled"
-    return RegularityReport(max(best_alpha, 0.0), regular, kind,
-                            bounds.witness, r_used)
-
+    return RegularityReport(max(alpha, 0.0), regular, kind, bounds.witness,
+                            r_used)

@@ -8,7 +8,7 @@ limiting path-lifting condition fails for the map.
 import numpy as np
 
 from .linalg import as_vector, conorm, dist_to_hull
-from .maps import _uniform_ball, evaluate
+from .maps import _pair_norms, _unit_rows, evaluate
 from .pseudojac import build_set
 
 __all__ = [
@@ -31,8 +31,9 @@ class InversionTrace:
 
     status is one of "converged", "diverged", "step_underflow", "max_iter",
     "stationary" (descent stalled at a lambda-stationary point, reported
-    with the dual witness distance) or "overflow" (Newton or descent could
-    not start: the residual norm at x0 overflows, and is recorded as inf).
+    with the dual witness distance) or "overflow" (the residual norm at the
+    start point overflows, recorded as inf; path lifting stops with it when
+    a corrector does, keeping the path lifted so far).
     """
 
     def __init__(self, method, t_grid, iterates, residuals, status,
@@ -167,6 +168,8 @@ def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
     Newton correctors solve f(x) = p(t) on an adaptive grid of [0, 1] with
     step halving on corrector failure; a step below MIN_HOMOTOPY_STEP or an
     iterate above ITERATE_NORM_LIMIT terminates with the matching status.
+    A corrector "overflow" ends the run with that status: the residual
+    norm at the current point then overflows whatever the step.
     """
     x = as_vector(x0).copy()
     y_target = as_vector(y_target)
@@ -197,6 +200,9 @@ def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
             if np.linalg.norm(x) > ITERATE_NORM_LIMIT:
                 status = "diverged"
                 break
+        elif corr.status == "overflow":
+            status = "overflow"
+            break
         else:
             if corr.status == "diverged" or np.linalg.norm(corr.final_x) > ITERATE_NORM_LIMIT:
                 status = "diverged"
@@ -245,18 +251,17 @@ def ekeland_descent(model, provider, y, x0, lam=1e-3, eps=1e-3, tol=1e-8,
         candidates = [np.linalg.solve(v, -r) if ok
                       else np.linalg.lstsq(v, -r, rcond=None)[0]
                       for v, ok in zip(jset.vertices, solvable)]
-        for _ in range(2 * model.dim_in):
-            d = rng.standard_normal(model.dim_in)
-            candidates.append(d / np.linalg.norm(d) * max(phi, tol))
+        probes = rng.standard_normal((2 * model.dim_in, model.dim_in))
+        candidates.extend(_unit_rows(probes) * max(phi, tol))
         for d in candidates:
             s = 1.0
             for _ in range(MAX_HALVINGS):
                 trial_x = x + s * d
+                try:
+                    trial = _residual(model, trial_x, y)
+                except ValueError:
+                    trial = np.inf
                 with np.errstate(over="ignore", invalid="ignore"):
-                    try:
-                        trial = np.linalg.norm(evaluate(model, trial_x) - y)
-                    except ValueError:
-                        trial = np.inf
                     step = np.linalg.norm(trial_x - x)
                 # phi is finite and trial, step are never NaN
                 if trial < phi - lam * step:
@@ -290,22 +295,17 @@ def inverse_lipschitz_probe(model, region_center, region_radius, pairs=1000,
     """Sampled lower estimate of the inverse Lipschitz constant.
 
     Max over pairs in B(center, radius) of ||x1 - x2|| / ||f(x1) - f(x2)||;
-    pairs with coincident images are skipped.
+    pairs with coincident images are skipped.  Pairs are drawn and
+    evaluated in blocks, one ``evaluate_batch`` call each.
     """
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
     center = as_vector(region_center)
     rng = np.random.default_rng(rng)
-    best = None
-    for _ in range(pairs):
-        x1 = center + _uniform_ball(rng, center.size) * region_radius
-        x2 = center + _uniform_ball(rng, center.size) * region_radius
-        df = np.linalg.norm(evaluate(model, x1) - evaluate(model, x2))
-        if df < 1e-14:
-            continue
-        ratio = np.linalg.norm(x1 - x2) / df
-        best = ratio if best is None else max(best, ratio)
-    if best is None:
+    best = -np.inf
+    for dx, df in _pair_norms(model, center, region_radius, pairs, rng):
+        apart = df >= 1e-14
+        best = max(best, np.max(dx[apart] / df[apart], initial=-np.inf))
+    if best == -np.inf:
         raise ValueError("all sampled pairs had coincident images")
     return best
-

@@ -7,12 +7,15 @@ Catalog identifiers: "identity", "linear:<matrix-file>", "theta-a:<n>:<c>",
 of points, makes one ``fn_batch`` call (or, for a model without one, one
 ``fn`` call per row) and applies ``evaluate``'s checks to every row.
 Batched kernels keep each working array under ``MAX_BATCH_ENTRIES`` float
-entries and process larger jobs in blocks.
+entries and process larger jobs in the blocks ``_blocks`` cuts.  Every ball
+point comes from one transform, ``_ball_points``, fed by ``_uniform_ball``
+(all count x n normals, then all count uniforms) or by the Hadamard
+profile's scrambled Halton sequence.
 """
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, conorm
+from .linalg import _row_norms, as_matrix, as_vector, conorm
 
 __all__ = [
     "MapModel",
@@ -190,30 +193,38 @@ def local_lipschitz_estimate(model, x, r, samples=1000, rng=None):
     """Sampled lower estimate of the local Lipschitz constant on B(x, r).
 
     Pairs are drawn uniformly in the ball; in addition, axis-aligned
-    near-coincident pairs (gap 1e-7) are probed to catch kink directions.
+    near-coincident pairs (gap 1e-7) are probed at max(samples // 10, 2)
+    uniform points to catch kink directions.  Both are drawn in blocks,
+    one ``evaluate_batch`` call per block.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
     x = as_vector(x)
     rng = np.random.default_rng(rng)
     best = 0.0
-    for _ in range(samples):
-        u = x + _uniform_ball(rng, x.size) * r
-        v = x + _uniform_ball(rng, x.size) * r
-        du = np.linalg.norm(u - v)
-        if du < 1e-12:
-            continue
-        q = np.linalg.norm(evaluate(model, u) - evaluate(model, v)) / du
-        best = max(best, q)
-    gap = 1e-7
-    for _ in range(max(samples // 10, 2)):
-        u = x + _uniform_ball(rng, x.size) * r
-        for j in range(x.size):
-            e = np.zeros_like(x)
-            e[j] = gap
-            q = np.linalg.norm(evaluate(model, u + e) - evaluate(model, u)) / gap
-            best = max(best, q)
+    for dx, df in _pair_norms(model, x, r, samples, rng):
+        far = dx >= 1e-12
+        best = max(best, np.max(df[far] / dx[far], initial=0.0))
+    gap, n = 1e-7, x.size
+    steps = gap * np.eye(n + 1, n, -1)  # a zero row, then gap * e_j
+    probes = max(samples // 10, 2)
+    for block in _blocks(probes, (n + 1) * max(n, model.dim_out)):
+        bases = _uniform_ball(rng, x, r, block.stop - block.start)
+        stencil = (bases[:, None, :] + steps).reshape(-1, n)
+        fs = evaluate_batch(model, stencil).reshape(len(bases), n + 1, -1)
+        best = max(best, float(_row_norms(fs[:, 1:] - fs[:, :1]).max()) / gap)
     return best
+
+
+def _pair_norms(model, center, radius, pairs, rng):
+    # (||x1 - x2||, ||f(x1) - f(x2)||) for pairs uniform in B(center,
+    # radius), a block at a time: all x1, all x2, one evaluate_batch call
+    for block in _blocks(pairs, 2 * max(center.size, model.dim_out)):
+        count = block.stop - block.start
+        x1 = _uniform_ball(rng, center, radius, count)
+        x2 = _uniform_ball(rng, center, radius, count)
+        fs = evaluate_batch(model, np.vstack([x1, x2]))
+        yield _row_norms(x1 - x2), _row_norms(fs[:count] - fs[count:])
 
 
 def dini_derivatives(phi, x, v, t0=1e-2, rho=0.5, k=20):
@@ -223,30 +234,51 @@ def dini_derivatives(phi, x, v, t0=1e-2, rho=0.5, k=20):
     geometric grid t0 * rho^j, j = 0..k-1; the max estimates the limsup and
     the min the liminf.
     """
-    if not (t0 > 0 and 0 < rho < 1 and k >= 2):
-        raise ValueError("require t0 > 0, rho in (0,1), k >= 2")
+    ts = _dini_steps(t0, rho, k)
     x = as_vector(x)
     v = as_vector(v)
     base = float(phi(x))
-    quots = []
-    t = t0
-    for _ in range(k):
-        quots.append((float(phi(x + t * v)) - base) / t)
-        t *= rho
+    quots = [(float(phi(x + t * v)) - base) / t for t in ts]
     return max(quots), min(quots)
 
 
-def _uniform_ball(rng, n):
-    """One point drawn uniformly in the closed unit ball of R^n.
+def _dini_steps(t0, rho, k):
+    # t0 * rho^j for j < k, each by one more multiplication by rho
+    if not (t0 > 0 and 0 < rho < 1 and k >= 2):
+        raise ValueError("require t0 > 0, rho in (0,1), k >= 2")
+    return np.cumprod(np.r_[float(t0), np.full(k - 1, float(rho))])
 
-    Draws n standard normals, then one uniform, from rng.
+
+def _blocks(total, entries_per_item):
+    # slices of range(total), MAX_BATCH_ENTRIES // entries_per_item long
+    size = max(MAX_BATCH_ENTRIES // entries_per_item, 1)
+    return [slice(start, min(start + size, total))
+            for start in range(0, total, size)]
+
+
+def _unit_rows(d):
+    # rows of unit length, each d / np.linalg.norm(d) to the bit; an
+    # all-zero row becomes the first basis vector (d is modified)
+    nrm = _row_norms(d)
+    zero = nrm == 0.0
+    d[zero, 0], nrm[zero] = 1.0, 1.0
+    return d / nrm[:, None]
+
+
+def _ball_points(center, radius, normals, uniforms):
+    """Points of B(center, radius): row i of normals (count, n), normalized
+    (a zero row stays zero), at distance radius * uniforms[i, 0] ** (1 / n).
     """
-    d = rng.standard_normal(n)
-    nrm = np.linalg.norm(d)
-    if nrm == 0.0:
-        d[0] = 1.0
-        nrm = 1.0
-    return d / nrm * rng.uniform() ** (1.0 / n)
+    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    return center + normals / norms * (radius * uniforms ** (1.0 / normals.shape[1]))
+
+
+def _uniform_ball(rng, center, radius, count):
+    """count points uniform in B(center, radius): count x n normals, then
+    count uniforms, from rng."""
+    normals = rng.standard_normal((count, center.size))
+    return _ball_points(center, radius, normals, rng.uniform(size=(count, 1)))
 
 
 # ---------------------------------------------------------------------------

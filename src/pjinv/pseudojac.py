@@ -15,9 +15,9 @@ for all Dini points and two ``support_function`` calls per block.
 import numpy as np
 
 from .linalg import _row_norms, as_vector
-from .maps import (MAX_BATCH_ENTRIES, DomainError, _central_differences,
-                   _check_point, evaluate, evaluate_batch,
-                   local_lipschitz_estimate, numeric_jacobian)
+from .maps import (DomainError, _blocks, _central_differences, _check_point,
+                   _dini_steps, _uniform_ball, _unit_rows, evaluate,
+                   evaluate_batch, local_lipschitz_estimate, numeric_jacobian)
 
 __all__ = [
     "PseudoJacobianSet",
@@ -132,7 +132,6 @@ def exact_singleton(model, x):
 
 def lipschitz_ball(model, x, spec, rng=None):
     """Zero-centered operator ball of radius Lip f(x) (estimated)."""
-    x = as_vector(x)
     lip = local_lipschitz_estimate(model, x, spec.lip_radius,
                                    samples=spec.lip_samples, rng=rng)
     zero = np.zeros((model.dim_out, model.dim_in))
@@ -168,12 +167,7 @@ def sampled_clarke(model, x, spec, rng=None):
     step = spec.delta * 1e-4
 
     def jacobians_at_new_points(count):
-        # count points uniform in B(x, delta): all normals, then all uniforms
-        d = rng.standard_normal((count, x.size))
-        nrm = np.linalg.norm(d, axis=1, keepdims=True)
-        nrm[nrm == 0.0] = 1.0
-        radii = spec.delta * rng.uniform(size=(count, 1)) ** (1.0 / x.size)
-        zs = x + d / nrm * radii
+        zs = _uniform_ball(rng, x, spec.delta, count)
         if np.max(np.abs(zs)) > model.domain_halfwidth:
             raise DomainError(f"{model.name}: point outside domain box")
         return _central_differences(model, zs, step)
@@ -248,20 +242,14 @@ def validity_check(model, x, jset, trials=1000, tol=1e-3, rng=None,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not (t0 > 0 and 0 < rho < 1 and k >= 2):
-        raise ValueError("require t0 > 0, rho in (0,1), k >= 2")
+    ts = _dini_steps(t0, rho, k)
     x = as_vector(x)
     rng = np.random.default_rng(rng)
     m, n = model.dim_out, model.dim_in
     fx = evaluate(model, x)
-    ts = [t0]
-    for _ in range(k - 1):
-        ts.append(ts[-1] * rho)
-    ts = np.array(ts)
-    block = max(MAX_BATCH_ENTRIES // (k * max(m, n)), 1)
     passed = 0
-    for start in range(0, trials, block):
-        count = min(block, trials - start)
+    for block in _blocks(trials, k * max(m, n)):
+        count = block.stop - block.start
         draws = rng.standard_normal((count, m + n))
         ystar, v = _unit_rows(draws[:, :m]), _unit_rows(draws[:, m:])
         zs = x + ts[:, None] * v[:, None, :]
@@ -276,10 +264,3 @@ def validity_check(model, x, jset, trials=1000, tol=1e-3, rng=None,
         ok = (quots.max(axis=1) <= sup + tol) & (quots.min(axis=1) >= inf - tol)
         passed += int(np.count_nonzero(ok))
     return passed / trials
-
-
-def _unit_rows(d):
-    nrm = _row_norms(d)
-    zero = nrm == 0.0
-    d[zero, 0], nrm[zero] = 1.0, 1.0
-    return d / nrm[:, None]

@@ -9,9 +9,14 @@ loop references evaluate set operations one vertex at a time, and
 ``frank_wolfe_project`` projects onto a convex hull by away-step
 Frank-Wolfe, an algorithm independent of the package's active-set method;
 its duality gap gives a certified lower bound on the distance.
+``inline_ball_points`` and ``halton_ball_points`` are the two ball samplers
+the package used before it had one ball transform, written out as they
+were; the package's draws are checked against them to the bit.
 """
 
 import numpy as np
+from scipy.special import ndtri
+from scipy.stats import qmc
 
 from pjinv.linalg import as_vector
 from pjinv.maps import dini_derivatives, evaluate
@@ -176,3 +181,26 @@ def _unit(rng, n):
         d = rng.standard_normal(n)
         nrm = np.linalg.norm(d)
     return d / nrm
+
+
+def inline_ball_points(rng, center, radius, count):
+    """count points uniform in B(center, radius), as sampled_clarke drew them.
+
+    All count x n standard normals first, then all count uniforms.
+    """
+    d = rng.standard_normal((count, center.size))
+    nrm = np.linalg.norm(d, axis=1, keepdims=True)
+    nrm[nrm == 0.0] = 1.0
+    radii = radius * rng.uniform(size=(count, 1)) ** (1.0 / center.size)
+    return center + d / nrm * radii
+
+
+def halton_ball_points(n_dim, count, radius, center, seed=0):
+    """Scrambled-Halton points in B(center, radius), as the profile drew them."""
+    sampler = qmc.Halton(d=n_dim + 1, scramble=True, seed=seed)
+    u = sampler.random(count)
+    directions = ndtri(np.clip(u[:, :n_dim], 1e-12, 1.0 - 1e-12))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    radii = radius * u[:, n_dim:] ** (1.0 / n_dim)
+    return center + directions / norms * radii

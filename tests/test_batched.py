@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import pjinv.indices
-import pjinv.pseudojac
+import pjinv.maps
 from oracles import (jacobi_conorm, loop_pj_combine, loop_support_function,
                      loop_validity_check)
 from pjinv.indices import set_conorm_bounds
@@ -155,7 +154,7 @@ def test_validity_blocks_draw_the_same_stream(monkeypatch):
     jset = PseudoJacobianSet(build_set(model, x, parse_provider("sum")).vertices + 0.1)
     one_rng = np.random.default_rng(11)
     one_block = validity_check(model, x, jset, trials=100, rng=one_rng)
-    monkeypatch.setattr(pjinv.pseudojac, "MAX_BATCH_ENTRIES", 7 * 20 * 3)
+    monkeypatch.setattr(pjinv.maps, "MAX_BATCH_ENTRIES", 7 * 20 * 3)
     blocks_rng = np.random.default_rng(11)
     assert validity_check(model, x, jset, trials=100, rng=blocks_rng) == one_block < 1.0
     assert blocks_rng.bit_generator.state == one_rng.bit_generator.state
@@ -172,7 +171,7 @@ def test_conorm_chunks_keep_the_first_minimum(monkeypatch, k):
         vertices = np.random.default_rng(k).standard_normal((k, 2, 2))
     jset = PseudoJacobianSet(vertices)
     whole = set_conorm_bounds(jset)
-    monkeypatch.setattr(pjinv.indices, "MAX_BATCH_ENTRIES", 4 * 37)
+    monkeypatch.setattr(pjinv.maps, "MAX_BATCH_ENTRIES", 4 * 37)
     chunked = set_conorm_bounds(jset)
     assert (chunked.lower, chunked.upper, chunked.certified) == \
         (whole.lower, whole.upper, whole.certified)

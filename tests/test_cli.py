@@ -30,13 +30,41 @@ class TestConfig:
             load_config(cfg)
 
     def test_config_fills_arguments(self, tmp_path, capsys):
+        # every key, including those whose option has a default, reaches
+        # the run and its config echo
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("map = theta-a:4:0.5\nprovider = sum\n"
-                       "analytic-beta = true\n")
+        cfg.write_text("map = theta-a:4:0.5\nprovider = sum\nseed = 7\n"
+                       "analytic-beta = true\ngrid-n = 3\nt-max = 1.5\n"
+                       "shell-samples = 5\n")
         code, out, _ = run(capsys, "certify", "--config", str(cfg))
         assert code == 0
-        rec = json.loads(out)
-        assert rec["config"]["map_id"] == "theta-a:4:0.5"
+        echo = json.loads(out)["config"]
+        for key, val in load_config(cfg).items():
+            attr = "map_id" if key == "map" else key.replace("-", "_")
+            assert echo[attr] == val, key
+
+    def test_command_line_flag_overrides_config(self, tmp_path, capsys):
+        # a flag given on the command line wins, even at its default value
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("map = theta-a:4:0.5\nseed = 7\ngrid-n = 3\n"
+                       "analytic-beta = true\n")
+        code, out, _ = run(capsys, "certify", "--config", str(cfg),
+                           "--seed", "0", "--grid-n", "5",
+                           "--map", "theta-c:2")
+        assert code == 0
+        echo = json.loads(out)["config"]
+        assert (echo["seed"], echo["grid_n"], echo["map_id"]) == \
+            (0, 5, "theta-c:2")
+        assert echo["analytic_beta"] is True
+
+    def test_config_values_are_checked_like_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = bogus\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["invert", "--map", "identity", "--target", "1,2,3",
+                  "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -84,6 +112,18 @@ class TestNonFiniteReports:
         rec = json.loads(out)
         assert rec["status"] == "overflow"
         assert rec["final_x"] == [0.0] and rec["final_residual"] is None
+
+    def test_path_overflow_report(self, capsys):
+        # the path is lifted no further than t = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "invert", "--map", "exp1d", "--provider",
+                               "exact", "--method", "path", "--target",
+                               "1e300")
+        assert code == 1
+        rec = json.loads(out)
+        assert rec["status"] == "overflow"
+        assert rec["final_x"] == [0.0] and rec["t_grid"] == [0.0]
 
 
 class TestCatalog:
@@ -209,6 +249,19 @@ class TestCheckSuites:
                            "--negative-control")
         assert code == 0  # designed failure
         assert json.loads(out)["pass"] is False
+
+    def test_optimality_echoes_the_map_it_checks(self, capsys):
+        code, out, _ = run(capsys, "check", "optimality")
+        assert code == 0
+        echo = json.loads(out)["config"]
+        assert echo["map_id"] == "abs1d"
+        assert echo["provider"] == "clarke:delta=1e-3,m=32,eps=0"
+
+    def test_optimality_rejects_a_map(self, capsys):
+        code, out, err = run(capsys, "check", "optimality", "--map",
+                             "theta-a:2:0.5", "--provider", "exact")
+        assert code == 2
+        assert "config error" in err and out == ""
 
     def test_chain_theta_a(self, capsys):
         code, out, _ = run(capsys, "check", "chain", "--map", "theta-a:3:0.5",

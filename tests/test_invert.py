@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import pjinv.invert
 from pjinv.invert import (InversionTrace, ekeland_descent,
                           inverse_lipschitz_probe, path_lift_invert,
                           semismooth_newton)
@@ -167,8 +168,26 @@ class TestNewtonOverflow:
             warnings.simplefilter("error")
             tr = path_lift_invert(exp1d_map(), EXACT, np.zeros(1),
                                   np.array([1e300]), rng=0)
-        assert tr.status == "step_underflow"
+        assert tr.status == "overflow"
         assert np.array_equal(tr.final_x, [0.0])
+
+    def test_path_lifting_stops_at_the_first_corrector_overflow(
+            self, monkeypatch):
+        # every halved target still overflows the residual norm, so the
+        # first corrector's "overflow" ends the run, not a step underflow
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return semismooth_newton(*args, **kwargs)
+
+        monkeypatch.setattr(pjinv.invert, "semismooth_newton", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = path_lift_invert(exp1d_map(), EXACT, np.zeros(1),
+                                  np.array([1e300]), rng=0)
+        assert tr.status == "overflow"
+        assert len(calls) == 1
 
 
 class TestInverseLipschitzProbe:
