@@ -2,9 +2,10 @@
 
 Commands: catalog, certify, invert, ball-check, profile, check.
 Exit codes: 0 success, 1 negative verdict, 2 config error (a malformed
-command line, config file, map, provider or option value), 3 computation
-failure (anything raised while a well-formed command computes, such as a
-DomainError or a non-finite set).
+command line, config file, map, provider or option value; argparse's own
+errors included, and every option value checked by its argparse type),
+3 computation failure (anything raised while a well-formed command
+computes, such as a DomainError or a non-finite set).
 """
 
 import argparse
@@ -26,14 +27,26 @@ class ConfigError(ValueError):
     """A command that cannot be set up from its arguments (exit code 2)."""
 
 
-# option -> (test, requirement): values the computation would refuse
-_OPTION_RULES = {
-    "trials": (lambda v: v >= 1, ">= 1"),
-    "grid_n": (lambda v: v >= 2, ">= 2"),
-    "t_max": (lambda v: v is None or v > 0, "> 0"),
-    "delta": (lambda v: v >= 0, ">= 0"),
-    "samples": (lambda v: v >= 1, ">= 1"),
-}
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise ConfigError instead of exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _checked(cast, ok, need):
+    """An argparse type: the value cast(text), refused unless ok(value)."""
+    def convert(text):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+        return value
+    convert.__name__ = cast.__name__  # argparse: "invalid int value: ..."
+    return convert
+
+
+_COUNT = _checked(int, lambda v: v >= 1, ">= 1")
+_NONNEGATIVE = _checked(float, lambda v: 0 <= v < np.inf, "finite and >= 0")
 
 
 def load_config(path):
@@ -113,7 +126,7 @@ def _emit(record, out_path):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pjinv",
         description="Invertibility certificates and numerical inversion "
                     "for nonsmooth maps.")
@@ -121,22 +134,28 @@ def _build_parser():
 
     def common(p):
         p.add_argument("--map", dest="map_id", help="catalog map identifier")
-        p.add_argument("--provider", default="sum", help="provider string")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--provider", help="provider string (default sum)")
+        p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, ">= 0"),
+                       default=0)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", help="write the report record to this file")
+
+    def profile_options(p, t_max):
+        p.add_argument("--t-max", default=t_max, type=_checked(
+            float, lambda v: 0 < v < np.inf, "finite and > 0"))
+        p.add_argument("--grid-n", default=hadamard.DEFAULT_GRID_N,
+                       type=_checked(int, lambda v: v >= 2, ">= 2"))
+        p.add_argument("--shell-samples", type=_COUNT,
+                       default=hadamard.DEFAULT_SHELL_SAMPLES)
+        p.add_argument("--analytic-beta", action="store_true",
+                       help="use the map's certified analytic profile bound")
         p.add_argument("--csv", help="write the beta/rho profile CSV here")
 
     sub.add_parser("catalog", help="list catalog map identifiers")
 
     p = sub.add_parser("certify", help="regularity + Hadamard profile verdict")
     common(p)
-    p.add_argument("--t-max", type=float, default=2.0)
-    p.add_argument("--grid-n", type=int, default=hadamard.DEFAULT_GRID_N)
-    p.add_argument("--shell-samples", type=int,
-                   default=hadamard.DEFAULT_SHELL_SAMPLES)
-    p.add_argument("--analytic-beta", action="store_true",
-                   help="use the map's certified analytic profile bound")
+    profile_options(p, 2.0)
     p.add_argument("--timing", action="store_true",
                    help="include wall time in the report (breaks byte "
                         "determinism across runs)")
@@ -147,32 +166,24 @@ def _build_parser():
     p.add_argument("--x0", help="start point, comma-separated floats")
     p.add_argument("--method", choices=("newton", "path", "ekeland"),
                    default="path")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--steps", type=int, default=16)
+    p.add_argument("--tol", type=_NONNEGATIVE, default=1e-10)
+    p.add_argument("--steps", type=_COUNT, default=16)
 
     p = sub.add_parser("ball-check", help="sampled ball-inclusion test")
     common(p)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--grid-n", type=int, default=hadamard.DEFAULT_GRID_N)
-    p.add_argument("--shell-samples", type=int,
-                   default=hadamard.DEFAULT_SHELL_SAMPLES)
-    p.add_argument("--analytic-beta", action="store_true")
+    p.add_argument("--delta", type=_NONNEGATIVE, default=1.0)
+    p.add_argument("--samples", type=_COUNT, default=50)
+    profile_options(p, None)  # --t-max defaults to max(--delta, 1)
 
     p = sub.add_parser("profile", help="emit the beta/rho profile CSV")
     common(p)
-    p.add_argument("--t-max", type=float, default=2.0)
-    p.add_argument("--grid-n", type=int, default=hadamard.DEFAULT_GRID_N)
-    p.add_argument("--shell-samples", type=int,
-                   default=hadamard.DEFAULT_SHELL_SAMPLES)
-    p.add_argument("--analytic-beta", action="store_true")
+    profile_options(p, 2.0)
 
     p = sub.add_parser("check", help="run a property suite")
     common(p)
     p.add_argument("suite", choices=("mvt", "optimality", "validity", "chain"))
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--trials", type=_COUNT, default=200)
+    p.add_argument("--tol", type=_NONNEGATIVE, default=1e-3)
     p.add_argument("--negative-control", action="store_true",
                    help="run the deliberately failing variant; exit 0 iff "
                         "it fails as designed")
@@ -200,26 +211,11 @@ def _parse_args(argv):
     return args
 
 
-def _check_options(args):
-    for name, (ok, need) in _OPTION_RULES.items():
-        if not hasattr(args, name):
-            continue
-        value = getattr(args, name)
-        try:
-            good = ok(value)
-        except TypeError:
-            good = False
-        if not good:
-            raise ConfigError(f"--{name.replace('_', '-')} must be {need}, "
-                              f"got {value!r}")
-    if hasattr(args, "delta") and args.t_max is not None \
-            and args.delta > args.t_max:
-        raise ConfigError("--delta must not exceed --t-max")
-
-
 def _resolve(args):
     if not args.map_id:
         raise ConfigError("--map is required")
+    if args.provider is None:
+        args.provider = "sum"
     try:
         return make_map(str(args.map_id)), parse_provider(str(args.provider))
     except ValueError as exc:
@@ -232,9 +228,8 @@ def _profile_for(model, provider, args, rng):
         if model.analytic_beta is None:
             raise ConfigError(f"{model.name}: no analytic profile bound")
         analytic = model.analytic_beta
-    t_max = args.t_max if args.t_max else 2.0
     return hadamard.beta_profile(
-        model, provider, np.zeros(model.dim_in), t_max,
+        model, provider, np.zeros(model.dim_in), args.t_max,
         grid_n=args.grid_n, samples_per_shell=args.shell_samples,
         analytic_beta=analytic, rng=rng)
 
@@ -257,8 +252,7 @@ def cmd_certify(args):
     alpha_min = float(min(report.alpha, profile.beta[-1]))
     if not report.regular and report.alpha <= 0.0:
         verdict = "not-regular"
-    elif report.regular and report.bound_kind == "certified" \
-            and verdict_h != "fails":
+    elif report.regular and verdict_h != "fails":
         verdict = "regular-certified"
     elif report.alpha > 0.0 and verdict_h != "fails":
         verdict = "regular-sampled"
@@ -307,10 +301,12 @@ def cmd_invert(args):
 
 
 def cmd_ball_check(args):
-    model, provider = _resolve(args)
-    rng = np.random.default_rng(args.seed)
     if args.t_max is None:
         args.t_max = max(args.delta, 1.0)
+    elif args.delta > args.t_max:
+        raise ConfigError("--delta must not exceed --t-max")
+    model, provider = _resolve(args)
+    rng = np.random.default_rng(args.seed)
     profile = _profile_for(model, provider, args, rng)
     rate = hadamard.ball_inclusion_test(model, provider,
                                         np.zeros(model.dim_in), args.delta,
@@ -348,9 +344,9 @@ def cmd_check(args):
     rng = np.random.default_rng(args.seed)
     if args.suite == "optimality":
         # a fixed scalar target, |x| with a Clarke provider, echoed as such
-        if args.map_id:
-            raise ConfigError("check optimality checks abs1d; --map does "
-                              "not apply")
+        if args.map_id is not None or args.provider is not None:
+            raise ConfigError("check optimality checks abs1d with a Clarke "
+                              "provider; --map and --provider do not apply")
         args.map_id, args.provider = "abs1d", "clarke:delta=1e-3,m=32,eps=0"
         model = MapModel("abs1d", 1, 1, np.abs)
         provider = parse_provider(args.provider)
@@ -419,8 +415,6 @@ _COMMANDS = {
 def main(argv=None):
     try:
         args = _parse_args(argv)
-        if args.command != "catalog":
-            _check_options(args)
         return _COMMANDS[args.command](args)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

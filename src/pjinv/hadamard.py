@@ -1,4 +1,4 @@
-"""Hadamard integral profile, ball-inclusion verification, compact preimages.
+"""Hadamard integral profile and ball-inclusion verification.
 
 The integral profile beta(t) lower-bounds the regularity index on balls of
 growing radius; its running integral rho bounds the radius of guaranteed
@@ -22,24 +22,13 @@ __all__ = [
     "rho_at",
     "hadamard_verdict",
     "ball_inclusion_test",
-    "compact_preimage_regularity",
     "write_profile_csv",
-    "PreimageError",
 ]
 
 DEFAULT_GRID_N = 128
 DEFAULT_SHELL_SAMPLES = 64
 BALL_INCLUSION_MARGIN = 0.02
-
-
-class PreimageError(RuntimeError):
-    """Inversion failed for a target; carries the offending point."""
-
-    def __init__(self, target, trace):
-        super().__init__(f"inversion failed (status {trace.status}) "
-                         f"for target {np.asarray(target)}")
-        self.target = np.asarray(target, dtype=float)
-        self.trace = trace
+BALL_INCLUSION_TOL = 1e-8
 
 
 class BetaProfile:
@@ -74,7 +63,7 @@ def _halton_ball(n_dim, count, radius, center, seed=0):
 
 def beta_profile(model, provider, center, t_max, grid_n=DEFAULT_GRID_N,
                  samples_per_shell=DEFAULT_SHELL_SAMPLES, analytic_beta=None,
-                 net=1e-3, rng=None):
+                 rng=None):
     """Profile of inf over B(center, t) of the regularity index.
 
     With an analytic bound the profile is exact on the grid (mode
@@ -89,13 +78,12 @@ def beta_profile(model, provider, center, t_max, grid_n=DEFAULT_GRID_N,
     if analytic_beta is not None:
         return BetaProfile(grid, [analytic_beta(t) for t in grid], "analytic")
     # each shell's minimum; BetaProfile takes the running minimum
-    beta = [regularity_index(model, provider, center, net=net, rng=rng).alpha]
+    beta = [regularity_index(model, provider, center, rng=rng).alpha]
     for j in range(1, grid_n):
         points = _halton_ball(center.size, samples_per_shell, grid[j], center,
                               seed=j)
-        beta.append(min((regularity_index(model, provider, z, net=net,
-                                          rng=rng).alpha for z in points),
-                        default=np.inf))
+        beta.append(min((regularity_index(model, provider, z, rng=rng).alpha
+                         for z in points), default=np.inf))
     return BetaProfile(grid, beta, "sampled")
 
 
@@ -114,9 +102,8 @@ def hadamard_verdict(profile, analytic_divergent=False):
     verdict reports the trend only, since samples never certify divergence.
     """
     beta_end = profile.beta[-1]
-    if profile.mode == "analytic" and analytic_divergent and beta_end >= 0:
-        if beta_end > 0:
-            return "diverges_analytic"
+    if profile.mode == "analytic" and analytic_divergent and beta_end > 0:
+        return "diverges_analytic"
     if beta_end == 0.0:
         return "fails"
     if beta_end >= 0.01 * max(profile.beta[0], 1e-300):
@@ -125,51 +112,30 @@ def hadamard_verdict(profile, analytic_divergent=False):
 
 
 def ball_inclusion_test(model, provider, x0, delta, profile, samples=50,
-                        margin=BALL_INCLUSION_MARGIN, tol=1e-8, steps=16,
                         rng=None):
     """Empirical check of B(f(x0), rho(delta)) <= f(B(x0, delta)).
 
-    Targets are drawn uniformly in the slightly shrunken guaranteed ball,
-    a block of them at a time before the block's inversions, and handed to
-    the path-lifting inverter; a trial passes when a solution lands inside
-    the source ball with residual below tol.  Returns the pass fraction;
-    inverter hard failures count as test failures.
+    Targets are drawn uniformly in the guaranteed ball shrunk by the factor
+    1 - BALL_INCLUSION_MARGIN, a block of them at a time before the block's
+    inversions, and handed to the path-lifting inverter; a trial passes
+    when a solution lands inside the source ball with residual below
+    BALL_INCLUSION_TOL.  Returns the pass fraction; inverter hard failures
+    count as test failures.
     """
     x0 = as_vector(x0)
     rng = np.random.default_rng(rng)
-    rho = rho_at(profile, delta) * (1.0 - margin)
+    rho = rho_at(profile, delta) * (1.0 - BALL_INCLUSION_MARGIN)
     y0 = evaluate(model, x0)
     passed = 0
     for block in _blocks(samples, y0.size):
         for y in _uniform_ball(rng, y0, rho, block.stop - block.start):
-            trace = path_lift_invert(model, provider, x0, y, steps=steps,
-                                     tol=tol, rng=rng)
+            trace = path_lift_invert(model, provider, x0, y,
+                                     tol=BALL_INCLUSION_TOL, rng=rng)
             if (trace.status == "converged"
-                    and trace.final_residual <= tol
+                    and trace.final_residual <= BALL_INCLUSION_TOL
                     and np.linalg.norm(trace.final_x - x0) < delta):
                 passed += 1
     return passed / samples
-
-
-def compact_preimage_regularity(model, provider, targets, x0=None, tol=1e-8,
-                                steps=16, net=1e-3, rng=None):
-    """inf of regularity indices over the preimage of a finite target set.
-
-    Each target is inverted by path lifting from x0 (default: origin); a
-    failed inversion raises PreimageError naming the offending target.
-    """
-    rng = np.random.default_rng(rng)
-    if x0 is None:
-        x0 = np.zeros(model.dim_in)
-    worst = np.inf
-    for y in targets:
-        trace = path_lift_invert(model, provider, x0, y, steps=steps, tol=tol,
-                                 rng=rng)
-        if trace.status != "converged":
-            raise PreimageError(y, trace)
-        report = regularity_index(model, provider, trace.final_x, rng=rng)
-        worst = min(worst, report.alpha)
-    return worst
 
 
 def write_profile_csv(profile, path):

@@ -25,6 +25,8 @@ __all__ = [
 MAX_CERT_VERTICES = 4
 MAX_MESH_POINTS = 200_000
 DEFAULT_NET = 1e-3
+# points drawn per shrinking ball when the USC shortcut is off
+SAMPLES_PER_RADIUS = 24
 
 
 class ConormBounds:
@@ -140,25 +142,25 @@ def set_conorm_bounds(jset, net=DEFAULT_NET):
 
 
 def regularity_index(model, provider, x, radii=None, net=DEFAULT_NET,
-                     samples_per_radius=24, rng=None, use_usc_shortcut=None):
+                     rng=None, use_usc_shortcut=True):
     """Regularity index of the provider's pseudo-Jacobian mapping at x.
 
     Under upper semicontinuity the index equals the at-point hull co-norm
-    infimum, so a single set construction suffices.  Otherwise points are
-    sampled in shrinking balls B(x, r) for r in ``radii``; the index is the
-    max over r of the per-radius infima of certified lower bounds.
+    infimum, so ``use_usc_shortcut`` takes a single set construction.
+    Without it, SAMPLES_PER_RADIUS points are sampled in shrinking balls
+    B(x, r) for r in ``radii``; the index is the max over r of the
+    per-radius infima of certified lower bounds.
 
     The ``regular`` verdict additionally requires the certified bound to
     clear the numerical-singularity margin 10 * net.
     """
     x = as_vector(x)
     rng = np.random.default_rng(rng)
-    shortcut = model.usc if use_usc_shortcut is None else use_usc_shortcut
 
     def value(bounds):
         return bounds.lower if bounds.certified else bounds.upper
 
-    if shortcut:
+    if use_usc_shortcut:
         bounds = set_conorm_bounds(build_set(model, x, provider, rng=rng), net=net)
         regular = bounds.certified and bounds.lower > 10.0 * net
         kind = "certified" if bounds.certified else "sampled"
@@ -172,7 +174,7 @@ def regularity_index(model, provider, x, radii=None, net=DEFAULT_NET,
     # across radii the first maximal one
     per_radius, all_certified = [], True
     for r in radii:
-        points = np.vstack([x, _uniform_ball(rng, x, r, samples_per_radius)])
+        points = np.vstack([x, _uniform_ball(rng, x, r, SAMPLES_PER_RADIUS)])
         found = [set_conorm_bounds(build_set(model, z, provider, rng=rng), net=net)
                  for z in points]
         all_certified = all_certified and all(b.certified for b in found)

@@ -24,6 +24,7 @@ MIN_HOMOTOPY_STEP = 1e-12
 ARMIJO_FACTOR = 0.5
 ARMIJO_DECREASE = 1e-4
 MAX_HALVINGS = 40
+CORRECTOR_ITERS = 50
 
 
 class InversionTrace:
@@ -162,12 +163,13 @@ def semismooth_newton(model, provider, y, x0, tol=1e-10, max_iter=100, rng=None)
 
 
 def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
-                     rng=None, corrector_iters=50):
+                     rng=None):
     """Lift the codomain segment from f(x0) to y_target through f.
 
-    Newton correctors solve f(x) = p(t) on an adaptive grid of [0, 1] with
-    step halving on corrector failure; a step below MIN_HOMOTOPY_STEP or an
-    iterate above ITERATE_NORM_LIMIT terminates with the matching status.
+    Newton correctors of at most CORRECTOR_ITERS steps solve f(x) = p(t) on
+    an adaptive grid of [0, 1] with step halving on corrector failure; a
+    step below MIN_HOMOTOPY_STEP or an iterate above ITERATE_NORM_LIMIT
+    terminates with the matching status.
     A corrector "overflow" ends the run with that status: the residual
     norm at the current point then overflows whatever the step.
     """
@@ -189,7 +191,7 @@ def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
         step = min(dt, 1.0 - t)
         target = (1.0 - (t + step)) * y0 + (t + step) * y_target
         corr = semismooth_newton(model, provider, target, x, tol=tol,
-                                 max_iter=corrector_iters, rng=rng)
+                                 max_iter=CORRECTOR_ITERS, rng=rng)
         if corr.status == "converged":
             x = corr.final_x
             t += step

@@ -23,7 +23,6 @@ __all__ = [
     "evaluate_batch",
     "numeric_jacobian",
     "local_lipschitz_estimate",
-    "dini_derivatives",
     "theta_map",
     "theta_back_substitute",
     "identity_map",
@@ -69,13 +68,11 @@ class MapModel:
         of radius t around the origin.
     beta_divergent : bool
         Whether the analytic profile has a divergent improper integral.
-    usc : bool
-        Declares the associated pseudo-Jacobian mapping upper semicontinuous.
     """
 
     def __init__(self, name, dim_in, dim_out, fn, fn_batch=None, deriv=None,
                  smooth_part=None, lip_part=None, inverse=None,
-                 analytic_beta=None, beta_divergent=False, usc=True,
+                 analytic_beta=None, beta_divergent=False,
                  domain_halfwidth=DEFAULT_DOMAIN_HALFWIDTH):
         self.name = name
         self.dim_in = int(dim_in)
@@ -88,7 +85,6 @@ class MapModel:
         self.inverse = inverse
         self.analytic_beta = analytic_beta
         self.beta_divergent = beta_divergent
-        self.usc = bool(usc)
         self.domain_halfwidth = float(domain_halfwidth)
 
     def __call__(self, x):
@@ -157,16 +153,16 @@ def _oracle_rows(model, zs):
                      for z in zs])
 
 
-def numeric_jacobian(model, x, step=None):
-    """Central-difference Jacobian, entrywise error O(step^2) for C^2 maps.
+def numeric_jacobian(model, x):
+    """Central-difference Jacobian, entrywise error O(step^2) for C^2 maps,
+    at step 1e-6 * (1 + ||x||).
 
     Only meaningful where the map is differentiable; the catalog maps are
     piecewise smooth, so randomly perturbed probe points are differentiable
     almost surely.
     """
     x = _check_point(model, x)
-    if step is None:
-        step = 1e-6 * (1.0 + np.linalg.norm(x))
+    step = 1e-6 * (1.0 + np.linalg.norm(x))
     jac = _central_differences(model, x[None, :], step)[0]
     if not np.all(np.isfinite(jac)):
         raise FloatingPointError(f"{model.name}: non-finite finite-difference Jacobian")
@@ -225,28 +221,6 @@ def _pair_norms(model, center, radius, pairs, rng):
         x2 = _uniform_ball(rng, center, radius, count)
         fs = evaluate_batch(model, np.vstack([x1, x2]))
         yield _row_norms(x1 - x2), _row_norms(fs[:count] - fs[count:])
-
-
-def dini_derivatives(phi, x, v, t0=1e-2, rho=0.5, k=20):
-    """Upper and lower right-hand Dini derivative estimates of a scalar map.
-
-    Difference quotients (phi(x + t v) - phi(x)) / t are evaluated on the
-    geometric grid t0 * rho^j, j = 0..k-1; the max estimates the limsup and
-    the min the liminf.
-    """
-    ts = _dini_steps(t0, rho, k)
-    x = as_vector(x)
-    v = as_vector(v)
-    base = float(phi(x))
-    quots = [(float(phi(x + t * v)) - base) / t for t in ts]
-    return max(quots), min(quots)
-
-
-def _dini_steps(t0, rho, k):
-    # t0 * rho^j for j < k, each by one more multiplication by rho
-    if not (t0 > 0 and 0 < rho < 1 and k >= 2):
-        raise ValueError("require t0 > 0, rho in (0,1), k >= 2")
-    return np.cumprod(np.r_[float(t0), np.full(k - 1, float(rho))])
 
 
 def _blocks(total, entries_per_item):

@@ -9,8 +9,7 @@ from .pseudojac import PseudoJacobianSet, build_set, validity_check
 __all__ = ["mvt_check", "optimality_check", "chain_rule_check"]
 
 
-def mvt_check(model, provider, u, v, segment_samples=64, tol=1e-6, rng=None,
-              gap_tol=1e-10):
+def mvt_check(model, provider, u, v, segment_samples=64, tol=1e-6, rng=None):
     """Check f(v) - f(u) against the hull of segment derivative actions.
 
     The hull is built from {T (v-u) : T vertex of the provider set at z} for
@@ -31,7 +30,7 @@ def mvt_check(model, provider, u, v, segment_samples=64, tol=1e-6, rng=None,
         points.append(jset.vertices @ direction)
     gap = evaluate(model, v) - evaluate(model, u)
     dist = dist_to_hull(gap, np.concatenate(points),
-                        max_radius * np.linalg.norm(direction), gap_tol=gap_tol)
+                        max_radius * np.linalg.norm(direction))
     return dist, dist <= tol
 
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from .linalg import _row_norms, as_vector
 from .maps import (DomainError, _blocks, _central_differences, _check_point,
-                   _dini_steps, _uniform_ball, _unit_rows, evaluate,
-                   evaluate_batch, local_lipschitz_estimate, numeric_jacobian)
+                   _uniform_ball, _unit_rows, evaluate, evaluate_batch,
+                   local_lipschitz_estimate, numeric_jacobian)
 
 __all__ = [
     "PseudoJacobianSet",
@@ -29,11 +29,13 @@ __all__ = [
     "sum_rule",
     "sampled_clarke",
     "support_function",
-    "pj_combine",
     "validity_check",
 ]
 
 MAX_REDRAWS = 16
+# validity_check's Dini quotients: steps t0 * DINI_RATIO^j for j < DINI_STEPS
+DINI_RATIO = 0.5
+DINI_STEPS = 20
 
 
 class PseudoJacobianSet:
@@ -115,18 +117,14 @@ def parse_provider(text):
 
 
 def exact_singleton(model, x):
-    """Singleton set {f'(x)} at a differentiability point.
+    """Singleton set {f'(x)} at a differentiability point: the ``deriv``
+    oracle, or a central-difference Jacobian for a model without one.
 
     x gets ``evaluate``'s checks (dimension, domain box) before any
     derivative oracle sees it.
     """
     x = _check_point(model, x)
-    if model.deriv is not None:
-        jac = model.deriv(x)
-    elif model.smooth_part is not None and model.lip_part is None:
-        jac = model.smooth_part(x)
-    else:
-        jac = numeric_jacobian(model, x)
+    jac = model.deriv(x) if model.deriv is not None else numeric_jacobian(model, x)
     return PseudoJacobianSet([jac], 0.0)
 
 
@@ -160,9 +158,7 @@ def sampled_clarke(model, x, spec, rng=None):
     re-drawn together, at most MAX_REDRAWS times.  The slack spec.eps
     inflates the set to account for the delta-ball closure.
     """
-    x = as_vector(x)
-    if x.size != model.dim_in:
-        raise ValueError(f"{model.name}: expected dim {model.dim_in}, got {x.size}")
+    x = _check_point(model, x)
     rng = np.random.default_rng(rng)
     step = spec.delta * 1e-4
 
@@ -211,20 +207,14 @@ def support_function(jset, ystar, v):
     return best + jset.radius * _row_norms(ystar) * _row_norms(v)
 
 
-def pj_combine(alpha, j1, j2):
-    """Set for alpha*f + g: all pairwise sums alpha*V1 + V2, radii combined.
-
-    Vertices are ordered with the j1 index major.
-    """
-    if j1.shape != j2.shape:
-        raise ValueError("operator shapes differ")
-    vertices = alpha * j1.vertices[:, None] + j2.vertices[None, :]
-    return PseudoJacobianSet(vertices.reshape(-1, *j1.shape),
-                             abs(alpha) * j1.radius + j2.radius)
+def _dini_steps(t0):
+    # t0 * DINI_RATIO^j for j < DINI_STEPS, each by one more multiplication
+    if not (t0 > 0):
+        raise ValueError("require t0 > 0")
+    return np.cumprod(np.r_[float(t0), np.full(DINI_STEPS - 1, DINI_RATIO)])
 
 
-def validity_check(model, x, jset, trials=1000, tol=1e-3, rng=None,
-                   t0=1e-3, rho=0.5, k=20):
+def validity_check(model, x, jset, trials=1000, tol=1e-3, rng=None, t0=1e-3):
     """Empirical check of the defining support-function inequality.
 
     Over random unit pairs (ystar, v), estimates the upper Dini derivative
@@ -236,24 +226,24 @@ def validity_check(model, x, jset, trials=1000, tol=1e-3, rng=None,
 
     Each trial draws m + n standard normals (ystar first, then v, each
     normalized; an all-zero draw becomes the first basis vector) and takes
-    the difference quotients of ``dini_derivatives``.  Trials run in blocks
-    of at most MAX_BATCH_ENTRIES evaluated entries, so memory does not grow
-    with ``trials``.
+    the difference quotients at the steps t0 * DINI_RATIO^j, j < DINI_STEPS.
+    Trials run in blocks of at most MAX_BATCH_ENTRIES evaluated entries, so
+    memory does not grow with ``trials``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    ts = _dini_steps(t0, rho, k)
+    ts = _dini_steps(t0)
     x = as_vector(x)
     rng = np.random.default_rng(rng)
     m, n = model.dim_out, model.dim_in
     fx = evaluate(model, x)
     passed = 0
-    for block in _blocks(trials, k * max(m, n)):
+    for block in _blocks(trials, DINI_STEPS * max(m, n)):
         count = block.stop - block.start
         draws = rng.standard_normal((count, m + n))
         ystar, v = _unit_rows(draws[:, :m]), _unit_rows(draws[:, m:])
         zs = x + ts[:, None] * v[:, None, :]
-        fz = evaluate_batch(model, zs.reshape(-1, n)).reshape(count, k, m)
+        fz = evaluate_batch(model, zs.reshape(-1, n)).reshape(count, DINI_STEPS, m)
         # one BLAS dot per point, as ystar @ evaluate(model, z) computes it:
         # the quotients then match a loop over points to the bit
         phi = (fz[:, :, None, :] @ ystar[:, None, :, None])[:, :, 0, 0]

@@ -9,6 +9,8 @@ loop references evaluate set operations one vertex at a time, and
 ``frank_wolfe_project`` projects onto a convex hull by away-step
 Frank-Wolfe, an algorithm independent of the package's active-set method;
 its duality gap gives a certified lower bound on the distance.
+``dini_derivatives`` takes a scalar map's difference quotients one point
+at a time, stepping t by repeated multiplication.
 ``inline_ball_points`` and ``halton_ball_points`` are the two ball samplers
 the package used before it had one ball transform, written out as they
 were; the package's draws are checked against them to the bit.
@@ -19,7 +21,7 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from pjinv.linalg import as_vector
-from pjinv.maps import dini_derivatives, evaluate
+from pjinv.maps import evaluate
 from pjinv.pseudojac import support_function
 
 
@@ -144,9 +146,23 @@ def loop_support_function(vertices, radius, ystar, v):
     return best + radius * np.linalg.norm(ystar) * np.linalg.norm(v)
 
 
-def loop_pj_combine(alpha, vertices1, vertices2):
-    """alpha * V1 + V2 over all pairs, the first set's index major."""
-    return [alpha * a + b for a in vertices1 for b in vertices2]
+def dini_derivatives(phi, x, v, t0=1e-2, rho=0.5, k=20):
+    """Upper and lower right-hand Dini derivative estimates of a scalar map.
+
+    Difference quotients (phi(x + t v) - phi(x)) / t are evaluated on the
+    geometric grid t0 * rho^j, j = 0..k-1; the max estimates the limsup and
+    the min the liminf.
+    """
+    if not (t0 > 0 and 0 < rho < 1 and k >= 2):
+        raise ValueError("require t0 > 0, rho in (0,1), k >= 2")
+    x = as_vector(x)
+    v = as_vector(v)
+    base = float(phi(x))
+    quots, t = [], float(t0)
+    for _ in range(k):
+        quots.append((float(phi(x + t * v)) - base) / t)
+        t *= rho
+    return max(quots), min(quots)
 
 
 def loop_validity_check(model, x, jset, trials=1000, tol=1e-3, rng=None,

@@ -14,14 +14,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pjinv.maps
-from oracles import (jacobi_conorm, loop_pj_combine, loop_support_function,
-                     loop_validity_check)
+from oracles import jacobi_conorm, loop_support_function, loop_validity_check
 from pjinv.indices import set_conorm_bounds
 from pjinv.linalg import conorm
 from pjinv.maps import (abs_shift_map, complexsq_map, exp1d_map, identity_map,
                         linear_map, theta_map)
 from pjinv.pseudojac import (PseudoJacobianSet, build_set, parse_provider,
-                             pj_combine, support_function, validity_check)
+                             support_function, validity_check)
 
 SUM_TOL = 1e-12
 CONORM_TOL = 1e-11     # the bound test_linalg applies to single matrices
@@ -44,29 +43,12 @@ def set_and_vectors(draw):
     return vertices, draw(radii), ystar, v
 
 
-@st.composite
-def two_sets(draw):
-    m, n = draw(dims), draw(dims)
-    return (draw(st.floats(-3.0, 3.0, allow_subnormal=False)),
-            draw(stacks(draw(dims), m, n)), draw(stacks(draw(dims), m, n)))
-
-
 @settings(derandomize=True, deadline=None)
 @given(set_and_vectors())
 def test_support_function_matches_vertex_loop(case):
     vertices, radius, ystar, v = case
     batched = support_function(PseudoJacobianSet(vertices, radius), ystar, v)
     assert abs(batched - loop_support_function(vertices, radius, ystar, v)) <= SUM_TOL
-
-
-@settings(derandomize=True, deadline=None)
-@given(two_sets())
-def test_pj_combine_matches_pair_loop(case):
-    alpha, v1, v2 = case
-    out = pj_combine(alpha, PseudoJacobianSet(v1, 0.1), PseudoJacobianSet(v2, 0.2))
-    # elementwise alpha * a + b: the same arithmetic, so equal to the bit
-    np.testing.assert_array_equal(out.vertices, loop_pj_combine(alpha, v1, v2))
-    assert out.radius == abs(alpha) * 0.1 + 0.2
 
 
 @settings(derandomize=True, deadline=None)

@@ -60,11 +60,11 @@ class TestConfig:
     def test_config_values_are_checked_like_flags(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("method = bogus\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["invert", "--map", "identity", "--target", "1,2,3",
-                  "--config", str(cfg)])
-        assert exc.value.code == 2
-        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        code, out, err = run(capsys, "invert", "--map", "identity",
+                             "--target", "1,2,3", "--config", str(cfg))
+        assert code == 2
+        assert "config error" in err and "invalid choice: 'bogus'" in err
+        assert out == ""
 
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -263,6 +263,15 @@ class TestCheckSuites:
         assert code == 2
         assert "config error" in err and out == ""
 
+    @pytest.mark.parametrize("provider", ["exact", "sum",
+                                          "clarke:delta=1e-3,m=32,eps=0"])
+    def test_optimality_rejects_a_provider(self, capsys, provider):
+        # even the provider it uses: the flag would otherwise be ignored
+        code, out, err = run(capsys, "check", "optimality", "--provider",
+                             provider)
+        assert code == 2
+        assert "config error" in err and out == ""
+
     def test_chain_theta_a(self, capsys):
         code, out, _ = run(capsys, "check", "chain", "--map", "theta-a:3:0.5",
                            "--provider", "sum", "--trials", "200")
@@ -292,12 +301,40 @@ class TestExitCodes:
         ["ball-check", "--map", "identity", "--delta", "3", "--t-max", "2"],
         ["profile", "--map", "identity", "--grid-n", "1"],
         ["certify", "--map", "identity", "--provider", "ball:m=1"],
+        ["certify", "--map", "theta-c:3", "--provider", "sum", "--grid-n", "3",
+         "--shell-samples", "0", "--t-max", "100"],
+        ["certify", "--map", "identity", "--provider", "exact",
+         "--shell-samples", "-1", "--grid-n", "3"],
+        ["check", "validity", "--map", "theta-c:3", "--trials", "x"],
+        ["certify", "--map", "identity", "--t-max", "nan"],
+        ["invert", "--map", "identity", "--target", "1,2,3", "--bogus"],
+        ["frobnicate"],
+        ["certify", "--map", "identity", "--t-max", "inf"],
+        ["ball-check", "--map", "identity", "--delta", "inf"],
+        ["invert", "--map", "identity", "--target", "1,2,3", "--tol", "nan"],
+        ["invert", "--map", "identity", "--target", "1,2,3", "--steps", "0"],
+        ["check", "validity", "--map", "theta-c:3", "--tol", "inf"],
+        ["check", "validity", "--map", "theta-c:3", "--tol", "-1"],
+        ["certify", "--map", "identity", "--seed", "-1"],
     ])
     def test_malformed_option_is_config_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert "config error" in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["invert", "--map", "identity", "--provider", "exact",
+         "--target", "1,2,3"],
+        ["check", "validity", "--map", "theta-c:3", "--trials", "10"],
+    ])
+    def test_csv_only_where_a_profile_is_computed(self, tmp_path, capsys, argv):
+        # invert and check compute no profile, so they take no --csv
+        csv = tmp_path / "p.csv"
+        code, out, err = run(capsys, *argv, "--csv", str(csv))
+        assert code == 2
+        assert "config error" in err and out == ""
+        assert not csv.exists()
 
     def test_overflow_while_computing_is_three(self, capsys):
         # the far shells leave the domain box |x| <= 700 of exp1d; the

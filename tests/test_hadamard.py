@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from pjinv.hadamard import (BetaProfile, PreimageError, ball_inclusion_test,
-                            beta_profile, compact_preimage_regularity,
+from pjinv.hadamard import (BetaProfile, ball_inclusion_test, beta_profile,
                             hadamard_verdict, rho_at, write_profile_csv)
-from pjinv.maps import exp1d_map, identity_map, linear_map, theta_map
+from pjinv.maps import identity_map, linear_map, theta_map
 from pjinv.pseudojac import parse_provider
 
 SUM = parse_provider("sum")
@@ -133,36 +132,6 @@ class TestBallInclusion:
         rate = ball_inclusion_test(m, SUM, np.zeros(5), 1.0, p,
                                    samples=20, rng=2)
         assert rate == 1.0
-
-
-class TestCompactPreimage:
-    def test_identity(self):
-        m = identity_map(2)
-        k = [np.array([1.0, 0.0]), np.array([0.0, 2.0])]
-        assert compact_preimage_regularity(m, EXACT, k, rng=0) \
-            == pytest.approx(1.0, abs=1e-10)
-
-    def test_linear(self):
-        m = linear_map(np.diag([2.0, 3.0]))
-        k = [np.array([4.0, 9.0]), np.array([-1.0, 1.0])]
-        assert compact_preimage_regularity(m, EXACT, k, rng=1) \
-            == pytest.approx(2.0, abs=1e-10)
-
-    def test_theta_a_sphere(self):
-        m = theta_map("a", 4, 0.5)
-        rng = np.random.default_rng(2)
-        k = []
-        for _ in range(8):
-            d = rng.standard_normal(4)
-            k.append(5.0 * d / np.linalg.norm(d))
-        assert compact_preimage_regularity(m, SUM, k, rng=3) \
-            == pytest.approx(0.5, abs=1e-10)
-
-    def test_failure_reports_witness(self):
-        with pytest.raises(PreimageError) as err:
-            compact_preimage_regularity(exp1d_map(), EXACT,
-                                        [np.array([-1.0])], rng=4)
-        assert np.allclose(err.value.target, [-1.0])
 
 
 class TestCsvExport:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import dini_derivatives
 from pjinv.maps import (DomainError, MapModel, abs_shift_map, catalog_ids,
-                        dini_derivatives, evaluate, evaluate_batch, exp1d_map,
-                        identity_map, linear_map, local_lipschitz_estimate,
-                        make_map, numeric_jacobian, theta_back_substitute,
-                        theta_map)
+                        evaluate, evaluate_batch, exp1d_map, identity_map,
+                        linear_map, local_lipschitz_estimate, make_map,
+                        numeric_jacobian, theta_back_substitute, theta_map)
 
 
 class TestEvaluate:
@@ -191,6 +191,7 @@ class TestLocalLipschitz:
 
 
 class TestDiniDerivatives:
+    # the per-point oracle behind loop_validity_check (tests/oracles.py)
     def test_abs_at_zero(self):
         up, lo = dini_derivatives(lambda x: abs(x[0]), np.zeros(1),
                                   np.ones(1))

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from pjinv.linalg import spectral_norm
-from pjinv.maps import (DomainError, MapModel, abs_shift_map, exp1d_map,
-                        identity_map, linear_map, theta_map)
+from pjinv.maps import (DomainError, MapModel, exp1d_map, identity_map,
+                        linear_map, theta_map)
 from pjinv.pseudojac import (ProviderSpec, PseudoJacobianSet, build_set,
                              exact_singleton, lipschitz_ball, parse_provider,
-                             pj_combine, sampled_clarke, sum_rule,
-                             support_function, validity_check)
+                             sampled_clarke, sum_rule, support_function,
+                             validity_check)
 
 
 def abs1d():
@@ -203,47 +203,6 @@ class TestSupportFunction:
                 + support_function(jset, ystar, v2) + 1e-12)
 
 
-class TestCombine:
-    def test_plain_sum(self):
-        a, b = np.eye(2), np.diag([2.0, 3.0])
-        out = pj_combine(1.0, PseudoJacobianSet([a]), PseudoJacobianSet([b]))
-        assert np.allclose(out.vertices[0], a + b)
-        assert out.radius == 0.0
-
-    def test_negation_adds_radii(self):
-        a = np.diag([2.0, 3.0])
-        out = pj_combine(-1.0, PseudoJacobianSet([a], 0.2),
-                         PseudoJacobianSet([np.zeros((2, 2))], 0.1))
-        assert np.allclose(out.vertices[0], -a)
-        assert out.radius == pytest.approx(0.3)
-
-    def test_zero_alpha_keeps_second_set(self):
-        j1 = PseudoJacobianSet([np.eye(2)], 0.7)
-        j2 = PseudoJacobianSet([np.diag([2.0, 3.0])], 0.1)
-        out = pj_combine(0.0, j1, j2)
-        assert np.allclose(out.vertices[0], j2.vertices[0])
-        assert out.radius == pytest.approx(0.1)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            pj_combine(1.0, PseudoJacobianSet([np.eye(2)]),
-                       PseudoJacobianSet([np.eye(3)]))
-
-    def test_combined_set_remains_valid(self):
-        # alpha*f + g with the combined set passes the defining inequality
-        f = theta_map("a", 2, 0.5)
-        g = linear_map(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        alpha = 2.0
-        x = np.array([0.7, -0.3])
-        jf = build_set(f, x, parse_provider("sum"))
-        jg = build_set(g, x, parse_provider("exact"))
-        combined_map = MapModel("combo", 2, 2,
-                                lambda z: alpha * f.fn(z) + g.fn(z))
-        rate = validity_check(combined_map, x, pj_combine(alpha, jf, jg),
-                              trials=300, rng=7)
-        assert rate == 1.0
-
-
 class TestValidityCheck:
     def test_clarke_on_abs_passes(self):
         m = abs1d()
@@ -265,3 +224,9 @@ class TestValidityCheck:
         with pytest.raises(ValueError):
             validity_check(identity_map(2), np.zeros(2),
                            PseudoJacobianSet([np.eye(2)]), trials=0)
+
+    def test_first_step_validation(self):
+        for t0 in (0.0, -1e-3):
+            with pytest.raises(ValueError):
+                validity_check(identity_map(2), np.zeros(2),
+                               PseudoJacobianSet([np.eye(2)]), t0=t0)
