@@ -47,6 +47,7 @@ def _checked(cast, ok, need):
 
 _COUNT = _checked(int, lambda v: v >= 1, ">= 1")
 _NONNEGATIVE = _checked(float, lambda v: 0 <= v < np.inf, "finite and >= 0")
+_POSITIVE = _checked(float, lambda v: 0 < v < np.inf, "finite and > 0")
 
 
 def load_config(path):
@@ -141,8 +142,7 @@ def _build_parser():
         p.add_argument("--out", help="write the report record to this file")
 
     def profile_options(p, t_max):
-        p.add_argument("--t-max", default=t_max, type=_checked(
-            float, lambda v: 0 < v < np.inf, "finite and > 0"))
+        p.add_argument("--t-max", default=t_max, type=_POSITIVE)
         p.add_argument("--grid-n", default=hadamard.DEFAULT_GRID_N,
                        type=_checked(int, lambda v: v >= 2, ">= 2"))
         p.add_argument("--shell-samples", type=_COUNT,
@@ -171,7 +171,7 @@ def _build_parser():
 
     p = sub.add_parser("ball-check", help="sampled ball-inclusion test")
     common(p)
-    p.add_argument("--delta", type=_NONNEGATIVE, default=1.0)
+    p.add_argument("--delta", type=_POSITIVE, default=1.0)
     p.add_argument("--samples", type=_COUNT, default=50)
     profile_options(p, None)  # --t-max defaults to max(--delta, 1)
 

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from .indices import regularity_index
+from .indices import DEFAULT_NET, _bound_value, _point_bounds
 from .invert import path_lift_invert
 from .linalg import as_vector
 from .maps import _ball_points, _blocks, _uniform_ball, evaluate
@@ -68,8 +68,10 @@ def beta_profile(model, provider, center, t_max, grid_n=DEFAULT_GRID_N,
 
     With an analytic bound the profile is exact on the grid (mode
     "analytic").  Otherwise each grid ball is probed at fixed-seed
-    low-discrepancy points and the running minimum of sampled regularity
-    indices is taken (mode "sampled").
+    low-discrepancy points (the center alone at t = 0) and the running
+    minimum of the regularity indices there, by the USC shortcut, is taken
+    (mode "sampled").  Each shell is one ``build_sets`` call, and its
+    singleton sets share one batched co-norm bound.
     """
     if not (t_max > 0 and grid_n >= 2):
         raise ValueError("require t_max > 0 and grid_n >= 2")
@@ -78,12 +80,13 @@ def beta_profile(model, provider, center, t_max, grid_n=DEFAULT_GRID_N,
     if analytic_beta is not None:
         return BetaProfile(grid, [analytic_beta(t) for t in grid], "analytic")
     # each shell's minimum; BetaProfile takes the running minimum
-    beta = [regularity_index(model, provider, center, rng=rng).alpha]
-    for j in range(1, grid_n):
-        points = _halton_ball(center.size, samples_per_shell, grid[j], center,
-                              seed=j)
-        beta.append(min((regularity_index(model, provider, z, rng=rng).alpha
-                         for z in points), default=np.inf))
+    rng = np.random.default_rng(rng)
+    beta = []
+    for j, t in enumerate(grid):
+        points = center[None] if j == 0 else \
+            _halton_ball(center.size, samples_per_shell, t, center, seed=j)
+        found = _point_bounds(model, provider, points, DEFAULT_NET, rng)
+        beta.append(min(map(_bound_value, found), default=np.inf))
     return BetaProfile(grid, beta, "sampled")
 
 
@@ -120,8 +123,10 @@ def ball_inclusion_test(model, provider, x0, delta, profile, samples=50,
     inversions, and handed to the path-lifting inverter; a trial passes
     when a solution lands inside the source ball with residual below
     BALL_INCLUSION_TOL.  Returns the pass fraction; inverter hard failures
-    count as test failures.
+    count as test failures.  The source ball is open, so delta must be > 0.
     """
+    if not (delta > 0):
+        raise ValueError("require delta > 0")
     x0 = as_vector(x0)
     rng = np.random.default_rng(rng)
     rho = rho_at(profile, delta) * (1.0 - BALL_INCLUSION_MARGIN)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .linalg import as_vector, conorm, spectral_norm
 from .maps import _blocks, _uniform_ball
-from .pseudojac import build_set
+from .pseudojac import build_sets
 
 __all__ = [
     "ConormBounds",
@@ -61,18 +61,48 @@ class RegularityReport:
                 f"regular={self.regular}, {self.bound_kind})")
 
 
-def _singleton_bounds(v, radius, net):
-    if radius > 0.0:
-        # one SVD gives the co-norm (zero for a wide matrix) and the minimal
-        # singular pair, along which a rank-one perturbation attains the
-        # bound; the thin factors pair u_mat[:, -1] with sv[-1] for a tall v
-        u_mat, sv, vt = np.linalg.svd(v, full_matrices=False)
-        low = sv[-1] if v.shape[0] >= v.shape[1] else 0.0
-        witness = v - radius * np.outer(u_mat[:, -1], vt[-1])
-    else:
-        low, witness = conorm(v), v
-    value = max(low - radius, 0.0)
-    return ConormBounds(value, value, True, net, witness=witness)
+def _singleton_bounds(vs, radii, net):
+    """Bounds of the singleton sets {vs[i]} + radii[i] * ball, a list.
+
+    Each is exact, conorm(V) - radius, attained by a rank-one perturbation
+    aligned with the minimal singular pair.  One SVD call per block of
+    ``_blocks`` gives the co-norms (zero for a wide matrix) and those pairs
+    for the positive radii, and one ``conorm`` call per block the co-norms
+    for the zero radii; an empty group makes no call.
+    """
+    low = np.zeros(len(vs))
+    witness = vs.copy()
+    size = vs.shape[1] * vs.shape[2]
+    positive = np.flatnonzero(radii > 0.0)
+    for block in _blocks(len(positive), size):
+        i = positive[block]
+        # the thin factors pair u[:, :, -1] with sv[:, -1] for a tall vs
+        u, sv, vt = np.linalg.svd(vs[i], full_matrices=False)
+        if vs.shape[1] >= vs.shape[2]:
+            low[i] = sv[:, -1]
+        witness[i] -= radii[i, None, None] * (u[:, :, -1:] * vt[:, -1:, :])
+    zero = np.flatnonzero(radii == 0.0)
+    for block in _blocks(len(zero), size):
+        low[zero[block]] = conorm(vs[zero[block]])
+    values = np.maximum(low - radii, 0.0)
+    return [ConormBounds(value, value, True, net, witness=w)
+            for value, w in zip(values, witness)]
+
+
+def _stack_bounds(vertices, radii, net):
+    """``set_conorm_bounds`` of each set co(vertices[i]) + radii[i] * ball
+    of a (P, k, m, n) stack, as a list.
+
+    The singleton sets (one vertex, or all vertices equal) share one
+    ``_singleton_bounds`` call; every other set gets its own mesh or
+    sampled bound.
+    """
+    if not (net > 0):
+        raise ValueError("net must be > 0")
+    single = np.all(vertices == vertices[:, :1], axis=(1, 2, 3))
+    found = iter(_singleton_bounds(vertices[single, 0], radii[single], net))
+    return [next(found) if one else _hull_bounds(v, r, net)
+            for one, v, r in zip(single, vertices, radii)]
 
 
 def _barycentric_mesh(k, subdivisions):
@@ -110,13 +140,12 @@ def set_conorm_bounds(jset, net=DEFAULT_NET):
     certifying.  The 1,001-point mesh of a 2-vertex set at the default net
     fits in one chunk for operators of up to 2,095 entries (45 x 45).
     """
-    if not (net > 0):
-        raise ValueError("net must be > 0")
-    vertices = jset.vertices
-    k = len(vertices)
-    if np.all(vertices == vertices[0]):
-        return _singleton_bounds(vertices[0], jset.radius, net)
+    return _stack_bounds(jset.vertices[None], np.array([jset.radius]), net)[0]
 
+
+def _hull_bounds(vertices, radius, net):
+    # set_conorm_bounds of co(vertices) + radius * ball, vertices not all equal
+    k = len(vertices)
     subdivisions = max(int(np.ceil(1.0 / net)), 1)
     certifiable = (k <= MAX_CERT_VERTICES
                    and math.comb(subdivisions + k - 1, k - 1) <= MAX_MESH_POINTS)
@@ -126,18 +155,18 @@ def set_conorm_bounds(jset, net=DEFAULT_NET):
         rng = np.random.default_rng(0)
         weights = np.vstack([np.eye(k), rng.dirichlet(np.ones(k), size=4096)])
     best = np.inf
-    for block in _blocks(len(weights), jset.shape[0] * jset.shape[1]):
+    for block in _blocks(len(weights), vertices.shape[1] * vertices.shape[2]):
         combos = np.einsum("pk,kij->pij", weights[block], vertices)
         values = conorm(combos)
         i = int(np.argmin(values))
         if values[i] < best:  # keeps the first minimum in mesh order
             best, witness = values[i], combos[i].copy()
-    upper = max(best - jset.radius, 0.0)
+    upper = max(best - radius, 0.0)
     if not certifiable:
         return ConormBounds(0.0, upper, False, net, witness=witness)
     pairs = np.triu_indices(k, 1)
     diam = float(np.max(spectral_norm(vertices[pairs[0]] - vertices[pairs[1]])))
-    lower = max(best - net * diam - jset.radius, 0.0)
+    lower = max(best - net * diam - radius, 0.0)
     return ConormBounds(lower, upper, True, net, witness=witness)
 
 
@@ -156,15 +185,12 @@ def regularity_index(model, provider, x, radii=None, net=DEFAULT_NET,
     """
     x = as_vector(x)
     rng = np.random.default_rng(rng)
-
-    def value(bounds):
-        return bounds.lower if bounds.certified else bounds.upper
-
     if use_usc_shortcut:
-        bounds = set_conorm_bounds(build_set(model, x, provider, rng=rng), net=net)
+        bounds = _point_bounds(model, provider, x[None], net, rng)[0]
         regular = bounds.certified and bounds.lower > 10.0 * net
         kind = "certified" if bounds.certified else "sampled"
-        return RegularityReport(value(bounds), regular, kind, bounds.witness, 0.0)
+        return RegularityReport(_bound_value(bounds), regular, kind,
+                                bounds.witness, 0.0)
 
     if radii is None:
         radii = [r * (1.0 + np.linalg.norm(x)) for r in (1.0, 0.1, 0.01)]
@@ -175,13 +201,28 @@ def regularity_index(model, provider, x, radii=None, net=DEFAULT_NET,
     per_radius, all_certified = [], True
     for r in radii:
         points = np.vstack([x, _uniform_ball(rng, x, r, SAMPLES_PER_RADIUS)])
-        found = [set_conorm_bounds(build_set(model, z, provider, rng=rng), net=net)
-                 for z in points]
+        found = _point_bounds(model, provider, points, net, rng)
         all_certified = all_certified and all(b.certified for b in found)
-        per_radius.append((min(found, key=value), r))
-    bounds, r_used = max(per_radius, key=lambda pair: value(pair[0]))
-    alpha = value(bounds)
+        per_radius.append((min(found, key=_bound_value), r))
+    bounds, r_used = max(per_radius, key=lambda pair: _bound_value(pair[0]))
+    alpha = _bound_value(bounds)
     regular = all_certified and alpha > 10.0 * net
     kind = "certified" if all_certified else "sampled"
     return RegularityReport(max(alpha, 0.0), regular, kind, bounds.witness,
                             r_used)
+
+
+def _point_bounds(model, provider, points, net, rng):
+    """``set_conorm_bounds`` of the provider's set at each row of points.
+
+    One ``build_sets`` call builds every set, and the singleton sets share
+    one batched bound.  Under upper semicontinuity ``_bound_value`` of each
+    is the regularity index at that point.
+    """
+    return _stack_bounds(*build_sets(model, points, provider, rng=rng), net)
+
+
+def _bound_value(bounds):
+    """The index a bound gives: its certified lower end, else its sampled
+    upper end."""
+    return bounds.lower if bounds.certified else bounds.upper

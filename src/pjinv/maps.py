@@ -103,7 +103,7 @@ def _check_point(model, x):
     x = as_vector(x)
     if x.size != model.dim_in:
         raise ValueError(f"{model.name}: expected dim {model.dim_in}, got {x.size}")
-    # the method form skips np.max's dispatch: this runs once per set built
+    # the method form skips np.max's dispatch: this runs once per evaluation
     if np.abs(x).max() > model.domain_halfwidth:
         raise DomainError(f"{model.name}: point outside domain box")
     return x
@@ -118,6 +118,31 @@ def evaluate(model, x):
     return y
 
 
+def _check_rows(model, xs):
+    """xs as a (k, dim_in) float array and the number of its leading rows
+    that pass ``_check_point``'s checks.
+
+    Raises ValueError at once for a wrong shape.  A caller processes the
+    good rows first and then raises ``_row_error`` of the first bad row, so
+    that the error is the one a loop over the rows would raise first.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != model.dim_in:
+        raise ValueError(f"{model.name}: expected dim {model.dim_in}, "
+                         f"got shape {xs.shape}")
+    # one reduction when every row passes; a NaN fails the comparison too
+    if np.abs(xs).max(initial=0.0) <= model.domain_halfwidth:
+        return xs, len(xs)
+    return xs, int(np.argmin(np.abs(xs).max(axis=1) <= model.domain_halfwidth))
+
+
+def _row_error(model, x):
+    # the error _check_point raises for a row that _check_rows stopped at
+    if not np.isfinite(x).all():
+        return ValueError("vector entries must be finite")
+    return DomainError(f"{model.name}: point outside domain box")
+
+
 def evaluate_batch(model, xs):
     """Evaluate f at each row of a (k, dim_in) array; returns (k, dim_out).
 
@@ -127,19 +152,14 @@ def evaluate_batch(model, xs):
     point outside the domain box.  Only the rows before the first bad input
     reach the oracle.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != model.dim_in:
-        raise ValueError(f"{model.name}: expected dim {model.dim_in}, "
-                         f"got shape {xs.shape}")
-    bad = ~np.all(np.abs(xs) <= model.domain_halfwidth, axis=1)
-    stop = int(np.argmax(bad)) if bad.any() else len(xs)
+    xs, stop = _check_rows(model, xs)
     ys = _oracle_rows(model, xs[:stop])
     if ys.shape != (stop, model.dim_out):
         raise ValueError(f"{model.name}: oracle returned shape {ys.shape}")
-    if not np.all(np.isfinite(ys)) or not np.all(np.isfinite(xs[stop:stop + 1])):
+    if not np.all(np.isfinite(ys)):
         raise ValueError("vector entries must be finite")
     if stop < len(xs):
-        raise DomainError(f"{model.name}: point outside domain box")
+        raise _row_error(model, xs[stop])
     return ys
 
 
@@ -172,17 +192,23 @@ def numeric_jacobian(model, x):
 def _central_differences(model, zs, step):
     """Central-difference Jacobians at each row of zs, shape (k, m, n).
 
-    All 2 * k * n stencil points go to the oracle in two batch calls; a
-    model without ``fn_batch`` is evaluated row by row through ``fn``.
-    Points are not validated, and non-finite entries are passed through.
+    The 2 * n stencil points of each row go to the oracle in two batch
+    calls per block of ``_blocks(k, n * max(m, n))`` rows; a model without
+    ``fn_batch`` is evaluated row by row through ``fn``.  Points are not
+    validated, and non-finite entries are passed through.
     """
     k, n = zs.shape
     stencil = np.eye(n) * step
-    plus = (zs[:, None, :] + stencil).reshape(k * n, n)
-    minus = (zs[:, None, :] - stencil).reshape(k * n, n)
-    fp = _oracle_rows(model, plus)
-    fm = _oracle_rows(model, minus)
-    return (fp - fm).reshape(k, n, -1).transpose(0, 2, 1) / (2.0 * step)
+    # row j of cols[i] is column j of Jacobian i, as the stencil yields it;
+    # the result keeps this layout, since a matmul can round differently on
+    # the other one
+    cols = np.empty((k, n, model.dim_out))
+    for block in _blocks(k, n * max(n, model.dim_out)):
+        z = zs[block]
+        fp = _oracle_rows(model, (z[:, None, :] + stencil).reshape(-1, n))
+        fm = _oracle_rows(model, (z[:, None, :] - stencil).reshape(-1, n))
+        np.divide((fp - fm).reshape(len(z), n, -1), 2.0 * step, out=cols[block])
+    return cols.transpose(0, 2, 1)
 
 
 def local_lipschitz_estimate(model, x, r, samples=1000, rng=None):

@@ -4,7 +4,7 @@ import numpy as np
 
 from .linalg import as_vector, dist_to_hull, spectral_norm
 from .maps import MapModel, evaluate, evaluate_batch
-from .pseudojac import PseudoJacobianSet, build_set, validity_check
+from .pseudojac import PseudoJacobianSet, build_set, build_sets, validity_check
 
 __all__ = ["mvt_check", "optimality_check", "chain_rule_check"]
 
@@ -14,23 +14,20 @@ def mvt_check(model, provider, u, v, segment_samples=64, tol=1e-6, rng=None):
 
     The hull is built from {T (v-u) : T vertex of the provider set at z} for
     z on a uniform grid of [u, v], inflated by (max provider radius) times
-    ||v - u||.  Returns (distance, pass).
+    ||v - u||; one ``build_sets`` call builds the sets of the whole grid.
+    Returns (distance, pass).
     """
     if segment_samples < 2:
         raise ValueError("segment_samples must be >= 2")
     u = as_vector(u)
     v = as_vector(v)
-    rng = np.random.default_rng(rng)
     direction = v - u
-    points = []
-    max_radius = 0.0
-    for t in np.linspace(0.0, 1.0, segment_samples):
-        jset = build_set(model, u + t * direction, provider, rng=rng)
-        max_radius = max(max_radius, jset.radius)
-        points.append(jset.vertices @ direction)
+    ts = np.linspace(0.0, 1.0, segment_samples)
+    vertices, radii = build_sets(model, u + ts[:, None] * direction, provider,
+                                 rng=rng)
     gap = evaluate(model, v) - evaluate(model, u)
-    dist = dist_to_hull(gap, np.concatenate(points),
-                        max_radius * np.linalg.norm(direction))
+    dist = dist_to_hull(gap, (vertices @ direction).reshape(-1, gap.size),
+                        float(radii.max()) * np.linalg.norm(direction))
     return dist, dist <= tol
 
 

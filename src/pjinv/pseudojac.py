@@ -5,6 +5,12 @@ spectral norm; every construction used here (singleton, Lipschitz ball, sum
 rule, finite generalized-derivative sample) is exactly of this form, and the
 support function of such a set is closed-form.
 
+``build_sets`` builds the sets of P points as one read-only (P, k, m, n)
+vertex stack and P radii; it is the one construction path, and
+``build_set`` is its one-row case.  Derivative oracles run row by row, the
+Clarke provider sends all P * m sample points to the map oracle at once,
+and the Lipschitz ball samples each point on its own.
+
 ``support_function`` accepts one pair (ystar, v) or stacks ystar (..., m)
 and v (..., n) with one common leading shape, and evaluates all pairs with
 one einsum over the stacked vertices.  ``validity_check`` runs its trials
@@ -15,19 +21,17 @@ for all Dini points and two ``support_function`` calls per block.
 import numpy as np
 
 from .linalg import _row_norms, as_vector
-from .maps import (DomainError, _blocks, _central_differences, _check_point,
-                   _uniform_ball, _unit_rows, evaluate, evaluate_batch,
-                   local_lipschitz_estimate, numeric_jacobian)
+from .maps import (DomainError, _blocks, _central_differences, _check_rows,
+                   _row_error, _uniform_ball, _unit_rows, evaluate,
+                   evaluate_batch, local_lipschitz_estimate, numeric_jacobian)
 
 __all__ = [
     "PseudoJacobianSet",
     "ProviderSpec",
     "parse_provider",
+    "build_sets",
     "build_set",
-    "exact_singleton",
     "lipschitz_ball",
-    "sum_rule",
-    "sampled_clarke",
     "support_function",
     "validity_check",
 ]
@@ -62,6 +66,15 @@ class PseudoJacobianSet:
         vs.setflags(write=False)
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "radius", float(radius))
+
+    @classmethod
+    def _frozen(cls, vertices, radius):
+        # a set on a checked, read-only (k, m, n) array, neither copied nor
+        # checked again: one set of a build_sets stack
+        jset = object.__new__(cls)
+        object.__setattr__(jset, "vertices", vertices)
+        object.__setattr__(jset, "radius", float(radius))
+        return jset
 
     def __setattr__(self, *_):
         raise AttributeError("PseudoJacobianSet is immutable")
@@ -116,18 +129,6 @@ def parse_provider(text):
     return ProviderSpec(head, **kwargs)
 
 
-def exact_singleton(model, x):
-    """Singleton set {f'(x)} at a differentiability point: the ``deriv``
-    oracle, or a central-difference Jacobian for a model without one.
-
-    x gets ``evaluate``'s checks (dimension, domain box) before any
-    derivative oracle sees it.
-    """
-    x = _check_point(model, x)
-    jac = model.deriv(x) if model.deriv is not None else numeric_jacobian(model, x)
-    return PseudoJacobianSet([jac], 0.0)
-
-
 def lipschitz_ball(model, x, spec, rng=None):
     """Zero-centered operator ball of radius Lip f(x) (estimated)."""
     lip = local_lipschitz_estimate(model, x, spec.lip_radius,
@@ -136,59 +137,113 @@ def lipschitz_ball(model, x, spec, rng=None):
     return PseudoJacobianSet([zero], lip)
 
 
-def sum_rule(model, x, spec=None):
-    """{g'(x)} + Lip h(x) * ball for a decomposition f = g + h.
+def build_sets(model, points, spec, rng=None):
+    """The provider's set at each row of a (P, dim_in) array of points.
 
-    x gets ``evaluate``'s checks (dimension, domain box) before any
-    derivative oracle sees it.
+    Returns (vertices, radii): one read-only float array of shape
+    (P, k, m, n) and P radii, set i being co(vertices[i]) + radii[i] * ball.
+    The provider kinds:
+
+    - "exact": {f'(x)}, the ``deriv`` oracle, or a central-difference
+      Jacobian for a model without one;
+    - "sum": {g'(x)} + Lip h(x) * ball for a decomposition f = g + h, the
+      ``smooth_part`` and ``lip_part`` oracles;
+    - "ball": the zero-centered ball of ``lipschitz_ball``, point by point;
+    - "clarke": central-difference Jacobians at spec.m points drawn
+      uniformly in B(x, spec.delta), inflated by the slack spec.eps for
+      the delta-ball closure.  Each point's draws come from rng in point
+      order, so a stack equals P ``build_set`` calls; the oracle sees all
+      P * spec.m points at once, in the blocks of ``_central_differences``.
+      Vertices where differentiation fails are redrawn after all first
+      draws, point by point, at most MAX_REDRAWS rounds; only a redraw
+      makes the stream differ from P ``build_set`` calls.
+
+    Every point gets ``evaluate``'s checks (dimension, finiteness, domain
+    box); the points before the first bad one are built, and then the error
+    that building the points in order would raise first is raised.
     """
-    if model.smooth_part is None or model.lip_part is None:
-        raise ValueError(f"{model.name}: sum provider needs smooth_part and lip_part")
-    x = _check_point(model, x)
-    r = spec.lip_radius if spec is not None else 1e-2
-    return PseudoJacobianSet([model.smooth_part(x)],
-                             float(model.lip_part(x, r)))
-
-
-def sampled_clarke(model, x, spec, rng=None):
-    """Finite sample of Jacobians at nearby differentiability points.
-
-    Vertices are central-difference Jacobians at spec.m points drawn
-    uniformly in B(x, spec.delta); points where differentiation fails are
-    re-drawn together, at most MAX_REDRAWS times.  The slack spec.eps
-    inflates the set to account for the delta-ball closure.
-    """
-    x = _check_point(model, x)
-    rng = np.random.default_rng(rng)
-    step = spec.delta * 1e-4
-
-    def jacobians_at_new_points(count):
-        zs = _uniform_ball(rng, x, spec.delta, count)
-        if np.max(np.abs(zs)) > model.domain_halfwidth:
-            raise DomainError(f"{model.name}: point outside domain box")
-        return _central_differences(model, zs, step)
-
-    jacs = jacobians_at_new_points(spec.m)
-    for _ in range(MAX_REDRAWS):
-        bad = ~np.all(np.isfinite(jacs), axis=(1, 2))
-        if not bad.any():
-            break
-        jacs[bad] = jacobians_at_new_points(int(bad.sum()))
-    if not np.all(np.isfinite(jacs)):
-        raise FloatingPointError(f"{model.name}: non-finite finite-difference "
-                                 f"Jacobian after {MAX_REDRAWS} redraws")
-    return PseudoJacobianSet(jacs, spec.eps)
+    xs, stop = _check_rows(model, points)
+    if spec.kind == "exact":
+        vertices, radii = _exact_rows(model, xs[:stop])
+    elif spec.kind == "sum":
+        vertices, radii = _sum_rows(model, xs[:stop], spec)
+    elif spec.kind == "ball":
+        rng = np.random.default_rng(rng)
+        sets = [lipschitz_ball(model, x, spec, rng=rng) for x in xs[:stop]]
+        vertices = _singletons([jset.vertices[0] for jset in sets], model)
+        radii = np.array([jset.radius for jset in sets])
+    else:
+        vertices, radii = _clarke_rows(model, xs[:stop], spec,
+                                       np.random.default_rng(rng))
+    # the method form skips np.all's dispatch: this runs once per build_set
+    if not np.isfinite(vertices).all():
+        raise ValueError("matrix entries must be finite")
+    if stop < len(xs):
+        raise _row_error(model, xs[stop])
+    vertices.setflags(write=False)
+    return vertices, radii
 
 
 def build_set(model, x, spec, rng=None):
-    """Dispatch a ProviderSpec to the matching constructor."""
-    if spec.kind == "exact":
-        return exact_singleton(model, x)
-    if spec.kind == "ball":
-        return lipschitz_ball(model, x, spec, rng=rng)
-    if spec.kind == "sum":
-        return sum_rule(model, x, spec)
-    return sampled_clarke(model, x, spec, rng=rng)
+    """The provider's set at x, one ``PseudoJacobianSet``: the one-row case
+    of ``build_sets``."""
+    xs = np.asarray(x, dtype=float).reshape(1, -1)
+    vertices, radii = build_sets(model, xs, spec, rng=rng)
+    return PseudoJacobianSet._frozen(vertices[0], radii[0])
+
+
+def _singletons(mats, model):
+    # (P, 1, m, n) stack of P operators, each m x n
+    shape = (len(mats), model.dim_out, model.dim_in)
+    vertices = np.array(mats, dtype=float) if mats else np.empty(shape)
+    if vertices.shape != shape:
+        raise ValueError(f"{model.name}: expected {shape[1]} x {shape[2]} "
+                         f"operators, got shape {vertices.shape[1:]}")
+    return vertices[:, None]
+
+
+def _exact_rows(model, xs):
+    if model.deriv is not None:
+        jacs = [model.deriv(x) for x in xs]
+    else:
+        jacs = [numeric_jacobian(model, x) for x in xs]
+    return _singletons(jacs, model), np.zeros(len(xs))
+
+
+def _sum_rows(model, xs, spec):
+    if model.smooth_part is None or model.lip_part is None:
+        raise ValueError(f"{model.name}: sum provider needs smooth_part and lip_part")
+    jacs = [model.smooth_part(x) for x in xs]
+    radii = [float(model.lip_part(x, spec.lip_radius)) for x in xs]
+    if not all(r >= 0.0 for r in radii):
+        raise ValueError("radius must be >= 0")
+    return _singletons(jacs, model), np.array(radii)
+
+
+def _clarke_rows(model, xs, spec, rng):
+    count, n = xs.shape
+    step = spec.delta * 1e-4
+
+    def jacobians_at(zs):
+        if np.abs(zs).max(initial=0.0) > model.domain_halfwidth:
+            raise DomainError(f"{model.name}: point outside domain box")
+        return _central_differences(model, zs, step)
+
+    zs = np.array([_uniform_ball(rng, x, spec.delta, spec.m) for x in xs])
+    jacs = jacobians_at(zs.reshape(-1, n)).reshape(count, spec.m, model.dim_out, n)
+    bad = ~np.isfinite(jacs).all(axis=(2, 3))
+    for _ in range(MAX_REDRAWS):
+        if not bad.any():
+            break
+        # boolean indexing walks bad point by point, as the draws do
+        jacs[bad] = jacobians_at(np.vstack([
+            _uniform_ball(rng, x, spec.delta, int(row.sum()))
+            for x, row in zip(xs, bad) if row.any()]))
+        bad = ~np.isfinite(jacs).all(axis=(2, 3))
+    if bad.any():
+        raise FloatingPointError(f"{model.name}: non-finite finite-difference "
+                                 f"Jacobian after {MAX_REDRAWS} redraws")
+    return jacs, np.full(count, spec.eps)
 
 
 def support_function(jset, ystar, v):

@@ -14,6 +14,9 @@ at a time, stepping t by repeated multiplication.
 ``inline_ball_points`` and ``halton_ball_points`` are the two ball samplers
 the package used before it had one ball transform, written out as they
 were; the package's draws are checked against them to the bit.
+``loop_build_set`` is the per-point set constructors the package used
+before ``build_sets``, written out as they were; a stack must equal these
+one point at a time, to the bit.
 """
 
 import numpy as np
@@ -21,8 +24,9 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from pjinv.linalg import as_vector
-from pjinv.maps import evaluate
-from pjinv.pseudojac import support_function
+from pjinv.maps import (DomainError, _check_point, _oracle_rows, _uniform_ball,
+                        evaluate, local_lipschitz_estimate, numeric_jacobian)
+from pjinv.pseudojac import MAX_REDRAWS, PseudoJacobianSet, support_function
 
 
 def jacobi_singular_values(a, rel_tol=1e-13, max_sweeps=64):
@@ -220,3 +224,78 @@ def halton_ball_points(n_dim, count, radius, center, seed=0):
     norms[norms == 0.0] = 1.0
     radii = radius * u[:, n_dim:] ** (1.0 / n_dim)
     return center + directions / norms * radii
+
+
+def loop_build_set(model, x, spec, rng=None):
+    """The provider's set at one point, as the per-point constructors built it.
+
+    exact: the checked point, then ``deriv`` or a central-difference
+    Jacobian; ball: a sampled Lipschitz estimate around the unchecked point;
+    sum: the decomposition check, the checked point, then ``smooth_part``
+    and ``lip_part``; clarke: spec.m ball points and their Jacobians, the
+    non-finite ones redrawn together right away, at most MAX_REDRAWS times.
+    """
+    if spec.kind == "exact":
+        x = _check_point(model, x)
+        jac = model.deriv(x) if model.deriv is not None else numeric_jacobian(model, x)
+        return PseudoJacobianSet([jac], 0.0)
+    if spec.kind == "ball":
+        lip = local_lipschitz_estimate(model, x, spec.lip_radius,
+                                       samples=spec.lip_samples, rng=rng)
+        return PseudoJacobianSet([np.zeros((model.dim_out, model.dim_in))], lip)
+    if spec.kind == "sum":
+        if model.smooth_part is None or model.lip_part is None:
+            raise ValueError(f"{model.name}: sum provider needs smooth_part and lip_part")
+        x = _check_point(model, x)
+        return PseudoJacobianSet([model.smooth_part(x)],
+                                 float(model.lip_part(x, spec.lip_radius)))
+    x = _check_point(model, x)
+    rng = np.random.default_rng(rng)
+    step = spec.delta * 1e-4
+
+    def jacobians_at_new_points(count):
+        zs = _uniform_ball(rng, x, spec.delta, count)
+        if np.max(np.abs(zs)) > model.domain_halfwidth:
+            raise DomainError(f"{model.name}: point outside domain box")
+        return loop_central_differences(model, zs, step)
+
+    jacs = jacobians_at_new_points(spec.m)
+    for _ in range(MAX_REDRAWS):
+        bad = ~np.all(np.isfinite(jacs), axis=(1, 2))
+        if not bad.any():
+            break
+        jacs[bad] = jacobians_at_new_points(int(bad.sum()))
+    if not np.all(np.isfinite(jacs)):
+        raise FloatingPointError(f"{model.name}: non-finite finite-difference "
+                                 f"Jacobian after {MAX_REDRAWS} redraws")
+    return PseudoJacobianSet(jacs, spec.eps)
+
+
+def loop_central_differences(model, zs, step):
+    """Central-difference Jacobians at each row of zs, shape (k, m, n), from
+    two oracle calls, each Jacobian stored column by column."""
+    k, n = zs.shape
+    stencil = np.eye(n) * step
+    plus = (zs[:, None, :] + stencil).reshape(k * n, n)
+    minus = (zs[:, None, :] - stencil).reshape(k * n, n)
+    fp = _oracle_rows(model, plus)
+    fm = _oracle_rows(model, minus)
+    return (fp - fm).reshape(k, n, -1).transpose(0, 2, 1) / (2.0 * step)
+
+
+def counting(model):
+    """The model with its fn and fn_batch wrapped; returns the call logs:
+    the number of fn calls and the row count of each fn_batch call."""
+    calls = {"fn": 0, "fn_batch": []}
+    fn, fn_batch = model.fn, model.fn_batch
+
+    def one(x):
+        calls["fn"] += 1
+        return fn(x)
+
+    def batch(xs):
+        calls["fn_batch"].append(len(xs))
+        return fn_batch(xs)
+
+    model.fn, model.fn_batch = one, batch
+    return calls

@@ -311,6 +311,7 @@ class TestExitCodes:
         ["frobnicate"],
         ["certify", "--map", "identity", "--t-max", "inf"],
         ["ball-check", "--map", "identity", "--delta", "inf"],
+        ["ball-check", "--map", "identity", "--delta", "0"],
         ["invert", "--map", "identity", "--target", "1,2,3", "--tol", "nan"],
         ["invert", "--map", "identity", "--target", "1,2,3", "--steps", "0"],
         ["check", "validity", "--map", "theta-c:3", "--tol", "inf"],

@@ -133,6 +133,15 @@ class TestBallInclusion:
                                    samples=20, rng=2)
         assert rate == 1.0
 
+    @pytest.mark.parametrize("delta", [0.0, -0.5, float("nan")])
+    def test_empty_source_ball_is_refused(self, delta):
+        # the test asks for a solution strictly inside B(x0, delta)
+        m = identity_map(2)
+        p = beta_profile(m, EXACT, np.zeros(2), 1.0, grid_n=3,
+                         analytic_beta=m.analytic_beta)
+        with pytest.raises(ValueError):
+            ball_inclusion_test(m, EXACT, np.zeros(2), delta, p, samples=2)
+
 
 class TestCsvExport:
     def test_format(self, tmp_path):

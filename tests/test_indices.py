@@ -7,8 +7,8 @@ from pjinv.indices import (DEFAULT_NET, ConormBounds, regularity_index,
                            set_conorm_bounds)
 from pjinv.linalg import conorm, spectral_norm
 from pjinv.maps import linear_map, theta_map
-from pjinv.pseudojac import (ProviderSpec, PseudoJacobianSet, parse_provider,
-                             sampled_clarke)
+from pjinv.pseudojac import (ProviderSpec, PseudoJacobianSet, build_set,
+                             parse_provider)
 
 
 class TestConormBoundsType:
@@ -61,7 +61,8 @@ class TestSingletonBounds:
             r = 0.5 * jacobi_conorm(a) + 1e-3
             calls.clear()
             b = set_conorm_bounds(PseudoJacobianSet([a], r))
-            assert calls == [shape]
+            # the singleton bound takes its SVD of a one-set stack
+            assert calls == [(1, *shape)]
             assert b.certified and b.lower == b.upper
             assert abs(b.lower - max(jacobi_conorm(a) - r, 0.0)) <= 1e-12
             if shape[0] >= shape[1]:
@@ -136,8 +137,8 @@ class TestHullBounds:
 
         monkeypatch.setattr(pjinv.linalg, "singular_values", spy)
         spec = ProviderSpec("clarke", delta=1e-3, m=k, eps=0.0)
-        jset = sampled_clarke(theta_map("c", 3), np.array([0.1, -0.2, 0.3]),
-                              spec, rng=k)
+        jset = build_set(theta_map("c", 3), np.array([0.1, -0.2, 0.3]), spec,
+                         rng=k)
         for net in (DEFAULT_NET, 1e-2):
             calls.clear()
             bounds = set_conorm_bounds(jset, net=net)

@@ -5,9 +5,11 @@ from pjinv.linalg import spectral_norm
 from pjinv.maps import (DomainError, MapModel, exp1d_map, identity_map,
                         linear_map, theta_map)
 from pjinv.pseudojac import (ProviderSpec, PseudoJacobianSet, build_set,
-                             exact_singleton, lipschitz_ball, parse_provider,
-                             sampled_clarke, sum_rule, support_function,
+                             lipschitz_ball, parse_provider, support_function,
                              validity_check)
+
+EXACT = parse_provider("exact")
+SUM = parse_provider("sum")
 
 
 def abs1d():
@@ -62,14 +64,14 @@ class TestSetInvariants:
 class TestConstructors:
     def test_exact_linear(self):
         a = np.array([[2.0, 1.0], [0.0, 3.0]])
-        jset = exact_singleton(linear_map(a), np.array([5.0, -1.0]))
+        jset = build_set(linear_map(a), np.array([5.0, -1.0]), EXACT)
         assert len(jset.vertices) == 1
         assert jset.radius == 0.0
         assert np.allclose(jset.vertices[0], a)
 
     def test_exact_componentwise_square(self):
         m = MapModel("sq", 2, 2, lambda x: np.array([x[0] ** 2, x[1]]))
-        jset = exact_singleton(m, np.array([3.0, 1.0]))
+        jset = build_set(m, np.array([3.0, 1.0]), EXACT)
         assert np.allclose(jset.vertices[0], [[6.0, 0.0], [0.0, 1.0]],
                            atol=1e-6)
 
@@ -92,19 +94,19 @@ class TestConstructors:
 
     def test_sum_rule_theta_cases(self):
         x = np.array([0.3, -0.4, 0.1])
-        jset = sum_rule(theta_map("a", 3, 0.5), x)
+        jset = build_set(theta_map("a", 3, 0.5), x, SUM)
         assert np.allclose(jset.vertices[0], np.eye(3))
         assert jset.radius == 0.5
-        assert sum_rule(theta_map("b", 3), x).radius == 1.0
+        assert build_set(theta_map("b", 3), x, SUM).radius == 1.0
         # case (c): radius bounded by t/(1+t) on the ball of radius t
         t = np.linalg.norm(x) + 1e-2
-        assert sum_rule(theta_map("c", 3, None), x).radius \
+        assert build_set(theta_map("c", 3, None), x, SUM).radius \
             == pytest.approx(t / (1.0 + t), abs=1e-12)
 
     def test_sum_rule_requires_decomposition(self):
         m = MapModel("plain", 1, 1, lambda x: x)
         with pytest.raises(ValueError):
-            sum_rule(m, np.zeros(1))
+            build_set(m, np.zeros(1), SUM)
 
     @pytest.mark.parametrize("provider", ["exact", "sum"])
     def test_derivative_providers_check_the_domain_box(self, provider):
@@ -120,14 +122,14 @@ class TestConstructors:
 
     def test_clarke_abs_two_signs(self):
         spec = ProviderSpec("clarke", delta=1e-3, m=64, eps=0.0)
-        jset = sampled_clarke(abs1d(), np.zeros(1), spec, rng=0)
+        jset = build_set(abs1d(), np.zeros(1), spec, rng=0)
         vals = {round(float(v[0, 0]), 6) for v in jset.vertices}
         assert vals == {-1.0, 1.0}
 
     def test_clarke_linear_collapses(self):
         a = np.array([[2.0, 1.0], [0.0, 3.0]])
         spec = ProviderSpec("clarke", delta=1e-3, m=16)
-        jset = sampled_clarke(linear_map(a), np.zeros(2), spec, rng=1)
+        jset = build_set(linear_map(a), np.zeros(2), spec, rng=1)
         for v in jset.vertices:
             assert np.allclose(v, a, atol=1e-6)
 
@@ -139,7 +141,7 @@ class TestConstructors:
         m_slow.fn_batch = None
         x = np.array([0.5, 0.0])  # kink in the second coordinate
         for m in (m_fast, m_slow):
-            jset = sampled_clarke(m, x, spec, rng=3)
+            jset = build_set(m, x, spec, rng=3)
             vals = {round(float(v[0, 1]), 6) for v in jset.vertices}
             assert vals == {-0.5, 0.5}
 
@@ -149,7 +151,7 @@ class TestConstructors:
         diams = []
         for delta in (1e-2, 1e-4, 1e-6):
             spec = ProviderSpec("clarke", delta=delta, m=16)
-            jset = sampled_clarke(m, np.array([1.0, 2.0]), spec, rng=4)
+            jset = build_set(m, np.array([1.0, 2.0]), spec, rng=4)
             vs = jset.vertices
             diams.append(max(spectral_norm(a - b)
                              for a in vs for b in vs))
@@ -159,7 +161,7 @@ class TestConstructors:
         bad = MapModel("allnan", 1, 1, lambda x: np.array([np.nan]))
         spec = ProviderSpec("clarke", delta=1e-3, m=2)
         with pytest.raises(FloatingPointError):
-            sampled_clarke(bad, np.zeros(1), spec, rng=5)
+            build_set(bad, np.zeros(1), spec, rng=5)
 
     def test_build_set_dispatch(self):
         m = theta_map("a", 2, 0.5)
@@ -206,8 +208,8 @@ class TestSupportFunction:
 class TestValidityCheck:
     def test_clarke_on_abs_passes(self):
         m = abs1d()
-        jset = sampled_clarke(m, np.zeros(1),
-                              ProviderSpec("clarke", delta=1e-3, m=32), rng=0)
+        jset = build_set(m, np.zeros(1),
+                         ProviderSpec("clarke", delta=1e-3, m=32), rng=0)
         assert validity_check(m, np.zeros(1), jset, trials=200, rng=8) == 1.0
 
     def test_shrunken_set_fails(self):
@@ -217,7 +219,7 @@ class TestValidityCheck:
 
     def test_linear_exact_passes(self):
         m = linear_map(np.array([[2.0, 1.0], [0.0, 3.0]]))
-        jset = exact_singleton(m, np.zeros(2))
+        jset = build_set(m, np.zeros(2), EXACT)
         assert validity_check(m, np.zeros(2), jset, trials=200, rng=10) == 1.0
 
     def test_trials_validation(self):

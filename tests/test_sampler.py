@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 import pjinv.hadamard
 import pjinv.maps
-from oracles import halton_ball_points, inline_ball_points
+from oracles import counting, halton_ball_points, inline_ball_points
 from pjinv.hadamard import beta_profile
+from pjinv.indices import ConormBounds
 from pjinv.invert import inverse_lipschitz_probe
 from pjinv.maps import (_blocks, _central_differences, _uniform_ball,
                         abs_shift_map, complexsq_map, exp1d_map, linear_map,
                         local_lipschitz_estimate, theta_map)
-from pjinv.pseudojac import build_set, parse_provider, sampled_clarke
+from pjinv.pseudojac import build_set, parse_provider
 
 coords = st.floats(-1e3, 1e3, allow_subnormal=False)
 
@@ -59,7 +60,7 @@ def test_uniform_ball_reaches_the_boundary_at_the_radius():
 def test_clarke_vertices_keep_their_bits(model, x, seed):
     spec = parse_provider("clarke:delta=1e-3,m=9,eps=0")
     rng = np.random.default_rng(seed)
-    got = sampled_clarke(model, x, spec, rng=rng)
+    got = build_set(model, x, spec, rng=rng)
     ref_rng = np.random.default_rng(seed)
     zs = inline_ball_points(ref_rng, x, spec.delta, spec.m)
     want = _central_differences(model, zs, spec.delta * 1e-4)
@@ -72,14 +73,11 @@ def test_clarke_vertices_keep_their_bits(model, x, seed):
 def test_profile_halton_points_keep_their_bits(monkeypatch, n, center):
     seen = []
 
-    class Report:
-        alpha = 1.0
+    def record(model, provider, points, net, rng):
+        seen.append(np.array(points))
+        return [ConormBounds(1.0, 1.0, True, net)] * len(points)
 
-    def record(model, provider, z, **_kwargs):
-        seen.append(np.array(z))
-        return Report()
-
-    monkeypatch.setattr(pjinv.hadamard, "regularity_index", record)
+    monkeypatch.setattr(pjinv.hadamard, "_point_bounds", record)
     center = np.asarray(center, dtype=float)
     beta_profile(theta_map("c", n), parse_provider("sum"), center, 1.5,
                  grid_n=5, samples_per_shell=7)
@@ -87,24 +85,7 @@ def test_profile_halton_points_keep_their_bits(monkeypatch, n, center):
     want = np.vstack([center] + [halton_ball_points(n, 7, grid[j], center,
                                                     seed=j)
                                  for j in range(1, 5)])
-    np.testing.assert_array_equal(np.array(seen), want)
-
-
-def counting(model):
-    """The model with its fn and fn_batch wrapped; returns the call logs."""
-    calls = {"fn": 0, "fn_batch": []}
-    fn, fn_batch = model.fn, model.fn_batch
-
-    def one(x):
-        calls["fn"] += 1
-        return fn(x)
-
-    def batch(xs):
-        calls["fn_batch"].append(len(xs))
-        return fn_batch(xs)
-
-    model.fn, model.fn_batch = one, batch
-    return calls
+    np.testing.assert_array_equal(np.vstack(seen), want)
 
 
 @pytest.mark.parametrize("budget", [None, 600])
