@@ -8,9 +8,11 @@ of points, makes one ``fn_batch`` call (or, for a model without one, one
 ``fn`` call per row) and applies ``evaluate``'s checks to every row.
 Batched kernels keep each working array under ``MAX_BATCH_ENTRIES`` float
 entries and process larger jobs in the blocks ``_blocks`` cuts.  Every ball
-point comes from one transform, ``_ball_points``, fed by ``_uniform_ball``
-(all count x n normals, then all count uniforms) or by the Hadamard
-profile's scrambled Halton sequence.
+point comes from one transform, ``_ball_points``, fed by ``_uniform_balls``
+(for each center in turn all its count x n normals, then all its count
+uniforms; ``_uniform_ball`` is its one-center case) or by the Hadamard
+profile's scrambled Halton points, which ``hadamard`` computes in NumPy
+with the normal quantile.
 """
 
 import numpy as np
@@ -275,10 +277,24 @@ def _ball_points(center, radius, normals, uniforms):
 
 
 def _uniform_ball(rng, center, radius, count):
-    """count points uniform in B(center, radius): count x n normals, then
-    count uniforms, from rng."""
-    normals = rng.standard_normal((count, center.size))
-    return _ball_points(center, radius, normals, rng.uniform(size=(count, 1)))
+    """count points uniform in B(center, radius), the one-center case of
+    ``_uniform_balls``."""
+    return _uniform_balls(rng, center[None], radius, [count])
+
+
+def _uniform_balls(rng, centers, radius, counts):
+    """counts[i] points uniform in B(centers[i], radius) for each row i.
+
+    Row by row, in order, rng gives counts[i] x n normals, then counts[i]
+    uniforms; one ``_ball_points`` transform then maps all the draws.
+    """
+    n = centers.shape[1]
+    normals, uniforms = [np.empty((0, n))], [np.empty((0, 1))]
+    for count in counts:
+        normals.append(rng.standard_normal((count, n)))
+        uniforms.append(rng.uniform(size=(count, 1)))
+    return _ball_points(centers.repeat(counts, axis=0), radius,
+                        np.concatenate(normals), np.concatenate(uniforms))
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +331,8 @@ def theta_map(kind, n, c=None):
     """
     if kind not in _THETA:
         raise ValueError(f"unknown theta kind {kind!r}")
+    if n < 1:
+        raise ValueError(f"theta map dimension must be >= 1, got {n}")
     if kind == "a":
         if c is None or not np.isfinite(c):
             raise ValueError("theta-a requires a finite coefficient c")
@@ -370,6 +388,8 @@ def theta_map(kind, n, c=None):
 
 
 def identity_map(n=3):
+    if n < 1:
+        raise ValueError(f"identity map dimension must be >= 1, got {n}")
     eye = np.eye(n)
     return MapModel(
         "identity", n, n, lambda x: x.copy(), fn_batch=lambda xs: xs.copy(),

@@ -22,7 +22,7 @@ import numpy as np
 
 from .linalg import _row_norms, as_vector
 from .maps import (DomainError, _blocks, _central_differences, _check_rows,
-                   _row_error, _uniform_ball, _unit_rows, evaluate,
+                   _row_error, _uniform_balls, _unit_rows, evaluate,
                    evaluate_batch, local_lipschitz_estimate, numeric_jacobian)
 
 __all__ = [
@@ -229,16 +229,16 @@ def _clarke_rows(model, xs, spec, rng):
             raise DomainError(f"{model.name}: point outside domain box")
         return _central_differences(model, zs, step)
 
-    zs = np.array([_uniform_ball(rng, x, spec.delta, spec.m) for x in xs])
-    jacs = jacobians_at(zs.reshape(-1, n)).reshape(count, spec.m, model.dim_out, n)
+    zs = _uniform_balls(rng, xs, spec.delta, np.full(count, spec.m))
+    jacs = jacobians_at(zs).reshape(count, spec.m, model.dim_out, n)
     bad = ~np.isfinite(jacs).all(axis=(2, 3))
     for _ in range(MAX_REDRAWS):
         if not bad.any():
             break
         # boolean indexing walks bad point by point, as the draws do
-        jacs[bad] = jacobians_at(np.vstack([
-            _uniform_ball(rng, x, spec.delta, int(row.sum()))
-            for x, row in zip(xs, bad) if row.any()]))
+        redraw = bad.any(axis=1)
+        jacs[bad] = jacobians_at(_uniform_balls(rng, xs[redraw], spec.delta,
+                                                bad[redraw].sum(axis=1)))
         bad = ~np.isfinite(jacs).all(axis=(2, 3))
     if bad.any():
         raise FloatingPointError(f"{model.name}: non-finite finite-difference "

@@ -14,6 +14,8 @@ at a time, stepping t by repeated multiplication.
 ``inline_ball_points`` and ``halton_ball_points`` are the two ball samplers
 the package used before it had one ball transform, written out as they
 were; the package's draws are checked against them to the bit.
+``halton_ball_points`` keeps scipy's ``qmc.Halton`` and ``ndtri``, so it is
+also the independent oracle for the package's NumPy port of both.
 ``loop_build_set`` is the per-point set constructors the package used
 before ``build_sets``, written out as they were; a stack must equal these
 one point at a time, to the bit.

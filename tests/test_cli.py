@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,6 +320,12 @@ class TestExitCodes:
         ["check", "validity", "--map", "theta-c:3", "--tol", "inf"],
         ["check", "validity", "--map", "theta-c:3", "--tol", "-1"],
         ["certify", "--map", "identity", "--seed", "-1"],
+        ["certify", "--map", "theta-a:0:0.5", "--grid-n", "3"],
+        ["certify", "--map", "theta-b:0", "--grid-n", "3"],
+        ["certify", "--map", "theta-c:0", "--grid-n", "3"],
+        ["certify", "--map", "theta-c:-2", "--grid-n", "3"],
+        ["certify", "--map", "identity:0", "--grid-n", "3"],
+        ["certify", "--map", "identity:-1", "--grid-n", "3"],
     ])
     def test_malformed_option_is_config_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -367,3 +376,18 @@ class TestExitCodes:
                            "--provider", "exact", "--analytic-beta")
         assert code == 3
         assert "computation failed" in err
+
+
+def test_commands_import_no_scipy():
+    # a fresh interpreter: tests/oracles.py has imported scipy into this one
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (
+        f"import sys\nsys.path.insert(0, {src!r})\n"
+        "from pjinv.cli import main\n"
+        "assert main(['certify', '--map', 'theta-a:10:0.5', '--provider', 'sum',"
+        " '--grid-n', '4', '--shell-samples', '4']) == 0\n"
+        "print(sorted(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.')))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
