@@ -6,10 +6,15 @@ command line, config file, map, provider or option value; argparse's own
 errors included, and every option value checked by its argparse type),
 3 computation failure (anything raised while a well-formed command
 computes, such as a DomainError or a non-finite set).
+
+The argparse parser is built once, when this module is imported, and
+every ``main`` call (and a ``--config`` run's second parse) reuses it, so
+a caller that runs many commands in one process pays only for parsing.
 """
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -93,20 +98,42 @@ def parse_vector(text):
     return x
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}") if np.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_round_floats(float(v)) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return _round_floats(float(obj))
+def _round_float(x):
+    return float(f"{x:.12g}") if math.isfinite(x) else None
+
+
+def _round_sequence(seq):
+    return [_round_floats(v) for v in seq]
+
+
+def _same(obj):
     return obj
+
+
+# report value type -> its JSON-ready form.  A type not listed takes the
+# entry of its nearest listed base class: np.float64 that of np.floating,
+# bool that of int, anything else that of object (kept as it is).
+_ROUNDERS = {
+    float: _round_float,
+    dict: lambda d: {k: _round_floats(v) for k, v in sorted(d.items())},
+    list: _round_sequence,
+    tuple: _round_sequence,
+    np.ndarray: lambda a: [_round_float(float(v)) for v in a],
+    np.integer: int,
+    np.floating: lambda x: _round_float(float(x)),
+    str: _same,
+    int: _same,
+    type(None): _same,
+    object: _same,
+}
+
+
+def _round_floats(obj):
+    convert = _ROUNDERS.get(type(obj))
+    if convert is None:
+        convert = next(_ROUNDERS[base] for base in type(obj).__mro__
+                       if base in _ROUNDERS)
+    return convert(obj)
 
 
 def format_record(record):
@@ -190,12 +217,14 @@ def _build_parser():
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _parse_args(argv):
     """Parse argv; a flag given on the command line wins over a --config
     file's value, which wins over the parser's default."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if getattr(args, "config", None):
         # config entries become flags that argparse checks, placed before
         # the command line's own so that those override them
@@ -207,7 +236,7 @@ def _parse_args(argv):
             option = "--" + key.replace("_", "-")
             if val is not False:
                 flags.append(option if val is True else f"{option}={val}")
-        args = parser.parse_args(argv[:1] + flags + argv[1:])
+        args = _PARSER.parse_args(argv[:1] + flags + argv[1:])
     return args
 
 

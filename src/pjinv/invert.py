@@ -58,7 +58,7 @@ class InversionTrace:
         return self.residuals[-1]
 
     def to_record(self):
-        return {
+        record = {
             "method": self.method,
             "status": self.status,
             "iterations": len(self.iterates) - 1,
@@ -68,6 +68,10 @@ class InversionTrace:
             "residuals": self.residuals,
             "used_pseudoinverse": self.used_pseudoinverse,
         }
+        if self.method == "ekeland":
+            # None when the descent never stalled
+            record["stationary_distance"] = self.stationary_distance
+        return record
 
 
 def _newton_element(model, x, provider, rng):

@@ -93,10 +93,12 @@ class ProviderSpec:
                  lip_samples=2000):
         if kind not in self.KINDS:
             raise ValueError(f"unknown provider kind {kind!r}")
-        if not (delta > 0 and m >= 1 and eps >= 0):
-            raise ValueError("require delta > 0, m >= 1, eps >= 0")
-        if not (lip_radius >= 0 and lip_samples >= 2):
-            raise ValueError("require lip_radius >= 0 and lip_samples >= 2")
+        if not (0 < delta < np.inf and m >= 1 and 0 <= eps < np.inf):
+            raise ValueError("require finite delta > 0, m >= 1 and finite "
+                             "eps >= 0")
+        if not (0 <= lip_radius < np.inf and lip_samples >= 2):
+            raise ValueError("require finite lip_radius >= 0 and "
+                             "lip_samples >= 2")
         self.kind = kind
         self.delta = float(delta)
         self.m = int(m)
@@ -111,11 +113,14 @@ class ProviderSpec:
 def parse_provider(text):
     """Parse "exact" | "ball:r=<f>,m=<i>" | "sum" | "clarke:delta=<f>,m=<i>,eps=<f>"."""
     head, _, rest = text.partition(":")
-    kwargs = {}
+    kwargs, seen = {}, set()
     if rest:
         for item in rest.split(","):
             key, _, val = item.partition("=")
             key = key.strip()
+            if key in seen:
+                raise ValueError(f"provider parameter {key!r} given twice")
+            seen.add(key)
             if head == "ball" and key == "r":
                 kwargs["lip_radius"] = float(val)
             elif head == "ball" and key == "m":

@@ -19,7 +19,12 @@ also the independent oracle for the package's NumPy port of both.
 ``loop_build_set`` is the per-point set constructors the package used
 before ``build_sets``, written out as they were; a stack must equal these
 one point at a time, to the bit.
+``reference_format_record`` is the report serialiser the CLI used before
+it dispatched on the value's type, written out as it was; the CLI's
+reports must equal it to the byte.
 """
+
+import json
 
 import numpy as np
 from scipy.special import ndtri
@@ -301,3 +306,25 @@ def counting(model):
 
     model.fn, model.fn_batch = one, batch
     return calls
+
+
+def _reference_round_floats(obj):
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}") if np.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _reference_round_floats(v) for k, v in sorted(obj.items())}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_round_floats(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_reference_round_floats(float(v)) for v in obj]
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.floating,)):
+        return _reference_round_floats(float(obj))
+    return obj
+
+
+def reference_format_record(record):
+    """Sorted keys, 12 significant digits, a non-finite float as null."""
+    return json.dumps(_reference_round_floats(record), sort_keys=True,
+                      allow_nan=False) + "\n"

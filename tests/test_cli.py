@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,9 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from oracles import reference_format_record
 
 from pjinv import cli
 from pjinv.cli import format_record, load_config, main
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -89,6 +96,32 @@ class TestFormatRecord:
         once = format_record(rec)
         twice = format_record(json.loads(once))
         assert once == twice
+
+
+edge_floats = st.sampled_from([0.0, -0.0, float("inf"), float("-inf"),
+                                float("nan"), 5e-324, -2.2250738585072014e-308,
+                                1.7976931348623157e308, -1e300, 0.1 + 0.2])
+report_leaves = st.one_of(
+    st.floats(), edge_floats,
+    st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(), st.booleans(), st.none(), st.text(max_size=4),
+    arrays(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+           st.integers(0, 5)),
+)
+report_values = st.recursive(
+    report_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), report_values, max_size=5))
+def test_format_record_matches_reference_bytes(record):
+    assert format_record(record) == reference_format_record(record)
 
 
 class TestNonFiniteReports:
@@ -206,6 +239,31 @@ class TestInvert:
                            "--target", "-1")
         assert code == 1
         assert json.loads(out)["status"] in ("diverged", "step_underflow")
+
+    def test_ekeland_reports_its_stationarity_witness(self, capsys):
+        # -1 is not a value of exp: the descent stalls at a
+        # lambda-stationary point and reports the dual witness distance
+        code, out, _ = run(capsys, "invert", "--map", "exp1d", "--provider",
+                           "exact", "--method", "ekeland", "--target=-1")
+        assert code == 1
+        rec = json.loads(out)
+        assert rec["status"] == "stationary"
+        assert 0.0 <= rec["stationary_distance"] <= 1e-3
+
+    def test_stationary_distance_only_in_ekeland_reports(self, capsys):
+        # null when the descent never stalled; absent from other methods
+        code, out, _ = run(capsys, "invert", "--map", "exp1d", "--provider",
+                           "exact", "--method", "ekeland", "--target", "2")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["status"] == "converged"
+        assert rec["stationary_distance"] is None
+        for method in ("newton", "path"):
+            code, out, _ = run(capsys, "invert", "--map", "exp1d",
+                               "--provider", "exact", "--method", method,
+                               "--target", "2")
+            assert code == 0
+            assert "stationary_distance" not in json.loads(out)
 
 
 class TestBallCheckAndProfile:
@@ -326,6 +384,14 @@ class TestExitCodes:
         ["certify", "--map", "theta-c:-2", "--grid-n", "3"],
         ["certify", "--map", "identity:0", "--grid-n", "3"],
         ["certify", "--map", "identity:-1", "--grid-n", "3"],
+        ["certify", "--map", "identity", "--provider",
+         "clarke:delta=inf,m=2,eps=0", "--grid-n", "3"],
+        ["certify", "--map", "identity", "--provider",
+         "clarke:delta=1e-3,m=2,eps=inf", "--grid-n", "3"],
+        ["certify", "--map", "identity", "--provider", "ball:r=inf,m=10",
+         "--grid-n", "3"],
+        ["certify", "--map", "identity", "--provider",
+         "clarke:delta=1e-3,m=2,eps=0,m=3", "--grid-n", "3"],
     ])
     def test_malformed_option_is_config_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -378,11 +444,55 @@ class TestExitCodes:
         assert "computation failed" in err
 
 
+def run_alone(argv):
+    """(exit code, stdout, stderr) of main(argv) in a fresh interpreter."""
+    script = (f"import sys\nsys.path.insert(0, {SRC!r})\n"
+              "from pjinv.cli import main\n"
+              f"sys.exit(main({list(argv)!r}))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
+    # main() builds no parser; a run leaves nothing for the next one to see
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 7\nmethod = newton\ntol = 1e-8\n")
+    first = ["invert", "--map", "theta-a:4:0.5", "--provider", "exact",
+             "--method", "newton", "--target", "1,-2,0.5,3"]
+    commands = [
+        first,
+        ["invert", "--map", "identity", "--target", "1,2,3",
+         "--method", "bogus"],
+        ["invert", "--map", "identity", "--provider", "exact", "--target",
+         "1,2,3", "--config", str(cfg), "--seed", "3"],
+        ["ball-check", "--map", "identity", "--provider", "exact", "--delta",
+         "0.5", "--samples", "2", "--grid-n", "3", "--shell-samples", "1"],
+        first,
+    ]
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    results = [run(capsys, *argv) for argv in commands]
+    monkeypatch.undo()
+    assert added == []
+    assert [code for code, _, _ in results] == [0, 2, 0, 0, 0]
+    echo = json.loads(results[2][1])["config"]
+    assert (echo["seed"], echo["method"], echo["tol"]) == (3, "newton", 1e-8)
+    assert json.loads(results[3][1])["config"]["t_max"] == 1.0
+    for argv, result in zip(commands, results):
+        assert result == run_alone(argv), argv
+
+
 def test_commands_import_no_scipy():
     # a fresh interpreter: tests/oracles.py has imported scipy into this one
-    src = str(Path(cli.__file__).resolve().parents[1])
     script = (
-        f"import sys\nsys.path.insert(0, {src!r})\n"
+        f"import sys\nsys.path.insert(0, {SRC!r})\n"
         "from pjinv.cli import main\n"
         "assert main(['certify', '--map', 'theta-a:10:0.5', '--provider', 'sum',"
         " '--grid-n', '4', '--shell-samples', '4']) == 0\n"
