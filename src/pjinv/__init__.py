@@ -16,7 +16,7 @@ from .maps import (MapModel, evaluate, evaluate_batch, local_lipschitz_estimate,
                    make_map, numeric_jacobian, theta_back_substitute, theta_map)
 from .properties import chain_rule_check, mvt_check, optimality_check
 from .pseudojac import (ProviderSpec, PseudoJacobianSet, build_set,
-                        build_sets, lipschitz_ball, parse_provider,
-                        support_function, validity_check)
+                        build_sets, parse_provider, support_function,
+                        validity_check)
 
 __version__ = "0.1.0"

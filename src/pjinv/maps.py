@@ -11,9 +11,11 @@ entries and process larger jobs in the blocks ``_blocks`` cuts.  Every ball
 point comes from one transform, ``_ball_points``, fed by ``_uniform_balls``
 (for each center in turn all its count x n normals, then all its count
 uniforms; ``_uniform_ball`` is its one-center case) or by the Hadamard
-profile's scrambled Halton points, which ``hadamard`` computes in NumPy
-with the normal quantile.
+profile, whose grid shell j takes its normals and radial uniforms from one
+draw of ``default_rng(j)``.
 """
+
+import warnings
 
 import numpy as np
 
@@ -470,7 +472,11 @@ def make_map(map_id):
         if head == "linear":
             if len(parts) != 2:
                 raise ValueError("linear:<matrix-file>")
-            return linear_map(np.loadtxt(parts[1], ndmin=2), name=map_id)
+            with warnings.catch_warnings():
+                # an empty file is refused below as an empty matrix
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                a = np.loadtxt(parts[1], ndmin=2)
+            return linear_map(a, name=map_id)
         if head == "theta-a":
             return theta_map("a", int(parts[1]), float(parts[2]))
         if head == "theta-b":

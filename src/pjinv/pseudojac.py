@@ -31,7 +31,6 @@ __all__ = [
     "parse_provider",
     "build_sets",
     "build_set",
-    "lipschitz_ball",
     "support_function",
     "validity_check",
 ]
@@ -134,14 +133,6 @@ def parse_provider(text):
     return ProviderSpec(head, **kwargs)
 
 
-def lipschitz_ball(model, x, spec, rng=None):
-    """Zero-centered operator ball of radius Lip f(x) (estimated)."""
-    lip = local_lipschitz_estimate(model, x, spec.lip_radius,
-                                   samples=spec.lip_samples, rng=rng)
-    zero = np.zeros((model.dim_out, model.dim_in))
-    return PseudoJacobianSet([zero], lip)
-
-
 def build_sets(model, points, spec, rng=None):
     """The provider's set at each row of a (P, dim_in) array of points.
 
@@ -153,7 +144,9 @@ def build_sets(model, points, spec, rng=None):
       Jacobian for a model without one;
     - "sum": {g'(x)} + Lip h(x) * ball for a decomposition f = g + h, the
       ``smooth_part`` and ``lip_part`` oracles;
-    - "ball": the zero-centered ball of ``lipschitz_ball``, point by point;
+    - "ball": the zero-centered ball of radius Lip f(x), estimated by
+      ``local_lipschitz_estimate`` on a ball of radius spec.lip_radius,
+      point by point;
     - "clarke": central-difference Jacobians at spec.m points drawn
       uniformly in B(x, spec.delta), inflated by the slack spec.eps for
       the delta-ball closure.  Each point's draws come from rng in point
@@ -174,9 +167,10 @@ def build_sets(model, points, spec, rng=None):
         vertices, radii = _sum_rows(model, xs[:stop], spec)
     elif spec.kind == "ball":
         rng = np.random.default_rng(rng)
-        sets = [lipschitz_ball(model, x, spec, rng=rng) for x in xs[:stop]]
-        vertices = _singletons([jset.vertices[0] for jset in sets], model)
-        radii = np.array([jset.radius for jset in sets])
+        radii = np.array([local_lipschitz_estimate(
+            model, x, spec.lip_radius, samples=spec.lip_samples, rng=rng)
+            for x in xs[:stop]])
+        vertices = np.zeros((stop, 1, model.dim_out, model.dim_in))
     else:
         vertices, radii = _clarke_rows(model, xs[:stop], spec,
                                        np.random.default_rng(rng))

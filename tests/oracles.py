@@ -11,11 +11,9 @@ Frank-Wolfe, an algorithm independent of the package's active-set method;
 its duality gap gives a certified lower bound on the distance.
 ``dini_derivatives`` takes a scalar map's difference quotients one point
 at a time, stepping t by repeated multiplication.
-``inline_ball_points`` and ``halton_ball_points`` are the two ball samplers
-the package used before it had one ball transform, written out as they
-were; the package's draws are checked against them to the bit.
-``halton_ball_points`` keeps scipy's ``qmc.Halton`` and ``ndtri``, so it is
-also the independent oracle for the package's NumPy port of both.
+``inline_ball_points`` is the ball sampler the Clarke provider used before
+the package had one ball transform, written out as it was; the package's
+draws are checked against it to the bit.
 ``loop_build_set`` is the per-point set constructors the package used
 before ``build_sets``, written out as they were; a stack must equal these
 one point at a time, to the bit.
@@ -27,8 +25,6 @@ reports must equal it to the byte.
 import json
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from pjinv.linalg import as_vector
 from pjinv.maps import (DomainError, _check_point, _oracle_rows, _uniform_ball,
@@ -220,17 +216,6 @@ def inline_ball_points(rng, center, radius, count):
     nrm[nrm == 0.0] = 1.0
     radii = radius * rng.uniform(size=(count, 1)) ** (1.0 / center.size)
     return center + d / nrm * radii
-
-
-def halton_ball_points(n_dim, count, radius, center, seed=0):
-    """Scrambled-Halton points in B(center, radius), as the profile drew them."""
-    sampler = qmc.Halton(d=n_dim + 1, scramble=True, seed=seed)
-    u = sampler.random(count)
-    directions = ndtri(np.clip(u[:, :n_dim], 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(directions, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    radii = radius * u[:, n_dim:] ** (1.0 / n_dim)
-    return center + directions / norms * radii
 
 
 def loop_build_set(model, x, spec, rng=None):

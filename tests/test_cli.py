@@ -345,6 +345,18 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in err
 
+    @pytest.mark.parametrize("text", ["", "# no rows\n"])
+    def test_empty_matrix_file_is_config_error(self, tmp_path, capsys, text):
+        # one config-error line, and no loadtxt warning before it
+        path = tmp_path / "a.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "certify", "--map", f"linear:{path}")
+        assert code == 2 and out == ""
+        assert err == ("config error: expected nonempty matrices, "
+                       "got shape (0, 1)\n")
+
     def test_bad_provider_is_config_error(self, capsys):
         code, _, _ = run(capsys, "invert", "--map", "identity",
                          "--provider", "bogus", "--target", "1,2,3")
@@ -424,10 +436,10 @@ class TestExitCodes:
         assert out == ""
 
     def test_domain_error_while_computing_is_three(self, capsys):
-        # a shell point of the radius-800 ball draws Clarke points beyond
-        # the domain box |x| <= 700 of exp1d
+        # two of the four shell points of the radius-1000 ball, at 790 and
+        # 861 from 0, lie beyond the domain box |x| <= 700 of exp1d
         code, out, err = run(capsys, "profile", "--map", "exp1d", "--provider",
-                             "clarke:delta=1e-3,m=2,eps=0", "--t-max", "800",
+                             "clarke:delta=1e-3,m=2,eps=0", "--t-max", "1000",
                              "--grid-n", "2", "--shell-samples", "4")
         assert code == 3
         assert "computation failed" in err and "outside domain box" in err
@@ -490,7 +502,7 @@ def test_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
 
 
 def test_commands_import_no_scipy():
-    # a fresh interpreter: tests/oracles.py has imported scipy into this one
+    # a fresh interpreter, so that only the command's own imports count
     script = (
         f"import sys\nsys.path.insert(0, {SRC!r})\n"
         "from pjinv.cli import main\n"

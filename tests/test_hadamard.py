@@ -79,6 +79,10 @@ class TestBetaProfileConstruction:
             beta_profile(identity_map(2), SUM, np.zeros(2), 0.0)
         with pytest.raises(ValueError):
             beta_profile(identity_map(2), SUM, np.zeros(2), 1.0, grid_n=1)
+        for count in (0, -1):
+            with pytest.raises(ValueError, match="samples_per_shell"):
+                beta_profile(identity_map(2), SUM, np.zeros(2), 1.0,
+                             samples_per_shell=count)
 
 
 class TestVerdict:

@@ -5,8 +5,7 @@ from pjinv.linalg import spectral_norm
 from pjinv.maps import (DomainError, MapModel, exp1d_map, identity_map,
                         linear_map, theta_map)
 from pjinv.pseudojac import (ProviderSpec, PseudoJacobianSet, build_set,
-                             lipschitz_ball, parse_provider, support_function,
-                             validity_check)
+                             parse_provider, support_function, validity_check)
 
 EXACT = parse_provider("exact")
 SUM = parse_provider("sum")
@@ -77,20 +76,20 @@ class TestConstructors:
 
     def test_ball_abs_at_zero(self):
         spec = ProviderSpec("ball", lip_radius=1.0, lip_samples=500)
-        jset = lipschitz_ball(abs1d(), np.zeros(1), spec, rng=0)
+        jset = build_set(abs1d(), np.zeros(1), spec, rng=0)
         assert np.allclose(jset.vertices[0], 0.0)
         assert jset.radius == pytest.approx(1.0, abs=1e-3)
 
     def test_ball_linear_spectral_norm(self):
         a = np.array([[2.0, 1.0], [0.0, 3.0]])
         spec = ProviderSpec("ball", lip_radius=1.0, lip_samples=3000)
-        jset = lipschitz_ball(linear_map(a), np.zeros(2), spec, rng=1)
+        jset = build_set(linear_map(a), np.zeros(2), spec, rng=1)
         assert jset.radius == pytest.approx(np.linalg.norm(a, 2), rel=0.05)
 
     def test_ball_constant_map(self):
         m = MapModel("const", 2, 2, lambda x: np.array([1.0, 2.0]))
         spec = ProviderSpec("ball", lip_samples=100)
-        assert lipschitz_ball(m, np.zeros(2), spec, rng=2).radius == 0.0
+        assert build_set(m, np.zeros(2), spec, rng=2).radius == 0.0
 
     def test_sum_rule_theta_cases(self):
         x = np.array([0.3, -0.4, 0.1])

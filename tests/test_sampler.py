@@ -1,23 +1,21 @@
 """The one ball sampler and the kernels that draw from it in blocks.
 
 ``_uniform_ball`` feeds ``maps._ball_points`` from a generator; the Clarke
-provider and the Hadamard profile must draw the same bits as the two
-samplers they used to carry (``tests/oracles.py``).  The profile's NumPy
-scrambled Halton sequence and normal quantile are checked against scipy's,
-which the oracle keeps.  The Lipschitz probes draw their pairs and axis
-stencils in blocks under ``MAX_BATCH_ENTRIES``.
+provider must draw the same bits as the sampler it used to carry
+(``tests/oracles.py``).  The Hadamard profile feeds the same transform from
+one ``default_rng(j)`` draw per grid shell j.  The Lipschitz probes draw
+their pairs and axis stencils in blocks under ``MAX_BATCH_ENTRIES``.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
 
 import pjinv.hadamard
 import pjinv.maps
-from oracles import counting, halton_ball_points, inline_ball_points
-from pjinv.hadamard import _ndtri, beta_profile
+from oracles import counting, inline_ball_points
+from pjinv.hadamard import beta_profile
 from pjinv.indices import ConormBounds
 from pjinv.invert import inverse_lipschitz_probe
 from pjinv.maps import (_blocks, _central_differences, _uniform_ball,
@@ -73,89 +71,42 @@ def test_clarke_vertices_keep_their_bits(model, x, seed):
 
 @pytest.mark.parametrize("n, center", [(1, [0.5]), (3, [0.0, 1.0, -2.0]),
                                        (6, np.linspace(-1.0, 1.0, 6))])
-def test_profile_halton_points_keep_their_bits(monkeypatch, n, center):
-    seen = []
-
-    def record(model, provider, points, net, rng):
-        seen.append(np.array(points))
-        return [ConormBounds(1.0, 1.0, True, net)] * len(points)
-
-    monkeypatch.setattr(pjinv.hadamard, "_point_bounds", record)
+def test_profile_shell_points_come_from_their_own_generator(n, center):
     center = np.asarray(center, dtype=float)
-    beta_profile(theta_map("c", n), parse_provider("sum"), center, 1.5,
-                 grid_n=5, samples_per_shell=7)
     grid = np.linspace(0.0, 1.5, 5)
-    want = np.vstack([center] + [halton_ball_points(n, 7, grid[j], center,
-                                                    seed=j)
-                                 for j in range(1, 5)])
-    np.testing.assert_array_equal(np.vstack(seen), want)
 
+    def shells(count, seed):
+        # the points the profile hands to _point_bounds, shell by shell
+        seen = []
 
-def profile_points(n, count, t_max, grid_n, center):
-    # every point the profile hands to _point_bounds, and the oracle's
-    seen = []
+        def record(model, provider, points, net, rng):
+            seen.append(np.array(points))
+            return [ConormBounds(1.0, 1.0, True, net)] * len(points)
 
-    def record(model, provider, points, net, rng):
-        seen.append(np.array(points))
-        return [ConormBounds(1.0, 1.0, True, net)] * len(points)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pjinv.hadamard, "_point_bounds", record)
+            beta_profile(theta_map("c", n), parse_provider("sum"), center,
+                         1.5, grid_n=5, samples_per_shell=count, rng=seed)
+        np.testing.assert_array_equal(seen[0], center[None])
+        assert len(seen) == 5
+        return seen[1:]
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pjinv.hadamard, "_point_bounds", record)
-        beta_profile(theta_map("c", n), parse_provider("sum"), center, t_max,
-                     grid_n=grid_n, samples_per_shell=count)
-    grid = np.linspace(0.0, t_max, grid_n)
-    want = np.vstack([center] + [halton_ball_points(n, count, grid[j], center,
-                                                    seed=j)
-                                 for j in range(1, grid_n)])
-    return np.vstack(seen), want
-
-
-@settings(derandomize=True, deadline=None)
-@given(n=st.integers(1, 40), count=st.integers(1, 130),
-       grid_n=st.integers(2, 40), t_max=st.floats(1e-6, 1e6),
-       data=st.data())
-def test_profile_points_match_scipy_halton(n, count, grid_n, t_max, data):
-    center = np.array(data.draw(st.lists(coords, min_size=n, max_size=n)))
-    got, want = profile_points(n, count, t_max, grid_n, center)
-    np.testing.assert_array_equal(got, want)
-
-
-@pytest.mark.parametrize("budget, blocks", [(1, 31), (53 * 32 * 3 + 5, 11),
-                                            (53 * 32 * 7, 5)])
-def test_profile_points_across_shell_blocks(budget, blocks):
-    # a shell's largest working array is its 53 base-2 digit terms of 32
-    # points: one, three and seven of the 31 shells per block, the last
-    # block short; each block makes one _ndtri call
-    calls = []
-
-    def counted(p):
-        calls.append(p.shape[0])
-        return _ndtri(p)
-
-    center = np.linspace(-1.0, 1.0, 10)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pjinv.maps, "MAX_BATCH_ENTRIES", budget)
-        mp.setattr(pjinv.hadamard, "_ndtri", counted)
-        got, want = profile_points(10, 32, 2.0, 32, center)
-    np.testing.assert_array_equal(got, want)
-    assert len(calls) == blocks and sum(calls) == 31
-
-
-def test_ndtri_matches_scipy_to_the_bit():
-    clip = 1e-12
-    e2 = np.exp(-2.0)
-    edges = [clip, np.nextafter(clip, 1.0), 1.0 - clip,
-             np.nextafter(1.0 - clip, 0.0), 0.5]
-    for p in (e2, 1.0 - e2, 0.13533528323661269189,
-              1.0 - 0.13533528323661269189):
-        edges += [np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)]
-    rng = np.random.default_rng(3)
-    # uniform values, and values crowding both tails
-    tails = rng.uniform(size=25_000) ** 12
-    p = np.clip(np.concatenate([edges, rng.uniform(size=50_000), tails,
-                                1.0 - tails]), clip, 1.0 - clip)
-    assert p.size > 100_000
-    np.testing.assert_array_equal(_ndtri(p), ndtri(p))
+    few, many, other_seed = shells(7, 0), shells(20, 0), shells(20, 1)
+    slack = np.sqrt(n) * np.spacing(np.abs(center).max() + grid[-1])
+    for j in range(1, 5):
+        points = many[j - 1]
+        dist = np.linalg.norm(points - center, axis=1)
+        assert np.all(dist <= grid[j] * (1.0 + 1e-15) + slack)
+        # the first points do not depend on the count, nor on rng
+        np.testing.assert_array_equal(few[j - 1], points[:7])
+        np.testing.assert_array_equal(other_seed[j - 1], points)
+        # shell j's points are one draw of default_rng(j): a direction and
+        # the radial uniform exp(-(g_n**2 + g_{n+1}**2) / 2) per row
+        g = np.random.default_rng(j).standard_normal((20, n + 2))
+        radial = np.exp(-(g[:, n:n + 1] ** 2 + g[:, n + 1:] ** 2) / 2.0)
+        unit = g[:, :n] / np.linalg.norm(g[:, :n], axis=1, keepdims=True)
+        np.testing.assert_array_equal(
+            points, center + unit * (grid[j] * radial ** (1.0 / n)))
 
 
 @pytest.mark.parametrize("budget", [None, 600])
