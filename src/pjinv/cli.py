@@ -293,6 +293,7 @@ def cmd_certify(args):
         "verdict": verdict,
         "alpha_min": alpha_min,
         "rho_at_tmax": float(profile.rho[-1]),
+        "rho_lower_at_tmax": float(profile.rho_lower[-1]),
         "hadamard": verdict_h,
         "witnesses": [[float(v) for v in row] for row in report.witness]
         if report.witness is not None else [],
@@ -361,6 +362,7 @@ def cmd_profile(args):
         "config": _config_echo(args),
         "mode": profile.mode,
         "rho_at_tmax": float(profile.rho[-1]),
+        "rho_lower_at_tmax": float(profile.rho_lower[-1]),
         "beta_end": float(profile.beta[-1]),
     }
     if args.csv:
@@ -413,7 +415,7 @@ def cmd_check(args):
             "dist-to-point", model.dim_out, 1,
             lambda y: np.array([np.linalg.norm(y - y0)]),
             fn_batch=lambda ys: _row_norms(ys - y0)[:, None],
-            deriv=lambda y: ((y - y0) / np.linalg.norm(y - y0)).reshape(1, -1))
+            deriv=lambda ys: ((ys - y0) / _row_norms(ys - y0)[:, None])[:, None])
         rate = properties.chain_rule_check(model, outer, provider,
                                            np.zeros(model.dim_in),
                                            trials=args.trials, tol=args.tol,

@@ -12,15 +12,24 @@ point gives the direction (the first n) and the radial uniform
 exp(-(g_n**2 + g_{n+1}**2) / 2), which is U(0, 1] since half a chi-square
 variable with two degrees of freedom is Exp(1).  So the points do not
 depend on ``rng``, and a shell's first c points are the same for every
-count >= c.
+count >= c.  The center and all the shells' points, in that order, form
+one array, and their sets are built and bounded a block at a time: one
+``build_sets`` call and one values-only ``_stack_bounds`` pass per
+``_blocks`` block of whole points.  Each shell's minimum is then read off
+the values reshaped shell by shell.
+
+The running integral rho is the trapezoid rule on the grid; rho_lower is
+the lower Riemann sum on right endpoints, which under-estimates the
+integral of a nonincreasing beta.
 """
 
 import numpy as np
 
-from .indices import DEFAULT_NET, _bound_value, _point_bounds
+from .indices import DEFAULT_NET, _stack_bounds
 from .invert import path_lift_invert
 from .linalg import as_vector
 from .maps import _ball_points, _blocks, _uniform_ball, evaluate
+from .pseudojac import build_sets
 
 __all__ = [
     "BetaProfile",
@@ -50,8 +59,10 @@ class BetaProfile:
         # sampling only shrinks an inf estimate; keep the profile monotone
         self.grid = grid
         self.beta = np.minimum.accumulate(np.maximum(beta, 0.0))
+        steps = np.diff(grid)
         self.rho = np.concatenate(
-            [[0.0], np.cumsum(np.diff(grid) * (self.beta[1:] + self.beta[:-1]) / 2.0)])
+            [[0.0], np.cumsum(steps * (self.beta[1:] + self.beta[:-1]) / 2.0)])
+        self.rho_lower = np.concatenate([[0.0], np.cumsum(steps * self.beta[1:])])
         self.mode = mode
 
     @property
@@ -68,8 +79,12 @@ def beta_profile(model, provider, center, t_max, grid_n=DEFAULT_GRID_N,
     "analytic").  Otherwise each grid ball is probed at samples_per_shell
     fixed-seed points (the center alone at t = 0) and the running minimum
     of the regularity indices there, by the USC shortcut, is taken (mode
-    "sampled").  Each shell is one ``build_sets`` call, and its singleton
-    sets share one batched co-norm bound; rng feeds only the provider.
+    "sampled").  The sets of all the points are built by one ``build_sets``
+    call per ``_blocks`` block of whole points, each block bounded in one
+    values-only pass; rng feeds only the provider.  Clarke draws follow
+    point order, so the stream equals one ``build_sets`` call per shell
+    unless a vertex is redrawn: a block redraws after the first draws of
+    all its points, which may span several shells.
     """
     if not (t_max > 0 and grid_n >= 2 and samples_per_shell >= 1):
         raise ValueError("require t_max > 0, grid_n >= 2 and "
@@ -78,20 +93,35 @@ def beta_profile(model, provider, center, t_max, grid_n=DEFAULT_GRID_N,
     grid = np.linspace(0.0, t_max, grid_n)
     if analytic_beta is not None:
         return BetaProfile(grid, [analytic_beta(t) for t in grid], "analytic")
-    # each shell's minimum; BetaProfile takes the running minimum
     rng = np.random.default_rng(rng)
+    points = _profile_points(center, grid, samples_per_shell)
+    values = np.empty(len(points))
+    # a point's set is k operators of m x n entries
+    k = provider.m if provider.kind == "clarke" else 1
+    for block in _blocks(len(points), k * model.dim_out * center.size):
+        lower, upper, certified = _stack_bounds(
+            *build_sets(model, points[block], provider, rng=rng), DEFAULT_NET)
+        values[block] = np.where(certified, lower, upper)
+    # each shell's minimum; BetaProfile takes the running minimum
+    shells = values[1:].reshape(grid_n - 1, samples_per_shell).min(axis=1)
+    return BetaProfile(grid, np.concatenate([values[:1], shells]), "sampled")
+
+
+def _profile_points(center, grid, count):
+    # the center, then count points of shell j = 1, 2, ... from one draw of
+    # default_rng(j) each, through one _ball_points transform; the draws
+    # fill one array in place, and row 0 (a dummy draw at radius 0) is then
+    # overwritten by the center
     n = center.size
-
-    def shell_min(points):
-        found = _point_bounds(model, provider, points, DEFAULT_NET, rng)
-        return min(map(_bound_value, found), default=np.inf)
-
-    beta = [shell_min(center[None])]
-    for j in range(1, grid_n):
-        g = np.random.default_rng(j).standard_normal((samples_per_shell, n + 2))
-        radial = np.exp(-(g[:, n:n + 1] ** 2 + g[:, n + 1:] ** 2) / 2.0)
-        beta.append(shell_min(_ball_points(center, grid[j], g[:, :n], radial)))
-    return BetaProfile(grid, beta, "sampled")
+    g = np.ones((1 + (len(grid) - 1) * count, n + 2))
+    for j in range(1, len(grid)):
+        shell = g[1 + (j - 1) * count:1 + j * count]
+        np.random.default_rng(j).standard_normal(out=shell)
+    radial = np.exp(-(g[:, n:n + 1] ** 2 + g[:, n + 1:] ** 2) / 2.0)
+    radii = np.repeat(grid, [1] + [count] * (len(grid) - 1))[:, None]
+    points = _ball_points(center, radii, g[:, :n], radial)
+    points[0] = center
+    return points
 
 
 def rho_at(profile, t):

@@ -4,6 +4,13 @@ Certification rests on 1-Lipschitzness of the smallest singular value in
 spectral norm: covering the vertex simplex with a barycentric mesh of size
 ``net`` bounds the co-norm over the whole hull from below by the mesh
 minimum minus net * diam(vertices).
+
+``_stack_bounds`` bounds every set of a (P, k, m, n) stack in one pass that
+returns values only: arrays of lower and upper bounds and certified flags.
+Singleton sets take their co-norms from singular values alone, one
+``conorm`` call per block.  A witness is built only for a set that a report
+names: ``set_conorm_bounds`` of that one set, and the set that
+``regularity_index`` chooses.
 """
 
 import math
@@ -12,7 +19,7 @@ import numpy as np
 
 from .linalg import as_vector, conorm, spectral_norm
 from .maps import _blocks, _uniform_ball
-from .pseudojac import build_sets
+from .pseudojac import PseudoJacobianSet, build_sets
 
 __all__ = [
     "ConormBounds",
@@ -61,48 +68,51 @@ class RegularityReport:
                 f"regular={self.regular}, {self.bound_kind})")
 
 
-def _singleton_bounds(vs, radii, net):
-    """Bounds of the singleton sets {vs[i]} + radii[i] * ball, a list.
+def _singleton_values(vs, radii):
+    """max(conorm(vs[i]) - radii[i], 0) for a (P, m, n) stack of operators:
+    the exact bound of each singleton set {vs[i]} + radii[i] * ball, from
+    one ``conorm`` call (singular values only) per block of ``_blocks``."""
+    low = np.empty(len(vs))
+    for block in _blocks(len(vs), vs.shape[1] * vs.shape[2]):
+        low[block] = conorm(vs[block])
+    return np.maximum(low - radii, 0.0)
 
-    Each is exact, conorm(V) - radius, attained by a rank-one perturbation
-    aligned with the minimal singular pair.  One SVD call per block of
-    ``_blocks`` gives the co-norms (zero for a wide matrix) and those pairs
-    for the positive radii, and one ``conorm`` call per block the co-norms
-    for the zero radii; an empty group makes no call.
-    """
-    low = np.zeros(len(vs))
-    witness = vs.copy()
-    size = vs.shape[1] * vs.shape[2]
-    positive = np.flatnonzero(radii > 0.0)
-    for block in _blocks(len(positive), size):
-        i = positive[block]
-        # the thin factors pair u[:, :, -1] with sv[:, -1] for a tall vs
-        u, sv, vt = np.linalg.svd(vs[i], full_matrices=False)
-        if vs.shape[1] >= vs.shape[2]:
-            low[i] = sv[:, -1]
-        witness[i] -= radii[i, None, None] * (u[:, :, -1:] * vt[:, -1:, :])
-    zero = np.flatnonzero(radii == 0.0)
-    for block in _blocks(len(zero), size):
-        low[zero[block]] = conorm(vs[zero[block]])
-    values = np.maximum(low - radii, 0.0)
-    return [ConormBounds(value, value, True, net, witness=w)
-            for value, w in zip(values, witness)]
+
+def _singleton_witness(v, radius):
+    # v less radius times the outer product of its minimal singular pair,
+    # from one thin SVD: a member of {v} + radius * ball whose co-norm is
+    # the bound (v itself when radius is 0)
+    if radius == 0.0:
+        return v.copy()
+    u, _, vt = np.linalg.svd(v, full_matrices=False)
+    return v - radius * (u[:, -1:] * vt[-1:, :])
 
 
 def _stack_bounds(vertices, radii, net):
-    """``set_conorm_bounds`` of each set co(vertices[i]) + radii[i] * ball
-    of a (P, k, m, n) stack, as a list.
+    """Bounds of each set co(vertices[i]) + radii[i] * ball of a (P, k, m, n)
+    stack, as three arrays: lower, upper and certified.
 
-    The singleton sets (one vertex, or all vertices equal) share one
-    ``_singleton_bounds`` call; every other set gets its own mesh or
-    sampled bound.
+    The singleton sets (one vertex, or all vertices equal) are exact and
+    share one ``_singleton_values`` pass; a one-vertex stack goes there
+    whole, without a copy.  Every other set gets its own mesh or sampled
+    bound.  No witness is built: ``set_conorm_bounds`` builds the one of a
+    single set.
     """
     if not (net > 0):
         raise ValueError("net must be > 0")
+    count = len(vertices)
+    if vertices.shape[1] == 1:
+        lower = _singleton_values(vertices[:, 0], radii)
+        return lower, lower, np.ones(count, dtype=bool)
     single = np.all(vertices == vertices[:, :1], axis=(1, 2, 3))
-    found = iter(_singleton_bounds(vertices[single, 0], radii[single], net))
-    return [next(found) if one else _hull_bounds(v, r, net)
-            for one, v, r in zip(single, vertices, radii)]
+    lower, upper = np.empty(count), np.empty(count)
+    certified = np.ones(count, dtype=bool)
+    lower[single] = upper[single] = _singleton_values(vertices[single, 0],
+                                                      radii[single])
+    for i in np.flatnonzero(~single):
+        lower[i], upper[i], certified[i], _ = _hull_bounds(vertices[i],
+                                                           radii[i], net)
+    return lower, upper, certified
 
 
 def _barycentric_mesh(k, subdivisions):
@@ -139,12 +149,25 @@ def set_conorm_bounds(jset, net=DEFAULT_NET):
     batched singular-value computation per chunk, plus one for diam when
     certifying.  The 1,001-point mesh of a 2-vertex set at the default net
     fits in one chunk for operators of up to 2,095 entries (45 x 45).
+
+    The witness, a member of the set at which the bound is attained, is
+    the minimal singular pair's rank-one perturbation for a singleton
+    (one thin SVD) and the first minimal mesh or sample point otherwise.
     """
-    return _stack_bounds(jset.vertices[None], np.array([jset.radius]), net)[0]
+    vertices, radius = jset.vertices, jset.radius
+    if (vertices == vertices[0]).all():
+        value = _stack_bounds(vertices[:1][None], np.array([radius]), net)[0][0]
+        return ConormBounds(value, value, True, net,
+                            witness=_singleton_witness(vertices[0], radius))
+    lower, upper, certified, witness = _hull_bounds(vertices, radius, net)
+    return ConormBounds(lower, upper, certified, net, witness=witness)
 
 
 def _hull_bounds(vertices, radius, net):
-    # set_conorm_bounds of co(vertices) + radius * ball, vertices not all equal
+    # (lower, upper, certified, witness) of co(vertices) + radius * ball,
+    # vertices not all equal
+    if not (net > 0):
+        raise ValueError("net must be > 0")
     k = len(vertices)
     subdivisions = max(int(np.ceil(1.0 / net)), 1)
     certifiable = (k <= MAX_CERT_VERTICES
@@ -163,11 +186,10 @@ def _hull_bounds(vertices, radius, net):
             best, witness = values[i], combos[i].copy()
     upper = max(best - radius, 0.0)
     if not certifiable:
-        return ConormBounds(0.0, upper, False, net, witness=witness)
+        return 0.0, upper, False, witness
     pairs = np.triu_indices(k, 1)
     diam = float(np.max(spectral_norm(vertices[pairs[0]] - vertices[pairs[1]])))
-    lower = max(best - net * diam - radius, 0.0)
-    return ConormBounds(lower, upper, True, net, witness=witness)
+    return max(best - net * diam - radius, 0.0), upper, True, witness
 
 
 def regularity_index(model, provider, x, radii=None, net=DEFAULT_NET,
@@ -186,43 +208,34 @@ def regularity_index(model, provider, x, radii=None, net=DEFAULT_NET,
     x = as_vector(x)
     rng = np.random.default_rng(rng)
     if use_usc_shortcut:
-        bounds = _point_bounds(model, provider, x[None], net, rng)[0]
+        vertices, set_radii = build_sets(model, x[None], provider, rng=rng)
+        bounds = set_conorm_bounds(
+            PseudoJacobianSet._frozen(vertices[0], set_radii[0]), net)
         regular = bounds.certified and bounds.lower > 10.0 * net
         kind = "certified" if bounds.certified else "sampled"
-        return RegularityReport(_bound_value(bounds), regular, kind,
-                                bounds.witness, 0.0)
+        alpha = bounds.lower if bounds.certified else bounds.upper
+        return RegularityReport(alpha, regular, kind, bounds.witness, 0.0)
 
     if radii is None:
         radii = [r * (1.0 + np.linalg.norm(x)) for r in (1.0, 0.1, 0.01)]
     if not radii:
         raise ValueError("radii must be nonempty")
-    # per radius the first minimal bound over x and its sampled points;
-    # across radii the first maximal one
+    # per radius the first minimal value over x and its sampled points, with
+    # its set; across radii the first maximal one
     per_radius, all_certified = [], True
     for r in radii:
         points = np.vstack([x, _uniform_ball(rng, x, r, SAMPLES_PER_RADIUS)])
-        found = _point_bounds(model, provider, points, net, rng)
-        all_certified = all_certified and all(b.certified for b in found)
-        per_radius.append((min(found, key=_bound_value), r))
-    bounds, r_used = max(per_radius, key=lambda pair: _bound_value(pair[0]))
-    alpha = _bound_value(bounds)
+        vertices, set_radii = build_sets(model, points, provider, rng=rng)
+        lower, upper, certified = _stack_bounds(vertices, set_radii, net)
+        values = np.where(certified, lower, upper)
+        all_certified = all_certified and bool(certified.all())
+        i = int(np.argmin(values))
+        per_radius.append((values[i], r, vertices[i], set_radii[i]))
+    alpha, r_used, chosen, chosen_radius = max(per_radius,
+                                               key=lambda item: item[0])
+    # the witness of the chosen set alone
+    witness = set_conorm_bounds(
+        PseudoJacobianSet._frozen(chosen, chosen_radius), net).witness
     regular = all_certified and alpha > 10.0 * net
     kind = "certified" if all_certified else "sampled"
-    return RegularityReport(max(alpha, 0.0), regular, kind, bounds.witness,
-                            r_used)
-
-
-def _point_bounds(model, provider, points, net, rng):
-    """``set_conorm_bounds`` of the provider's set at each row of points.
-
-    One ``build_sets`` call builds every set, and the singleton sets share
-    one batched bound.  Under upper semicontinuity ``_bound_value`` of each
-    is the regularity index at that point.
-    """
-    return _stack_bounds(*build_sets(model, points, provider, rng=rng), net)
-
-
-def _bound_value(bounds):
-    """The index a bound gives: its certified lower end, else its sampled
-    upper end."""
-    return bounds.lower if bounds.certified else bounds.upper
+    return RegularityReport(max(alpha, 0.0), regular, kind, witness, r_used)

@@ -5,7 +5,10 @@ Catalog identifiers: "identity", "linear:<matrix-file>", "theta-a:<n>:<c>",
 
 ``evaluate`` takes one point; ``evaluate_batch`` takes a (k, dim_in) array
 of points, makes one ``fn_batch`` call (or, for a model without one, one
-``fn`` call per row) and applies ``evaluate``'s checks to every row.
+``fn`` call per row) and applies ``evaluate``'s checks to every row.  The
+derivative oracles ``deriv``, ``smooth_part`` and ``lip_part`` take rows:
+a (P, dim_in) array of points gives P operators or P radii in one call, and
+a single point is the P = 1 case.
 Batched kernels keep each working array under ``MAX_BATCH_ENTRIES`` float
 entries and process larger jobs in the blocks ``_blocks`` cuts.  Every ball
 point comes from one transform, ``_ball_points``, fed by ``_uniform_balls``
@@ -58,13 +61,16 @@ class MapModel:
         Vectorized oracle, (k, dim_in) array -> (k, dim_out) array, row i
         equal to fn of row i.  Purely a fast path for sampling loops.
     deriv : callable, optional
-        Full derivative oracle x -> (m, n) array, valid wherever the map is
-        differentiable (almost everywhere for the catalog maps).
+        Full derivative oracle of rows, (P, dim_in) array -> (P, dim_out,
+        dim_in) array, operator i the derivative at row i; valid wherever
+        the map is differentiable (almost everywhere for the catalog maps).
     smooth_part : callable, optional
-        Derivative oracle of the smooth summand g in a decomposition
-        f = g + h.
+        Derivative oracle of rows, as ``deriv``, of the smooth summand g in
+        a decomposition f = g + h.  A constant g' may be returned as a
+        read-only ``np.broadcast_to`` view, so nothing is copied.
     lip_part : callable, optional
-        (x, r) -> upper bound on the local Lipschitz constant of h on B(x, r).
+        (xs, r) -> (P,) array, entry i an upper bound on the local Lipschitz
+        constant of h on B(xs[i], r), for a (P, dim_in) array xs.
     inverse : callable, optional
         Exact inverse oracle y -> x (closed form; used as a test oracle).
     analytic_beta : callable, optional
@@ -185,33 +191,39 @@ def numeric_jacobian(model, x):
     piecewise smooth, so randomly perturbed probe points are differentiable
     almost surely.
     """
-    x = _check_point(model, x)
-    step = 1e-6 * (1.0 + np.linalg.norm(x))
-    jac = _central_differences(model, x[None, :], step)[0]
-    if not np.all(np.isfinite(jac)):
+    return _numeric_jacobians(model, _check_point(model, x)[None])[0]
+
+
+def _numeric_jacobians(model, xs):
+    # numeric_jacobian at each row of xs, rows already checked; raises
+    # FloatingPointError if any entry is not finite
+    jacs = _central_differences(model, xs, 1e-6 * (1.0 + _row_norms(xs)))
+    if not np.isfinite(jacs).all():
         raise FloatingPointError(f"{model.name}: non-finite finite-difference Jacobian")
-    return jac
+    return jacs
 
 
 def _central_differences(model, zs, step):
     """Central-difference Jacobians at each row of zs, shape (k, m, n).
 
+    step is one step for every row, or an array of k steps, one per row.
     The 2 * n stencil points of each row go to the oracle in two batch
     calls per block of ``_blocks(k, n * max(m, n))`` rows; a model without
     ``fn_batch`` is evaluated row by row through ``fn``.  Points are not
     validated, and non-finite entries are passed through.
     """
     k, n = zs.shape
-    stencil = np.eye(n) * step
     # row j of cols[i] is column j of Jacobian i, as the stencil yields it;
     # the result keeps this layout, since a matmul can round differently on
     # the other one
     cols = np.empty((k, n, model.dim_out))
     for block in _blocks(k, n * max(n, model.dim_out)):
         z = zs[block]
+        h = step[block, None, None] if isinstance(step, np.ndarray) else step
+        stencil = np.eye(n) * h
         fp = _oracle_rows(model, (z[:, None, :] + stencil).reshape(-1, n))
         fm = _oracle_rows(model, (z[:, None, :] - stencil).reshape(-1, n))
-        np.divide((fp - fm).reshape(len(z), n, -1), 2.0 * step, out=cols[block])
+        np.divide((fp - fm).reshape(len(z), n, -1), 2.0 * h, out=cols[block])
     return cols.transpose(0, 2, 1)
 
 
@@ -275,7 +287,11 @@ def _ball_points(center, radius, normals, uniforms):
     """
     norms = np.linalg.norm(normals, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
-    return center + normals / norms * (radius * uniforms ** (1.0 / normals.shape[1]))
+    # in place: one array of the points' size, whatever the count
+    points = normals / norms
+    points *= radius * uniforms ** (1.0 / normals.shape[1])
+    points += center
+    return points
 
 
 def _uniform_ball(rng, center, radius, count):
@@ -351,30 +367,34 @@ def theta_map(kind, n, c=None):
         ys[:, :-1] += theta(np.abs(xs[:, 1:]), c)
         return ys
 
-    def deriv(x):
-        jac = np.eye(n)
-        s = x[1:]
-        jac[np.arange(n - 1), np.arange(1, n)] = dtheta(np.abs(s), c) * np.sign(s)
-        return jac
+    eye = np.eye(n)
 
-    def smooth_part(x):
-        return np.eye(n)
+    def deriv(xs):
+        # the identity plus theta'(|x_{i+1}|) * sign(x_{i+1}) at (i, i + 1)
+        jac = np.zeros((len(xs), n * n))
+        jac[:, ::n + 1] = 1.0
+        s = xs[:, 1:]
+        jac[:, 1::n + 1] = dtheta(np.abs(s), c) * np.sign(s)
+        return jac.reshape(-1, n, n)
+
+    def smooth_part(xs):
+        return np.broadcast_to(eye, (len(xs), n, n))
 
     if kind == "a":
-        lip_part = lambda x, r: abs(c)
+        lip_part = lambda xs, r: np.full(len(xs), abs(c))
         analytic_beta = lambda t: max(1.0 - abs(c), 0.0)
         divergent = abs(c) < 1.0
         name = f"theta-a:{n}:{c:g}"
     elif kind == "b":
-        lip_part = lambda x, r: 1.0
+        lip_part = lambda xs, r: np.ones(len(xs))
         analytic_beta = lambda t: 0.0
         divergent = False
         name = f"theta-b:{n}"
     else:
         # h is s/(1+s)-Lipschitz on the ball of radius s; bound at B(x, r)
         # via s = ||x|| + r since theta' is increasing.
-        def lip_part(x, r):
-            s = np.linalg.norm(x) + r
+        def lip_part(xs, r):
+            s = _row_norms(xs) + r
             return s / (1.0 + s)
 
         analytic_beta = lambda t: 1.0 / (1.0 + t)
@@ -393,10 +413,11 @@ def identity_map(n=3):
     if n < 1:
         raise ValueError(f"identity map dimension must be >= 1, got {n}")
     eye = np.eye(n)
+    deriv = lambda xs: np.broadcast_to(eye, (len(xs), n, n))
     return MapModel(
         "identity", n, n, lambda x: x.copy(), fn_batch=lambda xs: xs.copy(),
-        deriv=lambda x: eye.copy(), smooth_part=lambda x: eye.copy(),
-        lip_part=lambda x, r: 0.0, inverse=lambda y: y.copy(),
+        deriv=deriv, smooth_part=deriv,
+        lip_part=lambda xs, r: np.zeros(len(xs)), inverse=lambda y: y.copy(),
         analytic_beta=lambda t: 1.0, beta_divergent=True,
     )
 
@@ -411,20 +432,21 @@ def linear_map(a, name=None):
         sigma_min = conorm(a)
     else:
         sigma_min = 0.0
+    deriv = lambda xs: np.broadcast_to(a, (len(xs), m, n))
     return MapModel(
         name or "linear", n, m, lambda x: a @ x, fn_batch=lambda xs: xs @ a.T,
-        deriv=lambda x: a.copy(), smooth_part=lambda x: a.copy(),
-        lip_part=lambda x, r: 0.0, inverse=inverse,
+        deriv=deriv, smooth_part=deriv,
+        lip_part=lambda xs, r: np.zeros(len(xs)), inverse=inverse,
         analytic_beta=lambda t: sigma_min, beta_divergent=sigma_min > 0,
     )
 
 
 def exp1d_map():
+    deriv = lambda xs: np.exp(xs).reshape(-1, 1, 1)
     return MapModel(
         "exp1d", 1, 1, lambda x: np.exp(x), fn_batch=np.exp,
-        deriv=lambda x: np.exp(x).reshape(1, 1),
-        smooth_part=lambda x: np.exp(x).reshape(1, 1),
-        lip_part=lambda x, r: 0.0,
+        deriv=deriv, smooth_part=deriv,
+        lip_part=lambda xs, r: np.zeros(len(xs)),
         domain_halfwidth=700.0,
     )
 
@@ -437,11 +459,14 @@ def complexsq_map():
         return np.column_stack([xs[:, 0] ** 2 - xs[:, 1] ** 2,
                                 2.0 * xs[:, 0] * xs[:, 1]])
 
-    def deriv(x):
-        return np.array([[2.0 * x[0], -2.0 * x[1]], [2.0 * x[1], 2.0 * x[0]]])
+    def deriv(xs):
+        # [[2 x_0, -2 x_1], [2 x_1, 2 x_0]] at each row
+        a, b = 2.0 * xs[:, 0], 2.0 * xs[:, 1]
+        return np.stack([a, -b, b, a], axis=1).reshape(-1, 2, 2)
 
     return MapModel("complexsq", 2, 2, fn, fn_batch=fn_batch, deriv=deriv,
-                    smooth_part=deriv, lip_part=lambda x, r: 0.0)
+                    smooth_part=deriv,
+                    lip_part=lambda xs, r: np.zeros(len(xs)))
 
 
 def abs_shift_map(c=0.5):
@@ -452,11 +477,12 @@ def abs_shift_map(c=0.5):
     def inverse(y):
         return np.where(y >= 0, y / (1.0 + c), y / (1.0 - c))
 
+    eye = np.eye(1)
     return MapModel(
         "abs-shift", 1, 1, fn, fn_batch=fn,
-        deriv=lambda x: np.array([[1.0 + c * np.sign(x[0])]]),
-        smooth_part=lambda x: np.eye(1),
-        lip_part=lambda x, r: c,
+        deriv=lambda xs: (1.0 + c * np.sign(xs)).reshape(-1, 1, 1),
+        smooth_part=lambda xs: np.broadcast_to(eye, (len(xs), 1, 1)),
+        lip_part=lambda xs, r: np.full(len(xs), c),
         inverse=inverse,
         analytic_beta=lambda t: 1.0 - c, beta_divergent=c < 1.0,
     )

@@ -62,8 +62,9 @@ def chain_rule_check(model_f, model_g, provider_f, x, trials=1000, tol=1e-3,
                      rng=None, t0=1e-3):
     """Validity of the composed set g'(f(x)) o Jf(x) for g o f at x.
 
-    The outer map must expose a derivative oracle.  Returns the
-    validity-check pass rate of the composed map against the composed set.
+    The outer map must expose a derivative oracle, which is called on the
+    one row f(x).  Returns the validity-check pass rate of the composed map
+    against the composed set.
     """
     if model_f.dim_out != model_g.dim_in:
         raise ValueError("composition dimensions are incompatible")
@@ -73,7 +74,7 @@ def chain_rule_check(model_f, model_g, provider_f, x, trials=1000, tol=1e-3,
     rng = np.random.default_rng(rng)
     fx = evaluate(model_f, x)
     inner = build_set(model_f, x, provider_f, rng=rng)
-    composed_set = compose_with_smooth_outer(model_g.deriv(fx), inner)
+    composed_set = compose_with_smooth_outer(model_g.deriv(fx[None])[0], inner)
     composed_map = MapModel(
         f"{model_g.name}.{model_f.name}", model_f.dim_in, model_g.dim_out,
         lambda z: evaluate(model_g, evaluate(model_f, z)),

@@ -7,9 +7,11 @@ support function of such a set is closed-form.
 
 ``build_sets`` builds the sets of P points as one read-only (P, k, m, n)
 vertex stack and P radii; it is the one construction path, and
-``build_set`` is its one-row case.  Derivative oracles run row by row, the
-Clarke provider sends all P * m sample points to the map oracle at once,
-and the Lipschitz ball samples each point on its own.
+``build_set`` is its one-row case.  The derivative oracles take rows: each
+is called once per ``_blocks`` block of the P points, not once per point,
+and a constant derivative may come back as a broadcast view that the stack
+keeps uncopied.  The Clarke provider sends all P * m sample points to the
+map oracle at once, and the Lipschitz ball samples each point on its own.
 
 ``support_function`` accepts one pair (ystar, v) or stacks ystar (..., m)
 and v (..., n) with one common leading shape, and evaluates all pairs with
@@ -22,8 +24,8 @@ import numpy as np
 
 from .linalg import _row_norms, as_vector
 from .maps import (DomainError, _blocks, _central_differences, _check_rows,
-                   _row_error, _uniform_balls, _unit_rows, evaluate,
-                   evaluate_batch, local_lipschitz_estimate, numeric_jacobian)
+                   _numeric_jacobians, _row_error, _uniform_balls, _unit_rows,
+                   evaluate, evaluate_batch, local_lipschitz_estimate)
 
 __all__ = [
     "PseudoJacobianSet",
@@ -191,32 +193,42 @@ def build_set(model, x, spec, rng=None):
     return PseudoJacobianSet._frozen(vertices[0], radii[0])
 
 
-def _singletons(mats, model):
-    # (P, 1, m, n) stack of P operators, each m x n
+def _in_blocks(model, oracle, xs):
+    # a row oracle at the rows of xs, one call per block of _blocks(P, m * n)
+    # (one call with no rows for P = 0)
+    blocks = _blocks(len(xs), model.dim_out * model.dim_in) or [slice(0, 0)]
+    parts = [np.asarray(oracle(xs[block]), dtype=float) for block in blocks]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _singletons(model, mats):
+    # (P, 1, m, n) stack of P operators, each m x n; a view of mats
     shape = (len(mats), model.dim_out, model.dim_in)
-    vertices = np.array(mats, dtype=float) if mats else np.empty(shape)
-    if vertices.shape != shape:
+    if mats.shape != shape:
         raise ValueError(f"{model.name}: expected {shape[1]} x {shape[2]} "
-                         f"operators, got shape {vertices.shape[1:]}")
-    return vertices[:, None]
+                         f"operators, got shape {mats.shape[1:]}")
+    return mats[:, None]
 
 
 def _exact_rows(model, xs):
     if model.deriv is not None:
-        jacs = [model.deriv(x) for x in xs]
+        jacs = _in_blocks(model, model.deriv, xs)
     else:
-        jacs = [numeric_jacobian(model, x) for x in xs]
-    return _singletons(jacs, model), np.zeros(len(xs))
+        jacs = _numeric_jacobians(model, xs)
+    return _singletons(model, jacs), np.zeros(len(xs))
 
 
 def _sum_rows(model, xs, spec):
     if model.smooth_part is None or model.lip_part is None:
         raise ValueError(f"{model.name}: sum provider needs smooth_part and lip_part")
-    jacs = [model.smooth_part(x) for x in xs]
-    radii = [float(model.lip_part(x, spec.lip_radius)) for x in xs]
-    if not all(r >= 0.0 for r in radii):
+    jacs = _in_blocks(model, model.smooth_part, xs)
+    radii = _in_blocks(model, lambda z: model.lip_part(z, spec.lip_radius), xs)
+    if radii.shape != (len(xs),):
+        raise ValueError(f"{model.name}: expected {len(xs)} radii, got shape "
+                         f"{radii.shape}")
+    if not (radii >= 0.0).all():
         raise ValueError("radius must be >= 0")
-    return _singletons(jacs, model), np.array(radii)
+    return _singletons(model, jacs), radii
 
 
 def _clarke_rows(model, xs, spec, rng):

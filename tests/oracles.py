@@ -17,6 +17,11 @@ draws are checked against it to the bit.
 ``loop_build_set`` is the per-point set constructors the package used
 before ``build_sets``, written out as they were; a stack must equal these
 one point at a time, to the bit.
+``loop_beta_profile`` computes a sampled Hadamard profile one set at a
+time: ``loop_build_set`` at each probe point in generator order, then
+``set_conorm_bounds``; the batched profile must equal it to the bit.
+``theta_jacobian`` and ``complexsq_jacobian`` write the catalog's
+derivatives out entry by entry.
 ``reference_format_record`` is the report serialiser the CLI used before
 it dispatched on the value's type, written out as it was; the CLI's
 reports must equal it to the byte.
@@ -26,6 +31,7 @@ import json
 
 import numpy as np
 
+from pjinv.indices import set_conorm_bounds
 from pjinv.linalg import as_vector
 from pjinv.maps import (DomainError, _check_point, _oracle_rows, _uniform_ball,
                         evaluate, local_lipschitz_estimate, numeric_jacobian)
@@ -221,15 +227,17 @@ def inline_ball_points(rng, center, radius, count):
 def loop_build_set(model, x, spec, rng=None):
     """The provider's set at one point, as the per-point constructors built it.
 
-    exact: the checked point, then ``deriv`` or a central-difference
-    Jacobian; ball: a sampled Lipschitz estimate around the unchecked point;
-    sum: the decomposition check, the checked point, then ``smooth_part``
-    and ``lip_part``; clarke: spec.m ball points and their Jacobians, the
-    non-finite ones redrawn together right away, at most MAX_REDRAWS times.
+    exact: the checked point, then ``deriv`` on that one row or a
+    central-difference Jacobian; ball: a sampled Lipschitz estimate around
+    the unchecked point; sum: the decomposition check, the checked point,
+    then ``smooth_part`` and ``lip_part`` on that one row; clarke: spec.m
+    ball points and their Jacobians, the non-finite ones redrawn together
+    right away, at most MAX_REDRAWS times.
     """
     if spec.kind == "exact":
         x = _check_point(model, x)
-        jac = model.deriv(x) if model.deriv is not None else numeric_jacobian(model, x)
+        jac = model.deriv(x[None])[0] if model.deriv is not None \
+            else numeric_jacobian(model, x)
         return PseudoJacobianSet([jac], 0.0)
     if spec.kind == "ball":
         lip = local_lipschitz_estimate(model, x, spec.lip_radius,
@@ -239,8 +247,8 @@ def loop_build_set(model, x, spec, rng=None):
         if model.smooth_part is None or model.lip_part is None:
             raise ValueError(f"{model.name}: sum provider needs smooth_part and lip_part")
         x = _check_point(model, x)
-        return PseudoJacobianSet([model.smooth_part(x)],
-                                 float(model.lip_part(x, spec.lip_radius)))
+        radius = model.lip_part(x[None], spec.lip_radius)[0]
+        return PseudoJacobianSet([model.smooth_part(x[None])[0]], float(radius))
     x = _check_point(model, x)
     rng = np.random.default_rng(rng)
     step = spec.delta * 1e-4
@@ -273,6 +281,52 @@ def loop_central_differences(model, zs, step):
     fp = _oracle_rows(model, plus)
     fm = _oracle_rows(model, minus)
     return (fp - fm).reshape(k, n, -1).transpose(0, 2, 1) / (2.0 * step)
+
+
+def loop_beta_profile(model, spec, center, t_max, grid_n, count, rng=None):
+    """The sampled profile's beta values before the running minimum.
+
+    The center, then for each grid shell j its count points from one draw
+    of default_rng(j) (direction and radial uniform, as the profile draws
+    them); at each point in that order the set of ``loop_build_set``, from
+    one generator, and the index its ``set_conorm_bounds`` gives.  Returns
+    the grid and the minimum over each shell.
+    """
+    rng = np.random.default_rng(rng)
+    grid = np.linspace(0.0, t_max, grid_n)
+    n = center.size
+
+    def index(x):
+        bounds = set_conorm_bounds(loop_build_set(model, x, spec, rng=rng))
+        return bounds.lower if bounds.certified else bounds.upper
+
+    beta = [index(center)]
+    for j in range(1, grid_n):
+        g = np.random.default_rng(j).standard_normal((count, n + 2))
+        radial = np.exp(-(g[:, n:n + 1] ** 2 + g[:, n + 1:] ** 2) / 2.0)
+        unit = g[:, :n] / np.linalg.norm(g[:, :n], axis=1, keepdims=True)
+        points = center + unit * (grid[j] * radial ** (1.0 / n))
+        beta.append(min(index(x) for x in points))
+    return grid, np.array(beta)
+
+
+def theta_jacobian(kind, x, c=None):
+    """Jacobian of theta_map(kind, x.size, c) at x, entry by entry: ones on
+    the diagonal and theta'(|x_{i+1}|) * sign(x_{i+1}) at (i, i + 1), with
+    theta' = c, 1 or t / (1 + t) for kinds "a", "b" and "c"."""
+    n = x.size
+    jac = np.eye(n)
+    for i in range(n - 1):
+        t = abs(x[i + 1])
+        slope = {"a": c, "b": 1.0, "c": t / (1.0 + t)}[kind]
+        jac[i, i + 1] = slope * np.sign(x[i + 1])
+    return jac
+
+
+def complexsq_jacobian(x):
+    """Jacobian of z -> z^2 on R^2 = C at x: [[2a, -2b], [2b, 2a]]."""
+    a, b = x
+    return np.array([[2.0 * a, -2.0 * b], [2.0 * b, 2.0 * a]])
 
 
 def counting(model):

@@ -97,7 +97,7 @@ def test_04_optimality_suite(capsys):
     a = np.array([1.0, -2.0])
     sqdist = MapModel("sqdist", 2, 1,
                       lambda x: np.array([np.sum((x - a) ** 2)]),
-                      deriv=lambda x: (2.0 * (x - a)).reshape(1, -1))
+                      deriv=lambda xs: (2.0 * (xs - a))[:, None])
     pw = MapModel(
         "pwquad", 1, 1,
         lambda x: np.where(x >= 0, x ** 2, 2.0 * x ** 2),

@@ -5,7 +5,9 @@ point by point with one generator: the same vertices, radii and final
 generator state, bit for bit, and the same exception type for a batch
 with a bad row.  Its stacked co-norm bound must equal the one-set bound,
 and both must keep their results when ``MAX_BATCH_ENTRIES`` cuts them into
-blocks.  The call-count tests pin the batching itself.
+blocks.  The sampled Hadamard profile must equal ``loop_beta_profile``,
+one set at a time, to the bit.  The call-count tests pin the batching
+itself.
 """
 
 import numpy as np
@@ -13,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pjinv.hadamard
 import pjinv.maps
-from oracles import counting, inline_ball_points, loop_build_set
-from pjinv.hadamard import beta_profile
+from oracles import (counting, inline_ball_points, loop_beta_profile,
+                     loop_build_set)
+from pjinv.hadamard import BetaProfile, beta_profile
 from pjinv.indices import _stack_bounds, set_conorm_bounds
 from pjinv.maps import (MapModel, _blocks, _central_differences, abs_shift_map,
                         complexsq_map, exp1d_map, identity_map, linear_map,
@@ -147,11 +151,9 @@ def mixed_stack():
 
 
 def assert_same_bounds(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert (g.lower, g.upper, g.certified, g.net_resolution) == \
-            (w.lower, w.upper, w.certified, w.net_resolution)
-        np.testing.assert_array_equal(g.witness, w.witness)
+    # two (lower, upper, certified) triples of arrays, bit for bit
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_array_equal(g, w, strict=True)
 
 
 @pytest.mark.parametrize("stack", [singleton_stack, mixed_stack])
@@ -159,7 +161,9 @@ def test_stacked_bound_equals_the_one_set_bound(stack):
     vertices, radii = stack()
     one_by_one = [set_conorm_bounds(PseudoJacobianSet(v, r))
                   for v, r in zip(vertices, radii)]
-    assert_same_bounds(_stack_bounds(vertices, radii, 1e-3), one_by_one)
+    want = tuple(np.array([getattr(b, name) for b in one_by_one])
+                 for name in ("lower", "upper", "certified"))
+    assert_same_bounds(_stack_bounds(vertices, radii, 1e-3), want)
 
 
 @pytest.mark.parametrize("budget", [9, 4 * 9, 5 * 3 * 3])
@@ -222,19 +226,67 @@ def test_clarke_redraws_follow_the_documented_stream():
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_profile_takes_one_svd_per_shell(monkeypatch):
-    calls = []
-    svd = np.linalg.svd
+def test_profile_takes_one_build_and_one_svd_per_block():
+    # theta-a:10 with sum: 1 + 5 x 7 = 36 singleton sets of 10 x 10 entries,
+    # in one block, then in blocks of 8 points that cut shells 3, 4 and 5
+    for per_block, sizes in ((None, [36]), (8, [8, 8, 8, 8, 4])):
+        builds, svds = [], []
+        build, svd = pjinv.hadamard.build_sets, np.linalg.svd
 
-    def counting_svd(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+        def counting_build(model, points, *args, **kwargs):
+            builds.append(len(points))
+            return build(model, points, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    profile = beta_profile(theta_map("a", 10, 0.5), parse_provider("sum"),
-                           np.zeros(10), 2.0, grid_n=6, samples_per_shell=7)
-    np.testing.assert_allclose(profile.beta, 0.5, rtol=0.0, atol=1e-12)
-    assert calls == [(1, 10, 10)] + [(7, 10, 10)] * 5
+        def counting_svd(a, *args, **kwargs):
+            svds.append((np.shape(a), kwargs.get("compute_uv", True)))
+            return svd(a, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            if per_block is not None:
+                mp.setattr(pjinv.maps, "MAX_BATCH_ENTRIES", per_block * 100)
+            mp.setattr(pjinv.hadamard, "build_sets", counting_build)
+            mp.setattr(np.linalg, "svd", counting_svd)
+            profile = beta_profile(theta_map("a", 10, 0.5),
+                                   parse_provider("sum"), np.zeros(10), 2.0,
+                                   grid_n=6, samples_per_shell=7)
+        np.testing.assert_allclose(profile.beta, 0.5, rtol=0.0, atol=1e-12)
+        assert builds == sizes
+        # singular values only, one call per block, and no singular vectors
+        assert svds == [((size, 10, 10), False) for size in sizes]
+
+
+@pytest.mark.parametrize("provider",
+                         ["sum", "exact", "clarke:delta=1e-3,m=2,eps=0"])
+@pytest.mark.parametrize("model", CATALOG + [theta_map("c", 1)],
+                         ids=lambda model: model.name)
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(seed=st.integers(0, 2**32 - 1), grid_n=st.integers(2, 4),
+       count=st.integers(1, 3))
+def test_profile_equals_the_one_set_loop(model, provider, seed, grid_n, count):
+    # a random center and radius; the batched profile in one block, then in
+    # blocks of 2 points, which cut every shell of 2 or 3 points
+    spec = parse_provider(provider)
+    draws = np.random.default_rng(seed)
+    center = draws.uniform(-2.0, 2.0, model.dim_in)
+    t_max = draws.uniform(0.1, 3.0)
+    loop_rng = np.random.default_rng(seed)
+    grid, beta = loop_beta_profile(model, spec, center, t_max, grid_n, count,
+                                   rng=loop_rng)
+    want = BetaProfile(grid, beta, "sampled")
+    k = spec.m if spec.kind == "clarke" else 1
+    for per_block in (None, 2):
+        stack_rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            if per_block is not None:
+                mp.setattr(pjinv.maps, "MAX_BATCH_ENTRIES",
+                           per_block * k * model.dim_out * model.dim_in)
+            got = beta_profile(model, spec, center, t_max, grid_n=grid_n,
+                               samples_per_shell=count, rng=stack_rng)
+        np.testing.assert_array_equal(got.grid, want.grid)
+        np.testing.assert_array_equal(got.beta, want.beta)
+        np.testing.assert_array_equal(got.rho, want.rho)
+        np.testing.assert_array_equal(got.rho_lower, want.rho_lower)
+        assert stack_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("budget", [None, 2 * 2 * 1000])

@@ -197,6 +197,7 @@ class TestCertify:
         assert rec["verdict"] == "regular-certified"
         assert rec["hadamard"] == "diverges_analytic"
         assert rec["rho_at_tmax"] == pytest.approx(np.log(3.0), abs=1e-6)
+        assert rec["rho_lower_at_tmax"] <= np.log(3.0) <= rec["rho_at_tmax"]
 
     def test_determinism_and_csv(self, tmp_path, capsys):
         args = ["certify", "--map", "theta-a:5:0.5", "--provider", "sum",
@@ -283,7 +284,9 @@ class TestBallCheckAndProfile:
                            "--provider", "sum", "--analytic-beta",
                            "--grid-n", "33", "--csv", str(csv))
         assert code == 0
-        assert json.loads(out)["mode"] == "analytic"
+        rec = json.loads(out)
+        assert rec["mode"] == "analytic"
+        assert rec["rho_lower_at_tmax"] <= np.log(3.0) <= rec["rho_at_tmax"]
         data = np.loadtxt(csv, delimiter=",", skiprows=1)
         assert data.shape == (33, 3)
 

@@ -34,7 +34,28 @@ class TestBetaProfileType:
         assert np.all(np.diff(p.rho) >= 0)
 
 
+    def test_rho_lower_is_right_endpoint_sum(self):
+        grid = np.linspace(0.0, 2.0, 9)
+        beta = 1.0 / (1.0 + grid)
+        p = BetaProfile(grid, beta, "analytic")
+        oracle = np.concatenate([[0.0], np.cumsum(np.diff(grid) * beta[1:])])
+        np.testing.assert_array_equal(p.rho_lower, oracle)
+
+
 class TestBetaProfileConstruction:
+    @pytest.mark.parametrize("grid_n", [2, 9, 65, 4097])
+    def test_theta_c_rho_brackets_the_integral(self, grid_n):
+        # beta = 1/(1+t) is decreasing and convex: the right-endpoint sum
+        # under-estimates its integral ln(1+t), the trapezoid over-estimates it
+        m = theta_map("c", 4)
+        p = beta_profile(m, SUM, np.zeros(4), 3.0, grid_n=grid_n,
+                         analytic_beta=m.analytic_beta)
+        exact = np.log1p(p.grid)
+        assert np.all(p.rho_lower <= exact)
+        assert np.all(exact <= p.rho)
+        assert p.rho_lower[-1] < p.rho[-1]
+
+
     def test_theta_c_analytic_integral(self):
         m = theta_map("c", 4)
         p = beta_profile(m, SUM, np.zeros(4), 2.0, grid_n=4097,

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import dini_derivatives
+from oracles import complexsq_jacobian, dini_derivatives, theta_jacobian
+from pjinv.indices import _stack_bounds, set_conorm_bounds
 from pjinv.maps import (DomainError, MapModel, abs_shift_map, catalog_ids,
-                        evaluate, evaluate_batch, exp1d_map, identity_map,
-                        linear_map, local_lipschitz_estimate, make_map,
-                        numeric_jacobian, theta_back_substitute, theta_map)
+                        complexsq_map, evaluate, evaluate_batch, exp1d_map,
+                        identity_map, linear_map, local_lipschitz_estimate,
+                        make_map, numeric_jacobian, theta_back_substitute,
+                        theta_map)
+from pjinv.pseudojac import PseudoJacobianSet, build_sets, parse_provider
 
 
 class TestEvaluate:
@@ -151,7 +156,7 @@ class TestNumericJacobian:
         for m in (theta_map("c", 4), linear_map(rng.standard_normal((3, 3)))):
             for _ in range(10):
                 x = rng.uniform(0.1, 2.0, m.dim_in)
-                assert np.allclose(numeric_jacobian(m, x), m.deriv(x),
+                assert np.allclose(numeric_jacobian(m, x), m.deriv(x[None])[0],
                                    atol=1e-6)
 
     def test_nonfinite_raises(self):
@@ -159,6 +164,55 @@ class TestNumericJacobian:
                        lambda x: np.array([np.inf if x[0] > 0 else 0.0]))
         with pytest.raises(FloatingPointError):
             numeric_jacobian(bad, np.zeros(1))
+
+
+# catalog maps, each with its Jacobian in closed form where one is written
+# out in tests/oracles.py
+ROW_MAPS = [
+    (theta_map("a", 4, 0.5), lambda x: theta_jacobian("a", x, 0.5)),
+    (theta_map("a", 3, -1.5), lambda x: theta_jacobian("a", x, -1.5)),
+    (theta_map("b", 3), lambda x: theta_jacobian("b", x)),
+    (theta_map("c", 5), lambda x: theta_jacobian("c", x)),
+    (theta_map("c", 1), lambda x: theta_jacobian("c", x)),
+    (complexsq_map(), complexsq_jacobian),
+    (identity_map(2), None),
+    (linear_map(np.array([[2.0, 1.0, 0.5], [0.0, 3.0, -1.0]])), None),
+    (abs_shift_map(), None),
+    (exp1d_map(), None),
+]
+
+
+@pytest.mark.parametrize("model, closed_form", ROW_MAPS,
+                         ids=[model.name for model, _ in ROW_MAPS])
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(count=st.integers(0, 7), seed=st.integers(0, 2**32 - 1),
+       zeroed=st.sampled_from([0.0, 0.5]), r=st.sampled_from([0.0, 1e-2, 2.0]))
+def test_row_oracles_equal_one_row_calls(model, closed_form, count, seed,
+                                         zeroed, r):
+    # points in [-3, 3]^n, some coordinates zeroed onto the kinks
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-3.0, 3.0, (count, model.dim_in))
+    xs[rng.uniform(size=xs.shape) < zeroed] = 0.0
+    shape = (count, model.dim_out, model.dim_in)
+    for oracle in (model.deriv, model.smooth_part):
+        rows = oracle(xs)
+        assert rows.shape == shape
+        for x, row in zip(xs, rows):
+            np.testing.assert_array_equal(oracle(x[None])[0], row, strict=True)
+    radii = model.lip_part(xs, r)
+    assert radii.shape == (count,)
+    for x, radius in zip(xs, radii):
+        assert model.lip_part(x[None], r)[0] == radius
+    if closed_form is not None:
+        for x, jac in zip(xs, model.deriv(xs)):
+            np.testing.assert_array_equal(jac, closed_form(x))
+    # the stacked bound of the sum sets equals each set's own bound
+    vertices, set_radii = build_sets(model, xs, parse_provider("sum"))
+    lower, upper, certified = _stack_bounds(vertices, set_radii, 1e-3)
+    for i in range(count):
+        bounds = set_conorm_bounds(PseudoJacobianSet(vertices[i], set_radii[i]))
+        assert (bounds.lower, bounds.upper, bounds.certified) == \
+            (lower[i], upper[i], certified[i])
 
 
 class TestLocalLipschitz:

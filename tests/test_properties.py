@@ -64,7 +64,7 @@ class TestOptimality:
         a = np.array([1.0, -2.0])
         m = MapModel("sqdist", 2, 1,
                      lambda x: np.array([np.sum((x - a) ** 2)]),
-                     deriv=lambda x: (2.0 * (x - a)).reshape(1, -1))
+                     deriv=lambda xs: (2.0 * (xs - a))[:, None])
         dist, ok = optimality_check(m, EXACT, a)
         assert ok
         assert dist <= 1e-12
@@ -90,7 +90,7 @@ class TestChainRule:
     def test_squared_norm_outer_annihilates_abs(self):
         f = abs1d()
         g = MapModel("sqnorm", 1, 1, lambda y: y ** 2,
-                     deriv=lambda y: (2.0 * y).reshape(1, 1))
+                     deriv=lambda ys: (2.0 * ys)[:, None])
         rate = chain_rule_check(f, g, CLARKE, np.zeros(1), trials=200, rng=1)
         assert rate == 1.0
 
@@ -99,8 +99,8 @@ class TestChainRule:
         y0 = f(np.zeros(3)) + np.array([1.0, 1.0, 1.0])
         g = MapModel("dist-to-point", 3, 1,
                      lambda y: np.array([np.linalg.norm(y - y0)]),
-                     deriv=lambda y: ((y - y0)
-                                      / np.linalg.norm(y - y0)).reshape(1, -1))
+                     deriv=lambda ys: ((ys - y0) / np.linalg.norm(
+                         ys - y0, axis=1, keepdims=True))[:, None])
         rate = chain_rule_check(f, g, parse_provider("sum"), np.zeros(3),
                                 trials=300, rng=2)
         assert rate == 1.0
@@ -109,7 +109,7 @@ class TestChainRule:
         f = theta_map("a", 3, 0.5)
         eye = np.eye(3)
         g = MapModel("id-outer", 3, 3, lambda y: y.copy(),
-                     deriv=lambda y: eye.copy())
+                     deriv=lambda ys: np.broadcast_to(eye, (len(ys), 3, 3)))
         x = np.array([0.4, -0.2, 0.9])
         rate_chain = chain_rule_check(f, g, parse_provider("sum"), x,
                                       trials=250, rng=7)

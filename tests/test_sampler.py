@@ -16,7 +16,6 @@ import pjinv.hadamard
 import pjinv.maps
 from oracles import counting, inline_ball_points
 from pjinv.hadamard import beta_profile
-from pjinv.indices import ConormBounds
 from pjinv.invert import inverse_lipschitz_probe
 from pjinv.maps import (_blocks, _central_differences, _uniform_ball,
                         abs_shift_map, complexsq_map, exp1d_map, linear_map,
@@ -76,20 +75,22 @@ def test_profile_shell_points_come_from_their_own_generator(n, center):
     grid = np.linspace(0.0, 1.5, 5)
 
     def shells(count, seed):
-        # the points the profile hands to _point_bounds, shell by shell
+        # the points the profile hands to build_sets, split shell by shell
         seen = []
+        build = pjinv.hadamard.build_sets
 
-        def record(model, provider, points, net, rng):
+        def record(model, points, *args, **kwargs):
             seen.append(np.array(points))
-            return [ConormBounds(1.0, 1.0, True, net)] * len(points)
+            return build(model, points, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pjinv.hadamard, "_point_bounds", record)
+            mp.setattr(pjinv.hadamard, "build_sets", record)
             beta_profile(theta_map("c", n), parse_provider("sum"), center,
                          1.5, grid_n=5, samples_per_shell=count, rng=seed)
-        np.testing.assert_array_equal(seen[0], center[None])
-        assert len(seen) == 5
-        return seen[1:]
+        points = np.concatenate(seen)
+        np.testing.assert_array_equal(points[:1], center[None])
+        assert len(points) == 1 + 4 * count
+        return points[1:].reshape(4, count, n)
 
     few, many, other_seed = shells(7, 0), shells(20, 0), shells(20, 1)
     slack = np.sqrt(n) * np.spacing(np.abs(center).max() + grid[-1])
