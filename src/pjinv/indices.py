@@ -5,6 +5,20 @@ spectral norm: covering the vertex simplex with a barycentric mesh of size
 ``net`` bounds the co-norm over the whole hull from below by the mesh
 minimum minus net * diam(vertices).
 
+The mesh minimum is found in two levels.  Moving the weights from w' to w
+moves the combination by sum_i (w_i - w'_i) V_i, and since those
+differences sum to 0 its norm is at most ||w - w'||_1 * diam / 2.  So the
+co-norms of a coarse sub-mesh (every s-th count, s = isqrt(subdivisions))
+bound every other row from below through the corners of its coarse cell.
+Only the rows whose bound, less a rounding margin of 1e-9 * (1 + the
+largest vertex Frobenius norm), does not clear the coarse minimum are
+decomposed.  The margin exceeds what einsum and LAPACK can round, so a
+skipped row would have computed strictly above the mesh minimum, and a
+row's value does not depend on the rows decomposed with it: the bound, the
+upper bound and the witness (the first minimal row in mesh order) are
+those of the full mesh to the bit.  The margin only decides how many rows
+are decomposed.
+
 ``_stack_bounds`` bounds every set of a (P, k, m, n) stack in one pass that
 returns values only: arrays of lower and upper bounds and certified flags.
 Singleton sets take their co-norms from singular values alone, one
@@ -13,6 +27,7 @@ names: ``set_conorm_bounds`` of that one set, and the set that
 ``regularity_index`` chooses.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -115,8 +130,8 @@ def _stack_bounds(vertices, radii, net):
     return lower, upper, certified
 
 
-def _barycentric_mesh(k, subdivisions):
-    """Weights c / subdivisions over all c in N^k with sum(c) = subdivisions.
+def _compositions(k, subdivisions):
+    """All c in N^k with sum(c) = subdivisions, as an int array.
 
     These are the stars-and-bars compositions, math.comb(subdivisions + k - 1,
     k - 1) rows in lexicographic order of c, built one coordinate at a time.
@@ -129,7 +144,68 @@ def _barycentric_mesh(k, subdivisions):
         first = np.arange(rows.size) - np.repeat(np.cumsum(reps) - reps, reps)
         counts = np.column_stack([counts[rows], first])
         left = left[rows] - first
-    return np.column_stack([counts, left]) / subdivisions
+    return np.column_stack([counts, left])
+
+
+@functools.lru_cache(maxsize=8)
+def _mesh(k, subdivisions):
+    """The barycentric mesh of a k-vertex hull with its coarse index.
+
+    Returns four read-only arrays, built once per (k, subdivisions):
+
+    - ``weights`` (rows, k): c / subdivisions for every composition c;
+    - ``coarse``: the rows whose first k - 1 counts are multiples of
+      s = isqrt(subdivisions);
+    - ``corner`` (rows, 2**(k - 1)): for each floor/ceil corner of a row's
+      coarse cell (first k - 1 counts rounded down or up to multiples of s,
+      the last one making up the sum), its position in ``coarse``.  A
+      corner outside the simplex is replaced by the floor corner, which
+      always lies inside;
+    - ``steps`` (rows, 2**(k - 1)): ||c - c'||_1 from the row to that corner.
+
+    The two tables hold at most MAX_MESH_POINTS * 2**(MAX_CERT_VERTICES - 1)
+    entries each, fewer than the MAX_BATCH_ENTRIES of one block.
+    """
+    counts = _compositions(k, subdivisions)
+    head = counts[:, :-1]
+    s = math.isqrt(subdivisions)
+    floor, rest = np.divmod(head, s)
+    coarse = np.flatnonzero((rest == 0).all(axis=1))
+    cell = np.zeros((subdivisions // s + 1,) * (k - 1), dtype=np.int32)
+    cell[tuple(floor[coarse].T)] = np.arange(coarse.size)
+    corner = np.empty((len(counts), 2 ** (k - 1)), dtype=np.int32)
+    steps = np.empty_like(corner)
+    for bits in range(2 ** (k - 1)):
+        up = floor + (rest > 0) * (bits >> np.arange(k - 1) & 1)
+        inside = s * up.sum(axis=1) <= subdivisions
+        up = np.where(inside[:, None], up, floor)
+        shift = head - s * up
+        corner[:, bits] = cell[tuple(up.T)]
+        steps[:, bits] = np.abs(shift).sum(axis=1) + np.abs(shift.sum(axis=1))
+    tables = counts / subdivisions, coarse, corner, steps
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+@functools.lru_cache(maxsize=8)
+def _samples(k):
+    # the weights of a sampled bound: the k vertices, then 4,096 Dirichlet
+    # points of a fixed seed
+    rng = np.random.default_rng(0)
+    weights = np.vstack([np.eye(k), rng.dirichlet(np.ones(k), size=4096)])
+    weights.flags.writeable = False
+    return weights
+
+
+def _combination_conorms(weights, vertices):
+    # conorm(sum_i weights[p, i] * vertices[i]) for every row p, one batched
+    # call per _blocks chunk; a row's value does not depend on its chunk
+    values = np.empty(len(weights))
+    for block in _blocks(len(weights), vertices.shape[1] * vertices.shape[2]):
+        values[block] = conorm(np.einsum("pk,kij->pij", weights[block],
+                                         vertices))
+    return values
 
 
 def set_conorm_bounds(jset, net=DEFAULT_NET):
@@ -144,11 +220,16 @@ def set_conorm_bounds(jset, net=DEFAULT_NET):
     2-vertex hulls qualify (a 3-vertex mesh has 501,501 points); 3 vertices
     need net >= about 1.6e-3 and 4 vertices net >= about 9.6e-3.  Any other
     set gets a sampled, non-certified bound: the minimum over the vertices
-    and 4,096 fixed-seed Dirichlet weights.  Mesh points and samples are
-    evaluated in chunks of at most MAX_BATCH_ENTRIES matrix entries, one
-    batched singular-value computation per chunk, plus one for diam when
-    certifying.  The 1,001-point mesh of a 2-vertex set at the default net
-    fits in one chunk for operators of up to 2,095 entries (45 x 45).
+    and 4,096 fixed-seed Dirichlet weights.  A certified bound takes diam
+    first, then the co-norms of the coarse sub-mesh, then those of the mesh
+    rows the coarse minimum does not rule out (the module docstring gives
+    the bound and its margin); the bits are those of the full mesh.  At the
+    default net the 1,001-point mesh of a 2-vertex set has 33 coarse rows,
+    and a Clarke set of a smooth map typically leaves a few dozen more.
+    Samples, coarse rows and remaining rows are each evaluated in chunks of
+    at most MAX_BATCH_ENTRIES matrix entries, one batched singular-value
+    computation per chunk.  Meshes and samples are built once per vertex
+    count and mesh size.
 
     The witness, a member of the set at which the bound is attained, is
     the minimal singular pair's rank-one perturbation for a singleton
@@ -169,27 +250,33 @@ def _hull_bounds(vertices, radius, net):
     if not (net > 0):
         raise ValueError("net must be > 0")
     k = len(vertices)
-    subdivisions = max(int(np.ceil(1.0 / net)), 1)
+    # a mesh of MAX_MESH_POINTS subdivisions is over budget at every k >= 2;
+    # clamping keeps the int of 1 / net finite for a subnormal net
+    subdivisions = max(math.ceil(min(1.0 / net, MAX_MESH_POINTS)), 1)
     certifiable = (k <= MAX_CERT_VERTICES
                    and math.comb(subdivisions + k - 1, k - 1) <= MAX_MESH_POINTS)
     if certifiable:
-        weights = _barycentric_mesh(k, subdivisions)
+        pairs = np.triu_indices(k, 1)
+        diam = float(np.max(spectral_norm(vertices[pairs[0]]
+                                          - vertices[pairs[1]])))
+        weights, coarse, corner, steps = _mesh(k, subdivisions)
+        coarse_values = _combination_conorms(weights[coarse], vertices)
+        # each row's co-norm bound from its coarse corners (see the module
+        # docstring); a row whose bound, less the margin, clears the coarse
+        # minimum computes strictly above the mesh minimum and is skipped
+        margin = 1e-9 * (1.0 + np.max(np.linalg.norm(vertices, axis=(1, 2))))
+        bound = np.max(coarse_values[corner]
+                       - steps * (diam / (2 * subdivisions)), axis=1)
+        weights = weights[bound - margin <= coarse_values.min()]
     else:
-        rng = np.random.default_rng(0)
-        weights = np.vstack([np.eye(k), rng.dirichlet(np.ones(k), size=4096)])
-    best = np.inf
-    for block in _blocks(len(weights), vertices.shape[1] * vertices.shape[2]):
-        combos = np.einsum("pk,kij->pij", weights[block], vertices)
-        values = conorm(combos)
-        i = int(np.argmin(values))
-        if values[i] < best:  # keeps the first minimum in mesh order
-            best, witness = values[i], combos[i].copy()
-    upper = max(best - radius, 0.0)
+        weights = _samples(k)
+    values = _combination_conorms(weights, vertices)
+    i = int(np.argmin(values))  # the first minimum in mesh order
+    witness = np.einsum("pk,kij->pij", weights[i:i + 1], vertices)[0]
+    upper = max(values[i] - radius, 0.0)
     if not certifiable:
         return 0.0, upper, False, witness
-    pairs = np.triu_indices(k, 1)
-    diam = float(np.max(spectral_norm(vertices[pairs[0]] - vertices[pairs[1]])))
-    return max(best - net * diam - radius, 0.0), upper, True, witness
+    return max(values[i] - net * diam - radius, 0.0), upper, True, witness
 
 
 def regularity_index(model, provider, x, radii=None, net=DEFAULT_NET,

@@ -20,6 +20,10 @@ one point at a time, to the bit.
 ``loop_beta_profile`` computes a sampled Hadamard profile one set at a
 time: ``loop_build_set`` at each probe point in generator order, then
 ``set_conorm_bounds``; the batched profile must equal it to the bit.
+``full_mesh_hull_bounds`` is the certified hull bound as the package took
+it before it pruned its mesh: every point of the barycentric mesh, listed
+one composition at a time, decomposed in chunks of ``_blocks``; the pruned
+bound must equal it to the bit.
 ``theta_jacobian`` and ``complexsq_jacobian`` write the catalog's
 derivatives out entry by entry.
 ``reference_format_record`` is the report serialiser the CLI used before
@@ -27,14 +31,17 @@ it dispatched on the value's type, written out as it was; the CLI's
 reports must equal it to the byte.
 """
 
+import functools
 import json
+import math
 
 import numpy as np
 
 from pjinv.indices import set_conorm_bounds
-from pjinv.linalg import as_vector
-from pjinv.maps import (DomainError, _check_point, _oracle_rows, _uniform_ball,
-                        evaluate, local_lipschitz_estimate, numeric_jacobian)
+from pjinv.linalg import as_vector, conorm, spectral_norm
+from pjinv.maps import (DomainError, _blocks, _check_point, _oracle_rows,
+                        _uniform_ball, evaluate, local_lipschitz_estimate,
+                        numeric_jacobian)
 from pjinv.pseudojac import MAX_REDRAWS, PseudoJacobianSet, support_function
 
 
@@ -308,6 +315,43 @@ def loop_beta_profile(model, spec, center, t_max, grid_n, count, rng=None):
         points = center + unit * (grid[j] * radial ** (1.0 / n))
         beta.append(min(index(x) for x in points))
     return grid, np.array(beta)
+
+
+def _compositions(k, total):
+    # every c in N^k with sum(c) = total, in lexicographic order
+    if k == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(k - 1, total - first):
+            yield (first,) + rest
+
+
+@functools.lru_cache(maxsize=4)
+def _full_mesh(k, subdivisions):
+    return np.array(list(_compositions(k, subdivisions)),
+                    dtype=float) / subdivisions
+
+
+def full_mesh_hull_bounds(vertices, radius, net):
+    """(lower, upper, certified, witness) of co(vertices) + radius * ball
+    for a hull whose mesh at size net is within the certification budget:
+    the minimum co-norm over every mesh point, whose first minimal point is
+    the witness, less radius for the upper bound and less net * diam +
+    radius for the lower one, each clipped at 0."""
+    subdivisions = max(math.ceil(1.0 / net), 1)
+    weights = _full_mesh(len(vertices), subdivisions)
+    best = np.inf
+    for block in _blocks(len(weights), vertices.shape[1] * vertices.shape[2]):
+        combos = np.einsum("pk,kij->pij", weights[block], vertices)
+        values = conorm(combos)
+        i = int(np.argmin(values))
+        if values[i] < best:  # keeps the first minimum in mesh order
+            best, witness = values[i], combos[i].copy()
+    pairs = np.triu_indices(len(vertices), 1)
+    diam = float(np.max(spectral_norm(vertices[pairs[0]] - vertices[pairs[1]])))
+    return (max(best - net * diam - radius, 0.0), max(best - radius, 0.0),
+            True, witness)
 
 
 def theta_jacobian(kind, x, c=None):

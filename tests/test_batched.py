@@ -9,12 +9,13 @@ order.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pjinv.maps
-from oracles import jacobi_conorm, loop_support_function, loop_validity_check
+from oracles import (full_mesh_hull_bounds, jacobi_conorm,
+                     loop_support_function, loop_validity_check)
 from pjinv.indices import set_conorm_bounds
 from pjinv.linalg import conorm
 from pjinv.maps import (abs_shift_map, complexsq_map, exp1d_map, identity_map,
@@ -160,3 +161,43 @@ def test_conorm_chunks_keep_the_first_minimum(monkeypatch, k):
     np.testing.assert_array_equal(chunked.witness, whole.witness)
     if k == 2:
         np.testing.assert_array_equal(whole.witness, np.diag([2.0, 1.0]))
+
+
+@st.composite
+def certifiable_hulls(draw):
+    # k vertices at a net where their mesh certifies; a zero last column
+    # makes every member rank-deficient, and m < n every co-norm 0
+    k, net = draw(st.sampled_from([(2, 1e-3), (2, 1e-2), (3, 1e-2), (4, 1e-2)]))
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    vertices = draw(stacks(k, m, n))
+    if draw(st.booleans()):
+        vertices[:, :, -1] = 0.0
+    return vertices, draw(st.sampled_from([0.0, 0.25])), net
+
+
+FLAT_TIE = np.array([np.diag([1.0, 5.0]), np.diag([1.0, 7.0])])
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(certifiable_hulls(), st.booleans())
+# sigma_min is 1 at every mesh row: the witness is row 0, the last vertex
+@example((FLAT_TIE, 0.0, 1e-3), True)
+@example((FLAT_TIE, 0.5, 1e-2), False)
+# a zero between coarse rows, where the Lipschitz bound is tight, while a
+# coarse row elsewhere is lower than that cell's corners
+@example((np.array([np.diag([-1.0, 1.0]), np.diag([1.0, 3e-3])]), 0.0, 1e-3),
+         False)
+# wide vertices: co-norm 0 at every row
+@example((np.arange(24.0).reshape(4, 2, 3) % 5, 0.25, 1e-2), True)
+def test_pruned_mesh_equals_the_full_mesh(case, chunked):
+    vertices, radius, net = case
+    assume(not (vertices == vertices[0]).all())
+    with pytest.MonkeyPatch.context() as mp:
+        if chunked:
+            mp.setattr(pjinv.maps, "MAX_BATCH_ENTRIES", 4 * 37)
+        bounds = set_conorm_bounds(PseudoJacobianSet(vertices, radius), net)
+        lower, upper, certified, witness = full_mesh_hull_bounds(vertices,
+                                                                 radius, net)
+    assert (bounds.lower, bounds.upper, bounds.certified) == \
+        (lower, upper, certified)
+    np.testing.assert_array_equal(bounds.witness, witness)

@@ -11,6 +11,20 @@ from pjinv.pseudojac import (ProviderSpec, PseudoJacobianSet, build_set,
                              parse_provider)
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    # the shape of each stack pjinv.linalg.singular_values is called on
+    calls = []
+    original = pjinv.linalg.singular_values
+
+    def spy(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(pjinv.linalg, "singular_values", spy)
+    return calls
+
+
 class TestConormBoundsType:
     def test_invariant(self):
         with pytest.raises(ValueError):
@@ -130,27 +144,38 @@ class TestHullBounds:
         assert set_conorm_bounds(PseudoJacobianSet(vs), net=1e-2).certified
 
     @pytest.mark.parametrize("k", [2, 3, 4, 32])
-    def test_at_most_two_svd_calls_per_bound(self, monkeypatch, k):
-        calls = []
-        original = pjinv.linalg.singular_values
-
-        def spy(a):
-            calls.append(np.shape(a))
-            return original(a)
-
-        monkeypatch.setattr(pjinv.linalg, "singular_values", spy)
+    def test_svd_calls_per_bound(self, svd_calls, k):
         spec = ProviderSpec("clarke", delta=1e-3, m=k, eps=0.0)
         jset = build_set(theta_map("c", 3), np.array([0.1, -0.2, 0.3]), spec,
                          rng=k)
         for net in (DEFAULT_NET, 1e-2):
-            calls.clear()
+            svd_calls.clear()
             bounds = set_conorm_bounds(jset, net=net)
-            # one for the mesh or the samples, one for diam when certifying
-            assert len(calls) == (2 if bounds.certified else 1), calls
+            # a certified bound takes diam, the coarse mesh and the rows the
+            # coarse mesh cannot rule out; a sampled one takes the samples
+            assert len(svd_calls) == (3 if bounds.certified else 1), svd_calls
+
+    def test_the_mesh_op_decomposes_under_a_quarter_of_its_rows(self, svd_calls):
+        # the benchmark's mesh op: a 2-vertex Clarke set of theta-c:4 at the
+        # origin, whose 1,001-row mesh the coarse rows mostly rule out
+        spec = ProviderSpec("clarke", delta=1e-3, m=2, eps=0.0)
+        jset = build_set(theta_map("c", 4), np.zeros(4), spec, rng=5)
+        svd_calls.clear()
+        assert set_conorm_bounds(jset).certified
+        diam, coarse, rows = (shape[0] for shape in svd_calls)
+        assert diam == 1 and coarse == 33
+        assert coarse + rows < 1001 / 4, svd_calls
 
     def test_net_validation(self):
         with pytest.raises(ValueError):
             set_conorm_bounds(PseudoJacobianSet([np.eye(2)]), net=0.0)
+        # 1 / net overflows a float: a mesh over budget, bounded by samples
+        hull = PseudoJacobianSet([np.eye(2), 2.0 * np.eye(2)])
+        tiny, fine = (set_conorm_bounds(hull, net=net)
+                      for net in (5e-324, 1e-300))
+        assert not tiny.certified
+        assert (tiny.lower, tiny.upper) == (fine.lower, fine.upper) == (0.0, 1.0)
+        np.testing.assert_array_equal(tiny.witness, fine.witness)
 
 
 class TestRegularityIndex:
