@@ -257,6 +257,11 @@ def _profile_for(model, provider, args, rng):
         if model.analytic_beta is None:
             raise ConfigError(f"{model.name}: no analytic profile bound")
         analytic = model.analytic_beta
+    else:
+        try:
+            hadamard._check_draws(model.dim_in, args.grid_n, args.shell_samples)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     return hadamard.beta_profile(
         model, provider, np.zeros(model.dim_in), args.t_max,
         grid_n=args.grid_n, samples_per_shell=args.shell_samples,

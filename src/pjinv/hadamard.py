@@ -12,16 +12,23 @@ point gives the direction (the first n) and the radial uniform
 exp(-(g_n**2 + g_{n+1}**2) / 2), which is U(0, 1] since half a chi-square
 variable with two degrees of freedom is Exp(1).  So the points do not
 depend on ``rng``, and a shell's first c points are the same for every
-count >= c.  The center and all the shells' points, in that order, form
-one array, and their sets are built and bounded a block at a time: one
+count >= c.  The draws depend only on (n, grid_n, count), so they are
+made once per process for each such triple and cached read-only; the
+center and the grid radii are applied on every call.  A profile whose
+draws would exceed MAX_PROFILE_DRAWS entries is refused before anything
+is drawn.  The center and all the shells' points, in that order, form one
+array, and their sets are built and bounded a block at a time: one
 ``build_sets`` call and one values-only ``_stack_bounds`` pass per
-``_blocks`` block of whole points.  Each shell's minimum is then read off
-the values reshaped shell by shell.
+``_blocks`` block of whole points, which costs one SVD when the
+derivative is constant (a broadcast view).  Each shell's minimum is then
+read off the values reshaped shell by shell.
 
 The running integral rho is the trapezoid rule on the grid; rho_lower is
 the lower Riemann sum on right endpoints, which under-estimates the
 integral of a nonincreasing beta.
 """
+
+import functools
 
 import numpy as np
 
@@ -44,6 +51,10 @@ DEFAULT_GRID_N = 128
 DEFAULT_SHELL_SAMPLES = 64
 BALL_INCLUSION_MARGIN = 0.02
 BALL_INCLUSION_TOL = 1e-8
+# entries (128 MiB of floats) of the largest sampled profile's shell draws,
+# (1 + (grid_n - 1) * samples_per_shell) x (n + 2); the draw cache keeps at
+# most four draw arrays
+MAX_PROFILE_DRAWS = 1 << 24
 
 
 class BetaProfile:
@@ -84,7 +95,9 @@ def beta_profile(model, provider, center, t_max, grid_n=DEFAULT_GRID_N,
     values-only pass; rng feeds only the provider.  Clarke draws follow
     point order, so the stream equals one ``build_sets`` call per shell
     unless a vertex is redrawn: a block redraws after the first draws of
-    all its points, which may span several shells.
+    all its points, which may span several shells.  A sampled profile
+    whose shell draws would exceed MAX_PROFILE_DRAWS entries raises
+    ValueError before anything is drawn.
     """
     if not (t_max > 0 and grid_n >= 2 and samples_per_shell >= 1):
         raise ValueError("require t_max > 0, grid_n >= 2 and "
@@ -93,6 +106,7 @@ def beta_profile(model, provider, center, t_max, grid_n=DEFAULT_GRID_N,
     grid = np.linspace(0.0, t_max, grid_n)
     if analytic_beta is not None:
         return BetaProfile(grid, [analytic_beta(t) for t in grid], "analytic")
+    _check_draws(center.size, grid_n, samples_per_shell)
     rng = np.random.default_rng(rng)
     points = _profile_points(center, grid, samples_per_shell)
     values = np.empty(len(points))
@@ -107,21 +121,40 @@ def beta_profile(model, provider, center, t_max, grid_n=DEFAULT_GRID_N,
     return BetaProfile(grid, np.concatenate([values[:1], shells]), "sampled")
 
 
+def _check_draws(n, grid_n, count):
+    # refuse a sampled profile whose shell draws outgrow MAX_PROFILE_DRAWS
+    entries = (1 + (int(grid_n) - 1) * int(count)) * (int(n) + 2)
+    if entries > MAX_PROFILE_DRAWS:
+        raise ValueError(f"a profile of {grid_n} grid points and "
+                         f"{count} samples per shell in dimension {n} needs "
+                         f"{entries} draws, more than {MAX_PROFILE_DRAWS}")
+
+
 def _profile_points(center, grid, count):
-    # the center, then count points of shell j = 1, 2, ... from one draw of
-    # default_rng(j) each, through one _ball_points transform; the draws
-    # fill one array in place, and row 0 (a dummy draw at radius 0) is then
-    # overwritten by the center
-    n = center.size
-    g = np.ones((1 + (len(grid) - 1) * count, n + 2))
-    for j in range(1, len(grid)):
+    # the center, then count points of shell j = 1, 2, ..., through one
+    # _ball_points transform of the cached draws; row 0 (a dummy draw at
+    # radius 0) is then overwritten by the center
+    normals, radial = _shell_draws(center.size, len(grid), count)
+    radii = np.repeat(grid, [1] + [count] * (len(grid) - 1))[:, None]
+    points = _ball_points(center, radii, normals, radial)
+    points[0] = center
+    return points
+
+
+@functools.lru_cache(maxsize=4)
+def _shell_draws(n, grid_n, count):
+    # the normals (first n columns) and radial uniforms of every profile
+    # point, read-only, built once per (n, grid_n, count): a dummy row of
+    # ones, then count rows for shell j = 1, 2, ... from one draw of
+    # default_rng(j) each, filling one array in place
+    g = np.ones((1 + (grid_n - 1) * count, n + 2))
+    for j in range(1, grid_n):
         shell = g[1 + (j - 1) * count:1 + j * count]
         np.random.default_rng(j).standard_normal(out=shell)
     radial = np.exp(-(g[:, n:n + 1] ** 2 + g[:, n + 1:] ** 2) / 2.0)
-    radii = np.repeat(grid, [1] + [count] * (len(grid) - 1))[:, None]
-    points = _ball_points(center, radii, g[:, :n], radial)
-    points[0] = center
-    return points
+    g.flags.writeable = False
+    radial.flags.writeable = False
+    return g[:, :n], radial
 
 
 def rho_at(profile, t):

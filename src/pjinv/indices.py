@@ -21,10 +21,12 @@ are decomposed.
 
 ``_stack_bounds`` bounds every set of a (P, k, m, n) stack in one pass that
 returns values only: arrays of lower and upper bounds and certified flags.
-Singleton sets take their co-norms from singular values alone, one
-``conorm`` call per block.  A witness is built only for a set that a report
-names: ``set_conorm_bounds`` of that one set, and the set that
-``regularity_index`` chooses.
+Singleton sets take their co-norms from singular values alone.  A stack
+with stride 0 on its row axis (a ``np.broadcast_to`` view of a constant
+derivative) holds one operator in every row, so it takes one ``conorm``
+call of that operator; any other stack takes one call per block.  A
+witness is built only for a set that a report names: ``set_conorm_bounds``
+of that one set, and the set that ``regularity_index`` chooses.
 """
 
 import functools
@@ -86,10 +88,17 @@ class RegularityReport:
 def _singleton_values(vs, radii):
     """max(conorm(vs[i]) - radii[i], 0) for a (P, m, n) stack of operators:
     the exact bound of each singleton set {vs[i]} + radii[i] * ball, from
-    one ``conorm`` call (singular values only) per block of ``_blocks``."""
-    low = np.empty(len(vs))
-    for block in _blocks(len(vs), vs.shape[1] * vs.shape[2]):
-        low[block] = conorm(vs[block])
+    singular values only.  A stack with stride 0 on its row axis is one
+    operator and takes one ``conorm`` call of ``vs[:1]``, whose value every
+    row shares (a matrix's singular values are the bits of its row in a
+    batched call); any other stack takes one call per block of ``_blocks``.
+    """
+    if vs.strides[0] == 0:
+        low = conorm(vs[:1])
+    else:
+        low = np.empty(len(vs))
+        for block in _blocks(len(vs), vs.shape[1] * vs.shape[2]):
+            low[block] = conorm(vs[block])
     return np.maximum(low - radii, 0.0)
 
 
@@ -189,6 +198,15 @@ def _mesh(k, subdivisions):
 
 
 @functools.lru_cache(maxsize=8)
+def _pairs(k):
+    # the index pairs i < j of k vertices, read-only: diam's differences
+    pairs = np.triu_indices(k, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+@functools.lru_cache(maxsize=8)
 def _samples(k):
     # the weights of a sampled bound: the k vertices, then 4,096 Dirichlet
     # points of a fixed seed
@@ -256,7 +274,7 @@ def _hull_bounds(vertices, radius, net):
     certifiable = (k <= MAX_CERT_VERTICES
                    and math.comb(subdivisions + k - 1, k - 1) <= MAX_MESH_POINTS)
     if certifiable:
-        pairs = np.triu_indices(k, 1)
+        pairs = _pairs(k)
         diam = float(np.max(spectral_norm(vertices[pairs[0]]
                                           - vertices[pairs[1]])))
         weights, coarse, corner, steps = _mesh(k, subdivisions)

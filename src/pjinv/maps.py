@@ -64,10 +64,14 @@ class MapModel:
         Full derivative oracle of rows, (P, dim_in) array -> (P, dim_out,
         dim_in) array, operator i the derivative at row i; valid wherever
         the map is differentiable (almost everywhere for the catalog maps).
+        A constant derivative may be returned as a read-only
+        ``np.broadcast_to`` view: stride 0 on the row axis declares one
+        operator for every row, which is copied nowhere and checked and
+        bounded once.  Any other layout is checked and bounded as P
+        separate operators.
     smooth_part : callable, optional
-        Derivative oracle of rows, as ``deriv``, of the smooth summand g in
-        a decomposition f = g + h.  A constant g' may be returned as a
-        read-only ``np.broadcast_to`` view, so nothing is copied.
+        Derivative oracle of rows, as ``deriv`` (a broadcast view included),
+        of the smooth summand g in a decomposition f = g + h.
     lip_part : callable, optional
         (xs, r) -> (P,) array, entry i an upper bound on the local Lipschitz
         constant of h on B(xs[i], r), for a (P, dim_in) array xs.

@@ -176,8 +176,10 @@ def build_sets(model, points, spec, rng=None):
     else:
         vertices, radii = _clarke_rows(model, xs[:stop], spec,
                                        np.random.default_rng(rng))
-    # the method form skips np.all's dispatch: this runs once per build_set
-    if not np.isfinite(vertices).all():
+    # a stack with stride 0 on its row axis holds one operator, checked once;
+    # the method form skips np.all's dispatch (this runs once per build_set)
+    checked = vertices[:1] if vertices.strides[0] == 0 else vertices
+    if not np.isfinite(checked).all():
         raise ValueError("matrix entries must be finite")
     if stop < len(xs):
         raise _row_error(model, xs[stop])

@@ -16,7 +16,8 @@ from hypothesis.extra.numpy import arrays
 import pjinv.maps
 from oracles import (full_mesh_hull_bounds, jacobi_conorm,
                      loop_support_function, loop_validity_check)
-from pjinv.indices import set_conorm_bounds
+from pjinv.indices import (DEFAULT_NET, _singleton_values, _stack_bounds,
+                           set_conorm_bounds)
 from pjinv.linalg import conorm
 from pjinv.maps import (abs_shift_map, complexsq_map, exp1d_map, identity_map,
                         linear_map, theta_map)
@@ -201,3 +202,37 @@ def test_pruned_mesh_equals_the_full_mesh(case, chunked):
     assert (bounds.lower, bounds.upper, bounds.certified) == \
         (lower, upper, certified)
     np.testing.assert_array_equal(bounds.witness, witness)
+
+
+@st.composite
+def constant_stacks(draw):
+    # one m x n operator over P rows with varied radii: m < n has co-norm 0,
+    # and a last column twice the first (or zero, for n = 1) is
+    # rank-deficient
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    a = draw(arrays(np.float64, (m, n), elements=entries))
+    if draw(st.booleans()):
+        a[:, -1] = 2.0 * a[:, 0] if n > 1 else 0.0
+    count = draw(st.sampled_from([1, 2, 993]))
+    radii = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
+        0.0, draw(st.sampled_from([0.0, 0.1, 2.0])), count)
+    return a, radii
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(constant_stacks(), st.booleans())
+@example((np.eye(10), np.full(993, 0.5)), True)
+def test_broadcast_stack_equals_its_materialised_copy(case, chunked):
+    # the one-operator path against the per-block path, to the bit
+    a, radii = case
+    stack = np.broadcast_to(a, (len(radii),) + a.shape)
+    copy = stack.copy()
+    assert stack.strides[0] == 0 != copy.strides[0]
+    with pytest.MonkeyPatch.context() as mp:
+        if chunked:
+            mp.setattr(pjinv.maps, "MAX_BATCH_ENTRIES", 3 * a.size)
+        np.testing.assert_array_equal(_singleton_values(stack, radii),
+                                      _singleton_values(copy, radii))
+        for got, want in zip(_stack_bounds(stack[:, None], radii, DEFAULT_NET),
+                             _stack_bounds(copy[:, None], radii, DEFAULT_NET)):
+            np.testing.assert_array_equal(got, want)

@@ -117,6 +117,23 @@ def test_sum_provider_needs_a_decomposition():
         build_sets(model, np.zeros((2, 1)), parse_provider("sum"))
 
 
+@pytest.mark.parametrize("provider", ["exact", "sum"])
+@pytest.mark.parametrize("broadcast", [True, False])
+def test_a_non_finite_operator_is_refused(provider, broadcast):
+    # a broadcast view is checked through its one operator, any other stack
+    # row by row: here only its last row is bad
+    bad = np.array([[1.0, np.nan], [0.0, 1.0]])
+    if broadcast:
+        jacs = np.broadcast_to(bad, (5, 2, 2))
+    else:
+        jacs = np.stack([np.eye(2)] * 4 + [bad])
+    model = MapModel("bad", 2, 2, lambda x: x, deriv=lambda xs: jacs,
+                     smooth_part=lambda xs: jacs,
+                     lip_part=lambda xs, r: np.zeros(len(xs)))
+    with pytest.raises(ValueError, match="finite"):
+        build_sets(model, np.zeros((5, 2)), parse_provider(provider))
+
+
 def test_ball_stack_loops_over_the_points():
     model = theta_map("c", 3)
     points = np.array([[0.1, -0.2, 0.3], [0.0, 0.5, 0.0]])
@@ -228,7 +245,9 @@ def test_clarke_redraws_follow_the_documented_stream():
 
 def test_profile_takes_one_build_and_one_svd_per_block():
     # theta-a:10 with sum: 1 + 5 x 7 = 36 singleton sets of 10 x 10 entries,
-    # in one block, then in blocks of 8 points that cut shells 3, 4 and 5
+    # in one block, then in blocks of 8 points that cut shells 3, 4 and 5.
+    # g' is the constant identity, a broadcast view: each block's stack is
+    # one operator and takes one SVD of it
     for per_block, sizes in ((None, [36]), (8, [8, 8, 8, 8, 4])):
         builds, svds = [], []
         build, svd = pjinv.hadamard.build_sets, np.linalg.svd
@@ -251,8 +270,9 @@ def test_profile_takes_one_build_and_one_svd_per_block():
                                    grid_n=6, samples_per_shell=7)
         np.testing.assert_allclose(profile.beta, 0.5, rtol=0.0, atol=1e-12)
         assert builds == sizes
-        # singular values only, one call per block, and no singular vectors
-        assert svds == [((size, 10, 10), False) for size in sizes]
+        # singular values only, one call of one matrix per block, and no
+        # singular vectors
+        assert svds == [((1, 10, 10), False)] * len(sizes)
 
 
 @pytest.mark.parametrize("provider",

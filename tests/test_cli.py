@@ -213,6 +213,30 @@ class TestCertify:
         assert csv1.read_bytes() == csv2.read_bytes()
         assert csv1.read_text().splitlines()[0] == "t,beta,rho"
 
+    def test_sampled_reports_do_not_depend_on_the_draw_cache(self, tmp_path,
+                                                             capsys):
+        # a sampled certify and profile from a cold draw cache, then, after
+        # a profile of another (n, grid_n, count), from a warm one
+        sampled = ["--provider", "sum", "--seed", "3", "--grid-n", "9",
+                   "--shell-samples", "6"]
+        commands = [["certify", "--map", "theta-c:3"] + sampled,
+                    ["profile", "--map", "theta-c:5"] + sampled]
+        other = ["profile", "--map", "theta-c:4", "--provider", "sum",
+                 "--grid-n", "5", "--shell-samples", "3"]
+        cli.hadamard._shell_draws.cache_clear()
+        files = []
+        for turn in ("cold", "warm"):
+            for i, argv in enumerate(commands):
+                out, csv = tmp_path / f"{turn}{i}.json", tmp_path / f"{turn}{i}.csv"
+                assert main(argv + ["--out", str(out), "--csv", str(csv)]) == 0
+                files.append((out.read_bytes(), csv.read_bytes()))
+            if turn == "cold":
+                assert main(other) == 0
+        capsys.readouterr()
+        # three draws in the cold turn, none in the warm one
+        assert cli.hadamard._shell_draws.cache_info().misses == 3
+        assert files[:2] == files[2:]
+
 
 class TestInvert:
     def test_theta_a_path(self, capsys):
@@ -426,6 +450,24 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in err and out == ""
         assert not csv.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["certify"], ["profile"],
+        ["ball-check", "--delta", "0.5", "--samples", "2"]])
+    def test_an_oversized_profile_is_config_error(self, monkeypatch, capsys,
+                                                  command):
+        # (1 + 2 * 100) rows of 3 + 2 draws outgrow the limit of 1,000.  With
+        # the draw function gone, a command that drew would exit 3; the
+        # analytic profile draws nothing
+        monkeypatch.setattr(cli.hadamard, "MAX_PROFILE_DRAWS", 1000)
+        monkeypatch.setattr(cli.hadamard, "_shell_draws", None)
+        argv = command + ["--map", "theta-a:3:0.5", "--provider", "sum",
+                          "--grid-n", "3", "--shell-samples", "100"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "config error" in err and "draws" in err and out == ""
+        code, out, err = run(capsys, *argv, "--analytic-beta")
+        assert code == 0, err
 
     def test_overflow_while_computing_is_three(self, capsys):
         # the far shells leave the domain box |x| <= 700 of exp1d; the

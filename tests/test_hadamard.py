@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from pjinv.hadamard import (BetaProfile, ball_inclusion_test, beta_profile,
-                            hadamard_verdict, rho_at, write_profile_csv)
+import pjinv.hadamard
+from pjinv.hadamard import (BetaProfile, _shell_draws, ball_inclusion_test,
+                            beta_profile, hadamard_verdict, rho_at,
+                            write_profile_csv)
 from pjinv.maps import identity_map, linear_map, theta_map
 from pjinv.pseudojac import parse_provider
 
@@ -104,6 +106,48 @@ class TestBetaProfileConstruction:
             with pytest.raises(ValueError, match="samples_per_shell"):
                 beta_profile(identity_map(2), SUM, np.zeros(2), 1.0,
                              samples_per_shell=count)
+
+
+class TestShellDraws:
+    ARGS = (theta_map("a", 3, 0.5), SUM, np.zeros(3), 2.0)
+
+    def test_cached_draws_are_read_only(self):
+        normals, radial = _shell_draws(3, 4, 5)
+        assert normals.shape == (16, 3) and radial.shape == (16, 1)
+        for array in (normals, radial):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+
+    def test_a_second_profile_draws_nothing(self, monkeypatch):
+        # the first profile seeds its three shells' generators; the second,
+        # of the same (n, grid_n, count), makes only its provider generator
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def spy(seed=None):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        _shell_draws.cache_clear()
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        first = beta_profile(*self.ARGS, grid_n=4, samples_per_shell=5, rng=7)
+        assert seeds == [7, 1, 2, 3]
+        seeds.clear()
+        second = beta_profile(*self.ARGS, grid_n=4, samples_per_shell=5, rng=7)
+        assert seeds == [7]
+        np.testing.assert_array_equal(first.beta, second.beta)
+
+    def test_an_oversized_profile_is_refused_before_drawing(self, monkeypatch):
+        # (1 + 3 * count) rows of 3 + 2 draws, against a limit of 100
+        monkeypatch.setattr(pjinv.hadamard, "MAX_PROFILE_DRAWS", 100)
+        _shell_draws.cache_clear()
+        with pytest.raises(ValueError, match="draws"):
+            beta_profile(*self.ARGS, grid_n=4, samples_per_shell=7)
+        assert _shell_draws.cache_info().misses == 0
+        beta_profile(*self.ARGS, grid_n=4, samples_per_shell=6)
+        # an analytic profile draws nothing
+        beta_profile(*self.ARGS, grid_n=4, samples_per_shell=7,
+                     analytic_beta=lambda t: 0.5)
 
 
 class TestVerdict:

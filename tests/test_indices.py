@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import pjinv.linalg
+import pjinv.maps
 from oracles import jacobi_conorm
-from pjinv.indices import (DEFAULT_NET, ConormBounds, regularity_index,
-                           set_conorm_bounds)
+from pjinv.indices import (DEFAULT_NET, ConormBounds, _singleton_values,
+                           regularity_index, set_conorm_bounds)
 from pjinv.linalg import conorm, spectral_norm
 from pjinv.maps import linear_map, theta_map
 from pjinv.pseudojac import (ProviderSpec, PseudoJacobianSet, build_set,
@@ -165,6 +166,20 @@ class TestHullBounds:
         diam, coarse, rows = (shape[0] for shape in svd_calls)
         assert diam == 1 and coarse == 33
         assert coarse + rows < 1001 / 4, svd_calls
+
+    def test_a_broadcast_stack_takes_one_svd(self, svd_calls, monkeypatch):
+        # blocks of 4 operators: a broadcast stack is one operator and takes
+        # one call of it, a materialised copy one call per block
+        monkeypatch.setattr(pjinv.maps, "MAX_BATCH_ENTRIES", 4 * 9)
+        stack = np.broadcast_to(np.diag([3.0, 2.0, 0.5]), (10, 3, 3))
+        radii = np.linspace(0.0, 1.0, 10)
+        values = _singleton_values(stack, radii)
+        assert svd_calls == [(1, 3, 3)]
+        svd_calls.clear()
+        np.testing.assert_array_equal(_singleton_values(stack.copy(), radii),
+                                      values)
+        assert svd_calls == [(4, 3, 3), (4, 3, 3), (2, 3, 3)]
+        np.testing.assert_array_equal(values, np.maximum(0.5 - radii, 0.0))
 
     def test_net_validation(self):
         with pytest.raises(ValueError):
