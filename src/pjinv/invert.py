@@ -3,6 +3,12 @@
 Path lifting follows a codomain line segment with Newton correctors; a step
 underflow or iterate blow-up is recorded as *evidence* (not proof) that the
 limiting path-lifting condition fails for the map.
+
+Every inverter evaluates f once per point it visits: the value at an
+accepted trial point is the next iterate's value.  ``semismooth_newton``
+takes f(x0) as ``fx0`` when the caller has it and leaves the value at its
+last iterate on the trace as ``final_fx``, so path lifting hands each
+converged corrector's value to the next corrector.
 """
 
 import numpy as np
@@ -35,10 +41,14 @@ class InversionTrace:
     with the dual witness distance) or "overflow" (the residual norm at the
     start point overflows, recorded as inf; path lifting stops with it when
     a corrector does, keeping the path lifted so far).
+
+    final_fx is f at the last iterate when the run kept it (Newton runs
+    do), else None; it is not part of the record.
     """
 
     def __init__(self, method, t_grid, iterates, residuals, status,
-                 used_pseudoinverse=False, stationary_distance=None):
+                 used_pseudoinverse=False, stationary_distance=None,
+                 final_fx=None):
         if len(iterates) != len(residuals):
             raise ValueError("iterates and residuals must have equal length")
         self.method = method
@@ -48,6 +58,7 @@ class InversionTrace:
         self.status = status
         self.used_pseudoinverse = bool(used_pseudoinverse)
         self.stationary_distance = stationary_distance
+        self.final_fx = final_fx
 
     @property
     def final_x(self):
@@ -101,13 +112,26 @@ def _newton_direction(t_op, r):
     return np.linalg.lstsq(t_op, -r, rcond=None)[0], True
 
 
-def _residual(model, x, y):
-    """||f(x) - y||; inf where the norm overflows, with no overflow warning."""
+def _misfit(fx, y):
+    """(f(x) - y, its norm); the norm is inf where it overflows, with no
+    overflow warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.linalg.norm(evaluate(model, x) - y))
+        r = fx - y
+        return r, float(np.linalg.norm(r))
 
 
-def semismooth_newton(model, provider, y, x0, tol=1e-10, max_iter=100, rng=None):
+def _trial(model, x, y):
+    """(f(x), f(x) - y, its norm) at a trial point; the norm is inf where
+    the point cannot be evaluated (ValueError) or the norm overflows."""
+    try:
+        fx = evaluate(model, x)
+    except ValueError:
+        return None, None, np.inf
+    return (fx, *_misfit(fx, y))
+
+
+def semismooth_newton(model, provider, y, x0, tol=1e-10, max_iter=100, rng=None,
+                      fx0=None):
     """Damped Newton iteration on the residual ||f(x) - y||.
 
     The Newton operator is the provider-set vertex with maximal co-norm;
@@ -115,14 +139,21 @@ def semismooth_newton(model, provider, y, x0, tol=1e-10, max_iter=100, rng=None)
     is taken instead and flagged in the trace.  When the initial residual
     norm is not finite in floating point the run stops at once with status
     "overflow"; a trial point whose residual is not finite is rejected.
+
+    fx0 is f(x0) when the caller already has it; it is evaluated
+    otherwise.  f is evaluated once per trial point and no more: an
+    accepted trial's value is the next iterate's, and the value at the
+    last iterate is left on the trace as ``final_fx``.
     """
     y = as_vector(y)
     x = as_vector(x0).copy()
     rng = np.random.default_rng(rng)
-    residual = _residual(model, x, y)
+    fx = evaluate(model, x) if fx0 is None else fx0
+    r, residual = _misfit(fx, y)
     iterates, residuals = [x.copy()], [residual]
     if not np.isfinite(residual):
-        return InversionTrace("newton", [1.0], iterates, residuals, "overflow")
+        return InversionTrace("newton", [1.0], iterates, residuals, "overflow",
+                              final_fx=fx)
     used_pinv = False
     status = "max_iter"
     for _ in range(max_iter):
@@ -133,7 +164,6 @@ def semismooth_newton(model, provider, y, x0, tol=1e-10, max_iter=100, rng=None)
             status = "diverged"
             break
         t_op, t_conorm, _ = _newton_element(model, x, provider, rng)
-        r = evaluate(model, x) - y
         if t_conorm is not None and t_conorm <= 1e-12:
             d = np.linalg.lstsq(t_op, -r, rcond=None)[0]
             used_pinv = True
@@ -143,10 +173,8 @@ def semismooth_newton(model, provider, y, x0, tol=1e-10, max_iter=100, rng=None)
         s = 1.0
         accepted = False
         for _ in range(MAX_HALVINGS):
-            try:
-                trial = _residual(model, x + s * d, y)
-            except ValueError:
-                trial = np.inf
+            trial_x = x + s * d
+            trial_fx, trial_r, trial = _trial(model, trial_x, y)
             # residual is finite, so an inf or NaN trial fails this test
             if trial <= (1.0 - ARMIJO_DECREASE * s) * residual:
                 accepted = True
@@ -155,15 +183,14 @@ def semismooth_newton(model, provider, y, x0, tol=1e-10, max_iter=100, rng=None)
         if not accepted:
             status = "step_underflow"
             break
-        x = x + s * d
-        residual = trial
+        x, fx, r, residual = trial_x, trial_fx, trial_r, trial
         iterates.append(x.copy())
         residuals.append(residual)
     else:
         if residual <= tol:
             status = "converged"
     return InversionTrace("newton", [1.0] * len(iterates), iterates, residuals,
-                          status, used_pseudoinverse=used_pinv)
+                          status, used_pseudoinverse=used_pinv, final_fx=fx)
 
 
 def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
@@ -176,17 +203,21 @@ def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
     terminates with the matching status.
     A corrector "overflow" ends the run with that status: the residual
     norm at the current point then overflows whatever the step.
+    Each corrector starts from the value of f that the previous converged
+    one ended with, so f is evaluated once per point.  The trace flags a
+    pseudo-inverse step when any corrector took one, converged or not.
     """
     x = as_vector(x0).copy()
     y_target = as_vector(y_target)
     rng = np.random.default_rng(rng)
-    y0 = evaluate(model, x)
+    y0 = fx = evaluate(model, x)
     t = 0.0
     dt = 1.0 / max(int(steps), 1)
     base_dt = dt
     t_grid = [0.0]
     iterates = [x.copy()]
     residuals = [0.0]
+    used_pinv = False
     status = "max_iter"
     for _ in range(100000):
         if t >= 1.0:
@@ -195,9 +226,10 @@ def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
         step = min(dt, 1.0 - t)
         target = (1.0 - (t + step)) * y0 + (t + step) * y_target
         corr = semismooth_newton(model, provider, target, x, tol=tol,
-                                 max_iter=CORRECTOR_ITERS, rng=rng)
+                                 max_iter=CORRECTOR_ITERS, rng=rng, fx0=fx)
+        used_pinv = used_pinv or corr.used_pseudoinverse
         if corr.status == "converged":
-            x = corr.final_x
+            x, fx = corr.final_x, corr.final_fx
             t += step
             t_grid.append(t)
             iterates.append(x.copy())
@@ -217,7 +249,8 @@ def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
             if dt < MIN_HOMOTOPY_STEP:
                 status = "step_underflow"
                 break
-    return InversionTrace("path", t_grid, iterates, residuals, status)
+    return InversionTrace("path", t_grid, iterates, residuals, status,
+                          used_pseudoinverse=used_pinv)
 
 
 def ekeland_descent(model, provider, y, x0, lam=1e-3, eps=1e-3, tol=1e-8,
@@ -239,7 +272,7 @@ def ekeland_descent(model, provider, y, x0, lam=1e-3, eps=1e-3, tol=1e-8,
     y = as_vector(y)
     x = as_vector(x0).copy()
     rng = np.random.default_rng(rng)
-    phi = _residual(model, x, y)
+    r, phi = _misfit(evaluate(model, x), y)
     iterates, residuals = [x.copy()], [phi]
     if not np.isfinite(phi):
         return InversionTrace("ekeland", [1.0], iterates, residuals, "overflow")
@@ -250,7 +283,6 @@ def ekeland_descent(model, provider, y, x0, lam=1e-3, eps=1e-3, tol=1e-8,
             status = "converged"
             break
         jset = build_set(model, x, provider, rng=rng)
-        r = evaluate(model, x) - y
         moved = False
         square = jset.shape[0] == jset.shape[1]
         solvable = (conorm(jset.vertices) > 1e-12) & square
@@ -263,15 +295,12 @@ def ekeland_descent(model, provider, y, x0, lam=1e-3, eps=1e-3, tol=1e-8,
             s = 1.0
             for _ in range(MAX_HALVINGS):
                 trial_x = x + s * d
-                try:
-                    trial = _residual(model, trial_x, y)
-                except ValueError:
-                    trial = np.inf
+                _, trial_r, trial = _trial(model, trial_x, y)
                 with np.errstate(over="ignore", invalid="ignore"):
                     step = np.linalg.norm(trial_x - x)
                 # phi is finite and trial, step are never NaN
                 if trial < phi - lam * step:
-                    x, phi = trial_x, trial
+                    x, r, phi = trial_x, trial_r, trial
                     moved = True
                     break
                 s *= ARMIJO_FACTOR

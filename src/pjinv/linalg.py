@@ -84,10 +84,11 @@ def conorm(a):
     zero whenever the domain dimension exceeds the codomain dimension.  A
     stack of shape (..., m, n) gives an array of co-norms of shape (...).
     """
-    a = _as_stack(a)
-    if a.shape[-1] > a.shape[-2]:
-        low = np.zeros(a.shape[:-2])
+    a = np.asarray(a, dtype=float)
+    if a.ndim >= 2 and a.shape[-1] > a.shape[-2]:
+        low = np.zeros(_as_stack(a).shape[:-2])
     else:
+        # singular_values checks the stack: each path checks it once
         low = singular_values(a)[..., -1]
     return float(low) if low.ndim == 0 else low
 

@@ -308,15 +308,21 @@ def _uniform_balls(rng, centers, radius, counts):
     """counts[i] points uniform in B(centers[i], radius) for each row i.
 
     Row by row, in order, rng gives counts[i] x n normals, then counts[i]
-    uniforms; one ``_ball_points`` transform then maps all the draws.
+    uniforms, each filling its rows of one preallocated array; one
+    ``_ball_points`` transform then maps all the draws.
     """
-    n = centers.shape[1]
-    normals, uniforms = [np.empty((0, n))], [np.empty((0, 1))]
+    total = int(np.sum(counts))
+    normals = np.empty((total, centers.shape[1]))
+    uniforms = np.empty((total, 1))
+    start = 0
     for count in counts:
-        normals.append(rng.standard_normal((count, n)))
-        uniforms.append(rng.uniform(size=(count, 1)))
-    return _ball_points(centers.repeat(counts, axis=0), radius,
-                        np.concatenate(normals), np.concatenate(uniforms))
+        rows = slice(start, start + count)
+        rng.standard_normal(out=normals[rows])
+        # uniform(0, 1) is 0 + 1 * random(): the same draws to the bit
+        rng.random(out=uniforms[rows])
+        start += count
+    return _ball_points(centers.repeat(counts, axis=0), radius, normals,
+                        uniforms)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ map oracle at once, and the Lipschitz ball samples each point on its own.
 and v (..., n) with one common leading shape, and evaluates all pairs with
 one einsum over the stacked vertices.  ``validity_check`` runs its trials
 in blocks: one draw of all (ystar, v) pairs, one ``evaluate_batch`` call
-for all Dini points and two ``support_function`` calls per block.
+for all Dini points and one einsum of vertex actions per block, whose
+largest and smallest entries give the upper and lower support bounds.
 """
 
 import numpy as np
@@ -176,11 +177,6 @@ def build_sets(model, points, spec, rng=None):
     else:
         vertices, radii = _clarke_rows(model, xs[:stop], spec,
                                        np.random.default_rng(rng))
-    # a stack with stride 0 on its row axis holds one operator, checked once;
-    # the method form skips np.all's dispatch (this runs once per build_set)
-    checked = vertices[:1] if vertices.strides[0] == 0 else vertices
-    if not np.isfinite(checked).all():
-        raise ValueError("matrix entries must be finite")
     if stop < len(xs):
         raise _row_error(model, xs[stop])
     vertices.setflags(write=False)
@@ -204,11 +200,16 @@ def _in_blocks(model, oracle, xs):
 
 
 def _singletons(model, mats):
-    # (P, 1, m, n) stack of P operators, each m x n; a view of mats
+    # (P, 1, m, n) stack of P finite operators, each m x n; a view of mats
     shape = (len(mats), model.dim_out, model.dim_in)
     if mats.shape != shape:
         raise ValueError(f"{model.name}: expected {shape[1]} x {shape[2]} "
                          f"operators, got shape {mats.shape[1:]}")
+    # a stack with stride 0 on its row axis holds one operator, checked once;
+    # the method form skips np.all's dispatch (this runs once per build_set)
+    checked = mats[:1] if mats.strides[0] == 0 else mats
+    if not np.isfinite(checked).all():
+        raise ValueError("matrix entries must be finite")
     return mats[:, None]
 
 
@@ -244,19 +245,20 @@ def _clarke_rows(model, xs, spec, rng):
 
     zs = _uniform_balls(rng, xs, spec.delta, np.full(count, spec.m))
     jacs = jacobians_at(zs).reshape(count, spec.m, model.dim_out, n)
+    # one reduction when every vertex is finite, as almost always
+    if np.isfinite(jacs).all():
+        return jacs, np.full(count, spec.eps)
     bad = ~np.isfinite(jacs).all(axis=(2, 3))
     for _ in range(MAX_REDRAWS):
-        if not bad.any():
-            break
         # boolean indexing walks bad point by point, as the draws do
         redraw = bad.any(axis=1)
         jacs[bad] = jacobians_at(_uniform_balls(rng, xs[redraw], spec.delta,
                                                 bad[redraw].sum(axis=1)))
         bad = ~np.isfinite(jacs).all(axis=(2, 3))
-    if bad.any():
-        raise FloatingPointError(f"{model.name}: non-finite finite-difference "
-                                 f"Jacobian after {MAX_REDRAWS} redraws")
-    return jacs, np.full(count, spec.eps)
+        if not bad.any():
+            return jacs, np.full(count, spec.eps)
+    raise FloatingPointError(f"{model.name}: non-finite finite-difference "
+                             f"Jacobian after {MAX_REDRAWS} redraws")
 
 
 def support_function(jset, ystar, v):
@@ -265,14 +267,23 @@ def support_function(jset, ystar, v):
     ystar (..., m) and v (..., n) may be stacks with one common leading
     shape; the result then has that shape, one value per pair.
     """
+    return _support_bounds(jset, ystar, v)[0]
+
+
+def _support_bounds(jset, ystar, v):
+    # (sup, inf) of <ystar, T v> over the set from one einsum of the vertex
+    # actions: max + ball and min - ball.  Rounding is sign-symmetric, so
+    # these equal support_function(jset, ystar, v) and
+    # -support_function(jset, -ystar, v) (a zero may differ in sign)
     ystar = np.atleast_1d(np.asarray(ystar, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if ystar.shape[:-1] != v.shape[:-1]:
         raise ValueError(f"ystar {ystar.shape} and v {v.shape} do not pair up")
     if not (np.all(np.isfinite(ystar)) and np.all(np.isfinite(v))):
         raise ValueError("vector entries must be finite")
-    best = np.einsum("...i,kij,...j->...k", ystar, jset.vertices, v).max(axis=-1)
-    return best + jset.radius * _row_norms(ystar) * _row_norms(v)
+    actions = np.einsum("...i,kij,...j->...k", ystar, jset.vertices, v)
+    ball = jset.radius * _row_norms(ystar) * _row_norms(v)
+    return actions.max(axis=-1) + ball, actions.min(axis=-1) - ball
 
 
 def _dini_steps(t0):
@@ -317,8 +328,7 @@ def validity_check(model, x, jset, trials=1000, tol=1e-3, rng=None, t0=1e-3):
         phi = (fz[:, :, None, :] @ ystar[:, None, :, None])[:, :, 0, 0]
         base = (ystar[:, None, :] @ fx[:, None])[:, 0, 0]
         quots = (phi - base[:, None]) / ts
-        sup = support_function(jset, ystar, v)
-        inf = -support_function(jset, -ystar, v)
+        sup, inf = _support_bounds(jset, ystar, v)
         ok = (quots.max(axis=1) <= sup + tol) & (quots.min(axis=1) >= inf - tol)
         passed += int(np.count_nonzero(ok))
     return passed / trials

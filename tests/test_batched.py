@@ -21,8 +21,8 @@ from pjinv.indices import (DEFAULT_NET, _singleton_values, _stack_bounds,
 from pjinv.linalg import conorm
 from pjinv.maps import (abs_shift_map, complexsq_map, exp1d_map, identity_map,
                         linear_map, theta_map)
-from pjinv.pseudojac import (PseudoJacobianSet, build_set, parse_provider,
-                             support_function, validity_check)
+from pjinv.pseudojac import (PseudoJacobianSet, _support_bounds, build_set,
+                             parse_provider, support_function, validity_check)
 
 SUM_TOL = 1e-12
 CONORM_TOL = 1e-11     # the bound test_linalg applies to single matrices
@@ -79,6 +79,29 @@ def test_stacked_support_function_matches_vertex_loop(case):
     assert batched.shape == (len(ystars),)
     loop = [loop_support_function(vertices, radius, y, v) for y, v in zip(ystars, vs)]
     np.testing.assert_allclose(batched, loop, rtol=0.0, atol=SUM_TOL)
+
+
+@st.composite
+def shared_bound_cases(draw):
+    # a single pair, or a stack of up to 6 pairs, against k <= 40 vertices
+    k, m, n = draw(st.integers(1, 40)), draw(dims), draw(dims)
+    lead = draw(st.sampled_from([(), (1,), (2,), (6,)]))
+    return (draw(stacks(k, m, n)), draw(st.floats(0.0, 1e3, allow_subnormal=False)),
+            draw(arrays(np.float64, lead + (m,), elements=entries)),
+            draw(arrays(np.float64, lead + (n,), elements=entries)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(shared_bound_cases())
+def test_shared_support_bounds_match_two_support_functions(case):
+    # one einsum gives both bounds: the upper one is support_function and
+    # the lower one is -support_function at -ystar, equal as floats (a zero
+    # may differ in sign, which no comparison sees)
+    vertices, radius, ystar, v = case
+    jset = PseudoJacobianSet(vertices, radius)
+    upper, lower = _support_bounds(jset, ystar, v)
+    np.testing.assert_array_equal(upper, support_function(jset, ystar, v))
+    np.testing.assert_array_equal(lower, -support_function(jset, -ystar, v))
 
 
 def test_support_function_rejects_unpaired_stacks():

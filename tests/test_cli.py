@@ -252,6 +252,22 @@ class TestInvert:
         oracle = m.inverse(np.array([1.0, -2.0, 0.5, 3.0]))
         assert np.allclose(rec["final_x"], oracle, atol=1e-8)
 
+    @pytest.mark.parametrize("seed", ["11", "12"])
+    def test_theta_a_clarke_path(self, capsys, seed):
+        # the benchmark's Clarke inversion: vertex choice by co-norm
+        from pjinv.maps import theta_back_substitute
+        target = [1.5, -4.0, 0.25, 3.0]
+        argv = ["invert", "--map", "theta-a:4:0.5", "--provider",
+                "clarke:delta=1e-4,m=8,eps=0", "--method", "path",
+                "--target=" + ",".join(map(str, target)), "--seed", seed]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["status"] == "converged"
+        oracle = theta_back_substitute("a", 4, target, 0.5)
+        assert np.linalg.norm(np.array(rec["final_x"]) - oracle) <= 1e-8
+        assert run(capsys, *argv)[1] == out
+
     def test_identity_target(self, capsys):
         code, out, _ = run(capsys, "invert", "--map", "identity",
                            "--provider", "exact", "--target", "1,2,3")

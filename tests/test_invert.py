@@ -7,12 +7,13 @@ import pjinv.invert
 from pjinv.invert import (InversionTrace, ekeland_descent,
                           inverse_lipschitz_probe, path_lift_invert,
                           semismooth_newton)
-from pjinv.maps import (abs_shift_map, exp1d_map, identity_map, linear_map,
-                        theta_map)
+from pjinv.maps import (abs_shift_map, complexsq_map, evaluate, exp1d_map,
+                        identity_map, linear_map, theta_map)
 from pjinv.pseudojac import parse_provider
 
 EXACT = parse_provider("exact")
 SUM = parse_provider("sum")
+CLARKE = parse_provider("clarke:delta=1e-4,m=8,eps=0")
 
 
 class TestTrace:
@@ -188,6 +189,90 @@ class TestNewtonOverflow:
                                   np.array([1e300]), rng=0)
         assert tr.status == "overflow"
         assert len(calls) == 1
+
+
+class TestPseudoInverseFlag:
+    def test_path_report_flags_a_corrector_fallback(self):
+        # complexsq is singular at the origin: every corrector takes the
+        # least-squares step there and fails, as Newton alone does
+        m, y = complexsq_map(), np.array([1.0, 1.0])
+        newton = semismooth_newton(m, EXACT, y, np.zeros(2), rng=0)
+        assert newton.used_pseudoinverse
+        tr = path_lift_invert(m, EXACT, np.zeros(2), y, rng=0)
+        assert tr.status == "step_underflow"
+        assert tr.used_pseudoinverse
+
+    def test_regular_path_takes_no_fallback(self):
+        tr = path_lift_invert(theta_map("a", 4, 0.5), EXACT, np.zeros(4),
+                              np.array([1.0, -2.0, 0.5, 3.0]), rng=0)
+        assert tr.status == "converged"
+        assert not tr.used_pseudoinverse
+
+
+# maps and providers whose vertices are all regular: a zero least-squares
+# direction at a singular vertex would make trial points repeat
+REGULAR_CASES = [
+    (theta_map("a", 4, 0.5), EXACT, [1.0, -2.0, 0.5, 3.0]),
+    (theta_map("a", 4, 0.5), SUM, [1.0, -2.0, 0.5, 3.0]),
+    (theta_map("a", 4, 0.5), CLARKE, [1.0, -2.0, 0.5, 3.0]),
+    (exp1d_map(), EXACT, [2.0]),
+]
+REGULAR_IDS = ["theta-a-exact", "theta-a-sum", "theta-a-clarke", "exp1d-exact"]
+INVERTERS = {
+    "newton": lambda m, p, y, x0: semismooth_newton(m, p, y, x0, rng=0),
+    "path": lambda m, p, y, x0: path_lift_invert(m, p, x0, y, rng=0),
+    "ekeland": lambda m, p, y, x0: ekeland_descent(m, p, y, x0, rng=0),
+}
+
+
+class TestOneEvaluationPerPoint:
+    @pytest.mark.parametrize("method", sorted(INVERTERS))
+    @pytest.mark.parametrize("model,provider,y", REGULAR_CASES,
+                             ids=REGULAR_IDS)
+    def test_no_point_reaches_the_oracle_twice(self, monkeypatch, method,
+                                               model, provider, y):
+        seen = []
+        fn = model.fn
+
+        def spy(x):
+            seen.append(np.asarray(x, dtype=float).tobytes())
+            return fn(x)
+
+        monkeypatch.setattr(model, "fn", spy)
+        tr = INVERTERS[method](model, provider, np.array(y),
+                               np.zeros(model.dim_in))
+        assert tr.status == "converged"
+        assert seen and len(set(seen)) == len(seen)
+
+    @pytest.mark.parametrize("model,provider,y", REGULAR_CASES,
+                             ids=REGULAR_IDS)
+    def test_a_given_start_value_changes_nothing(self, model, provider, y):
+        x0 = np.full(model.dim_in, 0.25)
+        given = semismooth_newton(model, provider, np.array(y), x0, rng=0,
+                                  fx0=evaluate(model, x0))
+        own = semismooth_newton(model, provider, np.array(y), x0, rng=0)
+        assert given.to_record() == own.to_record()
+        assert np.array_equal(given.final_fx, evaluate(model, given.final_x))
+
+
+    @pytest.mark.parametrize("model,provider,y", [
+        (theta_map("a", 4, 0.5), CLARKE, [1.0, -2.0, 0.5, 3.0]),
+        (exp1d_map(), EXACT, [-1.0]),  # correctors fail and halve the step
+    ], ids=["theta-a-clarke", "exp1d-exact"])
+    def test_each_corrector_starts_from_f_at_its_start(self, monkeypatch,
+                                                       model, provider, y):
+        starts = []
+
+        def spy(model, provider, y, x0, **kwargs):
+            starts.append((x0.copy(), kwargs["fx0"]))
+            return semismooth_newton(model, provider, y, x0, **kwargs)
+
+        monkeypatch.setattr(pjinv.invert, "semismooth_newton", spy)
+        path_lift_invert(model, provider, np.zeros(model.dim_in),
+                         np.array(y), rng=0)
+        assert len(starts) > 1
+        for x0, fx0 in starts:
+            assert np.array_equal(fx0, evaluate(model, x0))
 
 
 class TestInverseLipschitzProbe:
