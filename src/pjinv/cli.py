@@ -175,7 +175,8 @@ def _build_parser():
         p.add_argument("--shell-samples", type=_COUNT,
                        default=hadamard.DEFAULT_SHELL_SAMPLES)
         p.add_argument("--analytic-beta", action="store_true",
-                       help="use the map's certified analytic profile bound")
+                       help="certified profile sigma_min(g') - Lip h on "
+                            "each ball, for f = g + h with g' constant")
         p.add_argument("--csv", help="write the beta/rho profile CSV here")
 
     sub.add_parser("catalog", help="list catalog map identifiers")
@@ -252,20 +253,18 @@ def _resolve(args):
 
 
 def _profile_for(model, provider, args, rng):
-    analytic = None
-    if args.analytic_beta:
-        if model.analytic_beta is None:
-            raise ConfigError(f"{model.name}: no analytic profile bound")
-        analytic = model.analytic_beta
-    else:
-        try:
-            hadamard._check_draws(model.dim_in, args.grid_n, args.shell_samples)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    # a map without a constant sum pair, or too many draws, is a config error
+    center = np.zeros(model.dim_in)
+    try:
+        if args.analytic_beta:
+            return hadamard.beta_profile(model, provider, center, args.t_max,
+                                         grid_n=args.grid_n, analytic=True)
+        hadamard._check_draws(model.dim_in, args.grid_n, args.shell_samples)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return hadamard.beta_profile(
-        model, provider, np.zeros(model.dim_in), args.t_max,
-        grid_n=args.grid_n, samples_per_shell=args.shell_samples,
-        analytic_beta=analytic, rng=rng)
+        model, provider, center, args.t_max, grid_n=args.grid_n,
+        samples_per_shell=args.shell_samples, rng=rng)
 
 
 def cmd_catalog(_args):

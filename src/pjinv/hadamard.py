@@ -2,9 +2,10 @@
 
 The integral profile beta(t) lower-bounds the regularity index on balls of
 growing radius; its running integral rho bounds the radius of guaranteed
-image balls.  Divergence of the improper integral is never claimed from
-samples: the analytic-bound hook is the only certified path, since any
-finite computation is consistent with both convergence and divergence.
+image balls.  The analytic profile is certified by the sum rule; a sampled
+one is not.  Divergence of the improper integral is never computed, since
+any finite computation is consistent with both convergence and divergence:
+it is the model's declared ``beta_divergent``.
 
 A sampled profile probes grid shell j at points of its own generator,
 ``np.random.default_rng(j)``: one standard_normal draw of n + 2 values per
@@ -34,8 +35,8 @@ import numpy as np
 
 from .indices import DEFAULT_NET, _stack_bounds
 from .invert import path_lift_invert
-from .linalg import as_vector
-from .maps import _ball_points, _blocks, _uniform_ball, evaluate
+from .linalg import as_vector, singular_values
+from .maps import _ball_points, _blocks, _check_point, _uniform_ball, evaluate
 from .pseudojac import build_sets
 
 __all__ = [
@@ -82,30 +83,43 @@ class BetaProfile:
 
 
 def beta_profile(model, provider, center, t_max, grid_n=DEFAULT_GRID_N,
-                 samples_per_shell=DEFAULT_SHELL_SAMPLES, analytic_beta=None,
+                 samples_per_shell=DEFAULT_SHELL_SAMPLES, analytic=False,
                  rng=None):
     """Profile of inf over B(center, t) of the regularity index.
 
-    With an analytic bound the profile is exact on the grid (mode
-    "analytic").  Otherwise each grid ball is probed at samples_per_shell
-    fixed-seed points (the center alone at t = 0) and the running minimum
-    of the regularity indices there, by the USC shortcut, is taken (mode
-    "sampled").  The sets of all the points are built by one ``build_sets``
-    call per ``_blocks`` block of whole points, each block bounded in one
-    values-only pass; rng feeds only the provider.  Clarke draws follow
-    point order, so the stream equals one ``build_sets`` call per shell
-    unless a vertex is redrawn: a block redraws after the first draws of
-    all its points, which may span several shells.  A sampled profile
-    whose shell draws would exceed MAX_PROFILE_DRAWS entries raises
-    ValueError before anything is drawn.
+    With analytic=True it is the sum-rule bound (mode "analytic") from one
+    ``smooth_part``, SVD and ``lip_part`` call, whatever the provider; a
+    model without a constant sum pair raises ValueError.  Otherwise each
+    grid ball is probed at samples_per_shell fixed-seed points (the center
+    alone at t = 0) and the running minimum of the regularity indices
+    there, by the USC shortcut, is taken (mode "sampled").  The sets of
+    all the points are built by one ``build_sets`` call per ``_blocks``
+    block of whole points, each block bounded in one values-only pass; rng
+    feeds only the provider.  Clarke draws follow point order, so the
+    stream equals one ``build_sets`` call per shell unless a vertex is
+    redrawn: a block redraws after the first draws of all its points,
+    which may span several shells.  A sampled profile whose shell draws
+    would exceed MAX_PROFILE_DRAWS entries raises ValueError before
+    anything is drawn.
     """
     if not (t_max > 0 and grid_n >= 2 and samples_per_shell >= 1):
         raise ValueError("require t_max > 0, grid_n >= 2 and "
                          "samples_per_shell >= 1")
-    center = as_vector(center)
+    center = _check_point(model, center)
     grid = np.linspace(0.0, t_max, grid_n)
-    if analytic_beta is not None:
-        return BetaProfile(grid, [analytic_beta(t) for t in grid], "analytic")
+    if analytic:
+        # the sum rule for f = g + h with g' constant (a stride-0 view):
+        # sigma_min(g') - lip_part(center, t), less the Weyl margin
+        # n * eps * sigma_max(g') for rounding; 0 for a non-square g'
+        g = model.smooth_part and model.smooth_part(center[None])
+        if g is None or g.strides[0] != 0 or model.lip_part is None:
+            raise ValueError(f"{model.name}: no analytic profile bound")
+        n, beta = center.size, np.zeros(grid_n)
+        if model.dim_out == n:
+            s = singular_values(g[0])
+            lip = model.lip_part(np.broadcast_to(center, (grid_n, n)), grid)
+            beta = s[-1] - n * np.finfo(float).eps * s[0] - lip
+        return BetaProfile(grid, beta, "analytic")
     _check_draws(center.size, grid_n, samples_per_shell)
     rng = np.random.default_rng(rng)
     points = _profile_points(center, grid, samples_per_shell)
@@ -194,6 +208,8 @@ def ball_inclusion_test(model, provider, x0, delta, profile, samples=50,
     """
     if not (delta > 0):
         raise ValueError("require delta > 0")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     x0 = as_vector(x0)
     rng = np.random.default_rng(rng)
     rho = rho_at(profile, delta) * (1.0 - BALL_INCLUSION_MARGIN)

@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from .linalg import _row_norms, as_matrix, as_vector, conorm
+from .linalg import _row_norms, as_matrix, as_vector
 
 __all__ = [
     "MapModel",
@@ -71,22 +71,21 @@ class MapModel:
         separate operators.
     smooth_part : callable, optional
         Derivative oracle of rows, as ``deriv`` (a broadcast view included),
-        of the smooth summand g in a decomposition f = g + h.
+        of the smooth summand g in a decomposition f = g + h; a constant
+        one gives ``hadamard.beta_profile`` its analytic profile.
     lip_part : callable, optional
         (xs, r) -> (P,) array, entry i an upper bound on the local Lipschitz
-        constant of h on B(xs[i], r), for a (P, dim_in) array xs.
+        constant of h on B(xs[i], r_i), for a (P, dim_in) array xs and r a
+        scalar (r_i = r) or a (P,) array of radii.
     inverse : callable, optional
         Exact inverse oracle y -> x (closed form; used as a test oracle).
-    analytic_beta : callable, optional
-        Certified lower bound t -> inf of the regularity index on the ball
-        of radius t around the origin.
     beta_divergent : bool
-        Whether the analytic profile has a divergent improper integral.
+        Declared: whether the analytic profile's integral diverges.
     """
 
     def __init__(self, name, dim_in, dim_out, fn, fn_batch=None, deriv=None,
                  smooth_part=None, lip_part=None, inverse=None,
-                 analytic_beta=None, beta_divergent=False,
+                 beta_divergent=False,
                  domain_halfwidth=DEFAULT_DOMAIN_HALFWIDTH):
         self.name = name
         self.dim_in = int(dim_in)
@@ -97,7 +96,6 @@ class MapModel:
         self.smooth_part = smooth_part
         self.lip_part = lip_part
         self.inverse = inverse
-        self.analytic_beta = analytic_beta
         self.beta_divergent = beta_divergent
         self.domain_halfwidth = float(domain_halfwidth)
 
@@ -392,12 +390,10 @@ def theta_map(kind, n, c=None):
 
     if kind == "a":
         lip_part = lambda xs, r: np.full(len(xs), abs(c))
-        analytic_beta = lambda t: max(1.0 - abs(c), 0.0)
         divergent = abs(c) < 1.0
         name = f"theta-a:{n}:{c:g}"
     elif kind == "b":
         lip_part = lambda xs, r: np.ones(len(xs))
-        analytic_beta = lambda t: 0.0
         divergent = False
         name = f"theta-b:{n}"
     else:
@@ -407,15 +403,13 @@ def theta_map(kind, n, c=None):
             s = _row_norms(xs) + r
             return s / (1.0 + s)
 
-        analytic_beta = lambda t: 1.0 / (1.0 + t)
         divergent = True
         name = f"theta-c:{n}"
 
     return MapModel(
         name, n, n, fn, fn_batch=fn_batch, deriv=deriv, smooth_part=smooth_part,
-        lip_part=lip_part,
+        lip_part=lip_part, beta_divergent=divergent,
         inverse=lambda y: theta_back_substitute(kind, n, y, c),
-        analytic_beta=analytic_beta, beta_divergent=divergent,
     )
 
 
@@ -428,7 +422,7 @@ def identity_map(n=3):
         "identity", n, n, lambda x: x.copy(), fn_batch=lambda xs: xs.copy(),
         deriv=deriv, smooth_part=deriv,
         lip_part=lambda xs, r: np.zeros(len(xs)), inverse=lambda y: y.copy(),
-        analytic_beta=lambda t: 1.0, beta_divergent=True,
+        beta_divergent=True,
     )
 
 
@@ -439,15 +433,12 @@ def linear_map(a, name=None):
     if m == n and abs(np.linalg.det(a)) > 0:
         ainv = np.linalg.inv(a)
         inverse = lambda y: ainv @ y
-        sigma_min = conorm(a)
-    else:
-        sigma_min = 0.0
     deriv = lambda xs: np.broadcast_to(a, (len(xs), m, n))
     return MapModel(
         name or "linear", n, m, lambda x: a @ x, fn_batch=lambda xs: xs @ a.T,
         deriv=deriv, smooth_part=deriv,
         lip_part=lambda xs, r: np.zeros(len(xs)), inverse=inverse,
-        analytic_beta=lambda t: sigma_min, beta_divergent=sigma_min > 0,
+        beta_divergent=inverse is not None,
     )
 
 
@@ -493,41 +484,40 @@ def abs_shift_map(c=0.5):
         deriv=lambda xs: (1.0 + c * np.sign(xs)).reshape(-1, 1, 1),
         smooth_part=lambda xs: np.broadcast_to(eye, (len(xs), 1, 1)),
         lip_part=lambda xs, r: np.full(len(xs), c),
-        inverse=inverse,
-        analytic_beta=lambda t: 1.0 - c, beta_divergent=c < 1.0,
+        inverse=inverse, beta_divergent=c < 1.0,
     )
 
 
+# catalog head -> the numbers of ":"-separated fields it takes
+_FIELDS = {"identity": (0, 1), "linear": (1,), "theta-a": (2,),
+           "theta-b": (1,), "theta-c": (1,), "exp1d": (0,), "complexsq": (0,),
+           "abs-shift": (0,)}
+
+
 def make_map(map_id):
-    """Resolve a catalog identifier string to a MapModel."""
-    parts = map_id.split(":")
-    head = parts[0]
-    try:
-        if head == "identity":
-            return identity_map(int(parts[1])) if len(parts) > 1 else identity_map()
-        if head == "linear":
-            if len(parts) != 2:
-                raise ValueError("linear:<matrix-file>")
+    """Resolve a catalog identifier string, every field used, to a MapModel."""
+    head, *fields = map_id.split(":")
+    if head not in _FIELDS:
+        raise ValueError(f"unknown map identifier {map_id!r}")
+    if len(fields) not in _FIELDS[head]:
+        raise ValueError(f"bad map identifier {map_id!r}: wrong field count")
+    if head == "linear":
+        try:
             with warnings.catch_warnings():
                 # an empty file is refused below as an empty matrix
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                a = np.loadtxt(parts[1], ndmin=2)
-            return linear_map(a, name=map_id)
-        if head == "theta-a":
-            return theta_map("a", int(parts[1]), float(parts[2]))
-        if head == "theta-b":
-            return theta_map("b", int(parts[1]))
-        if head == "theta-c":
-            return theta_map("c", int(parts[1]))
-        if head == "exp1d":
-            return exp1d_map()
-        if head == "complexsq":
-            return complexsq_map()
-        if head == "abs-shift":
-            return abs_shift_map()
-    except (IndexError, OSError) as exc:
-        raise ValueError(f"bad map identifier {map_id!r}: {exc}") from exc
-    raise ValueError(f"unknown map identifier {map_id!r}")
+                a = np.loadtxt(fields[0], ndmin=2)
+        except OSError as exc:
+            raise ValueError(f"bad map identifier {map_id!r}: {exc}") from exc
+        return linear_map(a, name=map_id)
+    if head == "identity":
+        return identity_map(*map(int, fields))
+    if head == "theta-a":
+        return theta_map("a", int(fields[0]), float(fields[1]))
+    if head in ("theta-b", "theta-c"):
+        return theta_map(head[-1], int(fields[0]))
+    return {"exp1d": exp1d_map, "complexsq": complexsq_map,
+            "abs-shift": abs_shift_map}[head]()
 
 
 def catalog_ids():

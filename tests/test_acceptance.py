@@ -182,7 +182,7 @@ def test_07_theta_case_b_degeneracy(capsys, tmp_path):
     rec = json.loads(out.read_text())
     m = theta_map("b", 10)
     profile = beta_profile(m, SUM, np.zeros(10), 2.0, grid_n=33,
-                           analytic_beta=m.analytic_beta)
+                           analytic=True)
     norms = []
     for n in (10, 100, 1000):
         y = -1.0 / np.arange(1, n + 1)
@@ -201,7 +201,7 @@ def test_07_theta_case_b_degeneracy(capsys, tmp_path):
 def test_08_theta_case_c_profile_and_inclusion(capsys):
     m = theta_map("c", 20)
     profile = beta_profile(m, SUM, np.zeros(20), 2.0, grid_n=4097,
-                           analytic_beta=m.analytic_beta)
+                           analytic=True)
     rho1 = rho_at(profile, 1.0)
     rho_e = rho_at(profile, np.e - 1.0)
     rate = ball_inclusion_test(m, SUM, np.zeros(20), 1.0, profile,
@@ -223,12 +223,12 @@ def test_08_theta_case_c_profile_and_inclusion(capsys):
 def test_09_ball_inclusion_theorem(capsys):
     lin = linear_map(np.diag([2.0, 3.0]))
     p_lin = beta_profile(lin, EXACT, np.zeros(2), 1.0, grid_n=9,
-                         analytic_beta=lin.analytic_beta)
+                         analytic=True)
     rate_lin = ball_inclusion_test(lin, EXACT, np.zeros(2), 1.0, p_lin,
                                    samples=100, rng=0)
     ta = theta_map("a", 10, 0.5)
     p_ta = beta_profile(ta, SUM, np.zeros(10), 1.0, grid_n=9,
-                        analytic_beta=ta.analytic_beta)
+                        analytic=True)
     rate_ta = ball_inclusion_test(ta, SUM, np.zeros(10), 1.0, p_ta,
                                   samples=100, rng=1)
     ok = rate_lin == 1.0 and rate_ta == 1.0

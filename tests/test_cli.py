@@ -14,6 +14,7 @@ from oracles import reference_format_record
 
 from pjinv import cli
 from pjinv.cli import format_record, load_config, main
+from pjinv.maps import identity_map
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -212,6 +213,42 @@ class TestCertify:
         assert out1.read_bytes() == out2.read_bytes()
         assert csv1.read_bytes() == csv2.read_bytes()
         assert csv1.read_text().splitlines()[0] == "t,beta,rho"
+
+    def test_analytic_singular_linear_is_inconclusive(self, tmp_path, capsys):
+        # sigma_min of [[1, 2], [2, 4]] computes as 1e-16, under the
+        # profile's rounding margin: beta is 0, not a certificate
+        path, csv = tmp_path / "a.txt", tmp_path / "p.csv"
+        path.write_text("1 2\n2 4\n")
+        code, out, _ = run(capsys, "certify", "--map", f"linear:{path}",
+                           "--analytic-beta", "--csv", str(csv))
+        assert code == 1
+        rec = json.loads(out)
+        assert (rec["hadamard"], rec["verdict"]) == ("fails", "inconclusive")
+        assert np.all(np.loadtxt(csv, delimiter=",", skiprows=1)[:, 1] == 0)
+
+    @pytest.mark.parametrize("rows", ["1 0\n0 1\n1 1\n", "1 0 1\n0 1 1\n"])
+    def test_analytic_non_square_linear_is_zero(self, tmp_path, capsys, rows):
+        # a tall (3 x 2) and a wide (2 x 3) matrix
+        path, csv = tmp_path / "a.txt", tmp_path / "p.csv"
+        path.write_text(rows)
+        code, out, _ = run(capsys, "profile", "--map", f"linear:{path}",
+                           "--analytic-beta", "--csv", str(csv))
+        assert code == 0 and json.loads(out)["beta_end"] == 0.0
+        assert np.all(np.loadtxt(csv, delimiter=",", skiprows=1)[:, 1] == 0)
+
+    @pytest.mark.parametrize("map_id", ["exp1d", "complexsq", "per-row"])
+    def test_analytic_needs_a_constant_sum_pair(self, monkeypatch, capsys,
+                                                map_id):
+        # exp1d and complexsq have a smooth part that varies; "per-row" is
+        # the identity with its constant smooth part materialised per row
+        if map_id == "per-row":
+            model = identity_map(2)
+            model.smooth_part = lambda xs: np.tile(np.eye(2), (len(xs), 1, 1))
+            monkeypatch.setattr(cli, "make_map", lambda _map_id: model)
+        code, out, err = run(capsys, "certify", "--map", map_id,
+                             "--provider", "exact", "--analytic-beta")
+        assert code == 2 and out == ""
+        assert "config error" in err and "no analytic profile bound" in err
 
     def test_sampled_reports_do_not_depend_on_the_draw_cache(self, tmp_path,
                                                              capsys):
@@ -439,6 +476,14 @@ class TestExitCodes:
         ["certify", "--map", "theta-c:-2", "--grid-n", "3"],
         ["certify", "--map", "identity:0", "--grid-n", "3"],
         ["certify", "--map", "identity:-1", "--grid-n", "3"],
+        # a catalog identifier with a field its map does not take
+        ["certify", "--map", "abs-shift:0.9", "--grid-n", "3"],
+        ["certify", "--map", "theta-a:10:0.5:9", "--grid-n", "3"],
+        ["certify", "--map", "theta-b:3:7", "--grid-n", "3"],
+        ["certify", "--map", "theta-c:3:x", "--grid-n", "3"],
+        ["certify", "--map", "identity:3:4", "--grid-n", "3"],
+        ["certify", "--map", "exp1d:5", "--grid-n", "3"],
+        ["certify", "--map", "complexsq:2", "--grid-n", "3"],
         ["certify", "--map", "identity", "--provider",
          "clarke:delta=inf,m=2,eps=0", "--grid-n", "3"],
         ["certify", "--map", "identity", "--provider",

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pjinv.hadamard
 from pjinv.hadamard import (BetaProfile, _shell_draws, ball_inclusion_test,
                             beta_profile, hadamard_verdict, rho_at,
                             write_profile_csv)
-from pjinv.maps import identity_map, linear_map, theta_map
+from pjinv.linalg import conorm
+from pjinv.maps import abs_shift_map, identity_map, linear_map, theta_map
 from pjinv.pseudojac import parse_provider
 
 SUM = parse_provider("sum")
@@ -51,7 +54,7 @@ class TestBetaProfileConstruction:
         # under-estimates its integral ln(1+t), the trapezoid over-estimates it
         m = theta_map("c", 4)
         p = beta_profile(m, SUM, np.zeros(4), 3.0, grid_n=grid_n,
-                         analytic_beta=m.analytic_beta)
+                         analytic=True)
         exact = np.log1p(p.grid)
         assert np.all(p.rho_lower <= exact)
         assert np.all(exact <= p.rho)
@@ -61,21 +64,21 @@ class TestBetaProfileConstruction:
     def test_theta_c_analytic_integral(self):
         m = theta_map("c", 4)
         p = beta_profile(m, SUM, np.zeros(4), 2.0, grid_n=4097,
-                         analytic_beta=m.analytic_beta)
+                         analytic=True)
         assert p.mode == "analytic"
         assert rho_at(p, 1.0) == pytest.approx(np.log(2.0), abs=1e-6)
 
     def test_theta_a_constant_profile(self):
         m = theta_map("a", 4, 0.5)
         p = beta_profile(m, SUM, np.zeros(4), 2.0, grid_n=65,
-                         analytic_beta=m.analytic_beta)
+                         analytic=True)
         assert np.allclose(p.beta, 0.5)
         assert rho_at(p, 2.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_theta_b_zero_profile(self):
         m = theta_map("b", 4)
         p = beta_profile(m, SUM, np.zeros(4), 1.0, grid_n=17,
-                         analytic_beta=m.analytic_beta)
+                         analytic=True)
         assert np.all(p.beta == 0.0)
         assert np.all(p.rho == 0.0)
 
@@ -106,6 +109,65 @@ class TestBetaProfileConstruction:
             with pytest.raises(ValueError, match="samples_per_shell"):
                 beta_profile(identity_map(2), SUM, np.zeros(2), 1.0,
                              samples_per_shell=count)
+
+
+@st.composite
+def sum_pair_cases(draw):
+    # a map with a constant smooth part, a center, a radius and a seed
+    kind = draw(st.sampled_from(["theta-a", "theta-b", "theta-c", "identity",
+                                 "abs-shift", "linear"]))
+    n = 1 if kind == "abs-shift" else draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "theta-a":
+        model = theta_map("a", n, draw(st.floats(-1.5, 1.5)))
+    elif kind in ("theta-b", "theta-c"):
+        model = theta_map(kind[-1], n)
+    elif kind == "identity":
+        model = identity_map(n)
+    elif kind == "abs-shift":
+        model = abs_shift_map()
+    else:
+        model = linear_map(rng.uniform(-3.0, 3.0, (n, n)))
+    center = rng.uniform(-4.0, 4.0, n) * draw(st.sampled_from([0.0, 1.0]))
+    return model, center, draw(st.floats(1e-3, 5.0)), rng
+
+
+class TestSumRuleProfile:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(sum_pair_cases())
+    def test_conorm_on_the_closed_ball_is_at_least_beta(self, case):
+        # the derivative at x0 and at points of B(x0, t), the sphere
+        # included, against the certified beta(t), with no slack beyond the
+        # profile's own rounding margin
+        model, center, t, rng = case
+        beta = beta_profile(model, SUM, center, t, grid_n=2,
+                            analytic=True).beta[-1]
+        directions = rng.standard_normal((32, model.dim_in))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        scales = np.concatenate([[0.0, 1.0], rng.random(30)])
+        zs = center + t * scales[:, None] * directions
+        assert np.all(conorm(model.deriv(zs)) >= beta)
+
+    def test_theta_c_away_from_the_origin(self):
+        # h is s/(1+s)-Lipschitz on B(x0, t) for s = ||x0|| + t = 5 + t
+        x0 = np.array([0.0, 5.0, 0.0])
+        p = beta_profile(theta_map("c", 3), EXACT, x0, 4.0, grid_n=33,
+                         analytic=True)
+        np.testing.assert_allclose(p.beta, 1.0 / (6.0 + p.grid), rtol=0,
+                                   atol=1e-12)
+
+    def test_center_of_the_wrong_dimension_is_refused(self):
+        for analytic in (True, False):
+            with pytest.raises(ValueError, match="expected dim 3"):
+                beta_profile(theta_map("c", 3), SUM, np.zeros(1), 1.0,
+                             grid_n=3, samples_per_shell=2, analytic=analytic)
+
+    def test_a_smooth_part_without_lip_part_is_refused(self):
+        m = identity_map(2)
+        m.lip_part = None
+        with pytest.raises(ValueError, match="no analytic profile bound"):
+            beta_profile(m, SUM, np.zeros(2), 1.0, analytic=True)
 
 
 class TestShellDraws:
@@ -147,21 +209,21 @@ class TestShellDraws:
         beta_profile(*self.ARGS, grid_n=4, samples_per_shell=6)
         # an analytic profile draws nothing
         beta_profile(*self.ARGS, grid_n=4, samples_per_shell=7,
-                     analytic_beta=lambda t: 0.5)
+                     analytic=True)
 
 
 class TestVerdict:
     def test_analytic_divergent(self):
         m = theta_map("c", 3)
         p = beta_profile(m, SUM, np.zeros(3), 2.0, grid_n=33,
-                         analytic_beta=m.analytic_beta)
+                         analytic=True)
         assert hadamard_verdict(p, analytic_divergent=True) \
             == "diverges_analytic"
 
     def test_zero_profile_fails(self):
         m = theta_map("b", 3)
         p = beta_profile(m, SUM, np.zeros(3), 1.0, grid_n=9,
-                         analytic_beta=m.analytic_beta)
+                         analytic=True)
         assert hadamard_verdict(p, analytic_divergent=False) == "fails"
 
     def test_sampled_never_certifies_divergence(self):
@@ -180,7 +242,7 @@ class TestBallInclusion:
     def test_identity(self):
         m = identity_map(2)
         p = beta_profile(m, EXACT, np.zeros(2), 1.0, grid_n=9,
-                         analytic_beta=m.analytic_beta)
+                         analytic=True)
         rate = ball_inclusion_test(m, EXACT, np.zeros(2), 1.0, p,
                                    samples=10, rng=0)
         assert rate == 1.0
@@ -188,7 +250,7 @@ class TestBallInclusion:
     def test_linear_diag(self):
         m = linear_map(np.diag([2.0, 3.0]))
         p = beta_profile(m, EXACT, np.zeros(2), 1.0, grid_n=9,
-                         analytic_beta=m.analytic_beta)
+                         analytic=True)
         assert rho_at(p, 1.0) == pytest.approx(2.0, abs=1e-12)
         rate = ball_inclusion_test(m, EXACT, np.zeros(2), 1.0, p,
                                    samples=20, rng=1)
@@ -197,17 +259,23 @@ class TestBallInclusion:
     def test_theta_a(self):
         m = theta_map("a", 5, 0.5)
         p = beta_profile(m, SUM, np.zeros(5), 1.0, grid_n=9,
-                         analytic_beta=m.analytic_beta)
+                         analytic=True)
         rate = ball_inclusion_test(m, SUM, np.zeros(5), 1.0, p,
                                    samples=20, rng=2)
         assert rate == 1.0
+
+    def test_no_samples_is_refused(self):
+        m = identity_map(2)
+        p = beta_profile(m, EXACT, np.zeros(2), 1.0, grid_n=3, analytic=True)
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            ball_inclusion_test(m, EXACT, np.zeros(2), 1.0, p, samples=0)
 
     @pytest.mark.parametrize("delta", [0.0, -0.5, float("nan")])
     def test_empty_source_ball_is_refused(self, delta):
         # the test asks for a solution strictly inside B(x0, delta)
         m = identity_map(2)
         p = beta_profile(m, EXACT, np.zeros(2), 1.0, grid_n=3,
-                         analytic_beta=m.analytic_beta)
+                         analytic=True)
         with pytest.raises(ValueError):
             ball_inclusion_test(m, EXACT, np.zeros(2), delta, p, samples=2)
 

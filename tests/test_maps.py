@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import complexsq_jacobian, dini_derivatives, theta_jacobian
+from pjinv.hadamard import beta_profile
 from pjinv.indices import _stack_bounds, set_conorm_bounds
 from pjinv.maps import (DomainError, MapModel, abs_shift_map, catalog_ids,
                         complexsq_map, evaluate, evaluate_batch, exp1d_map,
@@ -330,7 +331,10 @@ class TestCatalog:
         assert np.allclose(m(np.array([1.0, 1.0])), [2.0, 3.0])
 
     def test_bad_identifiers(self):
-        for bad in ("nope", "theta-a:4", "linear", "linear:/no/such/file"):
+        # a missing or an extra field is refused, never ignored
+        for bad in ("nope", "theta-a:4", "linear", "linear:/no/such/file",
+                    "abs-shift:0.9", "theta-a:10:0.5:9", "theta-b:3:7",
+                    "theta-c:3:x", "identity:3:4", "exp1d:5", "complexsq:2"):
             with pytest.raises(ValueError):
                 make_map(bad)
 
@@ -344,7 +348,9 @@ class TestCatalog:
 def test_linear_map_analytic_data():
     m = linear_map(np.diag([2.0, 3.0]))
     assert np.allclose(m.inverse(np.array([4.0, 9.0])), [2.0, 3.0])
-    assert m.analytic_beta(10.0) == pytest.approx(2.0, abs=1e-12)
+    p = beta_profile(m, parse_provider("sum"), np.zeros(2), 10.0,
+                     analytic=True)
+    assert p.beta == pytest.approx(2.0, abs=1e-12)
     assert m.beta_divergent
 
 
