@@ -13,9 +13,10 @@ point gives the direction (the first n) and the radial uniform
 exp(-(g_n**2 + g_{n+1}**2) / 2), which is U(0, 1] since half a chi-square
 variable with two degrees of freedom is Exp(1).  So the points do not
 depend on ``rng``, and a shell's first c points are the same for every
-count >= c.  The draws depend only on (n, grid_n, count), so they are
-made once per process for each such triple and cached read-only; the
-center and the grid radii are applied on every call.  A profile whose
+count >= c.  The draws depend only on (n, grid_n, count), so their unit
+directions and radial scales are made once per process for each such
+triple and cached read-only; the grid radii and the center are applied on
+every call, by the operations of ``maps._ball_points``.  A profile whose
 draws would exceed MAX_PROFILE_DRAWS entries is refused before anything
 is drawn.  The center and all the shells' points, in that order, form one
 array, and their sets are built and bounded a block at a time: one
@@ -36,7 +37,8 @@ import numpy as np
 from .indices import DEFAULT_NET, _stack_bounds
 from .invert import path_lift_invert
 from .linalg import as_vector, singular_values
-from .maps import _ball_points, _blocks, _check_point, _uniform_ball, evaluate
+from .maps import (_ball_directions, _blocks, _check_point, _uniform_ball,
+                   evaluate)
 from .pseudojac import build_sets
 
 __all__ = [
@@ -145,30 +147,33 @@ def _check_draws(n, grid_n, count):
 
 
 def _profile_points(center, grid, count):
-    # the center, then count points of shell j = 1, 2, ..., through one
-    # _ball_points transform of the cached draws; row 0 (a dummy draw at
-    # radius 0) is then overwritten by the center
-    normals, radial = _shell_draws(center.size, len(grid), count)
+    # the center, then count points of shell j = 1, 2, ..., by the
+    # operations of _ball_points on the cached directions; row 0 (a dummy
+    # draw at radius 0) is then overwritten by the center
+    units, scale = _shell_draws(center.size, len(grid), count)
     radii = np.repeat(grid, [1] + [count] * (len(grid) - 1))[:, None]
-    points = _ball_points(center, radii, normals, radial)
+    points = units * (radii * scale)
+    points += center
     points[0] = center
     return points
 
 
 @functools.lru_cache(maxsize=4)
 def _shell_draws(n, grid_n, count):
-    # the normals (first n columns) and radial uniforms of every profile
-    # point, read-only, built once per (n, grid_n, count): a dummy row of
-    # ones, then count rows for shell j = 1, 2, ... from one draw of
-    # default_rng(j) each, filling one array in place
+    # the unit directions and radial scales (_ball_directions) of every
+    # profile point, read-only, built once per (n, grid_n, count) from the
+    # draws: a dummy row of ones, then count rows for shell j = 1, 2, ...
+    # from one draw of default_rng(j) each, filling one array in place; its
+    # first n columns are the normals, the last two give the radial uniform
     g = np.ones((1 + (grid_n - 1) * count, n + 2))
     for j in range(1, grid_n):
         shell = g[1 + (j - 1) * count:1 + j * count]
         np.random.default_rng(j).standard_normal(out=shell)
     radial = np.exp(-(g[:, n:n + 1] ** 2 + g[:, n + 1:] ** 2) / 2.0)
-    g.flags.writeable = False
-    radial.flags.writeable = False
-    return g[:, :n], radial
+    units, scale = _ball_directions(g[:, :n], radial)
+    units.flags.writeable = False
+    scale.flags.writeable = False
+    return units, scale
 
 
 def rho_at(profile, t):

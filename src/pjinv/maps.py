@@ -15,7 +15,7 @@ point comes from one transform, ``_ball_points``, fed by ``_uniform_balls``
 (for each center in turn all its count x n normals, then all its count
 uniforms; ``_uniform_ball`` is its one-center case) or by the Hadamard
 profile, whose grid shell j takes its normals and radial uniforms from one
-draw of ``default_rng(j)``.
+draw of ``default_rng(j)`` and which caches their ``_ball_directions``.
 """
 
 import warnings
@@ -287,13 +287,19 @@ def _ball_points(center, radius, normals, uniforms):
     """Points of B(center, radius): row i of normals (count, n), normalized
     (a zero row stays zero), at distance radius * uniforms[i, 0] ** (1 / n).
     """
-    norms = np.linalg.norm(normals, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
     # in place: one array of the points' size, whatever the count
-    points = normals / norms
-    points *= radius * uniforms ** (1.0 / normals.shape[1])
+    points, scale = _ball_directions(normals, uniforms)
+    points *= radius * scale
     points += center
     return points
+
+
+def _ball_directions(normals, uniforms):
+    # _ball_points' unit rows (a new array) and radial scales, which depend
+    # on the draws alone
+    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    return normals / norms, uniforms ** (1.0 / normals.shape[1])
 
 
 def _uniform_ball(rng, center, radius, count):
@@ -371,7 +377,8 @@ def theta_map(kind, n, c=None):
         return y
 
     def fn_batch(xs):
-        ys = xs.copy()
+        # in the layout of xs: elementwise work then runs along the long axis
+        ys = xs.copy(order="K")
         ys[:, :-1] += theta(np.abs(xs[:, 1:]), c)
         return ys
 
@@ -419,7 +426,8 @@ def identity_map(n=3):
     eye = np.eye(n)
     deriv = lambda xs: np.broadcast_to(eye, (len(xs), n, n))
     return MapModel(
-        "identity", n, n, lambda x: x.copy(), fn_batch=lambda xs: xs.copy(),
+        "identity", n, n, lambda x: x.copy(),
+        fn_batch=lambda xs: xs.copy(order="K"),
         deriv=deriv, smooth_part=deriv,
         lip_part=lambda xs, r: np.zeros(len(xs)), inverse=lambda y: y.copy(),
         beta_divergent=True,

@@ -19,6 +19,12 @@ one einsum over the stacked vertices.  ``validity_check`` runs its trials
 in blocks: one draw of all (ystar, v) pairs, one ``evaluate_batch`` call
 for all Dini points and one einsum of vertex actions per block, whose
 largest and smallest entries give the upper and lower support bounds.
+Its elementwise work runs coordinate-major, along axes of count * DINI_STEPS
+entries: the Dini points are built as an (n, count, DINI_STEPS) array and
+reach the oracle as its Fortran-ordered (count * DINI_STEPS, n) view.
+Every reduction over a row (the dots with ystar, and ``_row_norms``) takes
+C-contiguous rows, as a loop over single points does, so the quotients and
+the verdicts keep their bits.
 """
 
 import numpy as np
@@ -321,14 +327,24 @@ def validity_check(model, x, jset, trials=1000, tol=1e-3, rng=None, t0=1e-3):
         count = block.stop - block.start
         draws = rng.standard_normal((count, m + n))
         ystar, v = _unit_rows(draws[:, :m]), _unit_rows(draws[:, m:])
-        zs = x + ts[:, None] * v[:, None, :]
-        fz = evaluate_batch(model, zs.reshape(-1, n)).reshape(count, DINI_STEPS, m)
-        # one BLAS dot per point, as ystar @ evaluate(model, z) computes it:
-        # the quotients then match a loop over points to the bit
-        phi = (fz[:, :, None, :] @ ystar[:, None, :, None])[:, :, 0, 0]
-        base = (ystar[:, None, :] @ fx[:, None])[:, 0, 0]
-        quots = (phi - base[:, None]) / ts
+        quots = _dini_quotients(model, x, fx, ystar, v, ts)
         sup, inf = _support_bounds(jset, ystar, v)
         ok = (quots.max(axis=1) <= sup + tol) & (quots.min(axis=1) >= inf - tol)
         passed += int(np.count_nonzero(ok))
     return passed / trials
+
+
+def _dini_quotients(model, x, fx, ystar, v, ts):
+    # (count, len(ts)) quotients (<ystar, f(x + t v)> - <ystar, f(x)>) / t,
+    # to the bit those of a loop over the points.  zs[i, p, j] is
+    # x_i + ts[j] * v[p, i], by the two operations of x + t * v
+    (count, n), steps = v.shape, len(ts)
+    zs = np.multiply(v.T[:, :, None], ts, out=np.empty((n, count, steps)))
+    zs += x[:, None, None]
+    fz = evaluate_batch(model, zs.reshape(n, -1).T)
+    # C rows, one BLAS dot per point as ystar @ evaluate(model, z) takes it:
+    # a dot on strided rows of 4 or more entries rounds differently
+    fz = np.ascontiguousarray(fz.reshape(count, steps, -1))
+    phi = (fz[:, :, None, :] @ ystar[:, None, :, None])[:, :, 0, 0]
+    base = (ystar[:, None, :] @ fx[:, None])[:, 0, 0]
+    return (phi - base[:, None]) / ts

@@ -18,11 +18,13 @@ from oracles import (full_mesh_hull_bounds, jacobi_conorm,
                      loop_support_function, loop_validity_check)
 from pjinv.indices import (DEFAULT_NET, _singleton_values, _stack_bounds,
                            set_conorm_bounds)
-from pjinv.linalg import conorm
-from pjinv.maps import (abs_shift_map, complexsq_map, exp1d_map, identity_map,
+from pjinv.linalg import _row_norms, conorm
+from pjinv.maps import (MapModel, _unit_rows, abs_shift_map, complexsq_map,
+                        evaluate, evaluate_batch, exp1d_map, identity_map,
                         linear_map, theta_map)
-from pjinv.pseudojac import (PseudoJacobianSet, _support_bounds, build_set,
-                             parse_provider, support_function, validity_check)
+from pjinv.pseudojac import (PseudoJacobianSet, _dini_quotients, _dini_steps,
+                             _support_bounds, build_set, parse_provider,
+                             support_function, validity_check)
 
 SUM_TOL = 1e-12
 CONORM_TOL = 1e-11     # the bound test_linalg applies to single matrices
@@ -165,6 +167,51 @@ def test_validity_blocks_draw_the_same_stream(monkeypatch):
     blocks_rng = np.random.default_rng(11)
     assert validity_check(model, x, jset, trials=100, rng=blocks_rng) == one_block < 1.0
     assert blocks_rng.bit_generator.state == one_rng.bit_generator.state
+
+
+def chain_suite_map(inner):
+    # dist-to-point o inner, built as `check chain` and chain_rule_check
+    # build it (y0 = f(0) + 1)
+    y0 = inner(np.zeros(inner.dim_in)) + 1.0
+    outer = MapModel("dist-to-point", inner.dim_out, 1,
+                     lambda y: np.array([np.linalg.norm(y - y0)]),
+                     fn_batch=lambda ys: _row_norms(ys - y0)[:, None])
+    return MapModel(
+        "chain", inner.dim_in, 1,
+        lambda z: evaluate(outer, evaluate(inner, z)),
+        fn_batch=lambda zs: evaluate_batch(outer, evaluate_batch(inner, zs)))
+
+
+# linear's one gemm over many rows rounds differently from its one-row fn
+# (a gemv), so its reference values come from one evaluate_batch call on the
+# points as C rows; every other map's come from evaluate, one point at a time
+DINI_MAPS = [(theta_map("a", 5, 0.5), True), (theta_map("c", 6), True),
+             (linear_map(np.random.default_rng(5).standard_normal((4, 4))), False),
+             (chain_suite_map(theta_map("a", 5, 0.5)), True)]
+
+
+@pytest.mark.parametrize("model, pointwise", DINI_MAPS,
+                         ids=["theta-a:5:0.5", "theta-c:6", "linear-4x4", "chain"])
+def test_dini_quotients_match_a_loop_over_points(model, pointwise):
+    # m or n >= 4: a dot or a norm on strided rows would round differently
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-0.8, 0.8, model.dim_in)
+    fx = evaluate(model, x)
+    ts = _dini_steps(1e-3)
+    count, m = 200, model.dim_out
+    draws = rng.standard_normal((count, m + model.dim_in))
+    ystar, v = _unit_rows(draws[:, :m]), _unit_rows(draws[:, m:])
+    quots = _dini_quotients(model, x, fx, ystar, v, ts)
+    points = [[x + t * vp for t in ts] for vp in v]
+    if pointwise:
+        values = [[evaluate(model, z) for z in row] for row in points]
+    else:
+        values = evaluate_batch(model, np.reshape(points, (-1, model.dim_in)))
+        values = values.reshape(count, len(ts), m)
+    loop = [[(float(ystar[p] @ values[p][j]) - float(ystar[p] @ fx)) / t
+             for j, t in enumerate(ts)] for p in range(count)]
+    assert quots.shape == (count, len(ts))
+    assert np.array_equal(quots, loop)
 
 
 @pytest.mark.parametrize("k", [2, 6])

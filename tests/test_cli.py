@@ -1,5 +1,6 @@
 import argparse
 import json
+import platform
 import subprocess
 import sys
 import warnings
@@ -619,3 +620,56 @@ def test_commands_import_no_scipy():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, check=True)
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+class TestHeapPolicy:
+    """main keeps freed heap for the next command, once per process."""
+
+    VALIDITY = ["check", "validity", "--map", "theta-c:3", "--provider",
+                "clarke:delta=1e-3,m=32,eps=0", "--seed", "5"]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the policy is glibc's mallopt")
+    def test_a_repeated_command_faults_in_no_new_pages(self, capsys):
+        # glibc's default hands the op's temporaries back to the kernel:
+        # 400-530 minor faults on every repeat.  Two runs grow the heap to
+        # what the command needs, and a third reuses it
+        import resource
+        argv = self.VALIDITY + ["--trials", "1000"]
+        assert main(argv) == main(argv) == 0
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(argv) == 0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        capsys.readouterr()
+        assert faults <= 50
+
+    def test_mallopt_is_called_once(self, monkeypatch, capsys):
+        calls = []
+
+        class Libc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.ctypes, "CDLL", lambda _name: Libc)
+            cli._keep_freed_heap.cache_clear()
+            assert run(capsys, "catalog")[0] == 0
+            assert run(capsys, "catalog")[0] == 0
+        cli._keep_freed_heap.cache_clear()
+        assert calls == [(cli._M_TOP_PAD, cli.HEAP_TOP_PAD)]
+
+    @pytest.mark.parametrize("error", [OSError, AttributeError])
+    def test_no_mallopt_is_a_silent_no_op(self, monkeypatch, capsys, error):
+        # no C library to load (OSError), or one without mallopt
+        # (AttributeError)
+        def cdll(_name):
+            raise error("no mallopt here")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.ctypes, "CDLL", cdll)
+            cli._keep_freed_heap.cache_clear()
+            code, out, err = run(capsys, *self.VALIDITY, "--trials", "10")
+        cli._keep_freed_heap.cache_clear()
+        assert code == 0 and err == ""
+        assert json.loads(out)["pass"] is True

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pjinv.hadamard
-from pjinv.hadamard import (BetaProfile, _shell_draws, ball_inclusion_test,
-                            beta_profile, hadamard_verdict, rho_at,
-                            write_profile_csv)
+from pjinv.hadamard import (BetaProfile, _profile_points, _shell_draws,
+                            ball_inclusion_test, beta_profile, hadamard_verdict,
+                            rho_at, write_profile_csv)
 from pjinv.linalg import conorm
-from pjinv.maps import abs_shift_map, identity_map, linear_map, theta_map
+from pjinv.maps import (_ball_points, abs_shift_map, identity_map, linear_map,
+                        theta_map)
 from pjinv.pseudojac import parse_provider
 
 SUM = parse_provider("sum")
@@ -174,11 +175,27 @@ class TestShellDraws:
     ARGS = (theta_map("a", 3, 0.5), SUM, np.zeros(3), 2.0)
 
     def test_cached_draws_are_read_only(self):
-        normals, radial = _shell_draws(3, 4, 5)
-        assert normals.shape == (16, 3) and radial.shape == (16, 1)
-        for array in (normals, radial):
+        units, scale = _shell_draws(3, 4, 5)
+        assert units.shape == (16, 3) and scale.shape == (16, 1)
+        for array in (units, scale):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0.0
+
+    @pytest.mark.parametrize("n, grid_n, count", [(3, 4, 5), (10, 32, 32)])
+    def test_profile_points_are_ball_points_of_the_draws(self, n, grid_n, count):
+        # the cached directions give the bits of _ball_points on the draws
+        draws = np.ones((1 + (grid_n - 1) * count, n + 2))
+        for j in range(1, grid_n):
+            draws[1 + (j - 1) * count:1 + j * count] = (
+                np.random.default_rng(j).standard_normal((count, n + 2)))
+        radial = np.exp(-(draws[:, n:n + 1] ** 2 + draws[:, n + 1:] ** 2) / 2.0)
+        center = np.random.default_rng(n).uniform(-2.0, 2.0, n)
+        grid = np.linspace(0.0, 1.5, grid_n)
+        radii = np.repeat(grid, [1] + [count] * (grid_n - 1))[:, None]
+        expected = _ball_points(center, radii, draws[:, :n], radial)
+        expected[0] = center
+        np.testing.assert_array_equal(_profile_points(center, grid, count),
+                                      expected)
 
     def test_a_second_profile_draws_nothing(self, monkeypatch):
         # the first profile seeds its three shells' generators; the second,

@@ -7,7 +7,7 @@ import pjinv.properties
 from oracles import frank_wolfe_project
 from oracles import jacobi_conorm as oracle_conorm
 from oracles import jacobi_singular_values
-from pjinv.linalg import (conorm, dist_to_hull, project_to_hull,
+from pjinv.linalg import (_row_norms, conorm, dist_to_hull, project_to_hull,
                           singular_values, spectral_norm, surjectivity_index)
 from pjinv.maps import theta_map
 from pjinv.properties import mvt_check
@@ -201,3 +201,31 @@ def test_jacobi_oracle_raises_when_not_converged():
     a = np.random.default_rng(0).standard_normal((8, 8))
     with pytest.raises(RuntimeError):
         jacobi_singular_values(a, max_sweeps=1)
+
+
+class TestRowNorms:
+    """_row_norms gives each row the bits np.linalg.norm gives it alone."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 10])
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+    def test_any_layout_matches_single_rows(self, n, layout):
+        # a dot on strided rows rounds differently from 4 entries on
+        rows = np.random.default_rng(n).standard_normal((2000, n))
+        a = {"C": rows, "F": np.asfortranarray(rows),
+             "transposed": np.ascontiguousarray(rows.T).T}[layout]
+        np.testing.assert_array_equal(
+            _row_norms(a), [np.linalg.norm(row) for row in rows])
+
+    def test_a_stack_of_rows(self):
+        stack = np.random.default_rng(1).standard_normal((7, 50, 6))
+        np.testing.assert_array_equal(
+            _row_norms(np.asfortranarray(stack)),
+            [[np.linalg.norm(row) for row in rows] for rows in stack])
+
+    @pytest.mark.parametrize("shape", [(128, 4), (1, 4), (0, 4), (5, 3, 10)])
+    def test_broadcast_stack_equals_its_materialised_copy(self, shape):
+        row = np.random.default_rng(2).standard_normal(shape[1:])
+        stack = np.broadcast_to(row, shape)
+        norms = _row_norms(stack)
+        np.testing.assert_array_equal(norms, _row_norms(stack.copy()))
+        norms[...] = 0.0  # a fresh array, not a view of the one norm
