@@ -14,8 +14,12 @@ a caller that runs many commands in one process pays only for parsing.
 ``main`` owns the process, so it also sets its heap policy, once: on glibc
 it asks ``mallopt`` to keep HEAP_TOP_PAD bytes of freed heap instead of
 returning them to the kernel, so that the next batched kernel reuses the
-pages and does not fault them in again.  Importing this module changes
-nothing; without ``mallopt`` (musl, macOS, Windows) the policy is a no-op.
+pages and does not fault them in again.  The gain is in processes that
+call ``main`` more than once; a one-shot command faults its pages in once
+either way.  Setting any ``mallopt`` parameter also fixes glibc's mmap
+threshold at the value it has then, so a request larger than the kept heap
+is mmapped on every call.  Importing this module changes nothing; without
+``mallopt`` (musl, macOS, Windows) the policy is a no-op.
 """
 
 import argparse
@@ -40,8 +44,10 @@ _M_TOP_PAD = -2
 # glibc's default gives each check op's ~2 MiB of NumPy temporaries back to
 # the kernel, and the next op faults them in again: about 530 minor faults
 # per `check validity` op of 1,000 trials, 200 per `check chain` and 110 per
-# `check mvt`, against 0-2 with this pad.  16 MiB holds one working array of
-# maps.MAX_BATCH_ENTRIES floats, the largest block a batched kernel takes.
+# `check mvt`, against 0-2 with this pad.  In perfbench's check workload
+# (2-core machine) the pad takes the validity op from 3.46 to 2.61 ms.
+# 16 MiB holds one working array of maps.MAX_BATCH_ENTRIES floats, the
+# largest block a batched kernel takes.
 HEAP_TOP_PAD = 16 << 20
 
 
@@ -120,9 +126,6 @@ def _round_float(x):
 
 
 def _round_sequence(seq):
-    # a list of plain floats (a witness row from tolist()) in one pass
-    if all(type(v) is float for v in seq):
-        return [_round_float(v) for v in seq]
     return [_round_floats(v) for v in seq]
 
 

@@ -53,13 +53,10 @@ def _row_norms(a):
     # BLAS dot on a contiguous row, as np.linalg.norm computes it for a
     # single vector, so a stack and its rows one at a time give the same
     # bits: strided rows are copied first (a dot on them rounds differently
-    # once a row has 4 or more entries), and a (P, n) stack with stride 0 on
-    # its row axis, one row repeated, takes one dot for all its rows.
+    # once a row has 4 or more entries).
     a = np.asarray(a, dtype=float)
     if a.strides[-1] != a.itemsize:
         a = np.ascontiguousarray(a)
-    if a.ndim == 2 and len(a) > 1 and a.strides[0] == 0:
-        return np.full(len(a), np.sqrt(a[0] @ a[0]))
     return np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0, 0])
 
 

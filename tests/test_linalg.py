@@ -228,4 +228,4 @@ class TestRowNorms:
         stack = np.broadcast_to(row, shape)
         norms = _row_norms(stack)
         np.testing.assert_array_equal(norms, _row_norms(stack.copy()))
-        norms[...] = 0.0  # a fresh array, not a view of the one norm
+        norms[...] = 0.0  # a fresh, writable array
