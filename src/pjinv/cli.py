@@ -121,42 +121,23 @@ def parse_vector(text):
     return x
 
 
-def _round_float(x):
-    return float(f"{x:.12g}") if math.isfinite(x) else None
-
-
-def _round_sequence(seq):
-    return [_round_floats(v) for v in seq]
-
-
-def _same(obj):
-    return obj
-
-
-# report value type -> its JSON-ready form.  A type not listed takes the
-# entry of its nearest listed base class: np.float64 that of np.floating,
-# bool that of int, anything else that of object (kept as it is).
-_ROUNDERS = {
-    float: _round_float,
-    dict: lambda d: {k: _round_floats(v) for k, v in sorted(d.items())},
-    list: _round_sequence,
-    tuple: _round_sequence,
-    np.ndarray: lambda a: [_round_float(float(v)) for v in a],
-    np.integer: int,
-    np.floating: lambda x: _round_float(float(x)),
-    str: _same,
-    int: _same,
-    type(None): _same,
-    object: _same,
-}
-
-
 def _round_floats(obj):
-    convert = _ROUNDERS.get(type(obj))
-    if convert is None:
-        convert = next(_ROUNDERS[base] for base in type(obj).__mro__
-                       if base in _ROUNDERS)
-    return convert(obj)
+    # a report value in its JSON-ready form: floats to 12 significant digits
+    # (a non-finite one to None), containers and numpy values converted,
+    # anything else kept as it is
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}") if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in sorted(obj.items())}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_round_floats(float(v)) for v in obj]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return _round_floats(float(obj))
+    return obj
 
 
 def format_record(record):
@@ -440,8 +421,7 @@ def cmd_check(args):
         y0 = model(np.zeros(model.dim_in)) + 1.0
         outer = MapModel(
             "dist-to-point", model.dim_out, 1,
-            lambda y: np.array([np.linalg.norm(y - y0)]),
-            fn_batch=lambda ys: _row_norms(ys - y0)[:, None],
+            lambda ys: _row_norms(ys - y0)[:, None],
             deriv=lambda ys: ((ys - y0) / _row_norms(ys - y0)[:, None])[:, None])
         rate = properties.chain_rule_check(model, outer, provider,
                                            np.zeros(model.dim_in),

@@ -36,7 +36,7 @@ import numpy as np
 
 from .linalg import as_vector, conorm, spectral_norm
 from .maps import _blocks, _uniform_ball
-from .pseudojac import PseudoJacobianSet, build_sets
+from .pseudojac import PseudoJacobianSet, build_set, build_sets
 
 __all__ = [
     "ConormBounds",
@@ -313,9 +313,7 @@ def regularity_index(model, provider, x, radii=None, net=DEFAULT_NET,
     x = as_vector(x)
     rng = np.random.default_rng(rng)
     if use_usc_shortcut:
-        vertices, set_radii = build_sets(model, x[None], provider, rng=rng)
-        bounds = set_conorm_bounds(
-            PseudoJacobianSet._frozen(vertices[0], set_radii[0]), net)
+        bounds = set_conorm_bounds(build_set(model, x, provider, rng=rng), net)
         regular = bounds.certified and bounds.lower > 10.0 * net
         kind = "certified" if bounds.certified else "sampled"
         alpha = bounds.lower if bounds.certified else bounds.upper

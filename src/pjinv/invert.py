@@ -86,15 +86,16 @@ class InversionTrace:
 
 
 def _newton_element(model, x, provider, rng):
-    """Best-conditioned vertex of the provider set, or a pseudo-inverse flag."""
+    """(T, its co-norm) for the best-conditioned vertex T of the provider
+    set at x; the co-norm is None for a singleton set."""
     jset = build_set(model, x, provider, rng=rng)
     if len(jset.vertices) == 1:
         # a singleton is trivially the max-conorm vertex; skip the SVD and
         # let the solve itself detect (near-)singularity
-        return jset.vertices[0], None, jset
+        return jset.vertices[0], None
     conorms = conorm(jset.vertices)
     best = int(np.argmax(conorms))  # ties go to the first vertex
-    return jset.vertices[best], float(conorms[best]), jset
+    return jset.vertices[best], float(conorms[best])
 
 
 def _newton_direction(t_op, r):
@@ -163,7 +164,7 @@ def semismooth_newton(model, provider, y, x0, tol=1e-10, max_iter=100, rng=None,
         if np.linalg.norm(x) > ITERATE_NORM_LIMIT:
             status = "diverged"
             break
-        t_op, t_conorm, _ = _newton_element(model, x, provider, rng)
+        t_op, t_conorm = _newton_element(model, x, provider, rng)
         if t_conorm is not None and t_conorm <= 1e-12:
             d = np.linalg.lstsq(t_op, -r, rcond=None)[0]
             used_pinv = True

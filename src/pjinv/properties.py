@@ -77,8 +77,7 @@ def chain_rule_check(model_f, model_g, provider_f, x, trials=1000, tol=1e-3,
     composed_set = compose_with_smooth_outer(model_g.deriv(fx[None])[0], inner)
     composed_map = MapModel(
         f"{model_g.name}.{model_f.name}", model_f.dim_in, model_g.dim_out,
-        lambda z: evaluate(model_g, evaluate(model_f, z)),
-        fn_batch=lambda zs: evaluate_batch(model_g, evaluate_batch(model_f, zs)),
+        lambda zs: evaluate_batch(model_g, evaluate_batch(model_f, zs)),
         domain_halfwidth=model_f.domain_halfwidth,
     )
     return validity_check(composed_map, x, composed_set, trials=trials,

@@ -7,11 +7,12 @@ support function of such a set is closed-form.
 
 ``build_sets`` builds the sets of P points as one read-only (P, k, m, n)
 vertex stack and P radii; it is the one construction path, and
-``build_set`` is its one-row case.  The derivative oracles take rows: each
-is called once per ``_blocks`` block of the P points, not once per point,
-and a constant derivative may come back as a broadcast view that the stack
-keeps uncopied.  The Clarke provider sends all P * m sample points to the
-map oracle at once, and the Lipschitz ball samples each point on its own.
+``build_set`` is its one-row case.  Every oracle of a map takes rows.  The
+derivative oracles are called once per ``_blocks`` block of the P points,
+not once per point, and a constant derivative may come back as a broadcast
+view that the stack keeps uncopied.  The Clarke provider sends all P * m
+sample points to the value oracle ``fn_batch`` at once, and the Lipschitz
+ball samples each point on its own.
 
 ``support_function`` accepts one pair (ystar, v) or stacks ystar (..., m)
 and v (..., n) with one common leading shape, and evaluates all pairs with

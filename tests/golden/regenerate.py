@@ -1,6 +1,6 @@
 """Rewrite every golden report from the current source tree.
 
-usage: PYTHONPATH=src python tests/golden/regenerate.py
+usage: python tests/golden/regenerate.py
 
 Runs each command that tests/test_golden.py lists and writes its report
 under tests/golden/, in the process and directory layout the tests use.
@@ -16,7 +16,8 @@ import tempfile
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent
-sys.path.insert(0, str(GOLDEN.parent))
+# the package from this checkout's src/, and test_golden's command lines
+sys.path[:0] = [str(GOLDEN.parents[1] / "src"), str(GOLDEN.parent)]
 
 from pjinv.cli import main  # noqa: E402
 from test_golden import CASES, COMMANDS  # noqa: E402

@@ -26,9 +26,10 @@ one composition at a time, decomposed in chunks of ``_blocks``; the pruned
 bound must equal it to the bit.
 ``theta_jacobian`` and ``complexsq_jacobian`` write the catalog's
 derivatives out entry by entry.
-``reference_format_record`` is the report serialiser the CLI used before
-it dispatched on the value's type, written out as it was; the CLI's
-reports must equal it to the byte.
+``chain_suite_map`` builds the composed map of the chain suite as
+``check chain`` and ``chain_rule_check`` build it.
+``reference_format_record`` is a separate copy of the report serialiser;
+the CLI's reports must equal it to the byte.
 """
 
 import functools
@@ -38,10 +39,10 @@ import math
 import numpy as np
 
 from pjinv.indices import set_conorm_bounds
-from pjinv.linalg import as_vector, conorm, spectral_norm
-from pjinv.maps import (DomainError, _blocks, _check_point, _oracle_rows,
-                        _uniform_ball, evaluate, local_lipschitz_estimate,
-                        numeric_jacobian)
+from pjinv.linalg import _row_norms, as_vector, conorm, spectral_norm
+from pjinv.maps import (DomainError, MapModel, _blocks, _check_point,
+                        _oracle_rows, _uniform_ball, evaluate, evaluate_batch,
+                        local_lipschitz_estimate, numeric_jacobian)
 from pjinv.pseudojac import MAX_REDRAWS, PseudoJacobianSet, support_function
 
 
@@ -371,6 +372,17 @@ def complexsq_jacobian(x):
     """Jacobian of z -> z^2 on R^2 = C at x: [[2a, -2b], [2b, 2a]]."""
     a, b = x
     return np.array([[2.0 * a, -2.0 * b], [2.0 * b, 2.0 * a]])
+
+
+def chain_suite_map(inner):
+    """dist-to-point o inner, y0 = inner(0) + 1, as ``check chain`` and
+    ``chain_rule_check`` build it."""
+    y0 = inner(np.zeros(inner.dim_in)) + 1.0
+    outer = MapModel("dist-to-point", inner.dim_out, 1,
+                     lambda ys: _row_norms(ys - y0)[:, None])
+    return MapModel(
+        "chain", inner.dim_in, 1,
+        lambda zs: evaluate_batch(outer, evaluate_batch(inner, zs)))
 
 
 def counting(model):

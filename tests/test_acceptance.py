@@ -36,8 +36,7 @@ def report(capsys, num, name, ok, detail=""):
 
 
 def abs1d():
-    return MapModel("abs1d", 1, 1, lambda x: np.abs(x),
-                    fn_batch=lambda xs: np.abs(xs))
+    return MapModel("abs1d", 1, 1, np.abs)
 
 
 def test_01_conorm_oracle_equivalence(capsys):
@@ -96,12 +95,10 @@ def test_04_optimality_suite(capsys):
     clarke = parse_provider("clarke:delta=1e-3,m=32,eps=0")
     a = np.array([1.0, -2.0])
     sqdist = MapModel("sqdist", 2, 1,
-                      lambda x: np.array([np.sum((x - a) ** 2)]),
+                      lambda xs: np.sum((xs - a) ** 2, axis=1, keepdims=True),
                       deriv=lambda xs: (2.0 * (xs - a))[:, None])
-    pw = MapModel(
-        "pwquad", 1, 1,
-        lambda x: np.where(x >= 0, x ** 2, 2.0 * x ** 2),
-        fn_batch=lambda xs: np.where(xs >= 0, xs ** 2, 2.0 * xs ** 2))
+    pw = MapModel("pwquad", 1, 1,
+                  lambda xs: np.where(xs >= 0, xs ** 2, 2.0 * xs ** 2))
     at_min = [optimality_check(abs1d(), clarke, np.zeros(1), rng=0)[0],
               optimality_check(sqdist, EXACT, a)[0],
               optimality_check(pw, clarke, np.zeros(1), rng=1)[0]]
@@ -206,7 +203,7 @@ def test_08_theta_case_c_profile_and_inclusion(capsys):
     rho_e = rho_at(profile, np.e - 1.0)
     rate = ball_inclusion_test(m, SUM, np.zeros(20), 1.0, profile,
                                samples=50, rng=0)
-    h = MapModel("theta-c-h", 20, 20, lambda x: m.fn(x) - x)
+    h = MapModel("theta-c-h", 20, 20, lambda xs: m.fn_batch(xs) - xs)
     lip_ok = True
     lip_detail = []
     for t in (0.5, 1.0, 2.0, 5.0):

@@ -14,14 +14,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pjinv.maps
-from oracles import (full_mesh_hull_bounds, jacobi_conorm,
+from oracles import (chain_suite_map, full_mesh_hull_bounds, jacobi_conorm,
                      loop_support_function, loop_validity_check)
 from pjinv.indices import (DEFAULT_NET, _singleton_values, _stack_bounds,
                            set_conorm_bounds)
-from pjinv.linalg import _row_norms, conorm
-from pjinv.maps import (MapModel, _unit_rows, abs_shift_map, complexsq_map,
-                        evaluate, evaluate_batch, exp1d_map, identity_map,
-                        linear_map, theta_map)
+from pjinv.linalg import conorm
+from pjinv.maps import (_unit_rows, abs_shift_map, complexsq_map, evaluate,
+                        evaluate_batch, exp1d_map, identity_map, linear_map,
+                        theta_map)
 from pjinv.pseudojac import (PseudoJacobianSet, _dini_quotients, _dini_steps,
                              _support_bounds, build_set, parse_provider,
                              support_function, validity_check)
@@ -169,22 +169,9 @@ def test_validity_blocks_draw_the_same_stream(monkeypatch):
     assert blocks_rng.bit_generator.state == one_rng.bit_generator.state
 
 
-def chain_suite_map(inner):
-    # dist-to-point o inner, built as `check chain` and chain_rule_check
-    # build it (y0 = f(0) + 1)
-    y0 = inner(np.zeros(inner.dim_in)) + 1.0
-    outer = MapModel("dist-to-point", inner.dim_out, 1,
-                     lambda y: np.array([np.linalg.norm(y - y0)]),
-                     fn_batch=lambda ys: _row_norms(ys - y0)[:, None])
-    return MapModel(
-        "chain", inner.dim_in, 1,
-        lambda z: evaluate(outer, evaluate(inner, z)),
-        fn_batch=lambda zs: evaluate_batch(outer, evaluate_batch(inner, zs)))
-
-
-# linear's one gemm over many rows rounds differently from its one-row fn
-# (a gemv), so its reference values come from one evaluate_batch call on the
-# points as C rows; every other map's come from evaluate, one point at a time
+# linear's one gemm over many rows rounds differently from its one-row call,
+# so its reference values come from one evaluate_batch call on the points
+# as C rows; every other map's come from evaluate, one point at a time
 DINI_MAPS = [(theta_map("a", 5, 0.5), True), (theta_map("c", 6), True),
              (linear_map(np.random.default_rng(5).standard_normal((4, 4))), False),
              (chain_suite_map(theta_map("a", 5, 0.5)), True)]

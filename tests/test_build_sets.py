@@ -112,7 +112,7 @@ def test_a_wrong_shape_is_refused():
 
 
 def test_sum_provider_needs_a_decomposition():
-    model = MapModel("plain", 1, 1, lambda x: x)
+    model = MapModel("plain", 1, 1, lambda xs: xs)
     with pytest.raises(ValueError, match="smooth_part"):
         build_sets(model, np.zeros((2, 1)), parse_provider("sum"))
 
@@ -127,7 +127,7 @@ def test_a_non_finite_operator_is_refused(provider, broadcast):
         jacs = np.broadcast_to(bad, (5, 2, 2))
     else:
         jacs = np.stack([np.eye(2)] * 4 + [bad])
-    model = MapModel("bad", 2, 2, lambda x: x, deriv=lambda xs: jacs,
+    model = MapModel("bad", 2, 2, lambda xs: xs, deriv=lambda xs: jacs,
                      smooth_part=lambda xs: jacs,
                      lip_part=lambda xs, r: np.zeros(len(xs)))
     with pytest.raises(ValueError, match="finite"):
@@ -209,8 +209,7 @@ def patchy_map():
     def fn_batch(xs):
         return np.where(xs[:, :1] > 0.5, np.nan, xs)
 
-    return MapModel("patchy", 2, 2, lambda x: fn_batch(x[None])[0],
-                    fn_batch=fn_batch)
+    return MapModel("patchy", 2, 2, fn_batch)
 
 
 def test_clarke_redraws_follow_the_documented_stream():

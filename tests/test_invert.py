@@ -294,7 +294,7 @@ class TestInverseLipschitzProbe:
 
     def test_constant_map_errors(self):
         from pjinv.maps import MapModel
-        const = MapModel("const", 1, 1, lambda x: np.zeros(1))
+        const = MapModel("const", 1, 1, np.zeros_like)
         with pytest.raises(ValueError):
             inverse_lipschitz_probe(const, np.zeros(1), 1.0, pairs=10, rng=3)
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import complexsq_jacobian, dini_derivatives, theta_jacobian
+from oracles import (chain_suite_map, complexsq_jacobian, dini_derivatives,
+                     theta_jacobian)
 from pjinv.hadamard import beta_profile
 from pjinv.indices import _stack_bounds, set_conorm_bounds
 from pjinv.maps import (DomainError, MapModel, abs_shift_map, catalog_ids,
@@ -60,12 +61,6 @@ def raised(call):
     return None
 
 
-def overflowing(with_batch):
-    # exp(1000 x) is inf for x > 0.71: a finite point, a non-finite value
-    fn = lambda x: np.exp(1000.0 * x)
-    return MapModel("overflowing", 1, 1, fn, fn_batch=fn if with_batch else None)
-
-
 class TestEvaluateBatch:
     def test_wrong_dimension_raises_like_evaluate(self):
         m = theta_map("a", 3, 0.5)
@@ -80,9 +75,9 @@ class TestEvaluateBatch:
             assert raised(lambda: evaluate(m, xs[2])) is DomainError
             assert raised(lambda: evaluate_batch(m, xs)) is DomainError
 
-    @pytest.mark.parametrize("with_batch", [True, False])
-    def test_non_finite_output_raises_like_evaluate(self, with_batch):
-        m = overflowing(with_batch)
+    def test_non_finite_output_raises_like_evaluate(self):
+        # exp(1000 x) is inf for x > 0.71: a finite point, a non-finite value
+        m = MapModel("overflowing", 1, 1, lambda xs: np.exp(1000.0 * xs))
         xs = np.array([[0.0], [1.0]])
         with np.errstate(over="ignore"):
             assert raised(lambda: evaluate(m, xs[1])) is ValueError
@@ -97,27 +92,13 @@ class TestEvaluateBatch:
     def test_first_bad_row_decides(self):
         # row order decides as in a loop of evaluate calls, and rows at or
         # after the first point outside the box never reach the oracle
-        m = MapModel("exp1000", 1, 1, lambda x: np.exp(1000.0 * x),
+        m = MapModel("exp1000", 1, 1, lambda xs: np.exp(1000.0 * xs),
                      domain_halfwidth=5.0)
         with np.errstate(over="ignore"):
             assert raised(lambda: evaluate_batch(
                 m, np.array([[0.0], [1.0], [6.0]]))) is ValueError
         assert raised(lambda: evaluate_batch(
             m, np.array([[0.0], [6.0], [1.0]]))) is DomainError
-
-    def test_matches_fn_row_by_row_without_fn_batch(self):
-        calls = []
-
-        def fn(x):
-            calls.append(1)
-            return np.array([np.sin(x[0]) * x[1], x[0] ** 3, np.abs(x[1])])
-
-        m = MapModel("rows", 2, 3, fn)
-        xs = np.random.default_rng(0).uniform(-2.0, 2.0, (17, 2))
-        out = evaluate_batch(m, xs)
-        assert len(calls) == 17  # one fn call per row
-        np.testing.assert_array_equal(out, np.array([fn(x) for x in xs]))
-        assert evaluate_batch(m, np.empty((0, 2))).shape == (0, 3)
 
     def test_one_fn_batch_call(self):
         calls = []
@@ -127,15 +108,17 @@ class TestEvaluateBatch:
             calls.append(len(xs))
             return base.fn_batch(xs)
 
-        m = MapModel("theta-c", 3, 3, base.fn, fn_batch=fn_batch)
+        m = MapModel("theta-c", 3, 3, fn_batch)
         xs = np.random.default_rng(1).uniform(-2.0, 2.0, (40, 3))
         out = evaluate_batch(m, xs)
         assert calls == [40]
         np.testing.assert_array_equal(out, np.array([evaluate(base, x) for x in xs]))
 
     def test_wrong_oracle_shape(self):
-        m = MapModel("short", 2, 2, lambda x: x, fn_batch=lambda xs: xs[:, :1])
+        m = MapModel("short", 2, 3, lambda xs: xs[:, :1])
         assert raised(lambda: evaluate_batch(m, np.zeros((3, 2)))) is ValueError
+        # no rows reach no oracle: the result is empty, dim_out wide
+        assert evaluate_batch(m, np.empty((0, 2))).shape == (0, 3)
 
 
 class TestNumericJacobian:
@@ -144,7 +127,8 @@ class TestNumericJacobian:
         assert np.allclose(jac, np.eye(3), atol=1e-9)
 
     def test_componentwise_square(self):
-        m = MapModel("sq", 2, 2, lambda x: np.array([x[0] ** 2, x[1]]))
+        m = MapModel("sq", 2, 2,
+                     lambda xs: np.column_stack([xs[:, 0] ** 2, xs[:, 1]]))
         jac = numeric_jacobian(m, np.array([3.0, 1.0]))
         assert np.allclose(jac, [[6.0, 0.0], [0.0, 1.0]], atol=1e-6)
 
@@ -161,8 +145,7 @@ class TestNumericJacobian:
                                    atol=1e-6)
 
     def test_nonfinite_raises(self):
-        bad = MapModel("bad", 1, 1,
-                       lambda x: np.array([np.inf if x[0] > 0 else 0.0]))
+        bad = MapModel("bad", 1, 1, lambda xs: np.where(xs > 0, np.inf, 0.0))
         with pytest.raises(FloatingPointError):
             numeric_jacobian(bad, np.zeros(1))
 
@@ -216,6 +199,53 @@ def test_row_oracles_equal_one_row_calls(model, closed_form, count, seed,
             (lower[i], upper[i], certified[i])
 
 
+# every catalog map and the chain suite's composed map, each with whether
+# its multi-row oracle call must give each row the bits of its one-row call;
+# linear's many-row gemm may round differently from its one-row call
+EVALUATION_MAPS = [
+    (identity_map(3), True),
+    (linear_map(np.array([[2.0, 1.0, 0.5], [0.0, 3.0, -1.0]])), False),
+    (theta_map("a", 4, 0.5), True),
+    (theta_map("b", 3), True),
+    (theta_map("c", 5), True),
+    (exp1d_map(), True),
+    (complexsq_map(), True),
+    (abs_shift_map(), True),
+    (chain_suite_map(theta_map("c", 3)), True),
+]
+
+
+def assert_one_evaluation_path(model, xs, rows_match):
+    # evaluate is the one-row case of evaluate_batch, to the bit
+    ones = np.array([evaluate_batch(model, x[None])[0] for x in xs])
+    for x, one in zip(xs, ones):
+        np.testing.assert_array_equal(evaluate(model, x), one, strict=True)
+    if rows_match:
+        np.testing.assert_array_equal(evaluate_batch(model, xs), ones,
+                                      strict=True)
+
+
+@pytest.mark.parametrize("model, rows_match", EVALUATION_MAPS,
+                         ids=[model.name for model, _ in EVALUATION_MAPS])
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(count=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+       zeroed=st.sampled_from([0.0, 0.5, 1.0]))
+def test_single_points_take_the_row_oracle(model, rows_match, count, seed,
+                                           zeroed):
+    # points in [-3, 3]^n, some coordinates zeroed onto the kinks
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-3.0, 3.0, (count, model.dim_in))
+    xs[rng.uniform(size=xs.shape) < zeroed] = 0.0
+    assert_one_evaluation_path(model, xs, rows_match)
+
+
+def test_complexsq_single_points_take_the_row_oracle():
+    # a scalar form of x0^2 - x1^2 and 2 x0 x1 differs from the row form in
+    # the last bit at about one point in a thousand
+    xs = np.random.default_rng(17).uniform(-3.0, 3.0, (20_000, 2))
+    assert_one_evaluation_path(complexsq_map(), xs, True)
+
+
 class TestLocalLipschitz:
     def test_linear_map_spectral_norm(self):
         a = np.array([[2.0, 1.0], [0.0, 3.0]])
@@ -226,14 +256,14 @@ class TestLocalLipschitz:
         assert est >= 0.95 * nrm
 
     def test_abs_at_zero(self):
-        m = MapModel("abs1d", 1, 1, lambda x: np.abs(x))
+        m = MapModel("abs1d", 1, 1, np.abs)
         est = local_lipschitz_estimate(m, np.zeros(1), 1.0, samples=500, rng=1)
         assert est == pytest.approx(1.0, abs=1e-3)
 
     def test_theta_c_nonsmooth_part_bound(self):
         # h = f - id; its local Lipschitz constant on B(0, t) is t/(1+t)
         tc = theta_map("c", 4)
-        h = MapModel("theta-c-h", 4, 4, lambda x: tc.fn(x) - x)
+        h = MapModel("theta-c-h", 4, 4, lambda xs: tc.fn_batch(xs) - xs)
         for t in (0.5, 1.0):
             est = local_lipschitz_estimate(h, np.zeros(4), t,
                                            samples=800, rng=2)

@@ -10,8 +10,7 @@ CLARKE = parse_provider("clarke:delta=1e-3,m=32,eps=0")
 
 
 def abs1d():
-    return MapModel("abs1d", 1, 1, lambda x: np.abs(x),
-                    fn_batch=lambda xs: np.abs(xs))
+    return MapModel("abs1d", 1, 1, np.abs)
 
 
 class TestMvt:
@@ -63,7 +62,7 @@ class TestOptimality:
     def test_quadratic_minimizer(self):
         a = np.array([1.0, -2.0])
         m = MapModel("sqdist", 2, 1,
-                     lambda x: np.array([np.sum((x - a) ** 2)]),
+                     lambda xs: np.sum((xs - a) ** 2, axis=1, keepdims=True),
                      deriv=lambda xs: (2.0 * (xs - a))[:, None])
         dist, ok = optimality_check(m, EXACT, a)
         assert ok
@@ -89,7 +88,7 @@ class TestChainRule:
 
     def test_squared_norm_outer_annihilates_abs(self):
         f = abs1d()
-        g = MapModel("sqnorm", 1, 1, lambda y: y ** 2,
+        g = MapModel("sqnorm", 1, 1, lambda ys: ys ** 2,
                      deriv=lambda ys: (2.0 * ys)[:, None])
         rate = chain_rule_check(f, g, CLARKE, np.zeros(1), trials=200, rng=1)
         assert rate == 1.0
@@ -98,7 +97,7 @@ class TestChainRule:
         f = theta_map("a", 3, 0.5)
         y0 = f(np.zeros(3)) + np.array([1.0, 1.0, 1.0])
         g = MapModel("dist-to-point", 3, 1,
-                     lambda y: np.array([np.linalg.norm(y - y0)]),
+                     lambda ys: np.linalg.norm(ys - y0, axis=1, keepdims=True),
                      deriv=lambda ys: ((ys - y0) / np.linalg.norm(
                          ys - y0, axis=1, keepdims=True))[:, None])
         rate = chain_rule_check(f, g, parse_provider("sum"), np.zeros(3),
@@ -108,7 +107,7 @@ class TestChainRule:
     def test_identity_outer_reduces_to_validity_check(self):
         f = theta_map("a", 3, 0.5)
         eye = np.eye(3)
-        g = MapModel("id-outer", 3, 3, lambda y: y.copy(),
+        g = MapModel("id-outer", 3, 3, lambda ys: ys.copy(),
                      deriv=lambda ys: np.broadcast_to(eye, (len(ys), 3, 3)))
         x = np.array([0.4, -0.2, 0.9])
         rate_chain = chain_rule_check(f, g, parse_provider("sum"), x,
@@ -123,6 +122,6 @@ class TestChainRule:
                              np.zeros(2))
 
     def test_outer_needs_derivative(self):
-        g = MapModel("no-deriv", 1, 1, lambda y: y)
+        g = MapModel("no-deriv", 1, 1, lambda ys: ys)
         with pytest.raises(ValueError):
             chain_rule_check(abs1d(), g, EXACT, np.zeros(1))

@@ -12,8 +12,7 @@ SUM = parse_provider("sum")
 
 
 def abs1d():
-    return MapModel("abs1d", 1, 1, lambda x: np.abs(x),
-                    fn_batch=lambda xs: np.abs(xs))
+    return MapModel("abs1d", 1, 1, np.abs)
 
 
 class TestProviderSpec:
@@ -69,7 +68,8 @@ class TestConstructors:
         assert np.allclose(jset.vertices[0], a)
 
     def test_exact_componentwise_square(self):
-        m = MapModel("sq", 2, 2, lambda x: np.array([x[0] ** 2, x[1]]))
+        m = MapModel("sq", 2, 2,
+                     lambda xs: np.column_stack([xs[:, 0] ** 2, xs[:, 1]]))
         jset = build_set(m, np.array([3.0, 1.0]), EXACT)
         assert np.allclose(jset.vertices[0], [[6.0, 0.0], [0.0, 1.0]],
                            atol=1e-6)
@@ -87,7 +87,8 @@ class TestConstructors:
         assert jset.radius == pytest.approx(np.linalg.norm(a, 2), rel=0.05)
 
     def test_ball_constant_map(self):
-        m = MapModel("const", 2, 2, lambda x: np.array([1.0, 2.0]))
+        m = MapModel("const", 2, 2,
+                     lambda xs: np.broadcast_to([1.0, 2.0], (len(xs), 2)))
         spec = ProviderSpec("ball", lip_samples=100)
         assert build_set(m, np.zeros(2), spec, rng=2).radius == 0.0
 
@@ -103,7 +104,7 @@ class TestConstructors:
             == pytest.approx(t / (1.0 + t), abs=1e-12)
 
     def test_sum_rule_requires_decomposition(self):
-        m = MapModel("plain", 1, 1, lambda x: x)
+        m = MapModel("plain", 1, 1, lambda xs: xs)
         with pytest.raises(ValueError):
             build_set(m, np.zeros(1), SUM)
 
@@ -132,21 +133,17 @@ class TestConstructors:
         for v in jset.vertices:
             assert np.allclose(v, a, atol=1e-6)
 
-    def test_clarke_batch_and_loop_paths_agree_statistically(self):
-        # same construction with and without the vectorized oracle
+    def test_clarke_theta_kink_gives_both_slopes(self):
         spec = ProviderSpec("clarke", delta=1e-3, m=32)
-        m_fast = theta_map("a", 2, 0.5)
-        m_slow = theta_map("a", 2, 0.5)
-        m_slow.fn_batch = None
         x = np.array([0.5, 0.0])  # kink in the second coordinate
-        for m in (m_fast, m_slow):
-            jset = build_set(m, x, spec, rng=3)
-            vals = {round(float(v[0, 1]), 6) for v in jset.vertices}
-            assert vals == {-0.5, 0.5}
+        jset = build_set(theta_map("a", 2, 0.5), x, spec, rng=3)
+        vals = {round(float(v[0, 1]), 6) for v in jset.vertices}
+        assert vals == {-0.5, 0.5}
 
     def test_clarke_smooth_map_hull_shrinks_with_delta(self):
         m = MapModel("sq2", 2, 2,
-                     lambda x: np.array([x[0] ** 2, x[0] * x[1]]))
+                     lambda xs: np.column_stack([xs[:, 0] ** 2,
+                                                 xs[:, 0] * xs[:, 1]]))
         diams = []
         for delta in (1e-2, 1e-4, 1e-6):
             spec = ProviderSpec("clarke", delta=delta, m=16)
@@ -157,7 +154,7 @@ class TestConstructors:
         assert diams[0] > diams[1] > diams[2]
 
     def test_clarke_redraw_exhaustion_raises(self):
-        bad = MapModel("allnan", 1, 1, lambda x: np.array([np.nan]))
+        bad = MapModel("allnan", 1, 1, lambda xs: np.full_like(xs, np.nan))
         spec = ProviderSpec("clarke", delta=1e-3, m=2)
         with pytest.raises(FloatingPointError):
             build_set(bad, np.zeros(1), spec, rng=5)
