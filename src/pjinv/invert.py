@@ -9,7 +9,16 @@ accepted trial point is the next iterate's value.  ``semismooth_newton``
 takes f(x0) as ``fx0`` when the caller has it and leaves the value at its
 last iterate on the trace as ``final_fx``, so path lifting hands each
 converged corrector's value to the next corrector.
+
+A Newton step makes one ``build_set`` call and, unless the set is a
+singleton, one ``conorm`` call: one SVD call for all its vertices.  Inputs
+are checked where they enter: the targets and start points by the public
+inverters, each point by ``evaluate`` and ``build_set``, the vertices by
+``conorm``.  The steps between them check nothing again and copy no
+iterate, since no array is changed in place.
 """
+
+import math
 
 import numpy as np
 
@@ -85,17 +94,28 @@ class InversionTrace:
         return record
 
 
+def _norm(v):
+    # np.linalg.norm of a 1-d float array, to the bit: it takes the square
+    # root of v.dot(v) too, and warns as it does when that overflows
+    return math.sqrt(v.dot(v))
+
+
 def _newton_element(model, x, provider, rng):
     """(T, its co-norm) for the best-conditioned vertex T of the provider
-    set at x; the co-norm is None for a singleton set."""
-    jset = build_set(model, x, provider, rng=rng)
-    if len(jset.vertices) == 1:
+    set at x; the co-norm is None for a singleton set.
+
+    One ``build_set`` call, and one ``conorm`` call (one SVD call for all
+    vertices) unless the set is a singleton.  Both check their inputs, so
+    nothing is checked here.
+    """
+    vertices = build_set(model, x, provider, rng=rng).vertices
+    if len(vertices) == 1:
         # a singleton is trivially the max-conorm vertex; skip the SVD and
         # let the solve itself detect (near-)singularity
-        return jset.vertices[0], None
-    conorms = conorm(jset.vertices)
-    best = int(np.argmax(conorms))  # ties go to the first vertex
-    return jset.vertices[best], float(conorms[best])
+        return vertices[0], None
+    conorms = conorm(vertices)
+    best = conorms.argmax()  # ties go to the first vertex
+    return vertices[best], float(conorms[best])
 
 
 def _newton_direction(t_op, r):
@@ -106,19 +126,19 @@ def _newton_direction(t_op, r):
     if t_op.shape[0] == t_op.shape[1]:
         try:
             d = np.linalg.solve(t_op, -r)
-            if np.all(np.isfinite(d)):
+            if np.isfinite(d).all():
                 return d, False
         except np.linalg.LinAlgError:
             pass
     return np.linalg.lstsq(t_op, -r, rcond=None)[0], True
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _misfit(fx, y):
     """(f(x) - y, its norm); the norm is inf where it overflows, with no
     overflow warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = fx - y
-        return r, float(np.linalg.norm(r))
+    r = fx - y
+    return r, _norm(r)
 
 
 def _trial(model, x, y):
@@ -147,12 +167,13 @@ def semismooth_newton(model, provider, y, x0, tol=1e-10, max_iter=100, rng=None,
     last iterate is left on the trace as ``final_fx``.
     """
     y = as_vector(y)
+    # the one copy: every later iterate is a new array that nothing mutates
     x = as_vector(x0).copy()
     rng = np.random.default_rng(rng)
     fx = evaluate(model, x) if fx0 is None else fx0
     r, residual = _misfit(fx, y)
-    iterates, residuals = [x.copy()], [residual]
-    if not np.isfinite(residual):
+    iterates, residuals = [x], [residual]
+    if not math.isfinite(residual):
         return InversionTrace("newton", [1.0], iterates, residuals, "overflow",
                               final_fx=fx)
     used_pinv = False
@@ -161,7 +182,7 @@ def semismooth_newton(model, provider, y, x0, tol=1e-10, max_iter=100, rng=None,
         if residual <= tol:
             status = "converged"
             break
-        if np.linalg.norm(x) > ITERATE_NORM_LIMIT:
+        if _norm(x) > ITERATE_NORM_LIMIT:
             status = "diverged"
             break
         t_op, t_conorm = _newton_element(model, x, provider, rng)
@@ -185,7 +206,7 @@ def semismooth_newton(model, provider, y, x0, tol=1e-10, max_iter=100, rng=None,
             status = "step_underflow"
             break
         x, fx, r, residual = trial_x, trial_fx, trial_r, trial
-        iterates.append(x.copy())
+        iterates.append(x)
         residuals.append(residual)
     else:
         if residual <= tol:
@@ -216,7 +237,7 @@ def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
     dt = 1.0 / max(int(steps), 1)
     base_dt = dt
     t_grid = [0.0]
-    iterates = [x.copy()]
+    iterates = [x]
     residuals = [0.0]
     used_pinv = False
     status = "max_iter"
@@ -233,17 +254,17 @@ def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
             x, fx = corr.final_x, corr.final_fx
             t += step
             t_grid.append(t)
-            iterates.append(x.copy())
+            iterates.append(x)
             residuals.append(corr.final_residual)
             dt = min(dt * 2.0, base_dt)
-            if np.linalg.norm(x) > ITERATE_NORM_LIMIT:
+            if _norm(x) > ITERATE_NORM_LIMIT:
                 status = "diverged"
                 break
         elif corr.status == "overflow":
             status = "overflow"
             break
         else:
-            if corr.status == "diverged" or np.linalg.norm(corr.final_x) > ITERATE_NORM_LIMIT:
+            if corr.status == "diverged" or _norm(corr.final_x) > ITERATE_NORM_LIMIT:
                 status = "diverged"
                 break
             dt *= 0.5
@@ -274,8 +295,8 @@ def ekeland_descent(model, provider, y, x0, lam=1e-3, eps=1e-3, tol=1e-8,
     x = as_vector(x0).copy()
     rng = np.random.default_rng(rng)
     r, phi = _misfit(evaluate(model, x), y)
-    iterates, residuals = [x.copy()], [phi]
-    if not np.isfinite(phi):
+    iterates, residuals = [x], [phi]
+    if not math.isfinite(phi):
         return InversionTrace("ekeland", [1.0], iterates, residuals, "overflow")
     status = "max_iter"
     stationary_distance = None
@@ -298,7 +319,7 @@ def ekeland_descent(model, provider, y, x0, lam=1e-3, eps=1e-3, tol=1e-8,
                 trial_x = x + s * d
                 _, trial_r, trial = _trial(model, trial_x, y)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    step = np.linalg.norm(trial_x - x)
+                    step = _norm(trial_x - x)
                 # phi is finite and trial, step are never NaN
                 if trial < phi - lam * step:
                     x, r, phi = trial_x, trial_r, trial
@@ -308,14 +329,14 @@ def ekeland_descent(model, provider, y, x0, lam=1e-3, eps=1e-3, tol=1e-8,
             if moved:
                 break
         if moved:
-            iterates.append(x.copy())
+            iterates.append(x)
             residuals.append(phi)
             continue
         # stalled: test lambda-stationarity of the dual set
         ystar = r / phi
         stationary_distance = dist_to_hull(
             np.zeros(model.dim_in), ystar @ jset.vertices,
-            jset.radius * np.linalg.norm(ystar) + lam)
+            jset.radius * _norm(ystar) + lam)
         if stationary_distance <= eps:
             status = "stationary"
         break

@@ -114,15 +114,21 @@ class MapModel:
 def _check_point(model, x):
     """x as a vector, checked against the model before any oracle sees it.
 
-    Raises ValueError for a wrong dimension or a non-finite entry and
-    DomainError for a point outside the domain box.
+    Raises ValueError for a bad shape, a non-finite entry or a wrong
+    dimension and DomainError for a point outside the domain box, checked
+    in that order.
     """
-    x = as_vector(x)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 1:
+        x = as_vector(x)  # a scalar becomes a vector; any other shape raises
+    # one reduction for a finite point in the box, as almost always (a NaN
+    # fails the comparison too); otherwise the checks in their order
+    if not np.abs(x).max() <= model.domain_halfwidth:
+        as_vector(x)  # raises for a non-finite entry
+        if x.size == model.dim_in:
+            raise DomainError(f"{model.name}: point outside domain box")
     if x.size != model.dim_in:
         raise ValueError(f"{model.name}: expected dim {model.dim_in}, got {x.size}")
-    # the method form skips np.max's dispatch: this runs once per evaluation
-    if np.abs(x).max() > model.domain_halfwidth:
-        raise DomainError(f"{model.name}: point outside domain box")
     return x
 
 
@@ -221,11 +227,11 @@ def _central_differences(model, zs, step):
     # the other one
     cols = np.empty((k, n, model.dim_out))
     for block in _blocks(k, n * max(n, model.dim_out)):
-        z = zs[block]
+        z = zs[block, None, :]
         h = step[block, None, None] if isinstance(step, np.ndarray) else step
         stencil = np.eye(n) * h
-        fp = _oracle_rows(model, (z[:, None, :] + stencil).reshape(-1, n))
-        fm = _oracle_rows(model, (z[:, None, :] - stencil).reshape(-1, n))
+        fp = _oracle_rows(model, (z + stencil).reshape(-1, n))
+        fm = _oracle_rows(model, (z - stencil).reshape(-1, n))
         np.divide((fp - fm).reshape(len(z), n, -1), 2.0 * h, out=cols[block])
     return cols.transpose(0, 2, 1)
 
@@ -290,15 +296,18 @@ def _ball_points(center, radius, normals, uniforms):
     """
     # in place: one array of the points' size, whatever the count
     points, scale = _ball_directions(normals, uniforms)
-    points *= radius * scale
+    scale *= radius
+    points *= scale
     points += center
     return points
 
 
 def _ball_directions(normals, uniforms):
     # _ball_points' unit rows (a new array) and radial scales, which depend
-    # on the draws alone
-    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    # on the draws alone.  The norms are np.linalg.norm(normals, axis=1)'s
+    # operations, sqrt(add.reduce(normals * normals)), without its dispatch
+    norms = np.add.reduce(normals * normals, axis=1, keepdims=True)
+    np.sqrt(norms, out=norms)
     norms[norms == 0.0] = 1.0
     return normals / norms, uniforms ** (1.0 / normals.shape[1])
 
@@ -306,28 +315,31 @@ def _ball_directions(normals, uniforms):
 def _uniform_ball(rng, center, radius, count):
     """count points uniform in B(center, radius), the one-center case of
     ``_uniform_balls``."""
-    return _uniform_balls(rng, center[None], radius, [count])
+    return _uniform_balls(rng, center[None], radius, np.full(1, count))
 
 
 def _uniform_balls(rng, centers, radius, counts):
-    """counts[i] points uniform in B(centers[i], radius) for each row i.
+    """counts[i] points uniform in B(centers[i], radius) for each row i of
+    centers, counts an integer array.
 
     Row by row, in order, rng gives counts[i] x n normals, then counts[i]
     uniforms, each filling its rows of one preallocated array; one
     ``_ball_points`` transform then maps all the draws.
     """
-    total = int(np.sum(counts))
+    total = int(counts.sum())
     normals = np.empty((total, centers.shape[1]))
     uniforms = np.empty((total, 1))
     start = 0
-    for count in counts:
-        rows = slice(start, start + count)
-        rng.standard_normal(out=normals[rows])
+    for count in counts.tolist():
+        stop = start + count
+        rng.standard_normal(out=normals[start:stop])
         # uniform(0, 1) is 0 + 1 * random(): the same draws to the bit
-        rng.random(out=uniforms[rows])
-        start += count
-    return _ball_points(centers.repeat(counts, axis=0), radius, normals,
-                        uniforms)
+        rng.random(out=uniforms[start:stop])
+        start = stop
+    # one center broadcasts over its rows; more are repeated row by row
+    if len(centers) > 1:
+        centers = centers.repeat(counts, axis=0)
+    return _ball_points(centers, radius, normals, uniforms)
 
 
 # ---------------------------------------------------------------------------

@@ -244,14 +244,9 @@ def _sum_rows(model, xs, spec):
 def _clarke_rows(model, xs, spec, rng):
     count, n = xs.shape
     step = spec.delta * 1e-4
-
-    def jacobians_at(zs):
-        if np.abs(zs).max(initial=0.0) > model.domain_halfwidth:
-            raise DomainError(f"{model.name}: point outside domain box")
-        return _central_differences(model, zs, step)
-
     zs = _uniform_balls(rng, xs, spec.delta, np.full(count, spec.m))
-    jacs = jacobians_at(zs).reshape(count, spec.m, model.dim_out, n)
+    jacs = _clarke_jacobians(model, zs, step).reshape(count, spec.m,
+                                                      model.dim_out, n)
     # one reduction when every vertex is finite, as almost always
     if np.isfinite(jacs).all():
         return jacs, np.full(count, spec.eps)
@@ -259,13 +254,22 @@ def _clarke_rows(model, xs, spec, rng):
     for _ in range(MAX_REDRAWS):
         # boolean indexing walks bad point by point, as the draws do
         redraw = bad.any(axis=1)
-        jacs[bad] = jacobians_at(_uniform_balls(rng, xs[redraw], spec.delta,
-                                                bad[redraw].sum(axis=1)))
+        jacs[bad] = _clarke_jacobians(
+            model, _uniform_balls(rng, xs[redraw], spec.delta,
+                                  bad[redraw].sum(axis=1)), step)
         bad = ~np.isfinite(jacs).all(axis=(2, 3))
         if not bad.any():
             return jacs, np.full(count, spec.eps)
     raise FloatingPointError(f"{model.name}: non-finite finite-difference "
                              f"Jacobian after {MAX_REDRAWS} redraws")
+
+
+def _clarke_jacobians(model, zs, step):
+    # central-difference Jacobians at the ball points zs, which may leave
+    # the domain box by up to delta: the one check they need
+    if np.abs(zs).max(initial=0.0) > model.domain_halfwidth:
+        raise DomainError(f"{model.name}: point outside domain box")
+    return _central_differences(model, zs, step)
 
 
 def support_function(jset, ystar, v):

@@ -2,8 +2,9 @@
 
 usage: python tests/golden/regenerate.py
 
-Runs each command that tests/test_golden.py lists and writes its report
-under tests/golden/, in the process and directory layout the tests use.
+Runs each command that tests/test_golden.py lists and writes its report,
+and each profile's CSV, under tests/golden/, in the process and directory
+layout the tests use.
 A report that moves is a change of behaviour: name each moved file and its
 cause with the change that moved it.
 """
@@ -20,7 +21,7 @@ GOLDEN = Path(__file__).resolve().parent
 sys.path[:0] = [str(GOLDEN.parents[1] / "src"), str(GOLDEN.parent)]
 
 from pjinv.cli import main  # noqa: E402
-from test_golden import CASES, COMMANDS  # noqa: E402
+from test_golden import CASES, COMMANDS, PROFILES  # noqa: E402
 
 
 def report(argv):
@@ -44,6 +45,11 @@ def write_all():
                                       "--analytic-beta"])
         finally:
             os.chdir(cwd)
+        for stem, (command, _code) in PROFILES.items():
+            csv = Path(tmp) / "p.csv"
+            argv = command.split() + ["--csv", str(csv)]
+            texts[f"{stem}.json"] = report(argv)
+            texts[f"{stem}.csv"] = csv.read_text()
     for name, text in sorted(texts.items()):
         path = GOLDEN / name
         moved = path.exists() and path.read_text() != text

@@ -16,7 +16,12 @@ the package had one ball transform, written out as it was; the package's
 draws are checked against it to the bit.
 ``loop_build_set`` is the per-point set constructors the package used
 before ``build_sets``, written out as they were; a stack must equal these
-one point at a time, to the bit.
+one point at a time, to the bit.  ``reference_check_point`` is the point
+check they made, in its order: ``as_vector``, then the dimension, then the
+domain box.
+``reference_newton_element`` is the inverters' choice of Newton operator
+as the package made it before its construction path was trimmed: the
+co-norms of all ``build_set`` vertices, then the first largest.
 ``loop_beta_profile`` computes a sampled Hadamard profile one set at a
 time: ``loop_build_set`` at each probe point in generator order, then
 ``set_conorm_bounds``; the batched profile must equal it to the bit.
@@ -40,10 +45,11 @@ import numpy as np
 
 from pjinv.indices import set_conorm_bounds
 from pjinv.linalg import _row_norms, as_vector, conorm, spectral_norm
-from pjinv.maps import (DomainError, MapModel, _blocks, _check_point,
-                        _oracle_rows, _uniform_ball, evaluate, evaluate_batch,
+from pjinv.maps import (DomainError, MapModel, _blocks, _oracle_rows,
+                        _uniform_ball, evaluate, evaluate_batch,
                         local_lipschitz_estimate, numeric_jacobian)
-from pjinv.pseudojac import MAX_REDRAWS, PseudoJacobianSet, support_function
+from pjinv.pseudojac import (MAX_REDRAWS, PseudoJacobianSet, build_set,
+                             support_function)
 
 
 def jacobi_singular_values(a, rel_tol=1e-13, max_sweeps=64):
@@ -232,6 +238,17 @@ def inline_ball_points(rng, center, radius, count):
     return center + d / nrm * radii
 
 
+def reference_check_point(model, x):
+    """x as a vector: ValueError for a bad shape, a non-finite entry or a
+    wrong dimension, DomainError outside the box, checked in that order."""
+    x = as_vector(x)
+    if x.size != model.dim_in:
+        raise ValueError(f"{model.name}: expected dim {model.dim_in}, got {x.size}")
+    if np.max(np.abs(x)) > model.domain_halfwidth:
+        raise DomainError(f"{model.name}: point outside domain box")
+    return x
+
+
 def loop_build_set(model, x, spec, rng=None):
     """The provider's set at one point, as the per-point constructors built it.
 
@@ -243,7 +260,7 @@ def loop_build_set(model, x, spec, rng=None):
     right away, at most MAX_REDRAWS times.
     """
     if spec.kind == "exact":
-        x = _check_point(model, x)
+        x = reference_check_point(model, x)
         jac = model.deriv(x[None])[0] if model.deriv is not None \
             else numeric_jacobian(model, x)
         return PseudoJacobianSet([jac], 0.0)
@@ -254,10 +271,10 @@ def loop_build_set(model, x, spec, rng=None):
     if spec.kind == "sum":
         if model.smooth_part is None or model.lip_part is None:
             raise ValueError(f"{model.name}: sum provider needs smooth_part and lip_part")
-        x = _check_point(model, x)
+        x = reference_check_point(model, x)
         radius = model.lip_part(x[None], spec.lip_radius)[0]
         return PseudoJacobianSet([model.smooth_part(x[None])[0]], float(radius))
-    x = _check_point(model, x)
+    x = reference_check_point(model, x)
     rng = np.random.default_rng(rng)
     step = spec.delta * 1e-4
 
@@ -277,6 +294,17 @@ def loop_build_set(model, x, spec, rng=None):
         raise FloatingPointError(f"{model.name}: non-finite finite-difference "
                                  f"Jacobian after {MAX_REDRAWS} redraws")
     return PseudoJacobianSet(jacs, spec.eps)
+
+
+def reference_newton_element(model, x, spec, rng):
+    """(vertex, co-norm) of the first vertex of largest co-norm in the
+    provider set at x; a singleton's one vertex and None, with no SVD."""
+    jset = build_set(model, x, spec, rng=rng)
+    if len(jset.vertices) == 1:
+        return jset.vertices[0], None
+    conorms = conorm(jset.vertices)
+    best = int(np.argmax(conorms))
+    return jset.vertices[best], float(conorms[best])
 
 
 def loop_central_differences(model, zs, step):

@@ -12,12 +12,19 @@ Two sets of reports live under golden/:
   classes at benchmark seeds 11 and 12, and the commands that evaluate the
   map at single points (``invert`` with every method, ``check`` with every
   suite, ``ball-check``).  Each command line is written out here.
+- ``PROFILES``: sampled ``profile`` commands, their reports byte for byte
+  and their ``--csv`` files row by row as floats to 1e-11 relative.  The
+  CSV prints 12 digits, and on a dyadic grid a dyadic beta puts rho on a
+  13th-digit tie, so a 1-ulp change could flip printed digits where the
+  values agree.
 
 A change that must move a report rewrites it with
 ``python tests/golden/regenerate.py`` and names each moved file and its
 cause.
 """
 
+import csv
+import math
 from pathlib import Path
 
 import pytest
@@ -188,6 +195,13 @@ COMMANDS = {
     "invert_complexsq_clarke_path": (
         "invert --map complexsq --provider clarke:delta=1e-4,m=8,eps=0 "
         "--method path --target 1,1 --x0 1,1", 0),
+    # the Clarke vertex choice outside path lifting
+    "invert_theta-a_4_clarke_newton": (
+        "invert --map theta-a:4:0.5 --provider clarke:delta=1e-4,m=8,eps=0 "
+        "--method newton --target 1,2,3,4", 0),
+    "invert_theta-a_4_clarke_ekeland": (
+        "invert --map theta-a:4:0.5 --provider clarke:delta=1e-4,m=8,eps=0 "
+        "--method ekeland --target 1,2,3,4", 0),
     "check_validity_complexsq": ("check validity --map complexsq --seed 3", 0),
     "check_chain_complexsq": ("check chain --map complexsq --seed 3", 0),
     "check_mvt_complexsq": ("check mvt --map complexsq --seed 3", 0),
@@ -199,6 +213,20 @@ COMMANDS = {
         "ball-check --map abs-shift --analytic-beta --delta 0.5 --samples 10",
         0),
 }
+
+
+# report file stem -> (command line, exit code); the CSV is <stem>.csv
+PROFILES = {
+    "profile_theta-c_3_sum": ("profile --map theta-c:3 --provider sum", 0),
+    "profile_theta-a_10_0.5_clarke": (
+        "profile --map theta-a:10:0.5 --provider clarke:delta=1e-3,m=2,eps=0 "
+        "--grid-n 5 --shell-samples 8", 0),
+}
+
+
+def csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 @pytest.mark.parametrize("map_id", CASES)
@@ -219,3 +247,16 @@ def test_command_report_is_unchanged(capsys, stem):
     assert main(command.split()) == code
     assert capsys.readouterr().out.encode() == \
         (GOLDEN / f"{stem}.json").read_bytes()
+
+
+@pytest.mark.parametrize("stem", PROFILES)
+def test_profile_report_and_csv_are_unchanged(tmp_path, capsys, stem):
+    command, code = PROFILES[stem]
+    assert main(command.split() + ["--csv", str(tmp_path / "p.csv")]) == code
+    assert capsys.readouterr().out.encode() == \
+        (GOLDEN / f"{stem}.json").read_bytes()
+    got, want = csv_rows(tmp_path / "p.csv"), csv_rows(GOLDEN / f"{stem}.csv")
+    assert got[0] == want[0] and len(got) == len(want)
+    for got_row, want_row in zip(got[1:], want[1:]):
+        assert all(math.isclose(float(a), float(b), rel_tol=1e-11)
+                   for a, b in zip(got_row, want_row, strict=True))

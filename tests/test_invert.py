@@ -2,13 +2,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pjinv.invert
+import pjinv.linalg
+from oracles import counting, reference_newton_element
 from pjinv.invert import (InversionTrace, ekeland_descent,
                           inverse_lipschitz_probe, path_lift_invert,
                           semismooth_newton)
-from pjinv.maps import (abs_shift_map, complexsq_map, evaluate, exp1d_map,
-                        identity_map, linear_map, theta_map)
+from pjinv.maps import (MapModel, abs_shift_map, complexsq_map, evaluate,
+                        exp1d_map, identity_map, linear_map, theta_map)
 from pjinv.pseudojac import parse_provider
 
 EXACT = parse_provider("exact")
@@ -273,6 +277,148 @@ class TestOneEvaluationPerPoint:
         assert len(starts) > 1
         for x0, fx0 in starts:
             assert np.array_equal(fx0, evaluate(model, x0))
+
+
+def same_bits(a, b):
+    # equal shapes and bytes; None only against None
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def patchy_map():
+    # the identity on R^2, NaN where x_0 > 0.5: Clarke vertices drawn near
+    # that patch are non-finite about half the time and are redrawn
+    def fn_batch(xs):
+        return np.where(xs[:, :1] > 0.5, np.nan, xs)
+
+    return MapModel("patchy", 2, 2, fn_batch)
+
+
+# a wide map: every co-norm is 0, so the first vertex is the element
+WIDE = linear_map(np.array([[2.0, 1.0, 0.5], [0.0, 3.0, -1.0]]))
+ELEMENT_MAPS = [theta_map("a", 4, 0.5), complexsq_map(), WIDE]
+
+
+@st.composite
+def provider_texts(draw):
+    kind = draw(st.sampled_from(["clarke", "exact", "sum", "ball"]))
+    if kind == "clarke":
+        delta = draw(st.sampled_from(["1e-4", "1e-2", "0.5"]))
+        return f"clarke:delta={delta},m={draw(st.integers(1, 8))},eps=0"
+    return "ball:r=1e-2,m=20" if kind == "ball" else kind
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(model=st.sampled_from(ELEMENT_MAPS), provider=provider_texts(),
+       seed=st.integers(0, 2**32 - 1),
+       zeroed=st.sampled_from([0.0, 0.5, 1.0]),
+       scale=st.sampled_from([1.0, 1e-170, 1e160, 1e308]),
+       nan=st.booleans())
+def test_newton_element_and_misfit_keep_their_bits(model, provider, seed,
+                                                   zeroed, scale, nan):
+    # the element and the generator state after it, against the choice the
+    # inverters made before: points in [-2, 2]^n, some coordinates zeroed
+    # onto the kinks, where the Clarke vertices' co-norms differ
+    spec = parse_provider(provider)
+    points = np.random.default_rng(seed)
+    x = points.uniform(-2.0, 2.0, model.dim_in)
+    x[points.uniform(size=x.shape) < zeroed] = 0.0
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = pjinv.invert._newton_element(model, x, spec, got_rng)
+    want = reference_newton_element(model, x, spec, want_rng)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    # the misfit norm is np.linalg.norm's, also where it overflows to inf
+    # (from scale 1e160 up) or is NaN, and it never warns
+    fx = points.uniform(0.5, 1.0, model.dim_out) * scale
+    fx *= points.choice([-1.0, 1.0], model.dim_out)
+    if nan:
+        fx[-1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r, norm = pjinv.invert._misfit(fx, -fx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_bits(r, fx + fx)
+        assert same_bits(norm, np.linalg.norm(fx + fx))
+    assert np.isnan(norm) if nan else np.isinf(norm) == (scale >= 1e160)
+
+
+def test_newton_element_after_a_clarke_redraw():
+    model, x = patchy_map(), np.array([0.5, 0.0])
+    spec = parse_provider("clarke:delta=1e-2,m=6,eps=0")
+    calls = counting(model)
+    got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
+    got = pjinv.invert._newton_element(model, x, spec, got_rng)
+    first_draw = len(calls["fn_batch"])
+    want = reference_newton_element(model, x, spec, want_rng)
+    assert first_draw > 2  # the two stencil calls, then redraws
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class TestWorkPerNewtonStep:
+    """One ``build_set`` call and one ``singular_values`` call per Newton
+    step, and no SVD for a singleton set: what the benchmark tracer's
+    ``pseudojac.sets_built`` and ``linalg.svd_calls`` count in an invert
+    workload."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"build_set": 0, "singular_values": 0, "traces": []}
+        build_set = pjinv.invert.build_set
+        singular_values = pjinv.linalg.singular_values
+        newton = pjinv.invert.semismooth_newton
+
+        def counted_build_set(*args, **kwargs):
+            calls["build_set"] += 1
+            return build_set(*args, **kwargs)
+
+        def counted_singular_values(a):
+            calls["singular_values"] += 1
+            return singular_values(a)
+
+        def corrector(*args, **kwargs):
+            calls["traces"].append(newton(*args, **kwargs))
+            return calls["traces"][-1]
+
+        monkeypatch.setattr(pjinv.invert, "build_set", counted_build_set)
+        monkeypatch.setattr(pjinv.linalg, "singular_values",
+                            counted_singular_values)
+        monkeypatch.setattr(pjinv.invert, "semismooth_newton", corrector)
+        return calls
+
+    @staticmethod
+    def steps(traces):
+        # every run converged, so each step was accepted as one iterate
+        assert all(tr.status == "converged" for tr in traces)
+        return sum(len(tr.iterates) - 1 for tr in traces)
+
+    @staticmethod
+    def invert(method, provider):
+        # through the module, so that path lifting's correctors are counted
+        model, x0 = theta_map("a", 4, 0.5), np.zeros(4)
+        y = np.array([1.0, -2.0, 0.5, 3.0])
+        if method == "newton":
+            return pjinv.invert.semismooth_newton(model, provider, y, x0,
+                                                  rng=0)
+        return pjinv.invert.path_lift_invert(model, provider, x0, y, rng=0)
+
+    @pytest.mark.parametrize("method", ["newton", "path"])
+    def test_clarke_takes_one_build_and_one_svd_per_step(self, calls, method):
+        self.invert(method, CLARKE)
+        steps = self.steps(calls["traces"])
+        assert steps > 1
+        assert calls["build_set"] == calls["singular_values"] == steps
+
+    @pytest.mark.parametrize("method", ["newton", "path"])
+    def test_a_singleton_takes_no_svd(self, calls, method):
+        self.invert(method, EXACT)
+        steps = self.steps(calls["traces"])
+        assert steps > 1
+        assert calls["build_set"] == steps
+        assert calls["singular_values"] == 0
 
 
 class TestInverseLipschitzProbe:

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (chain_suite_map, complexsq_jacobian, dini_derivatives,
-                     theta_jacobian)
+                     reference_check_point, theta_jacobian)
 from pjinv.hadamard import beta_profile
 from pjinv.indices import _stack_bounds, set_conorm_bounds
-from pjinv.maps import (DomainError, MapModel, abs_shift_map, catalog_ids,
+from pjinv.maps import (DomainError, MapModel, _check_point, abs_shift_map,
+                        catalog_ids,
                         complexsq_map, evaluate, evaluate_batch, exp1d_map,
                         identity_map, linear_map, local_lipschitz_estimate,
                         make_map, numeric_jacobian, theta_back_substitute,
@@ -37,6 +38,33 @@ class TestEvaluate:
             evaluate(identity_map(2), np.array([2e6, 0.0]))
         with pytest.raises(DomainError):
             evaluate(exp1d_map(), np.array([701.0]))
+
+    # (model, point): each check fails alone, and where two could fail the
+    # one checked first (finiteness, then dimension, then the box) decides
+    POINTS = [
+        (theta_map("a", 3, 0.5), np.array([0.5, -1.0, 2.0])),
+        (theta_map("a", 3, 0.5), np.zeros(2)),
+        (theta_map("a", 3, 0.5), np.array([np.nan, 0.0, 0.0])),
+        (theta_map("a", 3, 0.5), np.array([np.inf, 0.0])),
+        (theta_map("a", 3, 0.5), np.array([2e6, 0.0, 0.0])),
+        (theta_map("a", 3, 0.5), np.array([2e6, 0.0])),
+        (theta_map("a", 3, 0.5), np.zeros((3, 1))),
+        (theta_map("a", 3, 0.5), np.zeros(0)),
+        (exp1d_map(), 3.0),
+        (exp1d_map(), np.float64(701.0)),
+        (exp1d_map(), np.nan),
+        (exp1d_map(), [[1.0]]),
+    ]
+
+    @pytest.mark.parametrize("model, x", POINTS)
+    def test_point_checks_keep_their_order(self, model, x):
+        def outcome(check):
+            try:
+                return check(model, x).tobytes()
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(_check_point) == outcome(reference_check_point)
 
     def test_batch_oracle_matches_pointwise(self):
         rng = np.random.default_rng(0)
