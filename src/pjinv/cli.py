@@ -217,8 +217,8 @@ def _build_parser():
     p.add_argument("--trials", type=_COUNT, default=200)
     p.add_argument("--tol", type=_NONNEGATIVE, default=1e-3)
     p.add_argument("--negative-control", action="store_true",
-                   help="run the deliberately failing variant; exit 0 iff "
-                        "it fails as designed")
+                   help="optimality only: run the deliberately failing "
+                        "variant; exit 0 iff it fails as designed")
     return parser
 
 
@@ -389,6 +389,9 @@ def cmd_check(args):
         args.map_id, args.provider = "abs1d", "clarke:delta=1e-3,m=32,eps=0"
         model = MapModel("abs1d", 1, 1, np.abs)
         provider = parse_provider(args.provider)
+    elif args.negative_control:
+        raise ConfigError("--negative-control has a failing variant only in "
+                          "check optimality")
     else:
         model, provider = _resolve(args)
     record = {"command": "check", "suite": args.suite,

@@ -6,6 +6,8 @@ singular values to high relative accuracy (Demmel and Veselic, SIAM J.
 Matrix Anal. Appl. 13, 1992), so agreement with it is a real check.  The
 loop references evaluate set operations one vertex at a time, and
 ``loop_validity_check`` runs the validity check one trial at a time.
+``exact_vertex_actions`` computes each vertex action <ystar, V v> in
+rational arithmetic, with the magnitude sum that bounds its rounding.
 ``frank_wolfe_project`` projects onto a convex hull by away-step
 Frank-Wolfe, an algorithm independent of the package's active-set method;
 its duality gap gives a certified lower bound on the distance.
@@ -40,6 +42,7 @@ the CLI's reports must equal it to the byte.
 import functools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -171,6 +174,20 @@ def loop_support_function(vertices, radius, ystar, v):
     """max over vertices of <ystar, V v>, plus radius * |ystar| * |v|."""
     best = max(float(ystar @ (vert @ v)) for vert in vertices)
     return best + radius * np.linalg.norm(ystar) * np.linalg.norm(v)
+
+
+def exact_vertex_actions(vertices, ystar, v):
+    """Each vertex action <ystar, V v> and its magnitude sum
+    sum_ij |ystar_i| |V_ij| |v_j|, exactly as ``Fraction``s: one list of
+    (action, magnitude) pairs per vertex."""
+    ys = [Fraction(float(y)) for y in ystar]
+    xs = [Fraction(float(x)) for x in v]
+    out = []
+    for vert in vertices:
+        terms = [ys[i] * Fraction(float(vert[i, j])) * xs[j]
+                 for i in range(len(ys)) for j in range(len(xs))]
+        out.append((sum(terms), sum(abs(t) for t in terms)))
+    return out
 
 
 def dini_derivatives(phi, x, v, t0=1e-2, rho=0.5, k=20):

@@ -7,6 +7,8 @@ of size <= 1 is off by well under 1e-12 in float64 whatever its summation
 order.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,11 +16,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pjinv.maps
-from oracles import (chain_suite_map, full_mesh_hull_bounds, jacobi_conorm,
+from oracles import (chain_suite_map, exact_vertex_actions,
+                     full_mesh_hull_bounds, jacobi_conorm,
                      loop_support_function, loop_validity_check)
 from pjinv.indices import (DEFAULT_NET, _singleton_values, _stack_bounds,
                            set_conorm_bounds)
-from pjinv.linalg import conorm
+from pjinv.linalg import _row_norms, conorm
 from pjinv.maps import (_unit_rows, abs_shift_map, complexsq_map, evaluate,
                         evaluate_batch, exp1d_map, identity_map, linear_map,
                         theta_map)
@@ -106,10 +109,59 @@ def test_shared_support_bounds_match_two_support_functions(case):
     np.testing.assert_array_equal(lower, -support_function(jset, -ystar, v))
 
 
+# no product of three entries underflows, so Higham's bound holds as stated
+normal_entries = entries.filter(lambda x: x == 0.0 or abs(x) >= 2.0 ** -300)
+
+
+@st.composite
+def error_bound_cases(draw):
+    k = draw(st.integers(1, 40))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    lead = draw(st.sampled_from([(), (1,), (6,)]))
+    return (draw(arrays(np.float64, (k, m, n), elements=normal_entries)),
+            draw(st.floats(0.0, 1e3, allow_subnormal=False)),
+            draw(arrays(np.float64, lead + (m,), elements=normal_entries)),
+            draw(arrays(np.float64, lead + (n,), elements=normal_entries)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(error_bound_cases())
+def test_support_bounds_are_within_the_rounding_bound(case):
+    # each action sums m terms ystar_i * (V v)_i, each (V v)_i a dot of n
+    # terms: at most mn + m roundings, so it is off by at most
+    # gamma_{mn+m} * sum |ystar_i V_ij v_j| (Higham, Accuracy and Stability
+    # of Numerical Algorithms, 3.1), whatever the summation order or the
+    # BLAS kernel; the extrema inherit the largest such error.  The ball
+    # term is the package's float one, taken exactly here, which leaves one
+    # rounding of the final sum, at most u * |bound|
+    vertices, radius, ystar, v = case
+    _, m, n = vertices.shape
+    jset = PseudoJacobianSet(vertices, radius)
+    upper, lower = _support_bounds(jset, ystar, v)
+    assert np.shape(upper) == np.shape(lower) == ystar.shape[:-1]
+    ball = radius * _row_norms(ystar) * _row_norms(v)
+    u = Fraction(1, 2 ** 53)
+    gamma = (m * n + m) * u / (1 - (m * n + m) * u)
+    for idx in np.ndindex(ystar.shape[:-1]):
+        actions = exact_vertex_actions(vertices, ystar[idx], v[idx])
+        slack = gamma * max(mag for _, mag in actions)
+        top = max(act for act, _ in actions)
+        bottom = min(act for act, _ in actions)
+        got_up, got_low = float(upper[idx]), float(lower[idx])
+        assert abs(Fraction(got_up) - Fraction(float(ball[idx])) - top) <= \
+            slack + u * abs(Fraction(got_up))
+        assert abs(Fraction(got_low) + Fraction(float(ball[idx])) - bottom) <= \
+            slack + u * abs(Fraction(got_low))
+
+
 def test_support_function_rejects_unpaired_stacks():
     jset = PseudoJacobianSet([np.eye(2)])
     with pytest.raises(ValueError):
         support_function(jset, np.ones((3, 2)), np.ones((4, 2)))
+    # a stack whose rows do not fit the operators, which a reshape to
+    # (-1, 2) would take silently as one row of another stack
+    with pytest.raises(ValueError):
+        support_function(jset, np.ones((2, 1)), np.ones((2, 2)))
     with pytest.raises(ValueError):
         support_function(jset, np.array([np.inf, 0.0]), np.ones(2))
 

@@ -392,6 +392,16 @@ class TestCheckSuites:
         assert code == 0  # designed failure
         assert json.loads(out)["pass"] is False
 
+    @pytest.mark.parametrize("suite", ["validity", "mvt", "chain"])
+    def test_negative_control_is_refused_without_a_failing_variant(
+            self, capsys, suite):
+        # the suite would run its ordinary check and exit 0 when it passes
+        code, out, err = run(capsys, "check", suite, "--map", "theta-c:3",
+                             "--provider", "sum", "--trials", "100",
+                             "--negative-control")
+        assert code == 2
+        assert "config error" in err and "optimality" in err and out == ""
+
     def test_optimality_echoes_the_map_it_checks(self, capsys):
         code, out, _ = run(capsys, "check", "optimality")
         assert code == 0

@@ -11,7 +11,10 @@ Two sets of reports live under golden/:
 - ``COMMANDS``: one operation of each of the benchmark's nine operation
   classes at benchmark seeds 11 and 12, and the commands that evaluate the
   map at single points (``invert`` with every method, ``check`` with every
-  suite, ``ball-check``).  Each command line is written out here.
+  suite, ``ball-check``), a validity check that fails about half its
+  trials, and sampled ``certify`` profiles of theta-a:10:0.5 and theta-c:3
+  with the sum, exact and 2-vertex Clarke providers.  Each command line is
+  written out here.
 - ``PROFILES``: sampled ``profile`` commands, their reports byte for byte
   and their ``--csv`` files row by row as floats to 1e-11 relative.  The
   CSV prints 12 digits, and on a dyadic grid a dyadic beta puts rho on a
@@ -206,6 +209,32 @@ COMMANDS = {
     "check_chain_complexsq": ("check chain --map complexsq --seed 3", 0),
     "check_mvt_complexsq": ("check mvt --map complexsq --seed 3", 0),
     "check_optimality": ("check optimality", 0),
+    # a one-vertex Clarke set at the kink fails about half the trials, so a
+    # change of the support bounds that moves a verdict moves this rate
+    "check_validity_abs-shift_clarke_m1": (
+        "check validity --map abs-shift --provider clarke:delta=1e-3,m=1,eps=0 "
+        "--trials 1000", 1),
+    # sampled certify profiles at a small grid; theta-c:3 with exact reports
+    # regular-certified from the unsound USC shortcut at its kink, pinned
+    # as it is so that a fix of that shortcut moves it on purpose
+    "certify_theta-a_10_0.5_sum": (
+        "certify --map theta-a:10:0.5 --provider sum --grid-n 5 "
+        "--shell-samples 8", 0),
+    "certify_theta-a_10_0.5_exact": (
+        "certify --map theta-a:10:0.5 --provider exact --grid-n 5 "
+        "--shell-samples 8", 0),
+    "certify_theta-a_10_0.5_clarke": (
+        "certify --map theta-a:10:0.5 --provider clarke:delta=1e-3,m=2,eps=0 "
+        "--grid-n 5 --shell-samples 8", 0),
+    "certify_theta-c_3_sum": (
+        "certify --map theta-c:3 --provider sum --grid-n 5 --shell-samples 8",
+        0),
+    "certify_theta-c_3_exact": (
+        "certify --map theta-c:3 --provider exact --grid-n 5 "
+        "--shell-samples 8", 0),
+    "certify_theta-c_3_clarke": (
+        "certify --map theta-c:3 --provider clarke:delta=1e-3,m=2,eps=0 "
+        "--grid-n 5 --shell-samples 8", 0),
     "ball-check_theta-c_3": (
         "ball-check --map theta-c:3 --delta 0.5 --grid-n 16 --shell-samples 8 "
         "--samples 20 --seed 5", 0),
