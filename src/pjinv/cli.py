@@ -34,7 +34,7 @@ import numpy as np
 
 from . import hadamard, indices, invert, properties
 from .linalg import _row_norms
-from .maps import MapModel, catalog_ids, make_map
+from .maps import MAX_BATCH_ENTRIES, MapModel, catalog_ids, make_map
 from .pseudojac import build_set, parse_provider, validity_check
 
 __all__ = ["main", "load_config", "format_record"]
@@ -46,9 +46,9 @@ _M_TOP_PAD = -2
 # per `check validity` op of 1,000 trials, 200 per `check chain` and 110 per
 # `check mvt`, against 0-2 with this pad.  In perfbench's check workload
 # (2-core machine) the pad takes the validity op from 3.46 to 2.61 ms.
-# 16 MiB holds one working array of maps.MAX_BATCH_ENTRIES floats, the
+# The pad holds one working array of MAX_BATCH_ENTRIES floats (16 MiB), the
 # largest block a batched kernel takes.
-HEAP_TOP_PAD = 16 << 20
+HEAP_TOP_PAD = MAX_BATCH_ENTRIES * 8
 
 
 class ConfigError(ValueError):
@@ -82,18 +82,23 @@ def load_config(path):
     """Parse a flat `key = value` config file, UTF-8, `#` comments.
 
     Booleans are `true`/`false`; values that parse as int or float are
-    converted; everything else stays a string.
+    converted; everything else stays a string.  A file that is not UTF-8
+    raises ConfigError.
     """
     out = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            out[key.strip()] = _coerce(val.strip())
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, val = line.partition("=")
+        out[key.strip()] = _coerce(val.strip())
     return out
 
 

@@ -16,6 +16,13 @@ are checked where they enter: the targets and start points by the public
 inverters, each point by ``evaluate`` and ``build_set``, the vertices by
 ``conorm``.  The steps between them check nothing again and copy no
 iterate, since no array is changed in place.
+
+Newton and Ekeland share one solve rule and one halving search.
+``_newton_direction`` solves T d = -r, and takes least squares instead
+when T is not square, when its co-norm is at most 1e-12, or when the
+solve fails or overflows.  ``_line_search`` tries the steps 1, 1/2,
+1/4, ... in turn, against Newton's Armijo test or Ekeland's
+lambda-decrease test.
 """
 
 import math
@@ -52,7 +59,8 @@ class InversionTrace:
     a corrector does, keeping the path lifted so far).
 
     final_fx is f at the last iterate when the run kept it (Newton runs
-    do), else None; it is not part of the record.
+    do), else None; it is not part of the record.  The trace keeps the
+    lists it is given, without a copy.
     """
 
     def __init__(self, method, t_grid, iterates, residuals, status,
@@ -61,9 +69,9 @@ class InversionTrace:
         if len(iterates) != len(residuals):
             raise ValueError("iterates and residuals must have equal length")
         self.method = method
-        self.t_grid = list(t_grid)
-        self.iterates = [np.asarray(z, dtype=float) for z in iterates]
-        self.residuals = [float(r) for r in residuals]
+        self.t_grid = t_grid
+        self.iterates = iterates
+        self.residuals = residuals
         self.status = status
         self.used_pseudoinverse = bool(used_pseudoinverse)
         self.stationary_distance = stationary_distance
@@ -118,12 +126,14 @@ def _newton_element(model, x, provider, rng):
     return vertices[best], float(conorms[best])
 
 
-def _newton_direction(t_op, r):
-    """Solve T d = -r, falling back to least squares when T is unreliable.
+def _newton_direction(t_op, r, t_conorm=None):
+    """Solve T d = -r; least squares when T is not square, when its given
+    co-norm is at most 1e-12, or when the solve fails or overflows.
 
     Returns (direction, used_pseudoinverse).
     """
-    if t_op.shape[0] == t_op.shape[1]:
+    if t_op.shape[0] == t_op.shape[1] and (t_conorm is None
+                                           or t_conorm > 1e-12):
         try:
             d = np.linalg.solve(t_op, -r)
             if np.isfinite(d).all():
@@ -135,7 +145,7 @@ def _newton_direction(t_op, r):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _misfit(fx, y):
-    """(f(x) - y, its norm); the norm is inf where it overflows, with no
+    """(fx - y, its norm); the norm is inf where it overflows, with no
     overflow warning."""
     r = fx - y
     return r, _norm(r)
@@ -149,6 +159,20 @@ def _trial(model, x, y):
     except ValueError:
         return None, None, np.inf
     return (fx, *_misfit(fx, y))
+
+
+def _line_search(model, x, d, y, accept):
+    """The first trial x + s d, s = 1, 1/2, 1/4, ... (MAX_HALVINGS of them),
+    whose residual norm passes accept(s, trial_x, norm), as (trial_x, its
+    f, misfit and norm); None when no trial passes."""
+    s = 1.0
+    for _ in range(MAX_HALVINGS):
+        trial_x = x + s * d
+        trial_fx, trial_r, trial = _trial(model, trial_x, y)
+        if accept(s, trial_x, trial):
+            return trial_x, trial_fx, trial_r, trial
+        s *= ARMIJO_FACTOR
+    return None
 
 
 def semismooth_newton(model, provider, y, x0, tol=1e-10, max_iter=100, rng=None,
@@ -186,26 +210,15 @@ def semismooth_newton(model, provider, y, x0, tol=1e-10, max_iter=100, rng=None,
             status = "diverged"
             break
         t_op, t_conorm = _newton_element(model, x, provider, rng)
-        if t_conorm is not None and t_conorm <= 1e-12:
-            d = np.linalg.lstsq(t_op, -r, rcond=None)[0]
-            used_pinv = True
-        else:
-            d, pinv = _newton_direction(t_op, r)
-            used_pinv = used_pinv or pinv
-        s = 1.0
-        accepted = False
-        for _ in range(MAX_HALVINGS):
-            trial_x = x + s * d
-            trial_fx, trial_r, trial = _trial(model, trial_x, y)
-            # residual is finite, so an inf or NaN trial fails this test
-            if trial <= (1.0 - ARMIJO_DECREASE * s) * residual:
-                accepted = True
-                break
-            s *= ARMIJO_FACTOR
-        if not accepted:
+        d, pinv = _newton_direction(t_op, r, t_conorm)
+        used_pinv = used_pinv or pinv
+        # residual is finite, so an inf or NaN trial fails this test
+        step = _line_search(model, x, d, y, lambda s, _, trial:
+                            trial <= (1.0 - ARMIJO_DECREASE * s) * residual)
+        if step is None:
             status = "step_underflow"
             break
-        x, fx, r, residual = trial_x, trial_fx, trial_r, trial
+        x, fx, r, residual = step
         iterates.append(x)
         residuals.append(residual)
     else:
@@ -305,30 +318,17 @@ def ekeland_descent(model, provider, y, x0, lam=1e-3, eps=1e-3, tol=1e-8,
             status = "converged"
             break
         jset = build_set(model, x, provider, rng=rng)
-        moved = False
-        square = jset.shape[0] == jset.shape[1]
-        solvable = (conorm(jset.vertices) > 1e-12) & square
-        candidates = [np.linalg.solve(v, -r) if ok
-                      else np.linalg.lstsq(v, -r, rcond=None)[0]
-                      for v, ok in zip(jset.vertices, solvable)]
+        candidates = [_newton_direction(v, r, c)[0]
+                      for v, c in zip(jset.vertices, conorm(jset.vertices))]
         probes = rng.standard_normal((2 * model.dim_in, model.dim_in))
         candidates.extend(_unit_rows(probes) * max(phi, tol))
-        for d in candidates:
-            s = 1.0
-            for _ in range(MAX_HALVINGS):
-                trial_x = x + s * d
-                _, trial_r, trial = _trial(model, trial_x, y)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    step = _norm(trial_x - x)
-                # phi is finite and trial, step are never NaN
-                if trial < phi - lam * step:
-                    x, r, phi = trial_x, trial_r, trial
-                    moved = True
-                    break
-                s *= ARMIJO_FACTOR
-            if moved:
-                break
-        if moved:
+        # phi is finite and a trial's norm and step norm are never NaN
+        searches = (_line_search(model, x, d, y, lambda _, z, trial:
+                                 trial < phi - lam * _misfit(z, x)[1])
+                    for d in candidates)
+        step = next((s for s in searches if s is not None), None)
+        if step is not None:
+            x, _, r, phi = step
             iterates.append(x)
             residuals.append(phi)
             continue

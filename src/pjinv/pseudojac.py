@@ -337,8 +337,9 @@ def validity_check(model, x, jset, trials=1000, tol=1e-3, rng=None, t0=1e-3):
     Each trial draws m + n standard normals (ystar first, then v, each
     normalized; an all-zero draw becomes the first basis vector) and takes
     the difference quotients at the steps t0 * DINI_RATIO^j, j < DINI_STEPS.
-    Trials run in blocks of at most MAX_BATCH_ENTRIES evaluated entries, so
-    memory does not grow with ``trials``.
+    Trials run in blocks of at most MAX_BATCH_ENTRIES entries, so memory
+    does not grow with ``trials``: a trial holds DINI_STEPS * max(m, n)
+    entries of Dini points and values, and k * m of vertex actions.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -348,7 +349,8 @@ def validity_check(model, x, jset, trials=1000, tol=1e-3, rng=None, t0=1e-3):
     m, n = model.dim_out, model.dim_in
     fx = evaluate(model, x)
     passed = 0
-    for block in _blocks(trials, DINI_STEPS * max(m, n)):
+    for block in _blocks(trials, max(DINI_STEPS * max(m, n),
+                                     len(jset.vertices) * m)):
         count = block.stop - block.start
         draws = rng.standard_normal((count, m + n))
         ystar, v = _unit_rows(draws[:, :m]), _unit_rows(draws[:, m:])

@@ -24,6 +24,12 @@ domain box.
 ``reference_newton_element`` is the inverters' choice of Newton operator
 as the package made it before its construction path was trimmed: the
 co-norms of all ``build_set`` vertices, then the first largest.
+``reference_newton_direction`` and ``reference_descent_directions`` are
+the inverters' solve rules as the package wrote them before Newton and
+Ekeland shared one: Newton's least-squares step for a co-norm of at most
+1e-12, else a solve of a square T with least squares when it fails or
+overflows; Ekeland's solve for a square vertex of co-norm above 1e-12,
+else least squares.
 ``loop_beta_profile`` computes a sampled Hadamard profile one set at a
 time: ``loop_build_set`` at each probe point in generator order, then
 ``set_conorm_bounds``; the batched profile must equal it to the bit.
@@ -322,6 +328,30 @@ def reference_newton_element(model, x, spec, rng):
     conorms = conorm(jset.vertices)
     best = int(np.argmax(conorms))
     return jset.vertices[best], float(conorms[best])
+
+
+def reference_newton_direction(t_op, r, t_conorm=None):
+    """(direction, used_pseudoinverse) of a Newton step on T with the
+    co-norm t_conorm (None for a singleton set)."""
+    if t_conorm is not None and t_conorm <= 1e-12:
+        return np.linalg.lstsq(t_op, -r, rcond=None)[0], True
+    if t_op.shape[0] == t_op.shape[1]:
+        try:
+            d = np.linalg.solve(t_op, -r)
+            if np.isfinite(d).all():
+                return d, False
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.lstsq(t_op, -r, rcond=None)[0], True
+
+
+def reference_descent_directions(vertices, r):
+    """Ekeland's Newton candidates, one per vertex of a (k, m, n) stack."""
+    square = vertices.shape[1] == vertices.shape[2]
+    solvable = (conorm(vertices) > 1e-12) & square
+    return [np.linalg.solve(v, -r) if ok
+            else np.linalg.lstsq(v, -r, rcond=None)[0]
+            for v, ok in zip(vertices, solvable)]
 
 
 def loop_central_differences(model, zs, step):

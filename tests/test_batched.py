@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pjinv.maps
+import pjinv.pseudojac
 from oracles import (chain_suite_map, exact_vertex_actions,
                      full_mesh_hull_bounds, jacobi_conorm,
                      loop_support_function, loop_validity_check)
@@ -219,6 +220,30 @@ def test_validity_blocks_draw_the_same_stream(monkeypatch):
     blocks_rng = np.random.default_rng(11)
     assert validity_check(model, x, jset, trials=100, rng=blocks_rng) == one_block < 1.0
     assert blocks_rng.bit_generator.state == one_rng.bit_generator.state
+
+
+def test_validity_blocks_hold_the_vertex_actions_under_the_cap(monkeypatch):
+    # 32 vertices on theta-c:3: 96 action entries per trial against 60 Dini
+    # entries, so the actions set the block size; the stream is unchanged
+    model = theta_map("c", 3)
+    x = np.array([0.1, -0.4, 0.2])
+    jset = build_set(model, x, parse_provider("clarke:delta=1e-3,m=32,eps=0"),
+                     rng=2)
+    one_rng = np.random.default_rng(11)
+    one_block = validity_check(model, x, jset, trials=100, rng=one_rng)
+    cap = 600
+    monkeypatch.setattr(pjinv.maps, "MAX_BATCH_ENTRIES", cap)
+    sizes = []
+
+    def spy(jset, ystar, v):
+        sizes.append(jset.vertices.shape[0] * jset.vertices.shape[1] * len(v))
+        return _support_bounds(jset, ystar, v)
+
+    monkeypatch.setattr(pjinv.pseudojac, "_support_bounds", spy)
+    blocks_rng = np.random.default_rng(11)
+    assert validity_check(model, x, jset, trials=100, rng=blocks_rng) == one_block
+    assert blocks_rng.bit_generator.state == one_rng.bit_generator.state
+    assert len(sizes) > 1 and max(sizes) <= cap
 
 
 # linear's one gemm over many rows rounds differently from its one-row call,

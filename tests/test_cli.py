@@ -86,6 +86,16 @@ class TestConfig:
         assert code == 2
         assert "config error" in err
 
+    def test_config_file_that_is_not_utf8_is_config_error(self, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe = 1\n")
+        code, out, err = run(capsys, "certify", "--map", "identity",
+                             "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("config error: ") and str(cfg) in err
+        assert "not UTF-8" in err and out == ""
+
 
 class TestFormatRecord:
     def test_sorted_keys_and_float_formatting(self):

@@ -12,9 +12,9 @@ Two sets of reports live under golden/:
   classes at benchmark seeds 11 and 12, and the commands that evaluate the
   map at single points (``invert`` with every method, ``check`` with every
   suite, ``ball-check``), a validity check that fails about half its
-  trials, and sampled ``certify`` profiles of theta-a:10:0.5 and theta-c:3
-  with the sum, exact and 2-vertex Clarke providers.  Each command line is
-  written out here.
+  trials, sampled ``certify`` profiles of theta-a:10:0.5 and theta-c:3
+  with the sum, exact and 2-vertex Clarke providers, and of exp1d and
+  complexsq with the sum provider.  Each command line is written out here.
 - ``PROFILES``: sampled ``profile`` commands, their reports byte for byte
   and their ``--csv`` files row by row as floats to 1e-11 relative.  The
   CSV prints 12 digits, and on a dyadic grid a dyadic beta puts rho on a
@@ -235,6 +235,13 @@ COMMANDS = {
     "certify_theta-c_3_clarke": (
         "certify --map theta-c:3 --provider clarke:delta=1e-3,m=2,eps=0 "
         "--grid-n 5 --shell-samples 8", 0),
+    # the sum rule off the theta family: exp1d's derivative grows along the
+    # ray, and complexsq's vanishes at its center
+    "certify_exp1d_sum": (
+        "certify --map exp1d --provider sum --grid-n 5 --shell-samples 8", 0),
+    "certify_complexsq_sum": (
+        "certify --map complexsq --provider sum --grid-n 5 --shell-samples 8",
+        1),
     "ball-check_theta-c_3": (
         "ball-check --map theta-c:3 --delta 0.5 --grid-n 16 --shell-samples 8 "
         "--samples 20 --seed 5", 0),
@@ -250,6 +257,12 @@ PROFILES = {
     "profile_theta-a_10_0.5_clarke": (
         "profile --map theta-a:10:0.5 --provider clarke:delta=1e-3,m=2,eps=0 "
         "--grid-n 5 --shell-samples 8", 0),
+    "profile_theta-c_3_exact": ("profile --map theta-c:3 --provider exact", 0),
+    "profile_exp1d_sum": (
+        "profile --map exp1d --provider sum --grid-n 5 --shell-samples 8", 0),
+    "profile_complexsq_sum": (
+        "profile --map complexsq --provider sum --grid-n 5 --shell-samples 8",
+        0),
 }
 
 

@@ -158,6 +158,19 @@ class TestSumRuleProfile:
         np.testing.assert_allclose(p.beta, 1.0 / (6.0 + p.grid), rtol=0,
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("family, args, bits", [
+        ("a", (10, 0.5), ("0x1.fffffffffffd8p-2",) * 3),
+        ("c", (3,), ("0x1.ffffffffffffap-1", "0x1.ffffffffffff4p-2",
+                     "0x1.555555555554ap-2")),
+    ])
+    def test_analytic_profile_keeps_its_bits(self, family, args, bits):
+        # reports print 12 digits, which hide the Weyl margin (theta-a:10:0.5
+        # prints beta 0.5); its bits at t = 0, 1 and t_max = 2 do not
+        m = theta_map(family, *args)
+        p = beta_profile(m, SUM, np.zeros(m.dim_in), 2.0, grid_n=5,
+                         analytic=True)
+        assert tuple(float(b).hex() for b in p.beta[[0, 2, 4]]) == bits
+
     def test_center_of_the_wrong_dimension_is_refused(self):
         for analytic in (True, False):
             with pytest.raises(ValueError, match="expected dim 3"):

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 import pjinv.invert
 import pjinv.linalg
-from oracles import counting, reference_newton_element
+from oracles import (counting, reference_descent_directions,
+                     reference_newton_direction, reference_newton_element)
 from pjinv.invert import (InversionTrace, ekeland_descent,
                           inverse_lipschitz_probe, path_lift_invert,
                           semismooth_newton)
+from pjinv.linalg import conorm
 from pjinv.maps import (MapModel, abs_shift_map, complexsq_map, evaluate,
                         exp1d_map, identity_map, linear_map, theta_map)
-from pjinv.pseudojac import parse_provider
+from pjinv.pseudojac import PseudoJacobianSet, parse_provider
 
 EXACT = parse_provider("exact")
 SUM = parse_provider("sum")
@@ -356,6 +358,75 @@ def test_newton_element_after_a_clarke_redraw():
     assert first_draw > 2  # the two stencil calls, then redraws
     assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+# a smallest singular value on either side of the solve rule's 1e-12
+SIGMA_MIN = [None, 0.0, 1e-13, 5e-13, 1e-12, 2e-12, 1e-11, 1e-3]
+
+
+@st.composite
+def operator_stacks(draw):
+    # k operators of one shape (square, wide or tall) in [-1, 1], each with
+    # its smallest singular value set to a drawn value (None: as drawn) or,
+    # for rank deficiency, a column zeroed; then a residual of size m
+    k, m, n = (draw(st.integers(1, 4)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vertices = rng.uniform(-1.0, 1.0, (k, m, n))
+    for v in vertices:
+        sigma = draw(st.sampled_from(SIGMA_MIN))
+        if sigma is not None:
+            u, s, vt = np.linalg.svd(v, full_matrices=False)
+            s[-1] = sigma
+            v[:] = (u * s) @ vt
+        elif draw(st.booleans()):
+            v[:, rng.integers(n)] = 0.0
+    return vertices, rng.uniform(-1e3, 1e3, m) * rng.uniform(size=m)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=operator_stacks(),
+       t_conorm=st.sampled_from(SIGMA_MIN[1:-1] + [np.nextafter(1e-12, 0),
+                                                   np.nextafter(1e-12, 1)]),
+       given_conorm=st.sampled_from(["none", "drawn", "actual"]),
+       scale=st.sampled_from([1.0, 1e300]))
+def test_newton_direction_keeps_the_solve_rule(case, t_conorm, given_conorm,
+                                               scale):
+    # the Newton step's direction and flag for a singleton (no co-norm), a
+    # co-norm at or next to 1e-12, and each operator's own co-norm; at
+    # scale 1e300 a solve can overflow
+    vertices, r = case
+    r = r * scale
+    for t_op, actual in zip(vertices, conorm(vertices)):
+        c = {"none": None, "drawn": t_conorm, "actual": actual}[given_conorm]
+        got, got_pinv = pjinv.invert._newton_direction(t_op, r, c)
+        want, want_pinv = reference_newton_direction(t_op, r, c)
+        assert same_bits(got, want) and got_pinv == want_pinv
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=operator_stacks(), seed=st.integers(0, 2**32 - 1))
+def test_descent_directions_keep_the_solve_rule(case, seed):
+    # one Ekeland step whose every trial is refused: the directions it
+    # searches along, the vertices' first and in vertex order, against the
+    # rule Ekeland used before it shared Newton's
+    vertices, r = case
+    model = linear_map(vertices[0])
+    x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, model.dim_in)
+    y = evaluate(model, x0) - r
+    searched = []
+
+    def refuse(model, x, d, y, accept):
+        searched.append(d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pjinv.invert, "build_set",
+                   lambda *args, **kw: PseudoJacobianSet(vertices))
+        mp.setattr(pjinv.invert, "_line_search", refuse)
+        tr = ekeland_descent(model, SUM, y, x0, tol=0.0, max_iter=1, rng=seed)
+    assert tr.status in ("stationary", "max_iter") and len(tr.iterates) == 1
+    want = reference_descent_directions(vertices, evaluate(model, x0) - y)
+    assert len(searched) == len(vertices) + 2 * model.dim_in
+    assert all(same_bits(d, w) for d, w in zip(searched, want))
 
 
 class TestWorkPerNewtonStep:
