@@ -5,19 +5,31 @@ spectral norm: covering the vertex simplex with a barycentric mesh of size
 ``net`` bounds the co-norm over the whole hull from below by the mesh
 minimum minus net * diam(vertices).
 
-The mesh minimum is found in two levels.  Moving the weights from w' to w
-moves the combination by sum_i (w_i - w'_i) V_i, and since those
-differences sum to 0 its norm is at most ||w - w'||_1 * diam / 2.  So the
-co-norms of a coarse sub-mesh (every s-th count, s = isqrt(subdivisions))
-bound every other row from below through the corners of its coarse cell.
+The mesh minimum is found in three levels, after Piyavskii and Shubert's
+Lipschitz bounding (B. O. Shubert, SIAM J. Numer. Anal. 9, 1972).  Moving
+the weights from w' to w moves the combination by sum_i (w_i - w'_i) V_i,
+and since those differences sum to 0 its norm is at most
+||w - w'||_1 * diam / 2.  The levels take the rows whose first k - 1
+counts are multiples of r**2, then of r, then all the rest, with r the
+integer nearest subdivisions ** (1/3) (100, 10 and 1 at the default 1,000
+subdivisions).  The first level is decomposed whole.  Each later level
+bounds its rows from the floor/ceil corners of their cell on the previous
+level's stride: low[corner] - ||c - c'||_1 * diam / (2 * subdivisions),
+where low is a decomposed corner's co-norm or a pruned corner's own bound.
 Only the rows whose bound, less a rounding margin of 1e-9 * (1 + the
-largest vertex Frobenius norm), does not clear the coarse minimum are
-decomposed.  The margin exceeds what einsum and LAPACK can round, so a
-skipped row would have computed strictly above the mesh minimum, and a
-row's value does not depend on the rows decomposed with it: the bound, the
-upper bound and the witness (the first minimal row in mesh order) are
-those of the full mesh to the bit.  The margin only decides how many rows
-are decomposed.
+largest vertex Frobenius norm), does not clear the running minimum are
+decomposed.
+
+The bound, the upper bound and the witness (the first minimal row in mesh
+order) are those of the full mesh to the bit.  A pruned row's bound is a
+chain of at most two Lipschitz steps down from a decomposed row of the
+first level, since every corner of a second-level row is one.  Each link
+can differ from exact arithmetic only by what einsum, LAPACK and the bound
+itself round, and the two links together stay far below the margin.  So a
+pruned row would have computed strictly above the running minimum, hence
+above the mesh minimum; and a row's value does not depend on the rows
+decomposed with it.  The margin only decides how many rows are
+decomposed.
 
 ``_stack_bounds`` bounds every set of a (P, k, m, n) stack in one pass that
 returns values only: arrays of lower and upper bounds and certified flags.
@@ -34,7 +46,8 @@ import math
 
 import numpy as np
 
-from .linalg import as_vector, conorm, spectral_norm
+from . import linalg
+from .linalg import as_vector, conorm
 from .maps import _blocks, _uniform_ball
 from .pseudojac import PseudoJacobianSet, build_set, build_sets
 
@@ -158,43 +171,60 @@ def _compositions(k, subdivisions):
 
 @functools.lru_cache(maxsize=8)
 def _mesh(k, subdivisions):
-    """The barycentric mesh of a k-vertex hull with its coarse index.
+    """The barycentric mesh of a k-vertex hull, cut into levels.
 
-    Returns four read-only arrays, built once per (k, subdivisions):
+    Returns two things, built once per (k, subdivisions), whose arrays are
+    read-only: ``weights`` (rows, k), c / subdivisions for every
+    composition c in mesh order, and ``levels``, coarsest first.  The
+    levels' strides are r**2, r and 1, with r the integer nearest
+    subdivisions ** (1/3) and at least 2 (100, 10 and 1 at the default
+    1,000 subdivisions); a stride of subdivisions or more makes no level.
+    A row belongs to the first level whose stride divides its first k - 1
+    counts, so the rows of the earlier levels are the points of the
+    previous level's grid.  Each level is (rows, corner, steps):
 
-    - ``weights`` (rows, k): c / subdivisions for every composition c;
-    - ``coarse``: the rows whose first k - 1 counts are multiples of
-      s = isqrt(subdivisions);
-    - ``corner`` (rows, 2**(k - 1)): for each floor/ceil corner of a row's
-      coarse cell (first k - 1 counts rounded down or up to multiples of s,
-      the last one making up the sum), its position in ``coarse``.  A
-      corner outside the simplex is replaced by the floor corner, which
-      always lies inside;
-    - ``steps`` (rows, 2**(k - 1)): ||c - c'||_1 from the row to that corner.
+    - ``rows``: the level's positions in mesh order;
+    - ``corner`` (2**(k - 1), len(rows)): for each floor/ceil corner of a
+      row's cell on the previous level's stride s (first k - 1 counts
+      rounded down or up to multiples of s, the last one making up the
+      sum), that corner's position in mesh order.  A corner outside the
+      simplex is replaced by the floor corner, which always lies inside;
+    - ``steps``, shaped like ``corner``: ||c - c'||_1 from the row to that
+      corner.  The long axis comes last, so the maximum over the corners
+      runs along it.
 
-    The two tables hold at most MAX_MESH_POINTS * 2**(MAX_CERT_VERTICES - 1)
-    entries each, fewer than the MAX_BATCH_ENTRIES of one block.
+    The first level has None for corner and steps.  The tables hold at
+    most MAX_MESH_POINTS * 2**(MAX_CERT_VERTICES - 1) entries each, fewer
+    than the MAX_BATCH_ENTRIES of one block.
     """
     counts = _compositions(k, subdivisions)
     head = counts[:, :-1]
-    s = math.isqrt(subdivisions)
-    floor, rest = np.divmod(head, s)
-    coarse = np.flatnonzero((rest == 0).all(axis=1))
-    cell = np.zeros((subdivisions // s + 1,) * (k - 1), dtype=np.int32)
-    cell[tuple(floor[coarse].T)] = np.arange(coarse.size)
-    corner = np.empty((len(counts), 2 ** (k - 1)), dtype=np.int32)
-    steps = np.empty_like(corner)
-    for bits in range(2 ** (k - 1)):
-        up = floor + (rest > 0) * (bits >> np.arange(k - 1) & 1)
-        inside = s * up.sum(axis=1) <= subdivisions
-        up = np.where(inside[:, None], up, floor)
-        shift = head - s * up
-        corner[:, bits] = cell[tuple(up.T)]
-        steps[:, bits] = np.abs(shift).sum(axis=1) + np.abs(shift.sum(axis=1))
-    tables = counts / subdivisions, coarse, corner, steps
-    for table in tables:
+    r = max(round(subdivisions ** (1 / 3)), 2)
+    strides = [s for s in (r * r, r) if s < subdivisions] + [1]
+    grid = np.flatnonzero((head % strides[0] == 0).all(axis=1))
+    levels = [(grid, None, None)]
+    for s, fine in zip(strides, strides[1:]):
+        on = np.flatnonzero((head % fine == 0).all(axis=1))
+        rows = on[(head[on] % s != 0).any(axis=1)]
+        floor, rest = np.divmod(head[rows], s)
+        cell = np.zeros((subdivisions // s + 1,) * (k - 1), dtype=np.int32)
+        cell[tuple((head[grid] // s).T)] = grid
+        corner = np.empty((2 ** (k - 1), rows.size), dtype=np.int32)
+        steps = np.empty_like(corner)
+        for bits in range(2 ** (k - 1)):
+            up = floor + (rest > 0) * (bits >> np.arange(k - 1) & 1)
+            inside = s * up.sum(axis=1) <= subdivisions
+            up = np.where(inside[:, None], up, floor)
+            shift = head[rows] - s * up
+            corner[bits] = cell[tuple(up.T)]
+            steps[bits] = np.abs(shift).sum(axis=1) + np.abs(shift.sum(axis=1))
+        levels.append((rows, corner, steps))
+        grid = on
+    weights = counts / subdivisions
+    for table in (weights, *(a for level in levels for a in level
+                             if a is not None)):
         table.flags.writeable = False
-    return tables
+    return weights, tuple(levels)
 
 
 @functools.lru_cache(maxsize=8)
@@ -216,14 +246,25 @@ def _samples(k):
     return weights
 
 
-def _combination_conorms(weights, vertices):
-    # conorm(sum_i weights[p, i] * vertices[i]) for every row p, one batched
-    # call per _blocks chunk; a row's value does not depend on its chunk
-    values = np.empty(len(weights))
-    for block in _blocks(len(weights), vertices.shape[1] * vertices.shape[2]):
-        values[block] = conorm(np.einsum("pk,kij->pij", weights[block],
-                                         vertices))
-    return values
+def _combination_conorms(weights, vertices, lead=None):
+    # (conorm(sum_i weights[p, i] * vertices[i]) for every row p, the
+    # largest singular value of each matrix of lead), one batched call per
+    # _blocks chunk with the lead stack ahead of the combinations; a wide
+    # combination's co-norm is 0 and is not decomposed.  A matrix's
+    # singular values do not depend on its chunk.
+    lead = vertices[:0] if lead is None else lead
+    m, n = vertices.shape[1:]
+    count = len(lead) + (len(weights) if n <= m else 0)
+    parts = [np.empty((0, min(m, n)))]
+    for block in _blocks(count, m * n):
+        rows = weights[max(block.start - len(lead), 0):
+                       max(block.stop - len(lead), 0)]
+        parts.append(linalg.singular_values(np.concatenate(
+            [lead[block], np.einsum("pk,kij->pij", rows, vertices)])))
+    values = np.concatenate(parts)
+    if n > m:
+        return np.zeros(len(weights)), values[:, 0]
+    return values[len(lead):, -1], values[:len(lead), 0]
 
 
 def set_conorm_bounds(jset, net=DEFAULT_NET):
@@ -238,16 +279,17 @@ def set_conorm_bounds(jset, net=DEFAULT_NET):
     2-vertex hulls qualify (a 3-vertex mesh has 501,501 points); 3 vertices
     need net >= about 1.6e-3 and 4 vertices net >= about 9.6e-3.  Any other
     set gets a sampled, non-certified bound: the minimum over the vertices
-    and 4,096 fixed-seed Dirichlet weights.  A certified bound takes diam
-    first, then the co-norms of the coarse sub-mesh, then those of the mesh
-    rows the coarse minimum does not rule out (the module docstring gives
-    the bound and its margin); the bits are those of the full mesh.  At the
-    default net the 1,001-point mesh of a 2-vertex set has 33 coarse rows,
-    and a Clarke set of a smooth map typically leaves a few dozen more.
-    Samples, coarse rows and remaining rows are each evaluated in chunks of
-    at most MAX_BATCH_ENTRIES matrix entries, one batched singular-value
-    computation per chunk.  Meshes and samples are built once per vertex
-    count and mesh size.
+    and 4,096 fixed-seed Dirichlet weights.  A certified bound decomposes
+    the vertex pair differences, which give diam, with the first level of
+    the mesh in one batched call, then the rows of each later level that
+    the running minimum does not rule out (the module docstring gives the
+    levels, the bound and its margin); the bits are those of the full mesh.
+    At the default net the 1,001-point mesh of a 2-vertex set has levels
+    of 11, 90 and 900 rows, and a Clarke set of a smooth map typically
+    leaves a few rows of each later level.  Samples and the rows of each
+    level are evaluated in chunks of at most MAX_BATCH_ENTRIES matrix
+    entries, one batched singular-value computation per chunk.  Meshes
+    and samples are built once per vertex count and mesh size.
 
     The witness, a member of the set at which the bound is attained, is
     the minimal singular pair's rank-one perturbation for a singleton
@@ -274,27 +316,42 @@ def _hull_bounds(vertices, radius, net):
     certifiable = (k <= MAX_CERT_VERTICES
                    and math.comb(subdivisions + k - 1, k - 1) <= MAX_MESH_POINTS)
     if certifiable:
-        pairs = _pairs(k)
-        diam = float(np.max(spectral_norm(vertices[pairs[0]]
-                                          - vertices[pairs[1]])))
-        weights, coarse, corner, steps = _mesh(k, subdivisions)
-        coarse_values = _combination_conorms(weights[coarse], vertices)
-        # each row's co-norm bound from its coarse corners (see the module
-        # docstring); a row whose bound, less the margin, clears the coarse
-        # minimum computes strictly above the mesh minimum and is skipped
-        margin = 1e-9 * (1.0 + np.max(np.linalg.norm(vertices, axis=(1, 2))))
-        bound = np.max(coarse_values[corner]
-                       - steps * (diam / (2 * subdivisions)), axis=1)
-        weights = weights[bound - margin <= coarse_values.min()]
+        weights, low, diam = _mesh_conorms(vertices, subdivisions)
     else:
         weights = _samples(k)
-    values = _combination_conorms(weights, vertices)
-    i = int(np.argmin(values))  # the first minimum in mesh order
+        low, _ = _combination_conorms(weights, vertices)
+    i = int(np.argmin(low))  # the first minimum in mesh order
     witness = np.einsum("pk,kij->pij", weights[i:i + 1], vertices)[0]
-    upper = max(values[i] - radius, 0.0)
+    upper = max(low[i] - radius, 0.0)
     if not certifiable:
         return 0.0, upper, False, witness
-    return max(values[i] - net * diam - radius, 0.0), upper, True, witness
+    return max(low[i] - net * diam - radius, 0.0), upper, True, witness
+
+
+def _mesh_conorms(vertices, subdivisions):
+    """(weights, low, diam) of the barycentric mesh of the vertices.
+
+    ``low`` holds each mesh row's co-norm where the row was decomposed and
+    its Lipschitz bound where it was pruned.  A pruned row's bound, less
+    the margin, cleared the running minimum, so the first minimum of
+    ``low`` is the full mesh's (the module docstring gives the argument).
+    """
+    weights, ((first, _, _), *levels) = _mesh(len(vertices), subdivisions)
+    pairs = _pairs(len(vertices))
+    low = np.empty(len(weights))
+    low[first], tops = _combination_conorms(
+        weights[first], vertices, vertices[pairs[0]] - vertices[pairs[1]])
+    diam = float(np.max(tops))
+    best = low[first].min()
+    scale = diam / (2 * subdivisions)
+    margin = 1e-9 * (1.0 + np.max(np.linalg.norm(vertices, axis=(1, 2))))
+    for rows, corner, steps in levels:
+        bound = (low[corner] - steps * scale).max(axis=0)
+        low[rows] = bound
+        rows = rows[bound - margin <= best]
+        low[rows], _ = _combination_conorms(weights[rows], vertices)
+        best = low[rows].min(initial=best)
+    return weights, low, diam
 
 
 def regularity_index(model, provider, x, radii=None, net=DEFAULT_NET,

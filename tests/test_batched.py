@@ -7,6 +7,7 @@ of size <= 1 is off by well under 1e-12 in float64 whatever its summation
 order.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,8 +21,8 @@ import pjinv.pseudojac
 from oracles import (chain_suite_map, exact_vertex_actions,
                      full_mesh_hull_bounds, jacobi_conorm,
                      loop_support_function, loop_validity_check)
-from pjinv.indices import (DEFAULT_NET, _singleton_values, _stack_bounds,
-                           set_conorm_bounds)
+from pjinv.indices import (DEFAULT_NET, MAX_MESH_POINTS, _mesh,
+                           _singleton_values, _stack_bounds, set_conorm_bounds)
 from pjinv.linalg import _row_norms, conorm
 from pjinv.maps import (_unit_rows, abs_shift_map, complexsq_map, evaluate,
                         evaluate_batch, exp1d_map, identity_map, linear_map,
@@ -298,11 +299,20 @@ def test_conorm_chunks_keep_the_first_minimum(monkeypatch, k):
         np.testing.assert_array_equal(whole.witness, np.diag([2.0, 1.0]))
 
 
+# nets of 997, 250 and 99 subdivisions, not multiples of the coarsest
+# stride r**2 (100, 36 and 25), and of 1 to 9, where levels collapse
+UNEVEN_NETS = [(2, 1 / 997), (3, 1 / 250), (4, 1 / 99)]
+SMALL_NETS = [1.0, 0.5, 1 / 3, 1 / 7, 1 / 9]
+
+
 @st.composite
 def certifiable_hulls(draw):
     # k vertices at a net where their mesh certifies; a zero last column
     # makes every member rank-deficient, and m < n every co-norm 0
-    k, net = draw(st.sampled_from([(2, 1e-3), (2, 1e-2), (3, 1e-2), (4, 1e-2)]))
+    k, net = draw(st.one_of(
+        st.sampled_from([(2, 1e-3), (2, 1e-2), (3, 1e-2), (4, 1e-2)]
+                        + UNEVEN_NETS),
+        st.tuples(st.integers(2, 4), st.sampled_from(SMALL_NETS))))
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     vertices = draw(stacks(k, m, n))
     if draw(st.booleans()):
@@ -324,6 +334,12 @@ FLAT_TIE = np.array([np.diag([1.0, 5.0]), np.diag([1.0, 7.0])])
          False)
 # wide vertices: co-norm 0 at every row
 @example((np.arange(24.0).reshape(4, 2, 3) % 5, 0.25, 1e-2), True)
+# the minimum at (996, 1) of 997 subdivisions, in the last partial cell
+# next to the first vertex, whose only corner is (990, 7) on stride 10
+@example((np.array([np.diag([-1.5e-3, 1.0]), np.eye(2)]), 0.0, 1 / 997),
+         False)
+# one subdivision: a single level, the two vertices
+@example((FLAT_TIE, 0.0, 1.0), False)
 def test_pruned_mesh_equals_the_full_mesh(case, chunked):
     vertices, radius, net = case
     assume(not (vertices == vertices[0]).all())
@@ -336,6 +352,31 @@ def test_pruned_mesh_equals_the_full_mesh(case, chunked):
     assert (bounds.lower, bounds.upper, bounds.certified) == \
         (lower, upper, certified)
     np.testing.assert_array_equal(bounds.witness, witness)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(2, 4), st.integers(1, 200))
+def test_mesh_levels_partition_the_mesh(k, subdivisions):
+    # every mesh a bound builds; 4 vertices take at most 103 subdivisions
+    assume(math.comb(subdivisions + k - 1, k - 1) <= MAX_MESH_POINTS)
+    weights, levels = _mesh.__wrapped__(k, subdivisions)
+    counts = np.rint(weights * subdivisions).astype(np.int64)
+    assert (counts >= 0).all() and (counts.sum(axis=1) == subdivisions).all()
+    level = np.full(len(weights), -1)
+    for i, (rows, corner, steps) in enumerate(levels):
+        assert (level[rows] == -1).all()  # no row in two levels
+        level[rows] = i
+        if i == 0:
+            assert corner is None and steps is None
+            continue
+        assert corner.shape == steps.shape == (2 ** (k - 1), rows.size)
+        # a corner is a mesh row, so a point of the simplex, of an earlier
+        # level, and its step is the l1 distance of the counts
+        assert ((corner >= 0) & (corner < len(weights))).all()
+        assert ((level[corner] >= 0) & (level[corner] < i)).all()
+        np.testing.assert_array_equal(
+            steps, np.abs(counts[rows] - counts[corner]).sum(axis=-1))
+    assert (level >= 0).all()
 
 
 @st.composite

@@ -4,6 +4,7 @@ import pytest
 import pjinv.linalg
 import pjinv.maps
 from oracles import jacobi_conorm
+from pjinv.cli import main
 from pjinv.indices import (DEFAULT_NET, ConormBounds, _singleton_values,
                            regularity_index, set_conorm_bounds)
 from pjinv.linalg import conorm, spectral_norm
@@ -152,20 +153,33 @@ class TestHullBounds:
         for net in (DEFAULT_NET, 1e-2):
             svd_calls.clear()
             bounds = set_conorm_bounds(jset, net=net)
-            # a certified bound takes diam, the coarse mesh and the rows the
-            # coarse mesh cannot rule out; a sampled one takes the samples
+            # a certified bound takes diam with the first level, then the
+            # rows of each later level its bounds cannot rule out; a sampled
+            # one takes the samples
             assert len(svd_calls) == (3 if bounds.certified else 1), svd_calls
 
-    def test_the_mesh_op_decomposes_under_a_quarter_of_its_rows(self, svd_calls):
+    def test_the_mesh_op_decomposes_twenty_of_its_rows(self, svd_calls):
         # the benchmark's mesh op: a 2-vertex Clarke set of theta-c:4 at the
-        # origin, whose 1,001-row mesh the coarse rows mostly rule out
+        # origin.  Its 1,001-row mesh has levels of 11, 90 and 900 rows
+        # (strides 100, 10 and 1); the first goes into one call with the
+        # vertex difference, and the Lipschitz bounds leave 4 rows of each
+        # later level
         spec = ProviderSpec("clarke", delta=1e-3, m=2, eps=0.0)
         jset = build_set(theta_map("c", 4), np.zeros(4), spec, rng=5)
         svd_calls.clear()
         assert set_conorm_bounds(jset).certified
-        diam, coarse, rows = (shape[0] for shape in svd_calls)
-        assert diam == 1 and coarse == 33
-        assert coarse + rows < 1001 / 4, svd_calls
+        assert svd_calls == [(12, 4, 4), (4, 4, 4), (4, 4, 4)]
+
+    def test_the_mesh_command_decomposes_at_most_140_matrices(self, svd_calls,
+                                                               capsys):
+        # the benchmark's mesh command at --seed 11: four 2-vertex bounds of
+        # three calls each, and one call for the profile's singleton sets,
+        # of which there are none; the two-level prune decomposed 287
+        assert main(["certify", "--map", "theta-c:4", "--provider",
+                     "clarke:delta=1e-3,m=2,eps=0", "--grid-n", "3",
+                     "--shell-samples", "1", "--seed", "11"]) == 0
+        assert len(svd_calls) == 13
+        assert sum(shape[0] for shape in svd_calls) <= 140, svd_calls
 
     def test_a_broadcast_stack_takes_one_svd(self, svd_calls, monkeypatch):
         # blocks of 4 operators: a broadcast stack is one operator and takes
