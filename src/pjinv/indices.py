@@ -144,8 +144,9 @@ def _stack_bounds(vertices, radii, net):
     single = np.all(vertices == vertices[:, :1], axis=(1, 2, 3))
     lower, upper = np.empty(count), np.empty(count)
     certified = np.ones(count, dtype=bool)
-    lower[single] = upper[single] = _singleton_values(vertices[single, 0],
-                                                      radii[single])
+    if single.any():
+        lower[single] = upper[single] = _singleton_values(vertices[single, 0],
+                                                          radii[single])
     for i in np.flatnonzero(~single):
         lower[i], upper[i], certified[i], _ = _hull_bounds(vertices[i],
                                                            radii[i], net)

@@ -50,16 +50,34 @@ def as_vector(x):
     return x
 
 
-def _row_norms(a):
-    # Euclidean norms over the last axis.  Each is the square root of one
-    # BLAS dot on a contiguous row, as np.linalg.norm computes it for a
-    # single vector, so a stack and its rows one at a time give the same
-    # bits: strided rows are copied first (a dot on them rounds differently
-    # once a row has 4 or more entries).
-    a = np.asarray(a, dtype=float)
-    if a.strides[-1] != a.itemsize:
+def _row_dots(a, b):
+    # Dots over the last axis of two arrays that broadcast together, each
+    # with the bits of one BLAS dot on two C rows, as a loop over single
+    # rows takes it.  Two rules keep those bits without a copy where they
+    # can: a one-entry row is its product plus 0.0, which is the one-entry
+    # dot to the bit, zero sign included; rows of at most 3 entries with a
+    # positive stride are dotted in place.  Other rows are copied to C rows
+    # first: a dot on strided rows of 4 or more entries rounds differently,
+    # and NumPy does not hand rows of stride 0 or less to BLAS at all.
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n = a.shape[-1]
+    if n == 1:
+        dots = a[..., 0] * b[..., 0]
+        dots += 0.0
+        return dots
+    if a.strides[-1] <= 0 or (n > 3 and a.strides[-1] != a.itemsize):
         a = np.ascontiguousarray(a)
-    return np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0, 0])
+    if b.strides[-1] <= 0 or (n > 3 and b.strides[-1] != b.itemsize):
+        b = np.ascontiguousarray(b)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _row_norms(a):
+    # Euclidean norms over the last axis, each the square root of one dot
+    # as np.linalg.norm computes it for a single vector, so a stack and its
+    # rows one at a time give the same bits
+    a = np.asarray(a, dtype=float)
+    return np.sqrt(_row_dots(a, a))
 
 
 def singular_values(a):

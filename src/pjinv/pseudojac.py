@@ -16,28 +16,36 @@ ball samples each point on its own.
 
 ``support_function`` accepts one pair (ystar, v) or stacks ystar (..., m)
 and v (..., n) with one common leading shape, and evaluates all pairs with
-one matrix product of the (k * m, n) vertex rows against the P vectors v.
+one matrix product: the (k, m * n) vertices against the (m * n, P) outer
+products ystar (x) v.  A set of radius 0 adds no ball term.
 ``validity_check`` runs its trials in blocks: one draw of all (ystar, v)
 pairs, one ``evaluate_batch`` call for all Dini points and one such
 product per block, whose largest and smallest actions per pair give the
 upper and lower support bounds.
-Its work is laid out so that the long axis, count or count * DINI_STEPS
-entries, comes last.  The Dini points are built as an (n, count,
-DINI_STEPS) array and reach the oracle as its Fortran-ordered
-(count * DINI_STEPS, n) view.  The vertex actions are a (k, count) array
-and the quotients a (DINI_STEPS, count) one, so every extremum runs along
-the count; max and min do not round, so this layout keeps their bits.
-Every reduction over a row (the dots with ystar, and ``_row_norms``) takes
-C-contiguous rows, as a loop over single points does, so the quotients
-keep their bits.  The support bounds are exact up to one matrix product's
-rounding, at most gamma_{mn+m} * sum |ystar_i V_ij v_j| per action (Higham,
-Accuracy and Stability of Numerical Algorithms, 3.1), far below the
-tolerance of the verdicts.
+Its work is laid out step-major, so that the long axis, count or
+DINI_STEPS * count entries, comes last.  The Dini points are built as an
+(n, DINI_STEPS, count) array and reach the oracle as its Fortran-ordered
+(DINI_STEPS * count, n) view, and the values reshape to (DINI_STEPS,
+count, m) without a copy.  The vertex actions are a (k, count) array and
+the quotients a (DINI_STEPS, count) one, so every extremum runs along the
+count; max and min do not round, so this layout keeps their bits.
+Every dot over a row (the dots with ystar, and ``_row_norms``) is one
+``linalg._row_dots`` call, which gives each row the bits of one BLAS dot
+on a C row, as a loop over single points takes it: a one-entry row is its
+product plus 0.0, rows of at most 3 entries with a positive stride are
+dotted in place, and other strided rows are copied to C rows first.  So
+the quotients keep their bits.  The support bounds are exact up to one
+matrix product's rounding.  An action rounds at most mn + 1 times: once
+for an entry of the outer product, once for its product with a vertex
+entry and mn - 1 times in the sum.  So it is off by at most
+gamma_{mn+1} * sum |ystar_i V_ij v_j| <= gamma_{mn+m} * sum
+|ystar_i V_ij v_j| (Higham, Accuracy and Stability of Numerical
+Algorithms, 3.1), far below the tolerance of the verdicts.
 """
 
 import numpy as np
 
-from .linalg import _row_norms, as_vector
+from .linalg import _row_dots, _row_norms, as_vector
 from .maps import (DomainError, _blocks, _central_differences, _check_rows,
                    _numeric_jacobians, _row_error, _uniform_balls, _unit_rows,
                    evaluate, evaluate_batch, local_lipschitz_estimate)
@@ -293,11 +301,11 @@ def support_function(jset, ystar, v):
 
 
 def _support_bounds(jset, ystar, v):
-    # (sup, inf) of <ystar, T v> over the set from one matrix product of
+    # (sup, inf) of <ystar, T v> over the set: max + ball and min - ball of
     # the vertex actions, laid out set-major as (k, P) so that max and min
-    # run along the long axis: max + ball and min - ball.  Rounding is
-    # sign-symmetric, so these equal support_function(jset, ystar, v) and
-    # -support_function(jset, -ystar, v) (a zero may differ in sign)
+    # run along the long axis.  Rounding is sign-symmetric, so these equal
+    # support_function(jset, ystar, v) and -support_function(jset, -ystar, v)
+    # (a zero may differ in sign)
     ystar = np.atleast_1d(np.asarray(ystar, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     k, m, n = jset.vertices.shape
@@ -309,12 +317,46 @@ def _support_bounds(jset, ystar, v):
         raise ValueError("vector entries must be finite")
     lead = ystar.shape[:-1]
     ys, vs = ystar.reshape(-1, m), v.reshape(-1, n)
-    # (k * m, n) @ (n, P): every vertex row against every v in one GEMM
-    actions = (jset.vertices.reshape(k * m, n) @ vs.T).reshape(k, m, len(vs))
-    actions *= ys.T
-    actions = actions.sum(axis=1).reshape((k,) + lead)
-    ball = jset.radius * _row_norms(ystar) * _row_norms(v)
-    return actions.max(axis=0) + ball, actions.min(axis=0) - ball
+    actions = _vertex_actions(jset.vertices, ys, vs).reshape((k,) + lead)
+    sup, inf = actions.max(axis=0), actions.min(axis=0)
+    if jset.radius == 0.0:
+        return sup, inf
+    ball = _ball_terms(jset.radius, ys, vs).reshape(lead)
+    return sup + ball, inf - ball
+
+
+def _vertex_actions(vertices, ys, vs):
+    # the (k, P) actions <ys[p], V_i vs[p]>: one (k, m * n) @ (m * n, P)
+    # GEMM against the outer products ys[p] (x) vs[p].  Where an outer
+    # product overflows, which unit vectors never do, the actions are taken
+    # by the (k * m, n) @ (n, P) product and a sum over m instead
+    k, m, n = vertices.shape
+    try:
+        with np.errstate(over="raise"):
+            outer = np.multiply(ys.T[:, None, :], vs.T[None, :, :],
+                                out=np.empty((m, n, len(vs))))
+    except FloatingPointError:
+        actions = (vertices.reshape(k * m, n) @ vs.T).reshape(k, m, len(vs))
+        actions *= ys.T
+        return actions.sum(axis=1)
+    return vertices.reshape(k, m * n) @ outer.reshape(m * n, len(vs))
+
+
+def _ball_terms(radius, ys, vs):
+    # radius * ||ys[p]|| * ||vs[p]||.  Where that product is not finite (a
+    # norm overflowed while the other underflowed, and 0 * inf is NaN), it
+    # is taken again from the rows scaled by their largest entry; ordinary
+    # pairs keep the bits of the plain product
+    with np.errstate(over="ignore", invalid="ignore"):
+        ball = radius * _row_norms(ys) * _row_norms(vs)
+        bad = ~np.isfinite(ball)
+        if bad.any():
+            ys, vs = ys[bad], vs[bad]
+            sy, sv = np.abs(ys).max(axis=1), np.abs(vs).max(axis=1)
+            sy[sy == 0.0], sv[sv == 0.0] = 1.0, 1.0
+            ball[bad] = radius * (sy * sv) * (_row_norms(ys / sy[:, None])
+                                              * _row_norms(vs / sv[:, None]))
+    return ball
 
 
 def _dini_steps(t0):
@@ -339,7 +381,9 @@ def validity_check(model, x, jset, trials=1000, tol=1e-3, rng=None, t0=1e-3):
     the difference quotients at the steps t0 * DINI_RATIO^j, j < DINI_STEPS.
     Trials run in blocks of at most MAX_BATCH_ENTRIES entries, so memory
     does not grow with ``trials``: a trial holds DINI_STEPS * max(m, n)
-    entries of Dini points and values, and k * m of vertex actions.
+    entries of Dini points and values, m * n of its outer product
+    ystar (x) v, and k * m of vertex actions where an outer product
+    overflows.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -350,32 +394,28 @@ def validity_check(model, x, jset, trials=1000, tol=1e-3, rng=None, t0=1e-3):
     fx = evaluate(model, x)
     passed = 0
     for block in _blocks(trials, max(DINI_STEPS * max(m, n),
-                                     len(jset.vertices) * m)):
+                                     len(jset.vertices) * m, m * n)):
         count = block.stop - block.start
         draws = rng.standard_normal((count, m + n))
         ystar, v = _unit_rows(draws[:, :m]), _unit_rows(draws[:, m:])
         quots = _dini_quotients(model, x, fx, ystar, v, ts)
         sup, inf = _support_bounds(jset, ystar, v)
-        ok = (quots.max(axis=1) <= sup + tol) & (quots.min(axis=1) >= inf - tol)
+        ok = (quots.max(axis=0) <= sup + tol) & (quots.min(axis=0) >= inf - tol)
         passed += int(np.count_nonzero(ok))
     return passed / trials
 
 
 def _dini_quotients(model, x, fx, ystar, v, ts):
-    # (count, len(ts)) quotients (<ystar, f(x + t v)> - <ystar, f(x)>) / t,
-    # to the bit those of a loop over the points, as the transposed view of
-    # a (len(ts), count) array.  zs[i, p, j] is
-    # x_i + ts[j] * v[p, i], by the two operations of x + t * v
+    # (len(ts), count) quotients (<ystar, f(x + t v)> - <ystar, f(x)>) / t,
+    # to the bit those of a loop over the points.  zs[i, j, p] is
+    # x_i + ts[j] * v[p, i], by the two operations of x + t * v; the oracle
+    # takes its Fortran-ordered (len(ts) * count, n) view, and its values
+    # reshape to (len(ts), count, m) without a copy
     (count, n), steps = v.shape, len(ts)
-    zs = np.multiply(v.T[:, :, None], ts, out=np.empty((n, count, steps)))
+    zs = np.multiply(ts[:, None], v.T[:, None, :], out=np.empty((n, steps, count)))
     zs += x[:, None, None]
-    fz = evaluate_batch(model, zs.reshape(n, -1).T)
-    # C rows, one BLAS dot per point as ystar @ evaluate(model, z) takes it:
-    # a dot on strided rows of 4 or more entries rounds differently
-    fz = np.ascontiguousarray(fz.reshape(count, steps, -1))
-    phi = (fz[:, :, None, :] @ ystar[:, None, :, None])[:, :, 0, 0]
-    base = (ystar[:, None, :] @ fx[:, None])[:, 0, 0]
-    # step-major, so that the extrema over the steps run along the count
-    quots = np.subtract(phi.T, base, out=np.empty((steps, count)))
+    fz = evaluate_batch(model, zs.reshape(n, -1).T).reshape(steps, count, -1)
+    quots = _row_dots(fz, ystar)
+    quots -= _row_dots(ystar, fx)
     quots /= ts[:, None]
-    return quots.T
+    return quots

@@ -101,7 +101,7 @@ def shared_bound_cases(draw):
 @settings(derandomize=True, deadline=None)
 @given(shared_bound_cases())
 def test_shared_support_bounds_match_two_support_functions(case):
-    # one einsum gives both bounds: the upper one is support_function and
+    # one product gives both bounds: the upper one is support_function and
     # the lower one is -support_function at -ystar, equal as floats (a zero
     # may differ in sign, which no comparison sees)
     vertices, radius, ystar, v = case
@@ -129,11 +129,14 @@ def error_bound_cases(draw):
 @settings(derandomize=True, deadline=None)
 @given(error_bound_cases())
 def test_support_bounds_are_within_the_rounding_bound(case):
-    # each action sums m terms ystar_i * (V v)_i, each (V v)_i a dot of n
-    # terms: at most mn + m roundings, so it is off by at most
-    # gamma_{mn+m} * sum |ystar_i V_ij v_j| (Higham, Accuracy and Stability
-    # of Numerical Algorithms, 3.1), whatever the summation order or the
-    # BLAS kernel; the extrema inherit the largest such error.  The ball
+    # each action is one dot of the mn terms V_ij * (ystar_i * v_j): two
+    # roundings per term and mn - 1 in the sum, at most mn + 1 in all (the
+    # fallback for an overflowing outer product, m terms ystar_i * (V v)_i,
+    # rounds at most n + m <= mn + 1 times).  As mn + 1 <= mn + m, it is
+    # off by at most gamma_{mn+m} * sum |ystar_i V_ij v_j| (Higham, Accuracy
+    # and Stability of Numerical Algorithms, 3.1), whatever the summation
+    # order or the BLAS kernel; the extrema inherit the largest such
+    # error.  At radius 0 there is no ball term, and otherwise the ball
     # term is the package's float one, taken exactly here, which leaves one
     # rounding of the final sum, at most u * |bound|
     vertices, radius, ystar, v = case
@@ -223,21 +226,20 @@ def test_validity_blocks_draw_the_same_stream(monkeypatch):
     assert blocks_rng.bit_generator.state == one_rng.bit_generator.state
 
 
-def test_validity_blocks_hold_the_vertex_actions_under_the_cap(monkeypatch):
-    # 32 vertices on theta-c:3: 96 action entries per trial against 60 Dini
-    # entries, so the actions set the block size; the stream is unchanged
-    model = theta_map("c", 3)
-    x = np.array([0.1, -0.4, 0.2])
-    jset = build_set(model, x, parse_provider("clarke:delta=1e-3,m=32,eps=0"),
-                     rng=2)
+def _blocks_under_the_cap(monkeypatch, model, x, jset, cap):
+    # validity_check under MAX_BATCH_ENTRIES = cap: the rate and generator
+    # state of one block, more than one block, and no block whose Dini
+    # points, outer products (m * n per trial) or overflow fallback's
+    # actions (k * m) exceed the cap
     one_rng = np.random.default_rng(11)
     one_block = validity_check(model, x, jset, trials=100, rng=one_rng)
-    cap = 600
     monkeypatch.setattr(pjinv.maps, "MAX_BATCH_ENTRIES", cap)
     sizes = []
 
     def spy(jset, ystar, v):
-        sizes.append(jset.vertices.shape[0] * jset.vertices.shape[1] * len(v))
+        k, m, n = jset.vertices.shape
+        sizes.append(max(pjinv.pseudojac.DINI_STEPS * max(m, n), k * m, m * n)
+                     * len(v))
         return _support_bounds(jset, ystar, v)
 
     monkeypatch.setattr(pjinv.pseudojac, "_support_bounds", spy)
@@ -247,16 +249,40 @@ def test_validity_blocks_hold_the_vertex_actions_under_the_cap(monkeypatch):
     assert len(sizes) > 1 and max(sizes) <= cap
 
 
+def test_validity_blocks_hold_the_vertex_actions_under_the_cap(monkeypatch):
+    # 32 vertices on theta-c:3: 96 action entries per trial against 60 Dini
+    # entries, so the actions set the block size; the stream is unchanged
+    model = theta_map("c", 3)
+    x = np.array([0.1, -0.4, 0.2])
+    jset = build_set(model, x, parse_provider("clarke:delta=1e-3,m=32,eps=0"),
+                     rng=2)
+    _blocks_under_the_cap(monkeypatch, model, x, jset, 600)
+
+
+def test_validity_blocks_hold_the_outer_products_under_the_cap(monkeypatch):
+    # a 25 x 25 linear map: 625 outer-product entries per trial against 500
+    # Dini entries and 25 actions, so the outer products set the block size
+    model = linear_map(np.random.default_rng(3).standard_normal((25, 25)))
+    x = np.full(25, 0.1)
+    jset = build_set(model, x, parse_provider("exact"))
+    _blocks_under_the_cap(monkeypatch, model, x, jset, 7 * 625)
+
+
 # linear's one gemm over many rows rounds differently from its one-row call,
 # so its reference values come from one evaluate_batch call on the points
-# as C rows; every other map's come from evaluate, one point at a time
+# as C rows; every other map's come from evaluate, one point at a time.
+# exp1d's one-entry rows take the product-plus-zero rule, and complexsq's
+# and theta-c:3's strided rows of 2 and 3 entries are dotted in place
 DINI_MAPS = [(theta_map("a", 5, 0.5), True), (theta_map("c", 6), True),
              (linear_map(np.random.default_rng(5).standard_normal((4, 4))), False),
-             (chain_suite_map(theta_map("a", 5, 0.5)), True)]
+             (chain_suite_map(theta_map("a", 5, 0.5)), True),
+             (exp1d_map(), True), (complexsq_map(), True),
+             (theta_map("c", 3), True)]
 
 
 @pytest.mark.parametrize("model, pointwise", DINI_MAPS,
-                         ids=["theta-a:5:0.5", "theta-c:6", "linear-4x4", "chain"])
+                         ids=["theta-a:5:0.5", "theta-c:6", "linear-4x4", "chain",
+                              "exp1d", "complexsq", "theta-c:3"])
 def test_dini_quotients_match_a_loop_over_points(model, pointwise):
     # m or n >= 4: a dot or a norm on strided rows would round differently
     rng = np.random.default_rng(8)
@@ -274,9 +300,9 @@ def test_dini_quotients_match_a_loop_over_points(model, pointwise):
         values = evaluate_batch(model, np.reshape(points, (-1, model.dim_in)))
         values = values.reshape(count, len(ts), m)
     loop = [[(float(ystar[p] @ values[p][j]) - float(ystar[p] @ fx)) / t
-             for j, t in enumerate(ts)] for p in range(count)]
-    assert quots.shape == (count, len(ts))
-    assert np.array_equal(quots, loop)
+             for p in range(count)] for j, t in enumerate(ts)]
+    assert quots.shape == (len(ts), count)
+    assert np.array_equal(quots.view(np.int64), np.array(loop).view(np.int64))
 
 
 @pytest.mark.parametrize("k", [2, 6])

@@ -173,12 +173,12 @@ class TestHullBounds:
     def test_the_mesh_command_decomposes_at_most_140_matrices(self, svd_calls,
                                                                capsys):
         # the benchmark's mesh command at --seed 11: four 2-vertex bounds of
-        # three calls each, and one call for the profile's singleton sets,
-        # of which there are none; the two-level prune decomposed 287
+        # three calls each, and no call for the profile's singleton sets, of
+        # which there are none; the two-level prune decomposed 287
         assert main(["certify", "--map", "theta-c:4", "--provider",
                      "clarke:delta=1e-3,m=2,eps=0", "--grid-n", "3",
                      "--shell-samples", "1", "--seed", "11"]) == 0
-        assert len(svd_calls) == 13
+        assert len(svd_calls) == 12
         assert sum(shape[0] for shape in svd_calls) <= 140, svd_calls
 
     def test_a_broadcast_stack_takes_one_svd(self, svd_calls, monkeypatch):

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import pjinv.properties
 from oracles import frank_wolfe_project
 from oracles import jacobi_conorm as oracle_conorm
 from oracles import jacobi_singular_values
-from pjinv.linalg import (_row_norms, conorm, dist_to_hull, project_to_hull,
+from pjinv.linalg import (_row_dots, _row_norms, conorm, dist_to_hull, project_to_hull,
                           singular_values, spectral_norm, surjectivity_index)
 from pjinv.maps import theta_map
 from pjinv.properties import mvt_check
@@ -203,6 +204,48 @@ def test_jacobi_oracle_raises_when_not_converged():
         jacobi_singular_values(a, max_sweeps=1)
 
 
+def _laid_out(rows, layout):
+    # rows (C order) as a C, Fortran-ordered, column-strided or reversed
+    # stack
+    if layout == "C":
+        return rows
+    if layout == "F":
+        return np.asfortranarray(rows)
+    if layout == "reversed":
+        return np.ascontiguousarray(rows[..., ::-1])[..., ::-1]
+    wide = np.zeros(rows.shape[:-1] + (2 * rows.shape[-1],))
+    wide[..., ::2] = rows
+    return wide[..., ::2]
+
+
+@st.composite
+def row_pairs(draw):
+    # two stacks of rows of 1 to 6 entries, zeros of both signs included,
+    # each in its own layout; entries small enough that no dot overflows
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 5)),
+             draw(st.integers(1, 6)))
+    entries = st.floats(-1e3, 1e3, allow_subnormal=False) | st.sampled_from(
+        [0.0, -0.0])
+    a, b = (draw(arrays(np.float64, shape, elements=entries)) for _ in "ab")
+    layouts = st.sampled_from(["C", "F", "strided", "reversed"])
+    return a, b, draw(layouts), draw(layouts)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(row_pairs())
+def test_row_dots_and_norms_match_single_rows(case):
+    # bit for bit, a zero's sign included, against one BLAS dot on C rows
+    a, b, layout_a, layout_b = case
+    dots = _row_dots(_laid_out(a, layout_a), _laid_out(b, layout_b))
+    norms = _row_norms(_laid_out(a, layout_a))
+    assert dots.shape == norms.shape == a.shape[:-1]
+    for idx in np.ndindex(a.shape[:-1]):
+        assert np.float64(dots[idx]).view(np.int64) == \
+            np.float64(float(a[idx] @ b[idx])).view(np.int64)
+        assert np.float64(norms[idx]).view(np.int64) == \
+            np.float64(np.linalg.norm(a[idx])).view(np.int64)
+
+
 class TestRowNorms:
     """_row_norms gives each row the bits np.linalg.norm gives it alone."""
 
@@ -221,6 +264,18 @@ class TestRowNorms:
         np.testing.assert_array_equal(
             _row_norms(np.asfortranarray(stack)),
             [[np.linalg.norm(row) for row in rows] for rows in stack])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rows_of_stride_zero_match_single_rows(self, n):
+        # each row one value, broadcast along it: NumPy's own loop on such
+        # rows rounds differently from a dot
+        rng = np.random.default_rng(n)
+        column, b = rng.standard_normal((2000, 1)), rng.standard_normal((2000, n))
+        rows = np.broadcast_to(column, (2000, n))
+        np.testing.assert_array_equal(
+            _row_dots(rows, b), [float(x @ y) for x, y in zip(rows.copy(), b)])
+        np.testing.assert_array_equal(
+            _row_norms(rows), [np.linalg.norm(x) for x in rows.copy()])
 
     @pytest.mark.parametrize("shape", [(128, 4), (1, 4), (0, 4), (5, 3, 10)])
     def test_broadcast_stack_equals_its_materialised_copy(self, shape):

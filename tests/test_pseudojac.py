@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,23 @@ class TestSupportFunction:
         jset = PseudoJacobianSet([np.diag([2.0, 3.0])], 0.0)
         e2 = np.array([0.0, 1.0])
         assert support_function(jset, e2, e2) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("radius, value", [(0.0, 1.0), (0.5, 1.5)])
+    def test_a_ball_term_of_zero_times_inf_stays_finite(self, radius, value):
+        # ||ystar|| overflows and ||v|| underflows, so the plain ball term
+        # is radius * inf * 0; the one action is 1e200 * 1e-200
+        jset = PseudoJacobianSet([[[1.0]]], radius)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = support_function(jset, [1e200], [1e-200])
+        assert got == pytest.approx(value, rel=1e-15)
+
+    def test_an_overflowing_outer_product_keeps_a_finite_action(self):
+        # ystar (x) v overflows in its first entry, whose vertex entry is 0
+        jset = PseudoJacobianSet([[[0.0, 1.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert support_function(jset, [1e200], [1e200, 1.0]) == 1e200
 
     def test_homogeneity_and_sublinearity(self):
         rng = np.random.default_rng(6)
