@@ -292,11 +292,15 @@ def cmd_certify(args):
     verdict_h = hadamard.hadamard_verdict(
         profile, analytic_divergent=args.analytic_beta and model.beta_divergent)
     alpha_min = float(min(report.alpha, profile.beta[-1]))
+    # a sampled index must clear the singularity margin 10 * net that
+    # report.regular asks of a certified one
+    sampled_regular = (report.bound_kind == "sampled"
+                       and report.alpha > 10.0 * indices.DEFAULT_NET)
     if not report.regular and report.alpha <= 0.0:
         verdict = "not-regular"
     elif report.regular and verdict_h != "fails":
         verdict = "regular-certified"
-    elif report.alpha > 0.0 and verdict_h != "fails":
+    elif sampled_regular and verdict_h != "fails":
         verdict = "regular-sampled"
     else:
         verdict = "inconclusive"

@@ -19,11 +19,11 @@ triple and cached read-only; the grid radii and the center are applied on
 every call, by the operations of ``maps._ball_points``.  A profile whose
 draws would exceed MAX_PROFILE_DRAWS entries is refused before anything
 is drawn.  The center and all the shells' points, in that order, form one
-array, and their sets are built and bounded a block at a time: one
-``build_sets`` call and one values-only ``_stack_bounds`` pass per
-``_blocks`` block of whole points, which costs one SVD when the
-derivative is constant (a broadcast view).  Each shell's minimum is then
-read off the values reshaped shell by shell.
+array, and their sets are built and bounded by ``indices._set_values``,
+the pass the regularity index takes too: one ``build_sets`` call and one
+``_stack_bounds`` pass per ``_blocks`` block of whole points, which costs
+one SVD when the derivative is constant (a broadcast view).  Each shell's
+minimum is then read off the values reshaped shell by shell.
 
 The running integral rho is the trapezoid rule on the grid; rho_lower is
 the lower Riemann sum on right endpoints, which under-estimates the
@@ -34,12 +34,11 @@ import functools
 
 import numpy as np
 
-from .indices import DEFAULT_NET, _stack_bounds
+from .indices import DEFAULT_NET, _set_values
 from .invert import path_lift_invert
 from .linalg import as_vector, singular_values
 from .maps import (_ball_directions, _blocks, _check_point, _uniform_ball,
                    evaluate)
-from .pseudojac import build_sets
 
 __all__ = [
     "BetaProfile",
@@ -95,11 +94,11 @@ def beta_profile(model, provider, center, t_max, grid_n=DEFAULT_GRID_N,
     grid ball is probed at samples_per_shell fixed-seed points (the center
     alone at t = 0) and the running minimum of the regularity indices
     there, by the USC shortcut, is taken (mode "sampled").  The sets of
-    all the points are built by one ``build_sets`` call per ``_blocks``
-    block of whole points, each block bounded in one values-only pass; rng
-    feeds only the provider.  Clarke draws follow point order, so the
-    stream equals one ``build_sets`` call per shell unless a vertex is
-    redrawn: a block redraws after the first draws of all its points,
+    all the points are built and bounded by ``indices._set_values``, one
+    ``build_sets`` call and one stack pass per ``_blocks`` block of whole
+    points; rng feeds only the provider.  Clarke draws follow point order,
+    so the stream equals one ``build_sets`` call per shell unless a vertex
+    is redrawn: a block redraws after the first draws of all its points,
     which may span several shells.  A sampled profile whose shell draws
     would exceed MAX_PROFILE_DRAWS entries raises ValueError before
     anything is drawn.
@@ -125,13 +124,7 @@ def beta_profile(model, provider, center, t_max, grid_n=DEFAULT_GRID_N,
     _check_draws(center.size, grid_n, samples_per_shell)
     rng = np.random.default_rng(rng)
     points = _profile_points(center, grid, samples_per_shell)
-    values = np.empty(len(points))
-    # a point's set is k operators of m x n entries
-    k = provider.m if provider.kind == "clarke" else 1
-    for block in _blocks(len(points), k * model.dim_out * center.size):
-        lower, upper, certified = _stack_bounds(
-            *build_sets(model, points[block], provider, rng=rng), DEFAULT_NET)
-        values[block] = np.where(certified, lower, upper)
+    values, _, _ = _set_values(model, provider, points, DEFAULT_NET, rng)
     # each shell's minimum; BetaProfile takes the running minimum
     shells = values[1:].reshape(grid_n - 1, samples_per_shell).min(axis=1)
     return BetaProfile(grid, np.concatenate([values[:1], shells]), "sampled")

@@ -31,14 +31,23 @@ above the mesh minimum; and a row's value does not depend on the rows
 decomposed with it.  The margin only decides how many rows are
 decomposed.
 
-``_stack_bounds`` bounds every set of a (P, k, m, n) stack in one pass that
-returns values only: arrays of lower and upper bounds and certified flags.
-Singleton sets take their co-norms from singular values alone.  A stack
-with stride 0 on its row axis (a ``np.broadcast_to`` view of a constant
-derivative) holds one operator in every row, so it takes one ``conorm``
-call of that operator; any other stack takes one call per block.  A
-witness is built only for a set that a report names: ``set_conorm_bounds``
-of that one set, and the set that ``regularity_index`` chooses.
+``_stack_bounds`` is the one code that bounds a set.  It bounds every set
+of a (P, k, m, n) stack in one pass that returns four arrays: lower and
+upper bounds, certified flags and the members at which each co-norm
+minimum is attained (a singleton's vertex, a hull's first minimal mesh or
+sample point).  Singleton sets take their co-norms from singular values
+alone.  A stack with stride 0 on its row axis (a ``np.broadcast_to`` view
+of a constant derivative) holds one operator in every row, so it takes
+one ``conorm`` call of that operator; any other stack takes one call per
+block.  ``set_conorm_bounds`` is its one-set case.  ``_set_values`` builds
+and bounds the sets at a stack of points, one ``build_sets`` call and one
+pass per block, and keeps the set and member of the first minimum; the
+regularity index (at x alone under the USC shortcut, else at x and the
+points of each shrinking ball) and the sampled Hadamard profile both call
+it.  A witness is made only for the one set a report names, from its
+member (``_witness``): the member itself for a hull, and for a singleton
+of radius r > 0 the vertex less r times the outer product of its minimal
+singular pair, one thin SVD.
 """
 
 import functools
@@ -49,7 +58,7 @@ import numpy as np
 from . import linalg
 from .linalg import as_vector, conorm
 from .maps import _blocks, _uniform_ball
-from .pseudojac import PseudoJacobianSet, build_set, build_sets
+from .pseudojac import build_sets
 
 __all__ = [
     "ConormBounds",
@@ -115,42 +124,69 @@ def _singleton_values(vs, radii):
     return np.maximum(low - radii, 0.0)
 
 
-def _singleton_witness(v, radius):
-    # v less radius times the outer product of its minimal singular pair,
-    # from one thin SVD: a member of {v} + radius * ball whose co-norm is
-    # the bound (v itself when radius is 0)
-    if radius == 0.0:
-        return v.copy()
-    u, _, vt = np.linalg.svd(v, full_matrices=False)
-    return v - radius * (u[:, -1:] * vt[-1:, :])
-
-
 def _stack_bounds(vertices, radii, net):
     """Bounds of each set co(vertices[i]) + radii[i] * ball of a (P, k, m, n)
-    stack, as three arrays: lower, upper and certified.
+    stack, as four arrays: lower, upper, certified and members.
 
-    The singleton sets (one vertex, or all vertices equal) are exact and
-    share one ``_singleton_values`` pass; a one-vertex stack goes there
-    whole, without a copy.  Every other set gets its own mesh or sampled
-    bound.  No witness is built: ``set_conorm_bounds`` builds the one of a
-    single set.
+    ``members[i]`` is the member of set i at which its co-norm minimum is
+    attained, before the ball: a singleton's vertex, or a hull's first
+    minimal mesh or sample point.  The singleton sets (one vertex, or all
+    vertices equal) are exact and share one ``_singleton_values`` pass; a
+    one-vertex stack goes there whole, without a copy.  Every other set
+    gets its own mesh or sampled bound, ``_hull_bounds``.
     """
     if not (net > 0):
         raise ValueError("net must be > 0")
     count = len(vertices)
     if vertices.shape[1] == 1:
         lower = _singleton_values(vertices[:, 0], radii)
-        return lower, lower, np.ones(count, dtype=bool)
-    single = np.all(vertices == vertices[:, :1], axis=(1, 2, 3))
-    lower, upper = np.empty(count), np.empty(count)
-    certified = np.ones(count, dtype=bool)
-    if single.any():
-        lower[single] = upper[single] = _singleton_values(vertices[single, 0],
-                                                          radii[single])
-    for i in np.flatnonzero(~single):
-        lower[i], upper[i], certified[i], _ = _hull_bounds(vertices[i],
-                                                           radii[i], net)
-    return lower, upper, certified
+        return lower, lower, np.ones(count, dtype=bool), vertices[:, 0]
+    single = (vertices == vertices[:, :1]).all(axis=(1, 2, 3))
+    # the singletons' values in stack order, with no SVD call when none is
+    exact = iter(_singleton_values(vertices[single, 0], radii[single])
+                 if single.any() else ())
+    bounds = [(value := next(exact), value, True, vs[0]) if one
+              else _hull_bounds(vs, r, net)
+              for vs, r, one in zip(vertices, radii, single)]
+    return tuple(map(np.array, zip(*bounds)))
+
+
+def _set_values(model, provider, points, net, rng):
+    """The provider's sets at a (P, dim_in) stack of points, bounded.
+
+    One ``build_sets`` call and one ``_stack_bounds`` pass per ``_blocks``
+    block of whole points (a set is k operators of m x n entries, k the
+    Clarke sample count and 1 for every other provider).  Returns three
+    things: each point's value, its certified lower bound or else its
+    sampled upper bound; whether every bound was certified; and the first
+    minimal value with its set and member, as (value, vertices, radius,
+    member), from which ``_witness`` makes the witness.
+    """
+    k = provider.m if provider.kind == "clarke" else 1
+    parts, firsts, certified_all = [], {}, True
+    for block in _blocks(len(points), k * model.dim_out * model.dim_in):
+        vertices, radii = build_sets(model, points[block], provider, rng=rng)
+        values, upper, certified, members = _stack_bounds(vertices, radii, net)
+        if not certified.all():
+            values, certified_all = np.where(certified, values, upper), False
+        # the first minimum of all the values is its block's first minimum
+        i = int(values.argmin())
+        firsts[block.start + i] = values[i], vertices[i], radii[i], members[i]
+        parts.append(values)
+    values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return values, certified_all, firsts[int(values.argmin())]
+
+
+def _witness(vertices, radius, member):
+    # the witness a report names: a hull's member itself, whose co-norm is
+    # the bound before the ball; for a singleton, its vertex less radius
+    # times the outer product of its minimal singular pair (one thin SVD),
+    # a member of the set whose co-norm is the bound
+    if radius == 0.0 or (len(vertices) > 1
+                         and not (vertices == vertices[0]).all()):
+        return np.array(member)
+    u, _, vt = np.linalg.svd(member, full_matrices=False)
+    return member - radius * (u[:, -1:] * vt[-1:, :])
 
 
 def _compositions(k, subdivisions):
@@ -292,24 +328,23 @@ def set_conorm_bounds(jset, net=DEFAULT_NET):
     entries, one batched singular-value computation per chunk.  Meshes
     and samples are built once per vertex count and mesh size.
 
-    The witness, a member of the set at which the bound is attained, is
-    the minimal singular pair's rank-one perturbation for a singleton
-    (one thin SVD) and the first minimal mesh or sample point otherwise.
+    This is the one-set case of ``_stack_bounds``.  The witness is the
+    pass's member under the rule of ``_witness``: for a singleton the
+    minimal singular pair's rank-one perturbation (one thin SVD), a member
+    at which the bound is attained, and otherwise the first minimal mesh or
+    sample point.
     """
-    vertices, radius = jset.vertices, jset.radius
-    if (vertices == vertices[0]).all():
-        value = _stack_bounds(vertices[:1][None], np.array([radius]), net)[0][0]
-        return ConormBounds(value, value, True, net,
-                            witness=_singleton_witness(vertices[0], radius))
-    lower, upper, certified, witness = _hull_bounds(vertices, radius, net)
-    return ConormBounds(lower, upper, certified, net, witness=witness)
+    lower, upper, certified, members = _stack_bounds(
+        jset.vertices[None], np.array([jset.radius]), net)
+    return ConormBounds(lower[0], upper[0], certified[0], net,
+                        witness=_witness(jset.vertices, jset.radius,
+                                         members[0]))
 
 
 def _hull_bounds(vertices, radius, net):
-    # (lower, upper, certified, witness) of co(vertices) + radius * ball,
-    # vertices not all equal
-    if not (net > 0):
-        raise ValueError("net must be > 0")
+    # (lower, upper, certified, member) of co(vertices) + radius * ball,
+    # vertices not all equal, net > 0: the member is the first minimal
+    # mesh or sample point
     k = len(vertices)
     # a mesh of MAX_MESH_POINTS subdivisions is over budget at every k >= 2;
     # clamping keeps the int of 1 / net finite for a subnormal net
@@ -322,11 +357,11 @@ def _hull_bounds(vertices, radius, net):
         weights = _samples(k)
         low, _ = _combination_conorms(weights, vertices)
     i = int(np.argmin(low))  # the first minimum in mesh order
-    witness = np.einsum("pk,kij->pij", weights[i:i + 1], vertices)[0]
+    member = np.einsum("pk,kij->pij", weights[i:i + 1], vertices)[0]
     upper = max(low[i] - radius, 0.0)
     if not certifiable:
-        return 0.0, upper, False, witness
-    return max(low[i] - net * diam - radius, 0.0), upper, True, witness
+        return 0.0, upper, False, member
+    return max(low[i] - net * diam - radius, 0.0), upper, True, member
 
 
 def _mesh_conorms(vertices, subdivisions):
@@ -359,44 +394,39 @@ def regularity_index(model, provider, x, radii=None, net=DEFAULT_NET,
                      rng=None, use_usc_shortcut=True):
     """Regularity index of the provider's pseudo-Jacobian mapping at x.
 
-    Under upper semicontinuity the index equals the at-point hull co-norm
-    infimum, so ``use_usc_shortcut`` takes a single set construction.
-    Without it, SAMPLES_PER_RADIUS points are sampled in shrinking balls
-    B(x, r) for r in ``radii``; the index is the max over r of the
-    per-radius infima of certified lower bounds.
+    For each radius r, the set at x and, for r > 0, at SAMPLES_PER_RADIUS
+    points sampled in the ball B(x, r) are bounded (``_set_values``), and
+    the index is the max over r of the per-radius minima.  Under upper
+    semicontinuity the index equals the hull co-norm infimum at x, so
+    ``use_usc_shortcut`` takes the single radius 0, whose only point is x;
+    otherwise the radii are ``radii``, by default 1, 0.1 and 0.01 times
+    1 + ||x||.  The witness comes from the set of the first minimum at the
+    first maximal radius, by the rule of ``_witness``.
 
-    The ``regular`` verdict additionally requires the certified bound to
-    clear the numerical-singularity margin 10 * net.
+    The ``regular`` verdict requires every bound to be certified and the
+    index to clear the numerical-singularity margin 10 * net.
     """
     x = as_vector(x)
     rng = np.random.default_rng(rng)
     if use_usc_shortcut:
-        bounds = set_conorm_bounds(build_set(model, x, provider, rng=rng), net)
-        regular = bounds.certified and bounds.lower > 10.0 * net
-        kind = "certified" if bounds.certified else "sampled"
-        alpha = bounds.lower if bounds.certified else bounds.upper
-        return RegularityReport(alpha, regular, kind, bounds.witness, 0.0)
-
-    if radii is None:
+        radii = [0.0]
+    elif radii is None:
         radii = [r * (1.0 + np.linalg.norm(x)) for r in (1.0, 0.1, 0.01)]
     if not radii:
         raise ValueError("radii must be nonempty")
-    # per radius the first minimal value over x and its sampled points, with
-    # its set; across radii the first maximal one
-    per_radius, all_certified = [], True
+    # per radius the first minimal value, with its set; across radii the
+    # first maximal one
+    best, certified_all = None, True
     for r in radii:
-        points = np.vstack([x, _uniform_ball(rng, x, r, SAMPLES_PER_RADIUS)])
-        vertices, set_radii = build_sets(model, points, provider, rng=rng)
-        lower, upper, certified = _stack_bounds(vertices, set_radii, net)
-        values = np.where(certified, lower, upper)
-        all_certified = all_certified and bool(certified.all())
-        i = int(np.argmin(values))
-        per_radius.append((values[i], r, vertices[i], set_radii[i]))
-    alpha, r_used, chosen, chosen_radius = max(per_radius,
-                                               key=lambda item: item[0])
-    # the witness of the chosen set alone
-    witness = set_conorm_bounds(
-        PseudoJacobianSet._frozen(chosen, chosen_radius), net).witness
-    regular = all_certified and alpha > 10.0 * net
-    kind = "certified" if all_certified else "sampled"
-    return RegularityReport(max(alpha, 0.0), regular, kind, witness, r_used)
+        points = x[None] if use_usc_shortcut else np.vstack(
+            [x, _uniform_ball(rng, x, r, SAMPLES_PER_RADIUS)])
+        _, certified, (value, *chosen) = _set_values(model, provider, points,
+                                                     net, rng)
+        certified_all = certified_all and certified
+        if best is None or value > best[0]:
+            best = value, r, chosen
+    alpha, r_used, chosen = best
+    regular = certified_all and alpha > 10.0 * net
+    kind = "certified" if certified_all else "sampled"
+    return RegularityReport(max(alpha, 0.0), regular, kind, _witness(*chosen),
+                            r_used)

@@ -59,13 +59,16 @@ class InversionTrace:
     a corrector does, keeping the path lifted so far).
 
     final_fx is f at the last iterate when the run kept it (Newton runs
-    do), else None; it is not part of the record.  The trace keeps the
-    lists it is given, without a copy.
+    do), else None; it is not part of the record.  final_residual is the
+    residual to the run's own target at the last iterate: the last of
+    residuals unless the caller gives it (path lifting, whose residuals
+    are to the path's nodes).  The trace keeps the lists it is given,
+    without a copy.
     """
 
     def __init__(self, method, t_grid, iterates, residuals, status,
                  used_pseudoinverse=False, stationary_distance=None,
-                 final_fx=None):
+                 final_fx=None, final_residual=None):
         if len(iterates) != len(residuals):
             raise ValueError("iterates and residuals must have equal length")
         self.method = method
@@ -76,14 +79,12 @@ class InversionTrace:
         self.used_pseudoinverse = bool(used_pseudoinverse)
         self.stationary_distance = stationary_distance
         self.final_fx = final_fx
+        self.final_residual = (residuals[-1] if final_residual is None
+                               else final_residual)
 
     @property
     def final_x(self):
         return self.iterates[-1]
-
-    @property
-    def final_residual(self):
-        return self.residuals[-1]
 
     def to_record(self):
         record = {
@@ -239,7 +240,10 @@ def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
     A corrector "overflow" ends the run with that status: the residual
     norm at the current point then overflows whatever the step.
     Each corrector starts from the value of f that the previous converged
-    one ended with, so f is evaluated once per point.  The trace flags a
+    one ended with, so f is evaluated once per point.  ``residuals`` holds
+    each node's corrector residual to p(t); ``final_residual`` is
+    ||f(final_x) - y_target|| from the value of f already held, so a lift
+    that stops early reports its distance to the target.  The trace flags a
     pseudo-inverse step when any corrector took one, converged or not.
     """
     x = as_vector(x0).copy()
@@ -285,7 +289,8 @@ def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
                 status = "step_underflow"
                 break
     return InversionTrace("path", t_grid, iterates, residuals, status,
-                          used_pseudoinverse=used_pinv)
+                          used_pseudoinverse=used_pinv,
+                          final_residual=_misfit(fx, y_target)[1])
 
 
 def ekeland_descent(model, provider, y, x0, lam=1e-3, eps=1e-3, tol=1e-8,

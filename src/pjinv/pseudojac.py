@@ -372,9 +372,13 @@ def validity_check(model, x, jset, trials=1000, tol=1e-3, rng=None, t0=1e-3):
     Over random unit pairs (ystar, v), estimates the upper Dini derivative
     of ystar o f at x along v and checks it against the support function,
     jointly with the equivalent lower-bound form.  Returns the fraction of
-    passing trials.  The Dini limsup is approximated by a finite max, which
-    can only under-estimate it, so the check is sound in the failure
-    direction.
+    passing trials.  The Dini limsup is approximated by the largest of the
+    finite quotients, which bounds it from neither side: a quotient at
+    step t differs from the directional derivative by a curvature term of
+    order t (t / 2 * <ystar, f''(x)[v, v]> for a C^2 map), largest at t0.
+    So a trial can fail where the inequality holds, once that term
+    exceeds tol, and pass where it fails by less than the term; the pass
+    rate is an estimate, not a bound in either direction.
 
     Each trial draws m + n standard normals (ystar first, then v, each
     normalized; an all-zero draw becomes the first basis vector) and takes

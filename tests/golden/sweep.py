@@ -5,10 +5,11 @@ usage: python tests/golden/sweep.py [--count N] [--seed S] [CLASS ...]
 The classes are the nine benchmark operation classes that the golden
 reports pin, with the command lines of tests/test_golden.py: certify_mesh,
 certify_singleton, certify_analytic, invert_clarke, invert_exact,
-invert_newton, check_validity, check_chain and check_mvt (all nine when
-none is named).  Command i of a class takes ``--seed S + i``, and an invert
-command the target drawn uniformly in [-5, 5]^n from
-``numpy.random.default_rng(S + i)``.  The N commands of each class run in
+invert_newton, check_validity, check_chain and check_mvt, and
+certify_sampled, a theta-c:3 certify with 5-vertex Clarke sets, whose hull
+bounds are sampled (all ten when none is named).  Command i of a class
+takes ``--seed S + i``, and an invert command the target drawn uniformly
+in [-5, 5]^n from ``numpy.random.default_rng(S + i)``.  The N commands of each class run in
 this process, with the package from this checkout's src/, and the script
 prints one sha256 per class over every command line, exit code and report,
 and how many commands ended with each exit code.
@@ -31,7 +32,7 @@ sys.path[:0] = [str(GOLDEN.parents[1] / "src"), str(GOLDEN.parent)]
 
 from pjinv.cli import main  # noqa: E402
 from test_golden import (CHAIN, INVERT_CLARKE, INVERT_EXACT, MESH,  # noqa: E402
-                         MVT, SINGLETON, VALIDITY)
+                         MVT, SAMPLED, SINGLETON, VALIDITY)
 
 
 def _target(seed, n):
@@ -53,6 +54,8 @@ CLASSES = {
     "check_validity": lambda s: f"{VALIDITY} --seed {s}",
     "check_chain": lambda s: f"{CHAIN} --seed {s}",
     "check_mvt": lambda s: f"{MVT} --seed {s}",
+    "certify_sampled": lambda s: (f"{SAMPLED} --grid-n 3 --shell-samples 2 "
+                                  f"--seed {s}"),
 }
 
 

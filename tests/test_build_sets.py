@@ -15,15 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pjinv.hadamard
+import pjinv.indices
 import pjinv.maps
 from oracles import (counting, inline_ball_points, loop_beta_profile,
                      loop_build_set)
 from pjinv.hadamard import BetaProfile, beta_profile
 from pjinv.indices import _stack_bounds, set_conorm_bounds
-from pjinv.maps import (MapModel, _blocks, _central_differences, abs_shift_map,
-                        complexsq_map, exp1d_map, identity_map, linear_map,
-                        theta_map)
+from pjinv.maps import (DomainError, MapModel, _blocks, _central_differences,
+                        abs_shift_map, complexsq_map, exp1d_map, identity_map,
+                        linear_map, theta_map)
 from pjinv.properties import mvt_check
 from pjinv.pseudojac import (MAX_REDRAWS, PseudoJacobianSet, build_set,
                              build_sets, parse_provider)
@@ -117,6 +117,36 @@ def test_sum_provider_needs_a_decomposition():
         build_sets(model, np.zeros((2, 1)), parse_provider("sum"))
 
 
+@pytest.mark.parametrize("radii, message", [
+    (lambda xs: np.full(len(xs), -0.5), "radius must be >= 0"),
+    (lambda xs: np.zeros((len(xs), 1)),
+     r"plain: expected 3 radii, got shape \(3, 1\)")])
+def test_sum_radii_are_checked(radii, message):
+    model = MapModel("plain", 2, 2, lambda xs: xs,
+                     smooth_part=lambda xs: np.broadcast_to(np.eye(2),
+                                                            (len(xs), 2, 2)),
+                     lip_part=lambda xs, r: radii(xs))
+    with pytest.raises(ValueError, match=message):
+        build_sets(model, np.zeros((3, 2)), parse_provider("sum"))
+
+
+def test_a_derivative_of_the_wrong_shape_is_refused():
+    model = MapModel("plain", 2, 2, lambda xs: xs,
+                     deriv=lambda xs: np.zeros((len(xs), 2, 3)))
+    with pytest.raises(ValueError,
+                       match="plain: expected 2 x 2 operators, got shape "
+                             r"\(2, 3\)"):
+        build_sets(model, np.zeros((3, 2)), parse_provider("exact"))
+
+
+def test_a_clarke_point_outside_the_domain_box_is_refused():
+    # 700 - 1e-4 is inside exp1d's box, but most of its m ball points,
+    # up to 1e-3 away, are not
+    with pytest.raises(DomainError, match="exp1d: point outside domain box"):
+        build_set(exp1d_map(), [700.0 - 1e-4],
+                  parse_provider("clarke:delta=1e-3,m=32,eps=0"), rng=0)
+
+
 @pytest.mark.parametrize("provider", ["exact", "sum"])
 @pytest.mark.parametrize("broadcast", [True, False])
 def test_a_non_finite_operator_is_refused(provider, broadcast):
@@ -168,7 +198,7 @@ def mixed_stack():
 
 
 def assert_same_bounds(got, want):
-    # two (lower, upper, certified) triples of arrays, bit for bit
+    # two tuples of bound arrays, bit for bit
     for g, w in zip(got, want, strict=True):
         np.testing.assert_array_equal(g, w, strict=True)
 
@@ -180,7 +210,14 @@ def test_stacked_bound_equals_the_one_set_bound(stack):
                   for v, r in zip(vertices, radii)]
     want = tuple(np.array([getattr(b, name) for b in one_by_one])
                  for name in ("lower", "upper", "certified"))
-    assert_same_bounds(_stack_bounds(vertices, radii, 1e-3), want)
+    *got, members = _stack_bounds(vertices, radii, 1e-3)
+    assert_same_bounds(tuple(got), want)
+    # the member is the witness of a hull set and of a singleton of radius 0
+    hulls = ~(vertices == vertices[:, :1]).all(axis=(1, 2, 3))
+    assert hulls.sum() == (stack is mixed_stack) and (radii == 0.0).sum() == 9
+    for member, bounds, hull, radius in zip(members, one_by_one, hulls, radii):
+        if hull or radius == 0.0:
+            np.testing.assert_array_equal(member, bounds.witness, strict=True)
 
 
 @pytest.mark.parametrize("budget", [9, 4 * 9, 5 * 3 * 3])
@@ -249,7 +286,7 @@ def test_profile_takes_one_build_and_one_svd_per_block():
     # one operator and takes one SVD of it
     for per_block, sizes in ((None, [36]), (8, [8, 8, 8, 8, 4])):
         builds, svds = [], []
-        build, svd = pjinv.hadamard.build_sets, np.linalg.svd
+        build, svd = pjinv.indices.build_sets, np.linalg.svd
 
         def counting_build(model, points, *args, **kwargs):
             builds.append(len(points))
@@ -262,7 +299,7 @@ def test_profile_takes_one_build_and_one_svd_per_block():
         with pytest.MonkeyPatch.context() as mp:
             if per_block is not None:
                 mp.setattr(pjinv.maps, "MAX_BATCH_ENTRIES", per_block * 100)
-            mp.setattr(pjinv.hadamard, "build_sets", counting_build)
+            mp.setattr(pjinv.indices, "build_sets", counting_build)
             mp.setattr(np.linalg, "svd", counting_svd)
             profile = beta_profile(theta_map("a", 10, 0.5),
                                    parse_provider("sum"), np.zeros(10), 2.0,

@@ -261,6 +261,49 @@ class TestCertify:
         assert code == 2 and out == ""
         assert "config error" in err and "no analytic profile bound" in err
 
+    def test_a_singular_map_is_not_regular_sampled(self, tmp_path, capsys):
+        # sigma_min of [[1, 2], [2, 4]] is certified at about 1e-16, under
+        # the margin 10 * net: neither regular nor a sampled index above it
+        path = tmp_path / "a.txt"
+        path.write_text("1 2\n2 4\n")
+        code, out, _ = run(capsys, "certify", "--map", f"linear:{path}",
+                           "--grid-n", "3", "--shell-samples", "2")
+        assert code == 1
+        rec = json.loads(out)
+        assert rec["verdict"] == "inconclusive"
+        assert 0.0 < rec["alpha_min"] < 1e-15
+
+    @pytest.mark.parametrize("alpha, kind, verdict", [
+        (0.5, "sampled", "regular-sampled"),
+        (1e-2 + 1e-9, "sampled", "regular-sampled"),
+        (1e-2, "sampled", "inconclusive"),
+        (1e-3, "certified", "inconclusive"),
+        (0.0, "sampled", "not-regular"),
+    ])
+    def test_a_sampled_index_must_clear_the_margin(self, monkeypatch, capsys,
+                                                   alpha, kind, verdict):
+        # the index as the report gives it, against the margin 10 * net of
+        # the default net 1e-3; the profile of theta-a:4:0.5 is 0.5
+        report = cli.indices.RegularityReport(alpha, False, kind, np.eye(4),
+                                              0.0)
+        monkeypatch.setattr(cli.indices, "regularity_index",
+                            lambda *args, **kwargs: report)
+        code, out, _ = run(capsys, "certify", "--map", "theta-a:4:0.5",
+                           "--grid-n", "3", "--shell-samples", "2")
+        assert json.loads(out)["verdict"] == verdict
+        assert code == (0 if verdict == "regular-sampled" else 1)
+
+    def test_timing_adds_one_field(self, capsys):
+        argv = ["certify", "--map", "theta-a:4:0.5", "--analytic-beta"]
+        plain = json.loads(run(capsys, *argv)[1])
+        code, out, _ = run(capsys, *argv, "--timing")
+        timed = json.loads(out)
+        assert code == 0
+        assert set(timed) - set(plain) == {"timing_ms"}
+        assert timed["timing_ms"] > 0.0
+        del timed["timing_ms"]
+        assert timed == plain
+
     def test_sampled_reports_do_not_depend_on_the_draw_cache(self, tmp_path,
                                                              capsys):
         # a sampled certify and profile from a cold draw cache, then, after

@@ -14,7 +14,9 @@ Two sets of reports live under golden/:
   suite, ``ball-check``), a validity check that fails about half its
   trials, sampled ``certify`` profiles of theta-a:10:0.5 and theta-c:3
   with the sum, exact and 2-vertex Clarke providers, and of exp1d and
-  complexsq with the sum provider.  Each command line is written out here.
+  complexsq with the sum provider, and a theta-c:3 certify with 5-vertex
+  Clarke sets, whose sampled hull bounds give ``regular-sampled``.  Each
+  command line is written out here.
 - ``PROFILES``: sampled ``profile`` commands, their reports byte for byte
   and their ``--csv`` files row by row as floats to 1e-11 relative.  The
   CSV prints 12 digits, and on a dyadic grid a dyadic beta puts rho on a
@@ -145,6 +147,8 @@ VALIDITY = ("check validity --map theta-c:3 "
 CHAIN = "check chain --map theta-c:3 --provider sum --trials 500 --tol 1e-3"
 MVT = ("check mvt --map theta-a:2:0.5 --provider clarke:delta=1e-4,m=64,eps=0 "
        "--trials 10 --tol 1e-3")
+# 5-vertex Clarke sets: the sampled hull bound, and a sampled index
+SAMPLED = "certify --map theta-c:3 --provider clarke:delta=1e-3,m=5,eps=0"
 
 # report file stem -> (command line, exit code); no argument holds a space
 COMMANDS = {
@@ -235,6 +239,9 @@ COMMANDS = {
     "certify_theta-c_3_clarke": (
         "certify --map theta-c:3 --provider clarke:delta=1e-3,m=2,eps=0 "
         "--grid-n 5 --shell-samples 8", 0),
+    # regular-sampled: the sampled index clears the margin 10 * net
+    "certify_theta-c_3_clarke_m5": (
+        f"{SAMPLED} --grid-n 3 --shell-samples 2 --seed 4", 0),
     # the sum rule off the theta family: exp1d's derivative grows along the
     # ray, and complexsq's vanishes at its center
     "certify_exp1d_sum": (

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import pjinv.indices
 import pjinv.linalg
 import pjinv.maps
 from oracles import jacobi_conorm
@@ -8,7 +11,7 @@ from pjinv.cli import main
 from pjinv.indices import (DEFAULT_NET, ConormBounds, _singleton_values,
                            regularity_index, set_conorm_bounds)
 from pjinv.linalg import conorm, spectral_norm
-from pjinv.maps import linear_map, theta_map
+from pjinv.maps import linear_map, make_map, theta_map
 from pjinv.pseudojac import (ProviderSpec, PseudoJacobianSet, build_set,
                              parse_provider)
 
@@ -207,6 +210,13 @@ class TestHullBounds:
         np.testing.assert_array_equal(tiny.witness, fine.witness)
 
 
+    def test_a_hull_at_net_zero_is_refused(self):
+        # a hull takes the stack pass's one net check, as a singleton does
+        with pytest.raises(ValueError, match="net must be > 0"):
+            set_conorm_bounds(PseudoJacobianSet([np.eye(2), 2.0 * np.eye(2)]),
+                              net=0.0)
+
+
 class TestRegularityIndex:
     def test_theta_a_sum_provider(self):
         m = theta_map("a", 4, 0.5)
@@ -240,6 +250,57 @@ class TestRegularityIndex:
             shrunk = regularity_index(m, provider, x, net=net, rng=5,
                                       use_usc_shortcut=False)
             assert abs(at_point.alpha - shrunk.alpha) <= 2 * net + 1e-3
+
+    def test_shrinking_balls_bound_each_set_once(self, monkeypatch):
+        # 3 radii of 1 + 24 points, each a 2-vertex hull: 75 hull bounds,
+        # and the witness comes from the pass, not from a 76th
+        calls = []
+        original = pjinv.indices._hull_bounds
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pjinv.indices, "_hull_bounds", spy)
+        rep = regularity_index(theta_map("c", 3),
+                               parse_provider("clarke:delta=1e-3,m=2,eps=0"),
+                               np.zeros(3), rng=0, use_usc_shortcut=False)
+        assert rep.bound_kind == "certified" and rep.regular
+        assert len(calls) == 75
+
+    @pytest.mark.parametrize(
+        "map_id, provider, x, seed, alpha, radius, digest", [
+        # hulls of 2 Clarke vertices (certified) and of 3 (sampled), a
+        # singleton of radius 0.5 and one of radius 0
+        ("theta-c:3", "clarke:delta=1e-3,m=2,eps=0", [0.0, 0.0, 0.0], 1,
+         "0x1.fd7d72ea6f50ep-1", "0x1.47ae147ae147bp-7",
+         "c0847d2db1fd948fd4a6f7bc81d8e9a8375a767004268e90a662be0add439e93"),
+        ("theta-c:3", "clarke:delta=1e-3,m=2,eps=0", [0.3, -0.2, 0.5], 2,
+         "0x1.a52e6f1737c60p-1", "0x1.08d677601cc61p-6",
+         "3174f09373380de9621f2864902253de1672fb3d1d2fdb03bcfae5c3e2c1bc9a"),
+        ("abs-shift", "clarke:delta=1e-3,m=3,eps=0", [0.0], 5,
+         "0x1.fffffffff2f0bp-2", "0x1.999999999999ap-4",
+         "f2d246951d95445722e0013faed23365ea61b29baea8181a5a10b60ac4306cd2"),
+        ("theta-a:10:0.5", "sum", [0.1] * 10, 3,
+         "0x1.0000000000000p-1", "0x1.50f44d8921244p+0",
+         "17ed29a2934df75909a035aaf4dab7aae727d3d5a6559d9bb9a38c21b7024467"),
+        ("complexsq", "sum", [0.5, -1.0], 4,
+         "0x1.194b8b0365ec3p+1", "0x1.5b04c8c8a362ep-6",
+         "eb0bd26e75da8626520e542a2a51b40dfd4bf8f4d4b71ad05a553d9ee97adced"),
+        ("exp1d", "exact", [0.25], 6,
+         "0x1.44d75f7511b75p+0", "0x1.999999999999ap-7",
+         "1429cf673c4eee5c0b4b3e0d9c957592049e9abbd62e7431d521cfae1a5b8f5a"),
+    ])
+    def test_shrinking_ball_index_keeps_its_bits(self, map_id, provider, x,
+                                                 seed, alpha, radius, digest):
+        # alpha, the radius it came from and the witness's bytes, as the
+        # index computed them when it bounded the chosen set a second time
+        # for its witness
+        rep = regularity_index(make_map(map_id), parse_provider(provider),
+                               np.array(x), rng=seed, use_usc_shortcut=False)
+        assert (float(rep.alpha).hex(), float(rep.radius_used).hex()) == \
+            (alpha, radius)
+        assert hashlib.sha256(rep.witness.tobytes()).hexdigest() == digest
 
     def test_empty_radii_rejected(self):
         with pytest.raises(ValueError):

@@ -103,6 +103,28 @@ class TestPathLift:
                               np.array([-1.0]))
         assert tr.status in ("diverged", "step_underflow")
 
+    @pytest.mark.parametrize("model, target, distance", [
+        (exp1d_map(), [-1.0], 1.0), (complexsq_map(), [1.0, 1.0], 2 ** 0.5)])
+    def test_a_failed_lift_reports_its_distance_to_the_target(
+            self, model, target, distance):
+        # exp1d stops near t = 0.5 and complexsq, singular at 0, at its
+        # start; each node's corrector met the tolerance, the lift did not
+        y = np.array(target)
+        tr = path_lift_invert(model, SUM, np.zeros(model.dim_in), y)
+        assert tr.status == "step_underflow" and tr.residuals[-1] <= 1e-10
+        assert tr.final_residual == np.linalg.norm(evaluate(model, tr.final_x)
+                                                   - y)
+        assert tr.final_residual == pytest.approx(distance, rel=1e-9)
+        assert tr.to_record()["final_residual"] == tr.final_residual
+
+    def test_a_converged_lift_reports_its_last_node(self):
+        # p(1) is the target to the bit, so the last node's residual is the
+        # residual to the target
+        tr = path_lift_invert(theta_map("a", 4, 0.5), SUM, np.zeros(4),
+                              np.array([1.0, -2.0, 3.0, 0.5]))
+        assert tr.status == "converged"
+        assert tr.final_residual == tr.residuals[-1] <= 1e-10
+
     def test_accepted_correctors_meet_tolerance(self):
         m = theta_map("c", 4)
         tol = 1e-10

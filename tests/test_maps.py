@@ -220,7 +220,7 @@ def test_row_oracles_equal_one_row_calls(model, closed_form, count, seed,
             np.testing.assert_array_equal(jac, closed_form(x))
     # the stacked bound of the sum sets equals each set's own bound
     vertices, set_radii = build_sets(model, xs, parse_provider("sum"))
-    lower, upper, certified = _stack_bounds(vertices, set_radii, 1e-3)
+    lower, upper, certified, _ = _stack_bounds(vertices, set_radii, 1e-3)
     for i in range(count):
         bounds = set_conorm_bounds(PseudoJacobianSet(vertices[i], set_radii[i]))
         assert (bounds.lower, bounds.upper, bounds.certified) == \

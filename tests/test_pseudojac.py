@@ -51,6 +51,17 @@ class TestSetInvariants:
         with pytest.raises(ValueError):
             PseudoJacobianSet([np.eye(2), np.eye(3)], 0.0)
 
+    def test_non_finite_entry_rejected(self):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            PseudoJacobianSet([[[1.0, np.nan], [0.0, 1.0]]])
+
+    def test_two_dimensional_vertices_rejected(self):
+        # one m x n matrix is not a (k, m, n) stack of vertices
+        with pytest.raises(ValueError,
+                           match=r"expected nonempty m x n vertices, got "
+                                 r"shape \(2, 2\)"):
+            PseudoJacobianSet(np.eye(2))
+
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             PseudoJacobianSet([np.eye(2)], -0.1)

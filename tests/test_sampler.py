@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pjinv.hadamard
+import pjinv.indices
 import pjinv.maps
 from oracles import counting, inline_ball_points
 from pjinv.hadamard import beta_profile
@@ -77,14 +77,14 @@ def test_profile_shell_points_come_from_their_own_generator(n, center):
     def shells(count, seed):
         # the points the profile hands to build_sets, split shell by shell
         seen = []
-        build = pjinv.hadamard.build_sets
+        build = pjinv.indices.build_sets
 
         def record(model, points, *args, **kwargs):
             seen.append(np.array(points))
             return build(model, points, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pjinv.hadamard, "build_sets", record)
+            mp.setattr(pjinv.indices, "build_sets", record)
             beta_profile(theta_map("c", n), parse_provider("sum"), center,
                          1.5, grid_n=5, samples_per_shell=count, rng=seed)
         points = np.concatenate(seen)
