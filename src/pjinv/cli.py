@@ -7,6 +7,16 @@ errors included, and every option value checked by its argparse type),
 3 computation failure (anything raised while a well-formed command
 computes, such as a DomainError or a non-finite set).
 
+Every report command takes one path.  Its ``cmd_*`` function takes the
+parsed arguments and the seed's generator, computes, and returns its report
+fields, whether it succeeded and its beta/rho profile (None for invert and
+check).  ``main`` alone adds the ``command`` key and the ``config`` echo of
+the arguments as the command left them (it may fill in a default), adds
+``timing_ms`` on ``certify --timing``, writes the profile CSV on ``--csv``,
+formats the report once, writes it to ``--out`` and to stdout, and maps
+success to exit 0 and failure to 1.  ``catalog`` prints its listing and
+writes no report.
+
 The argparse parser is built once, when this module is imported, and
 every ``main`` call (and a ``--config`` run's second parse) reuses it, so
 a caller that runs many commands in one process pays only for parsing.
@@ -154,14 +164,6 @@ def format_record(record):
                       allow_nan=False) + "\n"
 
 
-def _emit(record, out_path):
-    text = format_record(record)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
-
-
 def _build_parser():
     parser = _Parser(
         prog="pjinv",
@@ -276,56 +278,34 @@ def _profile_for(model, provider, args, rng):
         samples_per_shell=args.shell_samples, rng=rng)
 
 
-def cmd_catalog(_args):
-    for ident, desc in catalog_ids():
-        print(f"{ident:24s} {desc}")
-    return 0
-
-
-def cmd_certify(args):
-    start = time.perf_counter()
+def cmd_certify(args, rng):
     model, provider = _resolve(args)
-    rng = np.random.default_rng(args.seed)
     report = indices.regularity_index(model, provider,
                                       np.zeros(model.dim_in), rng=rng)
     profile = _profile_for(model, provider, args, rng)
     verdict_h = hadamard.hadamard_verdict(
         profile, analytic_divergent=args.analytic_beta and model.beta_divergent)
-    alpha_min = float(min(report.alpha, profile.beta[-1]))
-    # a sampled index must clear the singularity margin 10 * net that
-    # report.regular asks of a certified one
-    sampled_regular = (report.bound_kind == "sampled"
-                       and report.alpha > 10.0 * indices.DEFAULT_NET)
-    if not report.regular and report.alpha <= 0.0:
+    # an index of either bound kind must clear the singularity margin
+    # 10 * net; report.regular is a certified index that clears it
+    if report.alpha <= 0.0:
         verdict = "not-regular"
-    elif report.regular and verdict_h != "fails":
-        verdict = "regular-certified"
-    elif sampled_regular and verdict_h != "fails":
-        verdict = "regular-sampled"
+    elif report.alpha > 10.0 * indices.DEFAULT_NET and verdict_h != "fails":
+        verdict = f"regular-{report.bound_kind}"
     else:
         verdict = "inconclusive"
-    record = {
-        "command": "certify",
-        "config": _config_echo(args),
+    fields = {
         "verdict": verdict,
-        "alpha_min": alpha_min,
+        "alpha_min": float(min(report.alpha, profile.beta[-1])),
         "rho_at_tmax": float(profile.rho[-1]),
         "rho_lower_at_tmax": float(profile.rho_lower[-1]),
         "hadamard": verdict_h,
-        "witnesses": report.witness.tolist()
-        if report.witness is not None else [],
+        "witnesses": report.witness.tolist(),
     }
-    if args.timing:
-        record["timing_ms"] = (time.perf_counter() - start) * 1000.0
-    if args.csv:
-        hadamard.write_profile_csv(profile, args.csv)
-    _emit(record, args.out)
-    return 0 if verdict.startswith("regular") else 1
+    return fields, verdict.startswith("regular"), profile
 
 
-def cmd_invert(args):
+def cmd_invert(args, rng):
     model, provider = _resolve(args)
-    rng = np.random.default_rng(args.seed)
     y = parse_vector(args.target)
     x0 = parse_vector(args.x0) if args.x0 else np.zeros(model.dim_in)
     if y.size != model.dim_out or x0.size != model.dim_in:
@@ -341,119 +321,87 @@ def cmd_invert(args):
     else:
         trace = invert.ekeland_descent(model, provider, y, x0, tol=args.tol,
                                        rng=rng)
-    record = {"command": "invert", "config": _config_echo(args)}
-    record.update(trace.to_record())
-    _emit(record, args.out)
-    return 0 if trace.status == "converged" else 1
+    return trace.to_record(), trace.status == "converged", None
 
 
-def cmd_ball_check(args):
+def cmd_ball_check(args, rng):
     if args.t_max is None:
         args.t_max = max(args.delta, 1.0)
     elif args.delta > args.t_max:
         raise ConfigError("--delta must not exceed --t-max")
     model, provider = _resolve(args)
-    rng = np.random.default_rng(args.seed)
     profile = _profile_for(model, provider, args, rng)
     rate = hadamard.ball_inclusion_test(model, provider,
                                         np.zeros(model.dim_in), args.delta,
                                         profile, samples=args.samples, rng=rng)
-    record = {
-        "command": "ball-check",
-        "config": _config_echo(args),
-        "pass_rate": rate,
-        "rho_at_delta": hadamard.rho_at(profile, args.delta),
-    }
-    if args.csv:
-        hadamard.write_profile_csv(profile, args.csv)
-    _emit(record, args.out)
-    return 0 if rate == 1.0 else 1
+    fields = {"pass_rate": rate,
+              "rho_at_delta": hadamard.rho_at(profile, args.delta)}
+    return fields, rate == 1.0, profile
 
 
-def cmd_profile(args):
+def cmd_profile(args, rng):
     model, provider = _resolve(args)
-    rng = np.random.default_rng(args.seed)
     profile = _profile_for(model, provider, args, rng)
-    record = {
-        "command": "profile",
-        "config": _config_echo(args),
+    fields = {
         "mode": profile.mode,
         "rho_at_tmax": float(profile.rho[-1]),
         "rho_lower_at_tmax": float(profile.rho_lower[-1]),
         "beta_end": float(profile.beta[-1]),
     }
-    if args.csv:
-        hadamard.write_profile_csv(profile, args.csv)
-    _emit(record, args.out)
-    return 0
+    return fields, True, profile
 
 
-def cmd_check(args):
-    rng = np.random.default_rng(args.seed)
+def cmd_check(args, rng):
     if args.suite == "optimality":
         # a fixed scalar target, |x| with a Clarke provider, echoed as such
         if args.map_id is not None or args.provider is not None:
             raise ConfigError("check optimality checks abs1d with a Clarke "
                               "provider; --map and --provider do not apply")
         args.map_id, args.provider = "abs1d", "clarke:delta=1e-3,m=32,eps=0"
-        model = MapModel("abs1d", 1, 1, np.abs)
-        provider = parse_provider(args.provider)
-    elif args.negative_control:
+        x0 = np.array([0.5 if args.negative_control else 0.0])
+        dist, ok = properties.optimality_check(
+            MapModel("abs1d", 1, 1, np.abs), parse_provider(args.provider), x0,
+            tol=args.tol, rng=rng)
+        fields = {"suite": args.suite, "distance": dist, "pass": bool(ok)}
+        # the negative control succeeds when its check fails
+        return fields, bool(ok) != args.negative_control, None
+    if args.negative_control:
         raise ConfigError("--negative-control has a failing variant only in "
                           "check optimality")
-    else:
-        model, provider = _resolve(args)
-    record = {"command": "check", "suite": args.suite,
-              "config": _config_echo(args)}
-    if args.suite == "optimality":
-        x0 = np.array([0.5]) if args.negative_control else np.array([0.0])
-        dist, ok = properties.optimality_check(model, provider, x0,
-                                               tol=args.tol, rng=rng)
-        record.update({"distance": dist, "pass": bool(ok)})
-        success = (not ok) if args.negative_control else ok
-    elif args.suite == "mvt":
-        dists = []
-        for _ in range(max(args.trials // 10, 1)):
-            u = rng.uniform(-1.0, 1.0, model.dim_in)
-            v = rng.uniform(-1.0, 1.0, model.dim_in)
-            dist, _ok = properties.mvt_check(model, provider, u, v,
-                                             tol=args.tol, rng=rng)
-            dists.append(dist)
-        record.update({"max_distance": max(dists),
-                       "pass": bool(max(dists) <= args.tol)})
-        success = record["pass"]
-    elif args.suite == "validity":
-        x = np.zeros(model.dim_in)
-        jset = build_set(model, x, provider, rng=rng)
-        rate = validity_check(model, x, jset, trials=args.trials,
-                              tol=args.tol, rng=rng)
-        record.update({"pass_rate": rate, "pass": bool(rate >= 0.99)})
-        success = record["pass"]
+    model, provider = _resolve(args)
+    x = np.zeros(model.dim_in)
+    if args.suite == "mvt":
+        # each segment draws u, then v, then its sets
+        dist = max(properties.mvt_check(
+            model, provider, rng.uniform(-1.0, 1.0, model.dim_in),
+            rng.uniform(-1.0, 1.0, model.dim_in), tol=args.tol, rng=rng)[0]
+            for _ in range(max(args.trials // 10, 1)))
+        ok = bool(dist <= args.tol)
+        return {"suite": args.suite, "max_distance": dist, "pass": ok}, ok, None
+    if args.suite == "validity":
+        rate = validity_check(model, x, build_set(model, x, provider, rng=rng),
+                              trials=args.trials, tol=args.tol, rng=rng)
     else:  # chain
-        y0 = model(np.zeros(model.dim_in)) + 1.0
+        y0 = model(x) + 1.0
         outer = MapModel(
             "dist-to-point", model.dim_out, 1,
             lambda ys: _row_norms(ys - y0)[:, None],
             deriv=lambda ys: ((ys - y0) / _row_norms(ys - y0)[:, None])[:, None])
-        rate = properties.chain_rule_check(model, outer, provider,
-                                           np.zeros(model.dim_in),
+        rate = properties.chain_rule_check(model, outer, provider, x,
                                            trials=args.trials, tol=args.tol,
                                            rng=rng)
-        record.update({"pass_rate": rate, "pass": bool(rate >= 0.99)})
-        success = record["pass"]
-    _emit(record, args.out)
-    return 0 if success else 1
+    ok = bool(rate >= 0.99)
+    return {"suite": args.suite, "pass_rate": rate, "pass": ok}, ok, None
 
 
 def _config_echo(args):
-    # format_record sorts the keys
-    skip = {"command", "func", "out", "csv", "config", "timing"}
-    return {key: val for key, val in vars(args).items()
-            if key not in skip and not callable(val)}
+    # the parsed arguments as the command left them; format_record sorts
+    # the keys
+    skip = {"command", "out", "csv", "config", "timing"}
+    return {key: val for key, val in vars(args).items() if key not in skip}
 
 
 _COMMANDS = {
-    "catalog": cmd_catalog,
     "certify": cmd_certify,
     "invert": cmd_invert,
     "ball-check": cmd_ball_check,
@@ -478,7 +426,25 @@ def main(argv=None):
     _keep_freed_heap()
     try:
         args = _parse_args(argv)
-        return _COMMANDS[args.command](args)
+        if args.command == "catalog":
+            for ident, desc in catalog_ids():
+                print(f"{ident:24s} {desc}")
+            return 0
+        start = time.perf_counter()
+        fields, success, profile = _COMMANDS[args.command](
+            args, np.random.default_rng(args.seed))
+        record = {"command": args.command, "config": _config_echo(args),
+                  **fields}
+        if getattr(args, "timing", False):
+            record["timing_ms"] = (time.perf_counter() - start) * 1000.0
+        if profile is not None and args.csv:
+            hadamard.write_profile_csv(profile, args.csv)
+        text = format_record(record)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        sys.stdout.write(text)
+        return 0 if success else 1
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

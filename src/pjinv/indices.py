@@ -20,7 +20,7 @@ Only the rows whose bound, less a rounding margin of 1e-9 * (1 + the
 largest vertex Frobenius norm), does not clear the running minimum are
 decomposed.
 
-The bound, the upper bound and the witness (the first minimal row in mesh
+The bound, the upper bound and the member (the first minimal row in mesh
 order) are those of the full mesh to the bit.  A pruned row's bound is a
 chain of at most two Lipschitz steps down from a decomposed row of the
 first level, since every corner of a second-level row is one.  Each link
@@ -41,13 +41,15 @@ of a constant derivative) holds one operator in every row, so it takes
 one ``conorm`` call of that operator; any other stack takes one call per
 block.  ``set_conorm_bounds`` is its one-set case.  ``_set_values`` builds
 and bounds the sets at a stack of points, one ``build_sets`` call and one
-pass per block, and keeps the set and member of the first minimum; the
+pass per block, and keeps the radius and member of the first minimum; the
 regularity index (at x alone under the USC shortcut, else at x and the
 points of each shrinking ball) and the sampled Hadamard profile both call
 it.  A witness is made only for the one set a report names, from its
-member (``_witness``): the member itself for a hull, and for a singleton
-of radius r > 0 the vertex less r times the outer product of its minimal
-singular pair, one thin SVD.
+member and radius r by one rule for every set (``_witness``): at r = 0 the
+member itself, else the member less min(r, its smallest singular value)
+times the outer product of its minimal singular pair, one thin SVD.  The
+witness is then a member of the set whose co-norm is the set's upper
+bound.
 """
 
 import functools
@@ -159,7 +161,7 @@ def _set_values(model, provider, points, net, rng):
     Clarke sample count and 1 for every other provider).  Returns three
     things: each point's value, its certified lower bound or else its
     sampled upper bound; whether every bound was certified; and the first
-    minimal value with its set and member, as (value, vertices, radius,
+    minimal value with its set's radius and member, as (value, radius,
     member), from which ``_witness`` makes the witness.
     """
     k = provider.m if provider.kind == "clarke" else 1
@@ -171,22 +173,22 @@ def _set_values(model, provider, points, net, rng):
             values, certified_all = np.where(certified, values, upper), False
         # the first minimum of all the values is its block's first minimum
         i = int(values.argmin())
-        firsts[block.start + i] = values[i], vertices[i], radii[i], members[i]
+        firsts[block.start + i] = values[i], radii[i], members[i]
         parts.append(values)
     values = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return values, certified_all, firsts[int(values.argmin())]
 
 
-def _witness(vertices, radius, member):
-    # the witness a report names: a hull's member itself, whose co-norm is
-    # the bound before the ball; for a singleton, its vertex less radius
-    # times the outer product of its minimal singular pair (one thin SVD),
-    # a member of the set whose co-norm is the bound
-    if radius == 0.0 or (len(vertices) > 1
-                         and not (vertices == vertices[0]).all()):
+def _witness(radius, member):
+    # the witness a report names: a member of the set whose co-norm is the
+    # set's upper bound max(conorm(member) - radius, 0).  At radius 0 that
+    # is the member itself; otherwise the member less min(radius, its
+    # smallest singular value) times the outer product of its minimal
+    # singular pair (one thin SVD)
+    if radius == 0.0:
         return np.array(member)
-    u, _, vt = np.linalg.svd(member, full_matrices=False)
-    return member - radius * (u[:, -1:] * vt[-1:, :])
+    u, s, vt = np.linalg.svd(member, full_matrices=False)
+    return member - min(radius, s[-1]) * (u[:, -1:] * vt[-1:, :])
 
 
 def _compositions(k, subdivisions):
@@ -328,17 +330,16 @@ def set_conorm_bounds(jset, net=DEFAULT_NET):
     entries, one batched singular-value computation per chunk.  Meshes
     and samples are built once per vertex count and mesh size.
 
-    This is the one-set case of ``_stack_bounds``.  The witness is the
-    pass's member under the rule of ``_witness``: for a singleton the
-    minimal singular pair's rank-one perturbation (one thin SVD), a member
-    at which the bound is attained, and otherwise the first minimal mesh or
-    sample point.
+    This is the one-set case of ``_stack_bounds``.  The witness is made
+    from the pass's member by the rule of ``_witness``: a member of the set
+    whose co-norm is the upper bound, the member itself at radius 0 and
+    else its minimal singular pair's rank-one step towards singularity (one
+    thin SVD).
     """
     lower, upper, certified, members = _stack_bounds(
         jset.vertices[None], np.array([jset.radius]), net)
     return ConormBounds(lower[0], upper[0], certified[0], net,
-                        witness=_witness(jset.vertices, jset.radius,
-                                         members[0]))
+                        witness=_witness(jset.radius, members[0]))
 
 
 def _hull_bounds(vertices, radius, net):

@@ -2,19 +2,28 @@
 
 usage: python tests/golden/sweep.py [--count N] [--seed S] [CLASS ...]
 
-The classes are the nine benchmark operation classes that the golden
-reports pin, with the command lines of tests/test_golden.py: certify_mesh,
-certify_singleton, certify_analytic, invert_clarke, invert_exact,
-invert_newton, check_validity, check_chain and check_mvt, and
-certify_sampled, a theta-c:3 certify with 5-vertex Clarke sets, whose hull
-bounds are sampled (all ten when none is named).  Command i of a class
-takes ``--seed S + i``, and an invert command the target drawn uniformly
-in [-5, 5]^n from ``numpy.random.default_rng(S + i)``.  The N commands of each class run in
-this process, with the package from this checkout's src/, and the script
-prints one sha256 per class over every command line, exit code and report,
-and how many commands ended with each exit code.
+The classes run the command lines of tests/test_golden.py (all of them
+when none is named):
+
+- the nine benchmark operation classes that the golden reports pin:
+  certify_mesh, certify_singleton, certify_analytic, invert_clarke,
+  invert_exact, invert_newton, check_validity, check_chain and check_mvt;
+- certify_sampled, a theta-c:3 certify with 5-vertex Clarke sets, whose
+  hull bounds are sampled;
+- profile (a sampled 2-vertex Clarke profile), ball_check,
+  invert_ekeland (the Clarke theta-a:4:0.5 descent) and check_optimality;
+- config_error, which cycles through one malformed command for each
+  config error that ``pjinv.cli`` raises (a config file it names is
+  written, with a relative path, to the directory the sweep runs in).
+
+Command i of a class takes ``--seed S + i``, and an invert command the
+target drawn uniformly in [-5, 5]^n from ``numpy.random.default_rng(S + i)``.
+The N commands of each class run in this process, in a fresh temporary
+directory, with the package from this checkout's src/, and the script
+prints one sha256 per class over every command line, exit code, report
+and standard error, and how many commands ended with each exit code.
 Run it with the same arguments in two checkouts: equal hashes mean
-byte-identical reports.
+byte-identical reports and error messages.
 """
 
 import argparse
@@ -23,6 +32,7 @@ import contextlib
 import hashlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -56,20 +66,64 @@ CLASSES = {
     "check_mvt": lambda s: f"{MVT} --seed {s}",
     "certify_sampled": lambda s: (f"{SAMPLED} --grid-n 3 --shell-samples 2 "
                                   f"--seed {s}"),
+    "profile": lambda s: (
+        "profile --map theta-a:10:0.5 --provider clarke:delta=1e-3,m=2,eps=0 "
+        f"--grid-n 5 --shell-samples 8 --seed {s}"),
+    "ball_check": lambda s: (
+        "ball-check --map theta-c:3 --delta 0.5 --grid-n 16 --shell-samples 8 "
+        f"--samples 20 --seed {s}"),
+    "invert_ekeland": lambda s: (
+        "invert --map theta-a:4:0.5 --provider clarke:delta=1e-4,m=8,eps=0 "
+        f"--method ekeland --target={_target(s, 4)} --seed {s}"),
+    "check_optimality": lambda s: f"check optimality --seed {s}",
+    "config_error": lambda s: (f"{CONFIG_ERRORS[s % len(CONFIG_ERRORS)]} "
+                               f"--seed {s}"),
 }
+
+# the config files that config_error names, written where the sweep runs
+FILES = {
+    "latin1.cfg": b"map = caf\xe9\n",
+    "no_equals.cfg": b"map identity\n",
+    "unknown_key.cfg": b"bogus = 1\n",
+}
+
+# one malformed command per config error of pjinv.cli, in source order
+CONFIG_ERRORS = [
+    "frobnicate",  # argparse, and every option value's argparse type
+    "certify --map identity --config latin1.cfg",
+    "certify --map identity --config no_equals.cfg",
+    "invert --map identity --target 1,x,3",
+    "invert --map identity --target 1,inf,3",
+    "certify --map identity --config unknown_key.cfg",
+    "certify --provider sum",  # no --map
+    "certify --map nope",
+    "invert --map identity --provider bogus --target 1,2,3",
+    "certify --map exp1d --analytic-beta",  # no constant sum pair
+    "profile --map identity --grid-n 10000 --shell-samples 10000",
+    "invert --map identity --target 1,2",
+    "ball-check --map identity --delta 3 --t-max 2",
+    "check optimality --map theta-a:2:0.5",
+    "check validity --map theta-c:3 --negative-control",
+    "certify --map identity --config missing.cfg",  # an OSError
+]
 
 
 def sweep(name, count, seed):
-    """sha256 over the command lines, exit codes and reports of a class, and
-    the count of each exit code."""
+    """sha256 over the command lines, exit codes, reports and standard
+    errors of a class, and the count of each exit code."""
     digest, codes = hashlib.sha256(), collections.Counter()
-    for s in range(seed, seed + count):
-        command = CLASSES[name](s)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(command.split())
-        codes[code] += 1
-        digest.update(f"{command}\n{code}\n{out.getvalue()}".encode())
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for file, content in FILES.items():
+            Path(file).write_bytes(content)
+        for s in range(seed, seed + count):
+            command = CLASSES[name](s)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(command.split())
+            codes[code] += 1
+            digest.update(f"{command}\n{code}\n{out.getvalue()}\n"
+                          f"{err.getvalue()}".encode())
     return digest.hexdigest(), codes
 
 

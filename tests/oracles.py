@@ -410,10 +410,10 @@ def _full_mesh(k, subdivisions):
 
 
 def full_mesh_hull_bounds(vertices, radius, net):
-    """(lower, upper, certified, witness) of co(vertices) + radius * ball
+    """(lower, upper, certified, member) of co(vertices) + radius * ball
     for a hull whose mesh at size net is within the certification budget:
     the minimum co-norm over every mesh point, whose first minimal point is
-    the witness, less radius for the upper bound and less net * diam +
+    the member, less radius for the upper bound and less net * diam +
     radius for the lower one, each clipped at 0."""
     subdivisions = max(math.ceil(1.0 / net), 1)
     weights = _full_mesh(len(vertices), subdivisions)
@@ -423,11 +423,11 @@ def full_mesh_hull_bounds(vertices, radius, net):
         values = conorm(combos)
         i = int(np.argmin(values))
         if values[i] < best:  # keeps the first minimum in mesh order
-            best, witness = values[i], combos[i].copy()
+            best, member = values[i], combos[i].copy()
     pairs = np.triu_indices(len(vertices), 1)
     diam = float(np.max(spectral_norm(vertices[pairs[0]] - vertices[pairs[1]])))
     return (max(best - net * diam - radius, 0.0), max(best - radius, 0.0),
-            True, witness)
+            True, member)
 
 
 def theta_jacobian(kind, x, c=None):

@@ -351,7 +351,7 @@ FLAT_TIE = np.array([np.diag([1.0, 5.0]), np.diag([1.0, 7.0])])
 
 @settings(derandomize=True, deadline=None, max_examples=20)
 @given(certifiable_hulls(), st.booleans())
-# sigma_min is 1 at every mesh row: the witness is row 0, the last vertex
+# sigma_min is 1 at every mesh row: the member is row 0, the last vertex
 @example((FLAT_TIE, 0.0, 1e-3), True)
 @example((FLAT_TIE, 0.5, 1e-2), False)
 # a zero between coarse rows, where the Lipschitz bound is tight, while a
@@ -373,11 +373,12 @@ def test_pruned_mesh_equals_the_full_mesh(case, chunked):
         if chunked:
             mp.setattr(pjinv.maps, "MAX_BATCH_ENTRIES", 4 * 37)
         bounds = set_conorm_bounds(PseudoJacobianSet(vertices, radius), net)
-        lower, upper, certified, witness = full_mesh_hull_bounds(vertices,
-                                                                 radius, net)
+        members = _stack_bounds(vertices[None], np.array([radius]), net)[3]
+        lower, upper, certified, member = full_mesh_hull_bounds(vertices,
+                                                                radius, net)
     assert (bounds.lower, bounds.upper, bounds.certified) == \
         (lower, upper, certified)
-    np.testing.assert_array_equal(bounds.witness, witness)
+    np.testing.assert_array_equal(members[0], member)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

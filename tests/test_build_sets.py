@@ -212,11 +212,13 @@ def test_stacked_bound_equals_the_one_set_bound(stack):
                  for name in ("lower", "upper", "certified"))
     *got, members = _stack_bounds(vertices, radii, 1e-3)
     assert_same_bounds(tuple(got), want)
-    # the member is the witness of a hull set and of a singleton of radius 0
+    # each member is the one-set pass's member, and the witness at radius 0
     hulls = ~(vertices == vertices[:, :1]).all(axis=(1, 2, 3))
     assert hulls.sum() == (stack is mixed_stack) and (radii == 0.0).sum() == 9
-    for member, bounds, hull, radius in zip(members, one_by_one, hulls, radii):
-        if hull or radius == 0.0:
+    for member, bounds, vs, radius in zip(members, one_by_one, vertices, radii):
+        alone = _stack_bounds(vs[None], np.array([radius]), 1e-3)[3][0]
+        np.testing.assert_array_equal(member, alone, strict=True)
+        if radius == 0.0:
             np.testing.assert_array_equal(member, bounds.witness, strict=True)
 
 

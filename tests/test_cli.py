@@ -626,6 +626,33 @@ class TestExitCodes:
         assert "computation failed" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--map", "theta-a:4:0.5", "--grid-n", "3",
+     "--shell-samples", "2"],
+    ["invert", "--map", "identity", "--target", "1,2,3"],
+    ["ball-check", "--map", "theta-c:3", "--delta", "0.5", "--grid-n", "7",
+     "--shell-samples", "2", "--samples", "4"],
+    ["profile", "--map", "theta-c:3", "--grid-n", "5", "--shell-samples", "2"],
+    ["check", "validity", "--map", "theta-c:3", "--trials", "20"],
+    ["check", "mvt", "--map", "theta-a:2:0.5", "--trials", "20"],
+    ["check", "chain", "--map", "theta-c:3", "--trials", "20"],
+    ["check", "optimality"],
+], ids=lambda argv: "-".join(argv[:2 if argv[0] == "check" else 1]))
+def test_out_holds_the_printed_report(tmp_path, capsys, argv):
+    # every report command takes the one report path: --out gets exactly
+    # the bytes printed, and ball-check's --csv its profile
+    out = tmp_path / "report.json"
+    csv = tmp_path / "p.csv"
+    extra = ["--csv", str(csv)] if argv[0] == "ball-check" else []
+    code, printed, err = run(capsys, *argv, "--out", str(out), *extra)
+    assert code == 0 and err == ""
+    assert out.read_bytes() == printed.encode()
+    assert json.loads(printed)["command"] == argv[0]
+    if extra:
+        rows = csv.read_text().splitlines()
+        assert rows[0] == "t,beta,rho" and len(rows) == 1 + 7
+
+
 def run_alone(argv):
     """(exit code, stdout, stderr) of main(argv) in a fresh interpreter."""
     script = (f"import sys\nsys.path.insert(0, {SRC!r})\n"

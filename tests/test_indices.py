@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pjinv.maps
 from oracles import jacobi_conorm
 from pjinv.cli import main
 from pjinv.indices import (DEFAULT_NET, ConormBounds, _singleton_values,
-                           regularity_index, set_conorm_bounds)
+                           _stack_bounds, regularity_index, set_conorm_bounds)
 from pjinv.linalg import conorm, spectral_norm
 from pjinv.maps import linear_map, make_map, theta_map
 from pjinv.pseudojac import (ProviderSpec, PseudoJacobianSet, build_set,
@@ -215,6 +216,48 @@ class TestHullBounds:
         with pytest.raises(ValueError, match="net must be > 0"):
             set_conorm_bounds(PseudoJacobianSet([np.eye(2), 2.0 * np.eye(2)]),
                               net=0.0)
+
+
+class TestWitness:
+    """A witness is a member of its set at which the set's upper bound is
+    attained: within the radius of the pass's member, with that co-norm."""
+
+    @pytest.mark.parametrize("vertices, radius", [
+        # a hull whose radius is below its co-norm, and one whose radius
+        # swallows it
+        ([np.diag([2.0, 1.0]), np.array([[1.5, 0.5], [0.0, 1.2]])], 0.25),
+        ([np.diag([2.0, 1.0]), np.array([[1.5, 0.5], [0.0, 1.2]])], 3.0),
+        # a singleton whose radius exceeds its co-norm 1
+        ([np.eye(3)], 2.0),
+        ([np.diag([3.0, 2.0, 0.5])], 0.5),
+        ([np.eye(2)], 0.0),
+    ])
+    def test_the_witness_attains_the_upper_bound(self, vertices, radius):
+        jset = PseudoJacobianSet(vertices, radius)
+        b = set_conorm_bounds(jset)
+        member = _stack_bounds(jset.vertices[None], np.array([radius]),
+                               DEFAULT_NET)[3][0]
+        assert spectral_norm(b.witness - member) <= radius + 1e-12
+        assert conorm(b.witness) == pytest.approx(b.upper, abs=1e-12)
+
+    def test_a_clarke_index_witness_attains_its_set_bound(self):
+        # theta-c:3 at 0 with eps 0.05: a two-vertex hull of radius 0.05
+        model = theta_map("c", 3)
+        spec = parse_provider("clarke:delta=1e-3,m=2,eps=0.05")
+        rep = regularity_index(model, spec, np.zeros(3), rng=1)
+        jset = build_set(model, np.zeros(3), spec,
+                         rng=np.random.default_rng(1))
+        b = set_conorm_bounds(jset)
+        assert b.lower == rep.alpha < b.upper
+        assert conorm(rep.witness) == pytest.approx(b.upper, abs=1e-12)
+
+    def test_a_swallowed_singleton_witness_is_singular(self, capsys):
+        # sum on theta-a:4:2 at 0: the identity with radius 2 > conorm 1
+        code = main(["certify", "--map", "theta-a:4:2", "--provider", "sum",
+                     "--grid-n", "3", "--shell-samples", "1"])
+        rec = json.loads(capsys.readouterr().out)
+        assert code == 1 and rec["verdict"] == "not-regular"
+        assert conorm(np.array(rec["witnesses"])) == 0.0
 
 
 class TestRegularityIndex:
