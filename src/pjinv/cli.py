@@ -12,10 +12,10 @@ parsed arguments and the seed's generator, computes, and returns its report
 fields, whether it succeeded and its beta/rho profile (None for invert and
 check).  ``main`` alone adds the ``command`` key and the ``config`` echo of
 the arguments as the command left them (it may fill in a default), adds
-``timing_ms`` on ``certify --timing``, writes the profile CSV on ``--csv``,
-formats the report once, writes it to ``--out`` and to stdout, and maps
-success to exit 0 and failure to 1.  ``catalog`` prints its listing and
-writes no report.
+``timing_ms`` on ``certify --timing``, formats the report once, opens
+``--out``, writes the profile CSV on ``--csv`` and then the report to
+``--out`` and to stdout, and maps success to exit 0 and failure to 1.
+``catalog`` prints its listing and writes no report.
 
 The argparse parser is built once, when this module is imported, and
 every ``main`` call (and a ``--config`` run's second parse) reuses it, so
@@ -33,10 +33,12 @@ is mmapped on every call.  Importing this module changes nothing; without
 """
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import json
 import math
+import os
 import sys
 import time
 
@@ -59,6 +61,10 @@ _M_TOP_PAD = -2
 # The pad holds one working array of MAX_BATCH_ENTRIES floats (16 MiB), the
 # largest block a batched kernel takes.
 HEAP_TOP_PAD = MAX_BATCH_ENTRIES * 8
+
+
+# check's default --trials, for every suite but optimality, which takes none
+DEFAULT_TRIALS = 200
 
 
 class ConfigError(ValueError):
@@ -221,7 +227,8 @@ def _build_parser():
     p = sub.add_parser("check", help="run a property suite")
     common(p)
     p.add_argument("suite", choices=("mvt", "optimality", "validity", "chain"))
-    p.add_argument("--trials", type=_COUNT, default=200)
+    p.add_argument("--trials", type=_COUNT,
+                   help=f"default {DEFAULT_TRIALS}; not for optimality")
     p.add_argument("--tol", type=_NONNEGATIVE, default=1e-3)
     p.add_argument("--negative-control", action="store_true",
                    help="optimality only: run the deliberately failing "
@@ -354,9 +361,10 @@ def cmd_profile(args, rng):
 def cmd_check(args, rng):
     if args.suite == "optimality":
         # a fixed scalar target, |x| with a Clarke provider, echoed as such
-        if args.map_id is not None or args.provider is not None:
+        if (args.map_id, args.provider, args.trials) != (None, None, None):
             raise ConfigError("check optimality checks abs1d with a Clarke "
-                              "provider; --map and --provider do not apply")
+                              "provider at one point; --map, --provider and "
+                              "--trials do not apply")
         args.map_id, args.provider = "abs1d", "clarke:delta=1e-3,m=32,eps=0"
         x0 = np.array([0.5 if args.negative_control else 0.0])
         dist, ok = properties.optimality_check(
@@ -368,6 +376,8 @@ def cmd_check(args, rng):
     if args.negative_control:
         raise ConfigError("--negative-control has a failing variant only in "
                           "check optimality")
+    if args.trials is None:
+        args.trials = DEFAULT_TRIALS
     model, provider = _resolve(args)
     x = np.zeros(model.dim_in)
     if args.suite == "mvt":
@@ -379,19 +389,21 @@ def cmd_check(args, rng):
         ok = bool(dist <= args.tol)
         return {"suite": args.suite, "max_distance": dist, "pass": ok}, ok, None
     if args.suite == "validity":
-        rate = validity_check(model, x, build_set(model, x, provider, rng=rng),
-                              trials=args.trials, tol=args.tol, rng=rng)
+        rate, counterexample = validity_check(
+            model, x, build_set(model, x, provider, rng=rng),
+            trials=args.trials, tol=args.tol, rng=rng, counterexample=True)
     else:  # chain
         y0 = model(x) + 1.0
         outer = MapModel(
             "dist-to-point", model.dim_out, 1,
             lambda ys: _row_norms(ys - y0)[:, None],
             deriv=lambda ys: ((ys - y0) / _row_norms(ys - y0)[:, None])[:, None])
-        rate = properties.chain_rule_check(model, outer, provider, x,
-                                           trials=args.trials, tol=args.tol,
-                                           rng=rng)
+        rate, counterexample = properties.chain_rule_check(
+            model, outer, provider, x, trials=args.trials, tol=args.tol,
+            rng=rng, counterexample=True)
     ok = bool(rate >= 0.99)
-    return {"suite": args.suite, "pass_rate": rate, "pass": ok}, ok, None
+    return {"suite": args.suite, "pass_rate": rate, "pass": ok,
+            "counterexample": counterexample}, ok, None
 
 
 def _config_echo(args):
@@ -437,11 +449,19 @@ def main(argv=None):
                   **fields}
         if getattr(args, "timing", False):
             record["timing_ms"] = (time.perf_counter() - start) * 1000.0
-        if profile is not None and args.csv:
-            hadamard.write_profile_csv(profile, args.csv)
         text = format_record(record)
-        if args.out:
-            with open(args.out, "w") as fh:
+        # the report file first, so that a --out that cannot be opened
+        # leaves no --csv file behind, and a --csv that cannot be written
+        # no report file
+        with open(args.out, "w") if args.out else contextlib.nullcontext() as fh:
+            if profile is not None and args.csv:
+                try:
+                    hadamard.write_profile_csv(profile, args.csv)
+                except OSError:
+                    if fh is not None:
+                        os.remove(args.out)
+                    raise
+            if fh is not None:
                 fh.write(text)
         sys.stdout.write(text)
         return 0 if success else 1

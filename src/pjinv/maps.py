@@ -9,7 +9,12 @@ the P = 1 case.  ``evaluate`` takes one point, through the oracle's one-row
 view ``model.fn``; ``evaluate_batch`` takes a (k, dim_in) array of points,
 makes one ``fn_batch`` call and applies ``evaluate``'s checks to every row.
 The derivative oracles ``deriv``, ``smooth_part`` and ``lip_part`` take rows
-as well: P points give P operators or P radii in one call.
+as well: P points give P operators or P radii in one call, and
+``dir_deriv`` gives P one-sided directional derivatives, at P points or at
+one point shared by P directions.  Every catalog map has ``dir_deriv``:
+the theta maps and abs-shift write it from the one-sided derivative of
+|s|, ``_abs_along``, and the C^1 maps take deriv(x) v from
+``_derivative_along``.
 Batched kernels keep each working array under ``MAX_BATCH_ENTRIES`` float
 entries and process larger jobs in the blocks ``_blocks`` cuts.  Every ball
 point comes from one transform, ``_ball_points``, fed by ``_uniform_balls``
@@ -23,7 +28,7 @@ import warnings
 
 import numpy as np
 
-from .linalg import _row_norms, as_matrix, as_vector
+from .linalg import _row_dots, _row_norms, as_matrix, as_vector
 
 __all__ = [
     "MapModel",
@@ -74,6 +79,15 @@ class MapModel:
         operator for every row, which is copied nowhere and checked and
         bounded once.  Any other layout is checked and bounded as P
         separate operators.
+    dir_deriv : callable, optional
+        One-sided directional derivative oracle of rows, (xs, vs) -> (P,
+        dim_out) array, row p the limit f'(x_p; v_p) of (f(x_p + t v_p) -
+        f(x_p)) / t as t decreases to 0, for P directions vs (P, dim_in)
+        and xs either P points (P, dim_in) or one point (1, dim_in) that
+        every direction shares.  For a directionally differentiable map
+        (every catalog map, kinks included), ``pseudojac.validity_check``
+        tests the support-function inequality with it exactly instead of
+        by difference quotients.
     smooth_part : callable, optional
         Derivative oracle of rows, as ``deriv`` (a broadcast view included),
         of the smooth summand g in a decomposition f = g + h; a constant
@@ -89,7 +103,7 @@ class MapModel:
     """
 
     def __init__(self, name, dim_in, dim_out, fn_batch, deriv=None,
-                 smooth_part=None, lip_part=None, inverse=None,
+                 dir_deriv=None, smooth_part=None, lip_part=None, inverse=None,
                  beta_divergent=False,
                  domain_halfwidth=DEFAULT_DOMAIN_HALFWIDTH):
         self.name = name
@@ -98,6 +112,7 @@ class MapModel:
         self.fn = lambda x: fn_batch(x[None])[0]
         self.fn_batch = fn_batch
         self.deriv = deriv
+        self.dir_deriv = dir_deriv
         self.smooth_part = smooth_part
         self.lip_part = lip_part
         self.inverse = inverse
@@ -353,6 +368,17 @@ _THETA = {
 }
 
 
+def _abs_along(s, w):
+    # the one-sided derivative of |s| along w: sign(s) * w, and |w| at s = 0
+    return np.where(s == 0.0, np.abs(w), np.sign(s) * w)
+
+
+def _derivative_along(deriv):
+    # the dir_deriv oracle of a C^1 map, deriv(x) v: entry i the dot of row
+    # i of deriv(x) with v, one BLAS dot's bits however many rows
+    return lambda xs, vs: _row_dots(deriv(xs), vs[:, None, :])
+
+
 def theta_back_substitute(kind, n, y, c=None):
     """Exact inverse of a theta map by back-substitution.
 
@@ -400,6 +426,13 @@ def theta_map(kind, n, c=None):
         jac[:, 1::n + 1] = dtheta(np.abs(s), c) * np.sign(s)
         return jac.reshape(-1, n, n)
 
+    def dir_deriv(xs, vs):
+        # v plus theta'(|x_{i+1}|) times the one-sided derivative of
+        # |x_{i+1}| along v_{i+1} in row i < n, in the layout of vs
+        s, ds = xs[:, 1:], vs.copy(order="K")
+        ds[:, :-1] += dtheta(np.abs(s), c) * _abs_along(s, vs[:, 1:])
+        return ds
+
     def smooth_part(xs):
         return np.broadcast_to(eye, (len(xs), n, n))
 
@@ -422,8 +455,8 @@ def theta_map(kind, n, c=None):
         name = f"theta-c:{n}"
 
     return MapModel(
-        name, n, n, fn_batch, deriv=deriv, smooth_part=smooth_part,
-        lip_part=lip_part, beta_divergent=divergent,
+        name, n, n, fn_batch, deriv=deriv, dir_deriv=dir_deriv,
+        smooth_part=smooth_part, lip_part=lip_part, beta_divergent=divergent,
         inverse=lambda y: theta_back_substitute(kind, n, y, c),
     )
 
@@ -435,7 +468,7 @@ def identity_map(n=3):
     deriv = lambda xs: np.broadcast_to(eye, (len(xs), n, n))
     return MapModel(
         "identity", n, n, lambda xs: xs.copy(order="K"),
-        deriv=deriv, smooth_part=deriv,
+        deriv=deriv, dir_deriv=_derivative_along(deriv), smooth_part=deriv,
         lip_part=lambda xs, r: np.zeros(len(xs)), inverse=lambda y: y.copy(),
         beta_divergent=True,
     )
@@ -451,7 +484,7 @@ def linear_map(a, name=None):
     deriv = lambda xs: np.broadcast_to(a, (len(xs), m, n))
     return MapModel(
         name or "linear", n, m, lambda xs: xs @ a.T,
-        deriv=deriv, smooth_part=deriv,
+        deriv=deriv, dir_deriv=_derivative_along(deriv), smooth_part=deriv,
         lip_part=lambda xs, r: np.zeros(len(xs)), inverse=inverse,
         beta_divergent=inverse is not None,
     )
@@ -460,7 +493,8 @@ def linear_map(a, name=None):
 def exp1d_map():
     deriv = lambda xs: np.exp(xs).reshape(-1, 1, 1)
     return MapModel(
-        "exp1d", 1, 1, np.exp, deriv=deriv, smooth_part=deriv,
+        "exp1d", 1, 1, np.exp, deriv=deriv,
+        dir_deriv=_derivative_along(deriv), smooth_part=deriv,
         lip_part=lambda xs, r: np.zeros(len(xs)),
         domain_halfwidth=700.0,
     )
@@ -476,7 +510,8 @@ def complexsq_map():
         a, b = 2.0 * xs[:, 0], 2.0 * xs[:, 1]
         return np.stack([a, -b, b, a], axis=1).reshape(-1, 2, 2)
 
-    return MapModel("complexsq", 2, 2, fn_batch, deriv=deriv, smooth_part=deriv,
+    return MapModel("complexsq", 2, 2, fn_batch, deriv=deriv,
+                    dir_deriv=_derivative_along(deriv), smooth_part=deriv,
                     lip_part=lambda xs, r: np.zeros(len(xs)))
 
 
@@ -492,6 +527,7 @@ def abs_shift_map(c=0.5):
     return MapModel(
         "abs-shift", 1, 1, fn_batch,
         deriv=lambda xs: (1.0 + c * np.sign(xs)).reshape(-1, 1, 1),
+        dir_deriv=lambda xs, vs: vs + c * _abs_along(xs, vs),
         smooth_part=lambda xs: np.broadcast_to(eye, (len(xs), 1, 1)),
         lip_part=lambda xs, r: np.full(len(xs), c),
         inverse=inverse, beta_divergent=c < 1.0,

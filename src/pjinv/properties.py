@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .linalg import as_vector, dist_to_hull, spectral_norm
+from .linalg import _row_dots, as_vector, dist_to_hull, spectral_norm
 from .maps import MapModel, evaluate, evaluate_batch
 from .pseudojac import PseudoJacobianSet, build_set, build_sets, validity_check
 
@@ -59,12 +59,16 @@ def compose_with_smooth_outer(outer_deriv, inner_set):
 
 
 def chain_rule_check(model_f, model_g, provider_f, x, trials=1000, tol=1e-3,
-                     rng=None, t0=1e-3):
+                     rng=None, t0=1e-3, counterexample=False):
     """Validity of the composed set g'(f(x)) o Jf(x) for g o f at x.
 
     The outer map must expose a derivative oracle, which is called on the
     one row f(x).  Returns the validity-check pass rate of the composed map
-    against the composed set.
+    against the composed set, and with ``counterexample=True`` the pair
+    (rate, counterexample) of ``validity_check``.  When the inner map has
+    a ``dir_deriv`` oracle, so has the composed map: g'(f(x)) f'(x; v),
+    for the C^1 outer map, with g'(f(x)) taken once for every direction at
+    x.  Otherwise the check takes difference quotients of g o f.
     """
     if model_f.dim_out != model_g.dim_in:
         raise ValueError("composition dimensions are incompatible")
@@ -75,10 +79,17 @@ def chain_rule_check(model_f, model_g, provider_f, x, trials=1000, tol=1e-3,
     fx = evaluate(model_f, x)
     inner = build_set(model_f, x, provider_f, rng=rng)
     composed_set = compose_with_smooth_outer(model_g.deriv(fx[None])[0], inner)
+    dir_deriv = None
+    if model_f.dir_deriv is not None:
+        def dir_deriv(zs, ws):
+            # one outer derivative per row of zs, each row's entries one dot
+            outer = model_g.deriv(evaluate_batch(model_f, zs))
+            return _row_dots(outer, model_f.dir_deriv(zs, ws)[:, None, :])
     composed_map = MapModel(
         f"{model_g.name}.{model_f.name}", model_f.dim_in, model_g.dim_out,
         lambda zs: evaluate_batch(model_g, evaluate_batch(model_f, zs)),
-        domain_halfwidth=model_f.domain_halfwidth,
+        dir_deriv=dir_deriv, domain_halfwidth=model_f.domain_halfwidth,
     )
     return validity_check(composed_map, x, composed_set, trials=trials,
-                          tol=tol, rng=rng, t0=t0)
+                          tol=tol, rng=rng, t0=t0,
+                          counterexample=counterexample)

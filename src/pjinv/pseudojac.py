@@ -19,16 +19,19 @@ and v (..., n) with one common leading shape, and evaluates all pairs with
 one matrix product: the (k, m * n) vertices against the (m * n, P) outer
 products ystar (x) v.  A set of radius 0 adds no ball term.
 ``validity_check`` runs its trials in blocks: one draw of all (ystar, v)
-pairs, one ``evaluate_batch`` call for all Dini points and one such
-product per block, whose largest and smallest actions per pair give the
-upper and lower support bounds.
-Its work is laid out step-major, so that the long axis, count or
-DINI_STEPS * count entries, comes last.  The Dini points are built as an
-(n, DINI_STEPS, count) array and reach the oracle as its Fortran-ordered
-(DINI_STEPS * count, n) view, and the values reshape to (DINI_STEPS,
-count, m) without a copy.  The vertex actions are a (k, count) array and
-the quotients a (DINI_STEPS, count) one, so every extremum runs along the
-count; max and min do not round, so this layout keeps their bits.
+pairs and one such product per block, whose largest and smallest actions
+per pair give the upper and lower support bounds.  A map with a
+``dir_deriv`` oracle gives each block's directional derivatives in one
+call, one row per trial, from the directions in column-major layout.  A
+map without one takes one ``evaluate_batch`` call for all Dini points of
+the block.  Either path's work is laid out step-major, so that the long
+axis, count or DINI_STEPS * count entries, comes last.  The Dini points
+are built as an (n, DINI_STEPS, count) array and reach the oracle as its
+Fortran-ordered (DINI_STEPS * count, n) view, and the values reshape to
+(DINI_STEPS, count, m) without a copy.  The vertex actions are a (k,
+count) array and the quotients a (DINI_STEPS, count) one, so every
+extremum runs along the count; max and min do not round, so this layout
+keeps their bits.
 Every dot over a row (the dots with ystar, and ``_row_norms``) is one
 ``linalg._row_dots`` call, which gives each row the bits of one BLAS dot
 on a C row, as a loop over single points takes it: a one-entry row is its
@@ -46,9 +49,10 @@ Algorithms, 3.1), far below the tolerance of the verdicts.
 import numpy as np
 
 from .linalg import _row_dots, _row_norms, as_vector
-from .maps import (DomainError, _blocks, _central_differences, _check_rows,
-                   _numeric_jacobians, _row_error, _uniform_balls, _unit_rows,
-                   evaluate, evaluate_batch, local_lipschitz_estimate)
+from .maps import (DomainError, _blocks, _central_differences, _check_point,
+                   _check_rows, _numeric_jacobians, _row_error,
+                   _uniform_balls, _unit_rows, evaluate, evaluate_batch,
+                   local_lipschitz_estimate)
 
 __all__ = [
     "PseudoJacobianSet",
@@ -64,6 +68,9 @@ MAX_REDRAWS = 16
 # validity_check's Dini quotients: steps t0 * DINI_RATIO^j for j < DINI_STEPS
 DINI_RATIO = 0.5
 DINI_STEPS = 20
+# validity_check's rounding margin of an exact-path gap, in units of
+# u * m * n * (1 + max ||V_i||_F + radius) * (1 + ||f'(x; v)||)
+COUNTEREXAMPLE_ULPS = 32
 
 
 class PseudoJacobianSet:
@@ -366,28 +373,52 @@ def _dini_steps(t0):
     return np.cumprod(np.r_[float(t0), np.full(DINI_STEPS - 1, DINI_RATIO)])
 
 
-def validity_check(model, x, jset, trials=1000, tol=1e-3, rng=None, t0=1e-3):
+def validity_check(model, x, jset, trials=1000, tol=1e-3, rng=None, t0=1e-3,
+                   counterexample=False):
     """Empirical check of the defining support-function inequality.
 
-    Over random unit pairs (ystar, v), estimates the upper Dini derivative
-    of ystar o f at x along v and checks it against the support function,
+    Over random unit pairs (ystar, v), checks the upper Dini derivative of
+    ystar o f at x along v against the support function of the set,
     jointly with the equivalent lower-bound form.  Returns the fraction of
-    passing trials.  The Dini limsup is approximated by the largest of the
-    finite quotients, which bounds it from neither side: a quotient at
-    step t differs from the directional derivative by a curvature term of
-    order t (t / 2 * <ystar, f''(x)[v, v]> for a C^2 map), largest at t0.
-    So a trial can fail where the inequality holds, once that term
-    exceeds tol, and pass where it fails by less than the term; the pass
-    rate is an estimate, not a bound in either direction.
+    passing trials, and with ``counterexample=True`` the pair (rate,
+    counterexample).  The derivative is taken on one of two paths:
+
+    - Exact, for a model with a ``dir_deriv`` oracle (every catalog map).
+      f is directionally differentiable, so both Dini derivatives equal
+      <ystar, f'(x; v)>: one oracle row per trial, tested against sup + tol
+      and inf - tol.  A trial's gap is the larger of value - sup and
+      inf - value.  Its rounding is bounded by the margin
+      COUNTEREXAMPLE_ULPS * u * m * n * (1 + max_i ||V_i||_F + radius) *
+      (1 + ||f'(x; v)||), with u the unit roundoff: this covers the support
+      bound (Higham, Accuracy and Stability of Numerical Algorithms, 3.1),
+      the dot with ystar, and an oracle row that rounds by a few units of
+      roundoff relative to 1 + ||f'(x; v)||, as the elementwise theta and
+      abs-shift rows do.  A C^1 row f'(x) v rounds relative to
+      ||f'(x)||_F instead, which the margin covers where the set's
+      vertices are as large.  A trial that fails by more than its margin
+      proves that the inequality fails, and ``counterexample`` is the
+      worst such trial as a dict: ``ystar``, ``v``, ``gap`` and
+      ``margin``, written in the upper form <ystar, f'(x; v)> - sup = gap
+      (a lower-form failure is the upper form of -ystar, and negation does
+      not round).  It is None when no trial fails by more than its margin.
+    - Difference quotients, for a model without the oracle (a map built by
+      hand, or a composition with one).  The Dini limsup is approximated
+      by the largest of the quotients at the steps t0 * DINI_RATIO^j,
+      j < DINI_STEPS, which bounds it from neither side: a quotient at
+      step t differs from the directional derivative by a curvature term
+      of order t (t / 2 * <ystar, f''(x)[v, v]> for a C^2 map), largest at
+      t0.  So a trial can fail where the inequality holds, once that term
+      exceeds tol, and pass where it fails by less than the term; the pass
+      rate is an estimate, not a bound in either direction, and
+      ``counterexample`` is always None.
 
     Each trial draws m + n standard normals (ystar first, then v, each
-    normalized; an all-zero draw becomes the first basis vector) and takes
-    the difference quotients at the steps t0 * DINI_RATIO^j, j < DINI_STEPS.
-    Trials run in blocks of at most MAX_BATCH_ENTRIES entries, so memory
-    does not grow with ``trials``: a trial holds DINI_STEPS * max(m, n)
-    entries of Dini points and values, m * n of its outer product
-    ystar (x) v, and k * m of vertex actions where an outer product
-    overflows.
+    normalized; an all-zero draw becomes the first basis vector); both
+    paths draw the same pairs.  Trials run in blocks of at most
+    MAX_BATCH_ENTRIES entries, so memory does not grow with ``trials``: a
+    trial holds m * n entries of its outer product ystar (x) v, k * m of
+    vertex actions where an outer product overflows, and on the quotient
+    path DINI_STEPS * max(m, n) of Dini points and values.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -395,18 +426,64 @@ def validity_check(model, x, jset, trials=1000, tol=1e-3, rng=None, t0=1e-3):
     x = as_vector(x)
     rng = np.random.default_rng(rng)
     m, n = model.dim_out, model.dim_in
-    fx = evaluate(model, x)
-    passed = 0
-    for block in _blocks(trials, max(DINI_STEPS * max(m, n),
-                                     len(jset.vertices) * m, m * n)):
+    exact = model.dir_deriv is not None
+    if exact:
+        x = _check_point(model, x)
+        per_trial = max(len(jset.vertices) * m, m * n)
+    else:
+        fx = evaluate(model, x)
+        per_trial = max(DINI_STEPS * max(m, n), len(jset.vertices) * m, m * n)
+    passed, worst = 0, None
+    for block in _blocks(trials, per_trial):
         count = block.stop - block.start
         draws = rng.standard_normal((count, m + n))
         ystar, v = _unit_rows(draws[:, :m]), _unit_rows(draws[:, m:])
-        quots = _dini_quotients(model, x, fx, ystar, v, ts)
         sup, inf = _support_bounds(jset, ystar, v)
-        ok = (quots.max(axis=0) <= sup + tol) & (quots.min(axis=0) >= inf - tol)
+        if exact:
+            ds = _directional_derivatives(model, x, v)
+            upper = lower = _row_dots(ds, ystar)
+        else:
+            quots = _dini_quotients(model, x, fx, ystar, v, ts)
+            upper, lower = quots.max(axis=0), quots.min(axis=0)
+        ok = (upper <= sup + tol) & (lower >= inf - tol)
         passed += int(np.count_nonzero(ok))
-    return passed / trials
+        if exact and counterexample and not ok.all():
+            worst = _worst_failure(jset, ystar, v, ds, upper - sup,
+                                   inf - lower, ~ok, worst)
+    return (passed / trials, worst) if counterexample else passed / trials
+
+
+def _directional_derivatives(model, x, v):
+    # the (count, m) rows f'(x; v[p]): one dir_deriv call, x shared by every
+    # direction, checked as evaluate_batch checks values.  The directions go
+    # in column-major layout, so that an oracle's elementwise work runs
+    # along the count; a row dot of at most 3 strided entries keeps its bits
+    ds = np.asarray(model.dir_deriv(x[None], np.asfortranarray(v)),
+                    dtype=float)
+    if ds.shape != (len(v), model.dim_out):
+        raise ValueError(f"{model.name}: dir_deriv returned shape {ds.shape}")
+    if not np.isfinite(ds).all():
+        raise ValueError("vector entries must be finite")
+    return ds
+
+
+def _worst_failure(jset, ystar, v, ds, over, under, failed, worst):
+    # the failed trial of largest gap among those beyond their rounding
+    # margin, as validity_check's counterexample dict, if it beats worst
+    k, m, n = jset.vertices.shape
+    gaps = np.maximum(over, under)
+    scale = 1.0 + _row_norms(jset.vertices.reshape(k, -1)).max() + jset.radius
+    margins = (COUNTEREXAMPLE_ULPS * np.finfo(float).eps / 2 * m * n * scale
+               * (1.0 + _row_norms(ds)))
+    proven = np.flatnonzero(failed & (gaps > margins))
+    if len(proven) == 0:
+        return worst
+    p = proven[np.argmax(gaps[proven])]
+    if worst is not None and gaps[p] <= worst["gap"]:
+        return worst
+    sign = 1.0 if over[p] >= under[p] else -1.0
+    return {"ystar": (sign * ystar[p]).tolist(), "v": v[p].tolist(),
+            "gap": float(gaps[p]), "margin": float(margins[p])}
 
 
 def _dini_quotients(model, x, fx, ystar, v, ts):

@@ -5,7 +5,10 @@ from the LAPACK routine the package uses; one-sided Jacobi computes small
 singular values to high relative accuracy (Demmel and Veselic, SIAM J.
 Matrix Anal. Appl. 13, 1992), so agreement with it is a real check.  The
 loop references evaluate set operations one vertex at a time, and
-``loop_validity_check`` runs the validity check one trial at a time.
+``loop_validity_check`` runs the validity check's quotient path one trial
+at a time, and ``loop_exact_validity`` its exact path.
+``without_dir_deriv`` copies a model without its ``dir_deriv`` oracle, so
+that ``validity_check`` takes difference quotients of the same values.
 ``exact_vertex_actions`` computes each vertex action <ystar, V v> in
 rational arithmetic, with the magnitude sum that bounds its rounding.
 ``frank_wolfe_project`` projects onto a convex hull by away-step
@@ -45,6 +48,7 @@ derivatives out entry by entry.
 the CLI's reports must equal it to the byte.
 """
 
+import copy
 import functools
 import json
 import math
@@ -238,6 +242,34 @@ def loop_validity_check(model, x, jset, trials=1000, tol=1e-3, rng=None,
         upper_failed += not upper_ok
         lower_failed += not lower_ok
     return passed / trials, upper_failed, lower_failed
+
+
+def loop_exact_validity(model, x, jset, trials=1000, tol=1e-3, rng=None):
+    """validity_check's exact path one trial at a time: (pass rate, values).
+
+    Each trial draws a unit ystar, then a unit v, takes f'(x; v) from one
+    one-row ``dir_deriv`` call and its dot with ystar, and tests that value
+    against ``support_function`` (upper form) and -support_function of
+    -ystar (lower form); values lists the trials' <ystar, f'(x; v)>.
+    """
+    x = np.asarray(x, dtype=float)
+    rng = np.random.default_rng(rng)
+    passed, values = 0, []
+    for _ in range(trials):
+        ystar = _unit(rng, model.dim_out)
+        v = _unit(rng, model.dim_in)
+        value = float(ystar @ model.dir_deriv(x[None], v[None])[0])
+        passed += (value <= support_function(jset, ystar, v) + tol
+                   and value >= -support_function(jset, -ystar, v) - tol)
+        values.append(value)
+    return passed / trials, values
+
+
+def without_dir_deriv(model):
+    """A copy of model with the same value oracle and no ``dir_deriv``."""
+    bare = copy.copy(model)
+    bare.dir_deriv = None
+    return bare
 
 
 def _unit(rng, n):

@@ -16,11 +16,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import pjinv.linalg
 import pjinv.maps
 import pjinv.pseudojac
 from oracles import (chain_suite_map, exact_vertex_actions,
-                     full_mesh_hull_bounds, jacobi_conorm,
-                     loop_support_function, loop_validity_check)
+                     full_mesh_hull_bounds, jacobi_conorm, loop_exact_validity,
+                     loop_support_function, loop_validity_check,
+                     without_dir_deriv)
 from pjinv.indices import (DEFAULT_NET, MAX_MESH_POINTS, _mesh,
                            _singleton_values, _stack_bounds, set_conorm_bounds)
 from pjinv.linalg import _row_norms, conorm
@@ -175,10 +177,13 @@ CATALOG = [identity_map(2), linear_map(np.array([[2.0, 1.0, 0.5], [0.0, 3.0, -1.
            abs_shift_map(), theta_map("a", 3, 0.5), theta_map("b", 3),
            theta_map("c", 3), complexsq_map(), exp1d_map()]
 PROVIDERS = ["exact", "ball:m=50", "sum", "clarke:delta=1e-3,m=8,eps=0"]
+# the catalog maps with their value oracles and no dir_deriv: validity_check
+# takes difference quotients of them, as loop_validity_check does
+QUOTIENT_CATALOG = [without_dir_deriv(model) for model in CATALOG]
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(st.sampled_from(CATALOG), st.sampled_from(PROVIDERS),
+@given(st.sampled_from(QUOTIENT_CATALOG), st.sampled_from(PROVIDERS),
        st.integers(0, 2**32 - 1), st.integers(1, 60),
        st.sampled_from([0.0, 0.3]), st.sampled_from([1e-3, 1e-6, 1e-8]),
        st.sampled_from([1e-3, 1e-4]))
@@ -215,7 +220,7 @@ def test_shifted_set_fails_both_forms_as_the_loop_does():
 
 def test_validity_blocks_draw_the_same_stream(monkeypatch):
     # 7 trials per block: same rate and generator state as one block
-    model = theta_map("c", 3)
+    model = without_dir_deriv(theta_map("c", 3))
     x = np.array([0.1, -0.4, 0.2])
     jset = PseudoJacobianSet(build_set(model, x, parse_provider("sum")).vertices + 0.1)
     one_rng = np.random.default_rng(11)
@@ -252,7 +257,7 @@ def _blocks_under_the_cap(monkeypatch, model, x, jset, cap):
 def test_validity_blocks_hold_the_vertex_actions_under_the_cap(monkeypatch):
     # 32 vertices on theta-c:3: 96 action entries per trial against 60 Dini
     # entries, so the actions set the block size; the stream is unchanged
-    model = theta_map("c", 3)
+    model = without_dir_deriv(theta_map("c", 3))
     x = np.array([0.1, -0.4, 0.2])
     jset = build_set(model, x, parse_provider("clarke:delta=1e-3,m=32,eps=0"),
                      rng=2)
@@ -262,10 +267,78 @@ def test_validity_blocks_hold_the_vertex_actions_under_the_cap(monkeypatch):
 def test_validity_blocks_hold_the_outer_products_under_the_cap(monkeypatch):
     # a 25 x 25 linear map: 625 outer-product entries per trial against 500
     # Dini entries and 25 actions, so the outer products set the block size
-    model = linear_map(np.random.default_rng(3).standard_normal((25, 25)))
+    model = without_dir_deriv(
+        linear_map(np.random.default_rng(3).standard_normal((25, 25))))
     x = np.full(25, 0.1)
     jset = build_set(model, x, parse_provider("exact"))
     _blocks_under_the_cap(monkeypatch, model, x, jset, 7 * 625)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(CATALOG), st.sampled_from(PROVIDERS),
+       st.integers(0, 2**32 - 1), st.integers(1, 60),
+       st.sampled_from([0.0, 0.3]), st.sampled_from([1e-3, 1e-8, 0.0]),
+       st.booleans())
+def test_exact_validity_values_match_a_trial_loop(model, provider, seed, trials,
+                                                  shift, tol, kinks):
+    # every trial's <ystar, f'(x; v)> bit for bit, from one dir_deriv row
+    # per trial; kink points zero every other coordinate
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.8, 0.8, model.dim_in)
+    if kinks:
+        x[::2] = 0.0
+    jset = build_set(model, x, parse_provider(provider), rng=rng)
+    jset = PseudoJacobianSet(jset.vertices + shift, jset.radius)
+    values = []
+
+    def spy(a, b):
+        dots = pjinv.linalg._row_dots(a, b)
+        values.extend(dots.tolist())
+        return dots
+
+    batch_rng, loop_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pjinv.pseudojac, "_row_dots", spy)
+        rate = validity_check(model, x, jset, trials=trials, tol=tol,
+                              rng=batch_rng)
+    loop_rate, loop_values = loop_exact_validity(model, x, jset, trials=trials,
+                                                 tol=tol, rng=loop_rng)
+    assert rate == loop_rate
+    assert np.array_equal(np.array(values).view(np.int64),
+                          np.array(loop_values).view(np.int64))
+    assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_exact_validity_blocks_draw_the_same_stream(monkeypatch):
+    # one dir_deriv row per trial: a block holds max(k * m, m * n) entries
+    # per trial; 5 trials per block give the rate, the counterexample's
+    # pair and the generator state of one block
+    # the exact set at a kink of x_1, which is not a pseudo-Jacobian
+    model = theta_map("a", 3, 0.5)
+    x = np.array([0.3, 0.0, -0.4])
+    jset = build_set(model, x, parse_provider("exact"))
+    one_rng = np.random.default_rng(11)
+    one_block = validity_check(model, x, jset, trials=100, rng=one_rng,
+                               counterexample=True)
+    monkeypatch.setattr(pjinv.maps, "MAX_BATCH_ENTRIES", 5 * 9)
+    sizes = []
+
+    def spy(jset, ystar, v):
+        sizes.append(len(v))
+        return _support_bounds(jset, ystar, v)
+
+    monkeypatch.setattr(pjinv.pseudojac, "_support_bounds", spy)
+    blocks_rng = np.random.default_rng(11)
+    rate, worst = validity_check(model, x, jset, trials=100, rng=blocks_rng,
+                                 counterexample=True)
+    assert blocks_rng.bit_generator.state == one_rng.bit_generator.state
+    assert sizes == [5] * 20
+    # the support bounds' product may round a pair differently in another
+    # block size, within the margin
+    assert rate == one_block[0] < 0.1
+    assert (worst["ystar"], worst["v"]) == (one_block[1]["ystar"],
+                                            one_block[1]["v"])
+    assert abs(worst["gap"] - one_block[1]["gap"]) <= worst["margin"]
 
 
 # linear's one gemm over many rows rounds differently from its one-row call,

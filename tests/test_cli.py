@@ -482,6 +482,35 @@ class TestCheckSuites:
                            "--provider", "sum", "--trials", "200")
         assert code == 0
 
+    def test_optimality_rejects_trials(self, capsys):
+        # it checks one set at one point; a trial count would be ignored
+        code, out, err = run(capsys, "check", "optimality", "--trials", "5")
+        assert code == 2
+        assert "config error" in err and "--trials" in err and out == ""
+
+    def test_chain_of_a_linear_map_holds_exactly(self, tmp_path, capsys):
+        # the outer map |y - y0| is curved, and difference quotients of the
+        # composition failed 0.405 of the trials here; the exact one-sided
+        # derivative holds the chain rule on every trial
+        path = tmp_path / "m.txt"
+        path.write_text("1 2 3\n4 5 6\n")
+        code, out, _ = run(capsys, "check", "chain", "--map", f"linear:{path}")
+        assert code == 0
+        report = json.loads(out)
+        assert report["pass_rate"] == 1.0 and report["counterexample"] is None
+
+    @pytest.mark.parametrize("suite", ["validity", "chain"])
+    def test_a_set_that_fails_reports_a_counterexample(self, capsys, suite):
+        # the exact set at theta-a's kink 0 misses the one-sided slopes
+        code, out, _ = run(capsys, "check", suite, "--map", "theta-a:3:0.5",
+                           "--provider", "exact")
+        assert code == 1
+        worst = json.loads(out)["counterexample"]
+        assert sorted(worst) == ["gap", "margin", "v", "ystar"]
+        assert worst["gap"] > 1e-3 > worst["margin"] > 0.0
+        assert len(worst["v"]) == 3
+        assert len(worst["ystar"]) == (3 if suite == "validity" else 1)
+
 
 class TestExitCodes:
     def test_unknown_map_is_config_error(self, capsys):
@@ -575,6 +604,20 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in err and out == ""
         assert not csv.exists()
+
+    @pytest.mark.parametrize("missing", ["out", "csv"])
+    def test_an_unwritable_output_leaves_no_other_file(self, tmp_path, capsys,
+                                                       missing):
+        # a config error writes nothing, whichever of the two paths fails
+        paths = {"out": tmp_path / "r.json", "csv": tmp_path / "x.csv"}
+        paths[missing] = tmp_path / "missing" / paths[missing].name
+        code, out, err = run(capsys, "profile", "--map", "theta-c:3",
+                             "--grid-n", "5", "--shell-samples", "2",
+                             "--csv", str(paths["csv"]),
+                             "--out", str(paths["out"]))
+        assert code == 2
+        assert "config error" in err and out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", [
         ["certify"], ["profile"],

@@ -7,8 +7,8 @@ from oracles import (chain_suite_map, complexsq_jacobian, dini_derivatives,
                      reference_check_point, theta_jacobian)
 from pjinv.hadamard import beta_profile
 from pjinv.indices import _stack_bounds, set_conorm_bounds
-from pjinv.maps import (DomainError, MapModel, _check_point, abs_shift_map,
-                        catalog_ids,
+from pjinv.maps import (DomainError, MapModel, _check_point, _unit_rows,
+                        abs_shift_map, catalog_ids,
                         complexsq_map, evaluate, evaluate_batch, exp1d_map,
                         identity_map, linear_map, local_lipschitz_estimate,
                         make_map, numeric_jacobian, theta_back_substitute,
@@ -272,6 +272,41 @@ def test_complexsq_single_points_take_the_row_oracle():
     # the last bit at about one point in a thousand
     xs = np.random.default_rng(17).uniform(-3.0, 3.0, (20_000, 2))
     assert_one_evaluation_path(complexsq_map(), xs, True)
+
+
+# every catalog map; theta-a with c < 0 too, whose kinks bend the other way
+DIRECTIONAL_MAPS = [identity_map(3),
+                    linear_map(np.array([[2.0, 1.0, 0.5], [0.0, 3.0, -1.0]])),
+                    theta_map("a", 4, 0.5), theta_map("a", 3, -2.0),
+                    theta_map("b", 3), theta_map("c", 5), exp1d_map(),
+                    complexsq_map(), abs_shift_map()]
+
+
+@pytest.mark.parametrize("model", DIRECTIONAL_MAPS,
+                         ids=[model.name for model in DIRECTIONAL_MAPS])
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), zeroed=st.sampled_from([0.0, 0.5, 1.0]))
+def test_dir_deriv_is_the_limit_of_one_sided_quotients(model, seed, zeroed):
+    # points whose coordinates are 0 (a kink) or at least 0.1 in absolute
+    # value, so that no step t <= 1e-3 along a unit v crosses a kink.  A
+    # quotient at step t is then off by at most t / 2 * |f''[v, v]| <= 2 t
+    # on these points (exp1d's e^x is the steepest), plus rounding of about
+    # u * |f| / t
+    rng = np.random.default_rng(seed)
+    count, n = 8, model.dim_in
+    xs = rng.uniform(0.1, 1.0, (count, n)) * rng.choice([-1.0, 1.0], (count, n))
+    xs[rng.uniform(size=xs.shape) < zeroed] = 0.0
+    vs = _unit_rows(rng.standard_normal((count, n)))
+    ds = model.dir_deriv(xs, vs)
+    assert ds.shape == (count, model.dim_out)
+    fx = evaluate_batch(model, xs)
+    for t in (1e-3, 1e-4, 1e-5):
+        quots = (evaluate_batch(model, xs + t * vs) - fx) / t
+        assert np.all(np.abs(quots - ds) <= 2.0 * t + 1e-9)
+    # one point shared by every direction gives the rows of repeated points
+    np.testing.assert_array_equal(
+        model.dir_deriv(xs[:1], vs),
+        model.dir_deriv(np.repeat(xs[:1], count, axis=0), vs), strict=True)
 
 
 class TestLocalLipschitz:

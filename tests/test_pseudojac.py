@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -247,6 +248,40 @@ class TestValidityCheck:
         m = linear_map(np.array([[2.0, 1.0], [0.0, 3.0]]))
         jset = build_set(m, np.zeros(2), EXACT)
         assert validity_check(m, np.zeros(2), jset, trials=200, rng=10) == 1.0
+
+    def test_counterexample_gap_is_exact_to_its_margin(self):
+        # the exact set at theta-a:3:0.5's kink 0 is {I} (sign(0) = 0), not a
+        # pseudo-Jacobian: f'(0; v) = v + 0.5 (|v_1|, |v_2|, 0).  The gap of
+        # the reported pair, rederived in rationals, is positive and within
+        # the reported margin of the reported gap
+        m = theta_map("a", 3, 0.5)
+        jset = build_set(m, np.zeros(3), EXACT)
+        rate, worst = validity_check(m, np.zeros(3), jset, trials=200, rng=5,
+                                     counterexample=True)
+        assert rate < 0.1
+        ys = [Fraction(y) for y in worst["ystar"]]
+        vs = [Fraction(v) for v in worst["v"]]
+        half = Fraction(1, 2)
+        deriv = [vs[0] + half * abs(vs[1]), vs[1] + half * abs(vs[2]), vs[2]]
+        value = sum(y * d for y, d in zip(ys, deriv))
+        sup = max(sum(ys[i] * Fraction(float(vert[i, j])) * vs[j]
+                      for i in range(3) for j in range(3))
+                  for vert in jset.vertices)
+        assert value - sup > 0
+        assert abs(Fraction(worst["gap"]) - (value - sup)) <= \
+            Fraction(worst["margin"])
+        assert 0 < worst["margin"] < 1e-12
+
+    def test_no_counterexample_without_a_proven_failure(self):
+        # a sound set passes with none; the quotient path (abs1d has no
+        # dir_deriv) reports none even where it fails
+        m = theta_map("a", 3, 0.5)
+        assert validity_check(m, np.zeros(3), build_set(m, np.zeros(3), SUM),
+                              trials=200, rng=5, counterexample=True) == (1.0, None)
+        rate, worst = validity_check(abs1d(), np.zeros(1),
+                                     PseudoJacobianSet([[[0.5]]]), trials=200,
+                                     rng=9, counterexample=True)
+        assert rate < 1.0 and worst is None
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
