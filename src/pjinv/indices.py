@@ -6,29 +6,50 @@ spectral norm: covering the vertex simplex with a barycentric mesh of size
 minimum minus net * diam(vertices).
 
 The mesh minimum is found in three levels, after Piyavskii and Shubert's
-Lipschitz bounding (B. O. Shubert, SIAM J. Numer. Anal. 9, 1972).  Moving
-the weights from w' to w moves the combination by sum_i (w_i - w'_i) V_i,
-and since those differences sum to 0 its norm is at most
-||w - w'||_1 * diam / 2.  The levels take the rows whose first k - 1
-counts are multiples of r**2, then of r, then all the rest, with r the
-integer nearest subdivisions ** (1/3) (100, 10 and 1 at the default 1,000
-subdivisions).  The first level is decomposed whole.  Each later level
-bounds its rows from the floor/ceil corners of their cell on the previous
-level's stride: low[corner] - ||c - c'||_1 * diam / (2 * subdivisions),
-where low is a decomposed corner's co-norm or a pruned corner's own bound.
+Lipschitz bounding (B. O. Shubert, SIAM J. Numer. Anal. 9, 1972).  The
+levels take the rows whose first k - 1 counts are multiples of r**2, then
+of r, then all the rest, with r the integer nearest subdivisions ** (1/3)
+(100, 10 and 1 at the default 1,000 subdivisions).  The first level is
+decomposed whole.  Each later level bounds its rows from the floor/ceil
+corners of their cell on the previous level's stride, where a corner's
+value low is its co-norm if it was decomposed and its own bound if it was
+pruned, by the larger of two bounds:
+
+- first order: moving the weights from w' to w moves the combination by
+  sum_i (w_i - w'_i) V_i, and since those differences sum to 0 its norm
+  is at most ||w - w'||_1 * diam / 2.  So a row is bounded by
+  low[corner] - ||c - c'||_1 * diam / (2 * subdivisions) for each corner;
+- the chord, second order: for a convex combination C = sum_j lam_j A_j
+  and a unit vector x, ||Cx||^2 = sum_j lam_j ||A_j x||^2 -
+  sum_j lam_j ||(A_j - C) x||^2 (the variance identity; for two
+  endpoints, (1 - t) ||Ax||^2 + t ||Bx||^2 - t (1 - t) ||(A - B) x||^2).
+  A row is the combination of its cell's corners by their multilinear
+  weights lam_j, and ||A_j - C|| is at most steps_j * diam /
+  (2 * subdivisions), so sigma_min(C)^2 >= sum_j lam_j l_j^2 -
+  sum_j lam_j (steps_j * diam / (2 * subdivisions))^2 with
+  l_j = max(low_j - margin, 0) <= sigma_min(A_j).  Its loss is of order
+  (stride * diam / subdivisions)^2 where the first-order bound loses
+  stride * diam / subdivisions.  A cell with a corner outside the simplex
+  has no such combination and keeps the first-order bound alone.
+
 Only the rows whose bound, less a rounding margin of 1e-9 * (1 + the
 largest vertex Frobenius norm), does not clear the running minimum are
-decomposed.
+decomposed.  The chord is taken in units of 1 + that norm, where no square
+overflows, and it gives up 1e-9 of each of its two sums: their terms round
+within a few units of the last place (the weights, squares and sums), and
+LAPACK's diam within a modest multiple of the dimension; a square that
+underflows moves the bound by less than 1e-150 units, far below the
+margin.
 
 The bound, the upper bound and the member (the first minimal row in mesh
 order) are those of the full mesh to the bit.  A pruned row's bound is a
-chain of at most two Lipschitz steps down from a decomposed row of the
-first level, since every corner of a second-level row is one.  Each link
-can differ from exact arithmetic only by what einsum, LAPACK and the bound
-itself round, and the two links together stay far below the margin.  So a
-pruned row would have computed strictly above the running minimum, hence
-above the mesh minimum; and a row's value does not depend on the rows
-decomposed with it.  The margin only decides how many rows are
+chain of at most two steps, first order or chord, down from a decomposed
+row of the first level, since every corner of a second-level row is one.
+Each link can differ from exact arithmetic only by what einsum, LAPACK and
+the bound itself round, and the two links together stay far below the
+margin.  So a pruned row would have computed strictly above the running
+minimum, hence above the mesh minimum; and a row's value does not depend
+on the rows decomposed with it.  The margin only decides how many rows are
 decomposed.
 
 ``_stack_bounds`` is the one code that bounds a set.  It bounds every set
@@ -39,7 +60,14 @@ sample point).  Singleton sets take their co-norms from singular values
 alone.  A stack with stride 0 on its row axis (a ``np.broadcast_to`` view
 of a constant derivative) holds one operator in every row, so it takes
 one ``conorm`` call of that operator; any other stack takes one call per
-block.  ``set_conorm_bounds`` is its one-set case.  ``_set_values`` builds
+block.  The other sets share one pass over the mesh (a sampled bound's
+vertices and samples are a mesh of one level), level by level: the first
+level of every set, with its vertex differences, goes into one batched
+singular-value call, and each later level into one call for the rows that
+survive in any set, a block of sets and a chunk of matrices at a time
+within MAX_BATCH_ENTRIES.  A matrix's singular values do not depend
+on its batch, so the pass has the bits of one set at a time.
+``set_conorm_bounds`` is its one-set case.  ``_set_values`` builds
 and bounds the sets at a stack of points, one ``build_sets`` call and one
 pass per block, and keeps the radius and member of the first minimum; the
 regularity index (at x alone under the USC shortcut, else at x and the
@@ -52,8 +80,11 @@ witness is then a member of the set whose co-norm is the set's upper
 bound.
 """
 
+import bisect
 import functools
+import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -73,6 +104,8 @@ __all__ = [
 MAX_CERT_VERTICES = 4
 MAX_MESH_POINTS = 200_000
 DEFAULT_NET = 1e-3
+# the relative rounding allowance of the mesh bounds' margins
+ROUNDING = 1e-9
 # points drawn per shrinking ball when the USC shortcut is off
 SAMPLES_PER_RADIUS = 24
 
@@ -134,8 +167,8 @@ def _stack_bounds(vertices, radii, net):
     attained, before the ball: a singleton's vertex, or a hull's first
     minimal mesh or sample point.  The singleton sets (one vertex, or all
     vertices equal) are exact and share one ``_singleton_values`` pass; a
-    one-vertex stack goes there whole, without a copy.  Every other set
-    gets its own mesh or sampled bound, ``_hull_bounds``.
+    one-vertex stack goes there whole, without a copy.  The other sets
+    share one ``_hull_bounds`` pass.
     """
     if not (net > 0):
         raise ValueError("net must be > 0")
@@ -144,13 +177,19 @@ def _stack_bounds(vertices, radii, net):
         lower = _singleton_values(vertices[:, 0], radii)
         return lower, lower, np.ones(count, dtype=bool), vertices[:, 0]
     single = (vertices == vertices[:, :1]).all(axis=(1, 2, 3))
-    # the singletons' values in stack order, with no SVD call when none is
-    exact = iter(_singleton_values(vertices[single, 0], radii[single])
-                 if single.any() else ())
-    bounds = [(value := next(exact), value, True, vs[0]) if one
-              else _hull_bounds(vs, r, net)
-              for vs, r, one in zip(vertices, radii, single)]
-    return tuple(map(np.array, zip(*bounds)))
+    if not single.any():
+        return _hull_bounds(vertices, radii, net)
+    lower, upper = np.empty(count), np.empty(count)
+    certified = np.ones(count, dtype=bool)
+    members = np.empty((count,) + vertices.shape[2:])
+    lower[single] = upper[single] = _singleton_values(vertices[single, 0],
+                                                      radii[single])
+    members[single] = vertices[single, 0]
+    hull = ~single
+    if hull.any():
+        (lower[hull], upper[hull], certified[hull],
+         members[hull]) = _hull_bounds(vertices[hull], radii[hull], net)
+    return lower, upper, certified, members
 
 
 def _set_values(model, provider, points, net, rng):
@@ -212,15 +251,17 @@ def _compositions(k, subdivisions):
 def _mesh(k, subdivisions):
     """The barycentric mesh of a k-vertex hull, cut into levels.
 
-    Returns two things, built once per (k, subdivisions), whose arrays are
-    read-only: ``weights`` (rows, k), c / subdivisions for every
-    composition c in mesh order, and ``levels``, coarsest first.  The
+    Returns three things, built once per (k, subdivisions), whose arrays
+    are read-only: ``weights`` (rows, k), c / subdivisions for every
+    composition c in mesh order; ``first``, the positions of the first
+    level's rows; and ``levels``, the later levels, coarsest first.  The
     levels' strides are r**2, r and 1, with r the integer nearest
     subdivisions ** (1/3) and at least 2 (100, 10 and 1 at the default
     1,000 subdivisions); a stride of subdivisions or more makes no level.
     A row belongs to the first level whose stride divides its first k - 1
     counts, so the rows of the earlier levels are the points of the
-    previous level's grid.  Each level is (rows, corner, steps):
+    previous level's grid.  Each later level is (rows, corner, steps,
+    lam, spread):
 
     - ``rows``: the level's positions in mesh order;
     - ``corner`` (2**(k - 1), len(rows)): for each floor/ceil corner of a
@@ -230,40 +271,51 @@ def _mesh(k, subdivisions):
       simplex is replaced by the floor corner, which always lies inside;
     - ``steps``, shaped like ``corner``: ||c - c'||_1 from the row to that
       corner.  The long axis comes last, so the maximum over the corners
-      runs along it.
+      runs along it;
+    - ``lam``, shaped like ``corner``: the multilinear weights of the row
+      in its cell, prod_d t_d or 1 - t_d with t_d the d-th count's offset
+      from the floor over s, which sum to 1 and combine the corners' counts
+      into the row's.  A cell with a corner outside the simplex has all
+      weights 0;
+    - ``spread`` (len(rows),): sum_j lam_j * steps_j**2.
 
-    The first level has None for corner and steps.  The tables hold at
-    most MAX_MESH_POINTS * 2**(MAX_CERT_VERTICES - 1) entries each, fewer
-    than the MAX_BATCH_ENTRIES of one block.
+    The tables hold at most MAX_MESH_POINTS * 2**(MAX_CERT_VERTICES - 1)
+    entries each, fewer than the MAX_BATCH_ENTRIES of one block.
     """
     counts = _compositions(k, subdivisions)
     head = counts[:, :-1]
     r = max(round(subdivisions ** (1 / 3)), 2)
     strides = [s for s in (r * r, r) if s < subdivisions] + [1]
-    grid = np.flatnonzero((head % strides[0] == 0).all(axis=1))
-    levels = [(grid, None, None)]
+    grid = first = np.flatnonzero((head % strides[0] == 0).all(axis=1))
+    levels = []
     for s, fine in zip(strides, strides[1:]):
         on = np.flatnonzero((head % fine == 0).all(axis=1))
         rows = on[(head[on] % s != 0).any(axis=1)]
         floor, rest = np.divmod(head[rows], s)
+        t = rest / s
         cell = np.zeros((subdivisions // s + 1,) * (k - 1), dtype=np.int32)
         cell[tuple((head[grid] // s).T)] = grid
         corner = np.empty((2 ** (k - 1), rows.size), dtype=np.int32)
-        steps = np.empty_like(corner)
+        steps, lam = np.empty(corner.shape), np.empty(corner.shape)
+        whole = np.ones(rows.size, dtype=bool)
         for bits in range(2 ** (k - 1)):
-            up = floor + (rest > 0) * (bits >> np.arange(k - 1) & 1)
+            bit = bits >> np.arange(k - 1) & 1
+            up = floor + (rest > 0) * bit
             inside = s * up.sum(axis=1) <= subdivisions
+            whole &= inside
             up = np.where(inside[:, None], up, floor)
             shift = head[rows] - s * up
             corner[bits] = cell[tuple(up.T)]
             steps[bits] = np.abs(shift).sum(axis=1) + np.abs(shift.sum(axis=1))
-        levels.append((rows, corner, steps))
+            lam[bits] = np.where(bit, t, 1.0 - t).prod(axis=1)
+        lam[:, ~whole] = 0.0
+        spread = (lam * steps ** 2).sum(axis=0)
+        levels.append((rows, corner, steps, lam, spread))
         grid = on
     weights = counts / subdivisions
-    for table in (weights, *(a for level in levels for a in level
-                             if a is not None)):
+    for table in (weights, first, *(a for level in levels for a in level)):
         table.flags.writeable = False
-    return weights, tuple(levels)
+    return weights, first, tuple(levels)
 
 
 @functools.lru_cache(maxsize=8)
@@ -277,33 +329,44 @@ def _pairs(k):
 
 @functools.lru_cache(maxsize=8)
 def _samples(k):
-    # the weights of a sampled bound: the k vertices, then 4,096 Dirichlet
-    # points of a fixed seed
+    # the weights of a sampled bound, laid out as a mesh of one level: the
+    # k vertices, then 4,096 Dirichlet points of a fixed seed
     rng = np.random.default_rng(0)
     weights = np.vstack([np.eye(k), rng.dirichlet(np.ones(k), size=4096)])
-    weights.flags.writeable = False
-    return weights
+    rows = np.arange(len(weights))
+    weights.flags.writeable = rows.flags.writeable = False
+    return weights, rows, ()
 
 
-def _combination_conorms(weights, vertices, lead=None):
-    # (conorm(sum_i weights[p, i] * vertices[i]) for every row p, the
+def _combination_conorms(vertices, counts, weights, lead):
+    # (conorm(sum_i weights[p, i] * vertices[s, i]) for every row p, the
+    # rows of set s being counts[s] rows that come in set order, and the
     # largest singular value of each matrix of lead), one batched call per
     # _blocks chunk with the lead stack ahead of the combinations; a wide
-    # combination's co-norm is 0 and is not decomposed.  A matrix's
-    # singular values do not depend on its chunk.
-    lead = vertices[:0] if lead is None else lead
-    m, n = vertices.shape[1:]
+    # combination's co-norm is 0 and is not decomposed.  Each set's run of
+    # rows in a chunk is one einsum, written into the chunk's stack.  A
+    # matrix's singular values do not depend on its chunk, and a
+    # combination's entries not on the rows einsum takes with it.
+    m, n = vertices.shape[2:]
+    conorms, tops = np.zeros(len(weights)), np.empty(len(lead))
     count = len(lead) + (len(weights) if n <= m else 0)
-    parts = [np.empty((0, min(m, n)))]
+    ends, s = list(itertools.accumulate(counts)), 0
     for block in _blocks(count, m * n):
-        rows = weights[max(block.start - len(lead), 0):
-                       max(block.stop - len(lead), 0)]
-        parts.append(linalg.singular_values(np.concatenate(
-            [lead[block], np.einsum("pk,kij->pij", rows, vertices)])))
-    values = np.concatenate(parts)
-    if n > m:
-        return np.zeros(len(weights)), values[:, 0]
-    return values[len(lead):, -1], values[:len(lead), 0]
+        stack = np.empty((block.stop - block.start, m, n))
+        head = lead[block]
+        stack[:len(head)] = head
+        base = block.start - len(lead)  # the row at stack position 0
+        row, stop = max(base, 0), block.stop - len(lead)
+        while row < stop:
+            s = bisect.bisect_right(ends, row, s)  # the set of this row
+            end = min(ends[s], stop)
+            np.einsum("pk,kij->pij", weights[row:end], vertices[s],
+                      out=stack[row - base:end - base])
+            row = end
+        values = linalg.singular_values(stack)
+        tops[block.start:block.start + len(head)] = values[:len(head), 0]
+        conorms[max(base, 0):stop] = values[len(head):, -1]
+    return conorms, tops
 
 
 def set_conorm_bounds(jset, net=DEFAULT_NET):
@@ -321,14 +384,17 @@ def set_conorm_bounds(jset, net=DEFAULT_NET):
     and 4,096 fixed-seed Dirichlet weights.  A certified bound decomposes
     the vertex pair differences, which give diam, with the first level of
     the mesh in one batched call, then the rows of each later level that
-    the running minimum does not rule out (the module docstring gives the
-    levels, the bound and its margin); the bits are those of the full mesh.
-    At the default net the 1,001-point mesh of a 2-vertex set has levels
-    of 11, 90 and 900 rows, and a Clarke set of a smooth map typically
-    leaves a few rows of each later level.  Samples and the rows of each
-    level are evaluated in chunks of at most MAX_BATCH_ENTRIES matrix
-    entries, one batched singular-value computation per chunk.  Meshes
-    and samples are built once per vertex count and mesh size.
+    neither the first-order nor the chord bound rules out against the
+    running minimum.  The chord bound takes each corner's value less the
+    margin, clamped at 0, and gives up 1e-9 of its squared terms to
+    rounding (the module docstring gives the levels, both bounds and the
+    argument); the bits are those of the full mesh.  At the default net
+    the 1,001-point mesh of a 2-vertex set has levels of 11, 90 and 900
+    rows, and for a Clarke set of a smooth map the chord typically rules
+    out every later row: one call of 12 matrices.  Samples and the rows of
+    each level are evaluated in chunks of at most MAX_BATCH_ENTRIES matrix
+    entries, one batched singular-value computation per chunk.  Meshes and
+    samples are built once per vertex count and mesh size.
 
     This is the one-set case of ``_stack_bounds``.  The witness is made
     from the pass's member by the rule of ``_witness``: a member of the set
@@ -342,53 +408,108 @@ def set_conorm_bounds(jset, net=DEFAULT_NET):
                         witness=_witness(jset.radius, members[0]))
 
 
-def _hull_bounds(vertices, radius, net):
-    # (lower, upper, certified, member) of co(vertices) + radius * ball,
-    # vertices not all equal, net > 0: the member is the first minimal
-    # mesh or sample point
-    k = len(vertices)
+def _hull_bounds(vertices, radii, net):
+    # (lower, upper, certified, members) of the sets co(vertices[i]) +
+    # radii[i] * ball of a (P, k, m, n) stack, no set's vertices all equal,
+    # net > 0: each member is its set's first minimal mesh or sample point
+    count, k = vertices.shape[:2]
     # a mesh of MAX_MESH_POINTS subdivisions is over budget at every k >= 2;
     # clamping keeps the int of 1 / net finite for a subnormal net
     subdivisions = max(math.ceil(min(1.0 / net, MAX_MESH_POINTS)), 1)
     certifiable = (k <= MAX_CERT_VERTICES
                    and math.comb(subdivisions + k - 1, k - 1) <= MAX_MESH_POINTS)
-    if certifiable:
-        weights, low, diam = _mesh_conorms(vertices, subdivisions)
-    else:
-        weights = _samples(k)
-        low, _ = _combination_conorms(weights, vertices)
-    i = int(np.argmin(low))  # the first minimum in mesh order
-    member = np.einsum("pk,kij->pij", weights[i:i + 1], vertices)[0]
-    upper = max(low[i] - radius, 0.0)
+    mesh = _mesh(k, subdivisions) if certifiable else _samples(k)
+    # a sampled bound takes no diam, so no vertex pair
+    pairs = _pairs(k if certifiable else 1)
+    low, rows, diam = _mesh_conorms(vertices, mesh, pairs, subdivisions)
+    members = np.einsum("pk,pkij->pij", mesh[0][rows], vertices)
+    upper = np.maximum(low - radii, 0.0)
     if not certifiable:
-        return 0.0, upper, False, member
-    return max(low[i] - net * diam - radius, 0.0), upper, True, member
+        return np.zeros(count), upper, np.zeros(count, dtype=bool), members
+    return (np.maximum(low - net * diam - radii, 0.0), upper,
+            np.ones(count, dtype=bool), members)
 
 
-def _mesh_conorms(vertices, subdivisions):
-    """(weights, low, diam) of the barycentric mesh of the vertices.
+def _mesh_conorms(vertices, mesh, pairs, subdivisions):
+    """(low, rows, diam) of a (P, k, m, n) stack of hulls over a mesh.
 
-    ``low`` holds each mesh row's co-norm where the row was decomposed and
-    its Lipschitz bound where it was pruned.  A pruned row's bound, less
-    the margin, cleared the running minimum, so the first minimum of
-    ``low`` is the full mesh's (the module docstring gives the argument).
+    For each set, ``low`` is the first minimum over the mesh rows and
+    ``rows`` its position in mesh order; ``diam`` is the largest spectral
+    norm of the differences of the vertex ``pairs`` (0 without pairs).
+    The sets go a ``_blocks`` block at a time, sized so that the block's
+    vertices, its vertex differences, and its table with the arrays of a
+    level's bounds each stay within MAX_BATCH_ENTRIES entries.  Within a
+    block each level is one ``_combination_conorms`` pass over the rows
+    that survive in any set: the first level whole, with the vertex
+    differences ahead of it, and each later level the rows whose bound,
+    less the margin, does not clear their set's running minimum.  A row's
+    entry of the block's table holds its co-norm where it was decomposed
+    and its bound where it was pruned; a pruned bound cleared the running
+    minimum, so the table's first minimum is the full mesh's (the module
+    docstring gives the argument).
     """
-    weights, ((first, _, _), *levels) = _mesh(len(vertices), subdivisions)
-    pairs = _pairs(len(vertices))
-    low = np.empty(len(weights))
-    low[first], tops = _combination_conorms(
-        weights[first], vertices, vertices[pairs[0]] - vertices[pairs[1]])
-    diam = float(np.max(tops))
-    best = low[first].min()
-    scale = diam / (2 * subdivisions)
-    margin = 1e-9 * (1.0 + np.max(np.linalg.norm(vertices, axis=(1, 2))))
-    for rows, corner, steps in levels:
-        bound = (low[corner] - steps * scale).max(axis=0)
-        low[rows] = bound
-        rows = rows[bound - margin <= best]
-        low[rows], _ = _combination_conorms(weights[rows], vertices)
-        best = low[rows].min(initial=best)
-    return weights, low, diam
+    count, k, m, n = vertices.shape
+    weights, first, levels = mesh
+    low, diam = np.empty(count), np.empty(count)
+    rows = np.empty(count, dtype=np.intp)
+    # a level holds the table and three arrays of its corner table's size
+    tables = [k * m * n, pairs[0].size * m * n,
+              len(weights) + 3 * max((level[1].size for level in levels),
+                                     default=0)]
+    for block in _blocks(count, max(tables)):
+        vs = vertices[block]
+        size = len(vs)
+        table = np.empty((size, len(weights)))
+        lead = (vs[:, pairs[0]] - vs[:, pairs[1]]).reshape(-1, m, n)
+        values, tops = _combination_conorms(
+            vs, [first.size] * size, np.tile(weights[first], (size, 1)), lead)
+        values = values.reshape(size, first.size)
+        table[:, first] = values
+        best = values.min(axis=1)
+        diam[block] = tops.reshape(size, -1).max(axis=1, initial=0.0)
+        scale = diam[block] / (2 * subdivisions)
+        # 1 + the largest vertex Frobenius norm, at most the largest float
+        top = np.sqrt((vs * vs).sum(axis=(2, 3))).max(axis=1)
+        unit = np.minimum(1.0 + top, sys.float_info.max)
+        margin = ROUNDING * unit
+        for level_rows, corner, steps, lam, spread in levels:
+            bound = _level_bounds(table.take(corner, axis=1), steps, lam,
+                                  spread, scale, unit)
+            table[:, level_rows] = bound
+            keep = bound <= (best + margin)[:, None]
+            sets, kept = np.nonzero(keep)
+            if sets.size:
+                kept = level_rows[kept]
+                table[sets, kept], _ = _combination_conorms(
+                    vs, keep.sum(axis=1).tolist(), weights[kept], lead[:0])
+                best = np.minimum(best, table[:, level_rows].min(axis=1))
+        rows[block] = table.argmin(axis=1)  # the first minimum in mesh order
+        low[block] = table[np.arange(size), rows[block]]
+    return low, rows, diam
+
+
+def _level_bounds(corners, steps, lam, spread, scale, unit):
+    """Lower bounds on sigma_min at a level's rows for each set of a block,
+    from ``corners`` (sets, 2**(k - 1), rows), a copy of the table's
+    entries at the rows' cell corners, which it overwrites: the larger of
+    the first-order and the chord bound (the module docstring gives both
+    and their rounding).  The chord is taken in units of ``unit``, where no
+    square overflows: 1 + the set's largest vertex Frobenius norm, or the
+    largest float where that norm overflows, whose margin then prunes
+    nothing.
+    """
+    lipschitz = (corners - steps * scale[:, None, None]).max(axis=1)
+    corners -= ROUNDING * unit[:, None, None]
+    np.maximum(corners, 0.0, out=corners)
+    corners /= unit[:, None, None]
+    corners *= corners
+    chord = np.einsum("scr,cr->sr", corners, lam)
+    chord *= 1.0 - ROUNDING
+    chord -= spread * ((1.0 + ROUNDING) * (scale / unit) ** 2)[:, None]
+    np.maximum(chord, 0.0, out=chord)
+    np.sqrt(chord, out=chord)
+    chord *= unit[:, None]
+    return np.maximum(lipschitz, chord, out=chord)
 
 
 def regularity_index(model, provider, x, radii=None, net=DEFAULT_NET,

@@ -10,12 +10,12 @@ takes f(x0) as ``fx0`` when the caller has it and leaves the value at its
 last iterate on the trace as ``final_fx``, so path lifting hands each
 converged corrector's value to the next corrector.
 
-A Newton step makes one ``build_set`` call and, unless the set is a
-singleton, one ``conorm`` call: one SVD call for all its vertices.  Inputs
-are checked where they enter: the targets and start points by the public
-inverters, each point by ``evaluate`` and ``build_set``, the vertices by
-``conorm``.  The steps between them check nothing again and copy no
-iterate, since no array is changed in place.
+A Newton or Ekeland step makes one ``build_set`` call and, unless the
+set is a singleton, one ``conorm`` call: one SVD call for all its
+vertices.  Inputs are checked where they enter: the targets and start
+points by the public inverters, each point by ``evaluate`` and
+``build_set``, the vertices by ``conorm``.  The steps between them check
+nothing again and copy no iterate, since no array is changed in place.
 
 Newton and Ekeland share one solve rule and one halving search.
 ``_newton_direction`` solves T d = -r, and takes least squares instead
@@ -323,8 +323,11 @@ def ekeland_descent(model, provider, y, x0, lam=1e-3, eps=1e-3, tol=1e-8,
             status = "converged"
             break
         jset = build_set(model, x, provider, rng=rng)
+        # a singleton takes no SVD: its solve detects singularity, as in
+        # _newton_element
+        conorms = conorm(jset.vertices) if len(jset.vertices) > 1 else [None]
         candidates = [_newton_direction(v, r, c)[0]
-                      for v, c in zip(jset.vertices, conorm(jset.vertices))]
+                      for v, c in zip(jset.vertices, conorms)]
         probes = rng.standard_normal((2 * model.dim_in, model.dim_in))
         candidates.extend(_unit_rows(probes) * max(phi, tol))
         # phi is finite and a trial's norm and step norm are never NaN

@@ -10,6 +10,8 @@ when none is named):
   invert_exact, invert_newton, check_validity, check_chain and check_mvt;
 - certify_sampled, a theta-c:3 certify with 5-vertex Clarke sets, whose
   hull bounds are sampled;
+- certify_stack, a theta-c:3 certify with 2-vertex Clarke sets whose
+  profile bounds 33 certified hulls in one stack pass;
 - profile (a sampled 2-vertex Clarke profile), ball_check,
   invert_ekeland (the Clarke theta-a:4:0.5 descent) and check_optimality;
 - config_error, which cycles through one malformed command for each
@@ -66,6 +68,9 @@ CLASSES = {
     "check_mvt": lambda s: f"{MVT} --seed {s}",
     "certify_sampled": lambda s: (f"{SAMPLED} --grid-n 3 --shell-samples 2 "
                                   f"--seed {s}"),
+    "certify_stack": lambda s: (
+        "certify --map theta-c:3 --provider clarke:delta=1e-3,m=2,eps=0 "
+        f"--grid-n 5 --shell-samples 8 --seed {s}"),
     "profile": lambda s: (
         "profile --map theta-a:10:0.5 --provider clarke:delta=1e-3,m=2,eps=0 "
         f"--grid-n 5 --shell-samples 8 --seed {s}"),

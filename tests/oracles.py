@@ -32,14 +32,18 @@ the inverters' solve rules as the package wrote them before Newton and
 Ekeland shared one: Newton's least-squares step for a co-norm of at most
 1e-12, else a solve of a square T with least squares when it fails or
 overflows; Ekeland's solve for a square vertex of co-norm above 1e-12,
-else least squares.
+else least squares.  A singleton set has no co-norm in either: Ekeland
+takes Newton's singleton step.
 ``loop_beta_profile`` computes a sampled Hadamard profile one set at a
 time: ``loop_build_set`` at each probe point in generator order, then
 ``set_conorm_bounds``; the batched profile must equal it to the bit.
 ``full_mesh_hull_bounds`` is the certified hull bound as the package took
 it before it pruned its mesh: every point of the barycentric mesh, listed
 one composition at a time, decomposed in chunks of ``_blocks``; the pruned
-bound must equal it to the bit.
+bound must equal it to the bit.  ``full_mesh_conorms`` gives the co-norm
+at every mesh point.  ``loop_stack_bounds`` bounds a stack of sets one set
+at a time: exactly, by the full mesh or by ``sampled_hull_bounds``, the
+minimum over the vertices and a fixed-seed Dirichlet sample.
 ``theta_jacobian`` and ``complexsq_jacobian`` write the catalog's
 derivatives out entry by entry.
 ``chain_suite_map`` builds the composed map of the chain suite as
@@ -378,7 +382,10 @@ def reference_newton_direction(t_op, r, t_conorm=None):
 
 
 def reference_descent_directions(vertices, r):
-    """Ekeland's Newton candidates, one per vertex of a (k, m, n) stack."""
+    """Ekeland's Newton candidates, one per vertex of a (k, m, n) stack; a
+    singleton's is Newton's, without a co-norm."""
+    if len(vertices) == 1:
+        return [reference_newton_direction(vertices[0], r)[0]]
     square = vertices.shape[1] == vertices.shape[2]
     solvable = (conorm(vertices) > 1e-12) & square
     return [np.linalg.solve(v, -r) if ok
@@ -441,6 +448,26 @@ def _full_mesh(k, subdivisions):
                     dtype=float) / subdivisions
 
 
+def _first_minimum(weights, vertices):
+    # the first minimal co-norm over the combinations weights @ vertices,
+    # in row order, with its combination, one _blocks chunk at a time
+    best = np.inf
+    for block in _blocks(len(weights), vertices.shape[1] * vertices.shape[2]):
+        combos = np.einsum("pk,kij->pij", weights[block], vertices)
+        values = conorm(combos)
+        i = int(np.argmin(values))
+        if values[i] < best:  # keeps the first minimum in row order
+            best, member = values[i], combos[i].copy()
+    return best, member
+
+
+def full_mesh_conorms(vertices, net):
+    """The co-norm at every point of the barycentric mesh of size net, in
+    mesh order, all decomposed."""
+    weights = _full_mesh(len(vertices), max(math.ceil(1.0 / net), 1))
+    return conorm(np.einsum("pk,kij->pij", weights, vertices))
+
+
 def full_mesh_hull_bounds(vertices, radius, net):
     """(lower, upper, certified, member) of co(vertices) + radius * ball
     for a hull whose mesh at size net is within the certification budget:
@@ -448,18 +475,46 @@ def full_mesh_hull_bounds(vertices, radius, net):
     the member, less radius for the upper bound and less net * diam +
     radius for the lower one, each clipped at 0."""
     subdivisions = max(math.ceil(1.0 / net), 1)
-    weights = _full_mesh(len(vertices), subdivisions)
-    best = np.inf
-    for block in _blocks(len(weights), vertices.shape[1] * vertices.shape[2]):
-        combos = np.einsum("pk,kij->pij", weights[block], vertices)
-        values = conorm(combos)
-        i = int(np.argmin(values))
-        if values[i] < best:  # keeps the first minimum in mesh order
-            best, member = values[i], combos[i].copy()
+    best, member = _first_minimum(_full_mesh(len(vertices), subdivisions),
+                                  vertices)
     pairs = np.triu_indices(len(vertices), 1)
     diam = float(np.max(spectral_norm(vertices[pairs[0]] - vertices[pairs[1]])))
     return (max(best - net * diam - radius, 0.0), max(best - radius, 0.0),
             True, member)
+
+
+def sampled_hull_bounds(vertices, radius):
+    """(lower, upper, certified, member) of co(vertices) + radius * ball
+    for a hull over the certification budget: 0 and not certified, and
+    the minimum co-norm over the vertices and 4,096 Dirichlet(1, ..., 1)
+    points of ``default_rng(0)``, in that order, whose first minimal point
+    is the member, less radius and clipped at 0."""
+    k = len(vertices)
+    weights = np.vstack([np.eye(k), np.random.default_rng(0).dirichlet(
+        np.ones(k), size=4096)])
+    best, member = _first_minimum(weights, vertices)
+    return 0.0, max(best - radius, 0.0), False, member
+
+
+def loop_stack_bounds(vertices, radii, net):
+    """(lower, upper, certified, members) of each set of a (P, k, m, n)
+    stack, one set at a time.  A set whose vertices are all equal is exact,
+    max(conorm(V) - radius, 0) at its vertex; a hull of at most 4 vertices
+    whose mesh of ceil(1 / net) subdivisions has at most 200,000 points
+    takes ``full_mesh_hull_bounds``, and any other ``sampled_hull_bounds``.
+    """
+    bounds = []
+    for vs, radius in zip(vertices, radii):
+        k = len(vs)
+        subdivisions = max(math.ceil(min(1.0 / net, 200_000)), 1)
+        if (vs == vs[0]).all():
+            value = max(conorm(vs[0]) - radius, 0.0)
+            bounds.append((value, value, True, vs[0]))
+        elif k <= 4 and math.comb(subdivisions + k - 1, k - 1) <= 200_000:
+            bounds.append(full_mesh_hull_bounds(vs, radius, net))
+        else:
+            bounds.append(sampled_hull_bounds(vs, radius))
+    return tuple(map(np.array, zip(*bounds)))
 
 
 def theta_jacobian(kind, x, c=None):

@@ -20,12 +20,13 @@ import pjinv.linalg
 import pjinv.maps
 import pjinv.pseudojac
 from oracles import (chain_suite_map, exact_vertex_actions,
-                     full_mesh_hull_bounds, jacobi_conorm, loop_exact_validity,
+                     full_mesh_conorms, full_mesh_hull_bounds, jacobi_conorm,
+                     loop_exact_validity, loop_stack_bounds,
                      loop_support_function, loop_validity_check,
                      without_dir_deriv)
-from pjinv.indices import (DEFAULT_NET, MAX_MESH_POINTS, _mesh,
+from pjinv.indices import (DEFAULT_NET, MAX_MESH_POINTS, _level_bounds, _mesh,
                            _singleton_values, _stack_bounds, set_conorm_bounds)
-from pjinv.linalg import _row_norms, conorm
+from pjinv.linalg import _row_norms, conorm, spectral_norm
 from pjinv.maps import (_unit_rows, abs_shift_map, complexsq_map, evaluate,
                         evaluate_batch, exp1d_map, identity_map, linear_map,
                         theta_map)
@@ -454,28 +455,122 @@ def test_pruned_mesh_equals_the_full_mesh(case, chunked):
     np.testing.assert_array_equal(members[0], member)
 
 
+@st.composite
+def mixed_stacks(draw):
+    # P sets of k vertices at a net where k certifies, or (5 and 6
+    # vertices) where it takes samples.  Each set is a hull of entries in
+    # [-1, 1], a singleton (every vertex equal), a flat tie (sigma_min 1 at
+    # every member), rank-deficient (a zero last column) or near-singular
+    # (a last column of order 1e-10); m < n makes every co-norm 0
+    k, net = draw(st.sampled_from([(2, 1e-3), (2, 1 / 997), (3, 1e-2),
+                                   (4, 1 / 9), (5, 1e-2), (6, 1e-3)]))
+    m, n, count = draw(st.integers(1, 3)), draw(st.integers(1, 3)), \
+        draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vertices = rng.uniform(-1.0, 1.0, (count, k, m, n))
+    for vs in vertices:
+        kind = draw(st.sampled_from(["hull", "singleton", "tie", "deficient",
+                                     "near-singular"]))
+        if kind == "singleton":
+            vs[:] = vs[0]
+        elif kind == "tie":
+            vs[:] = 0.0
+            for i, v in enumerate(vs):
+                v[np.diag_indices(min(m, n))] = 5.0 + 2.0 * i
+                v[0, 0] = 1.0
+        elif kind == "deficient":
+            vs[:, :, -1] = 0.0
+        elif kind == "near-singular":
+            vs[:, :, -1] *= 1e-10
+    radii = rng.choice([0.0, 0.25, rng.uniform(0.0, 2.0)], size=count)
+    return vertices, radii, net
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(mixed_stacks(), st.booleans())
+# flat ties at both nets' sizes, beside a singleton and a sigma_min 1e-10
+@example((np.array([FLAT_TIE, FLAT_TIE[::-1], [np.eye(2)] * 2,
+                    [np.diag([1.0, 1e-10]), np.diag([2.0, 3e-10])]]),
+          np.array([0.0, 0.5, 0.25, 0.0]), 1e-3), True)
+def test_stack_bounds_equal_each_set_bounded_alone(case, chunked):
+    # the stack pass against each set's full mesh or samples, to the bit;
+    # a cap of 148 entries puts each set in its own block and cuts its
+    # levels into chunks
+    vertices, radii, net = case
+    with pytest.MonkeyPatch.context() as mp:
+        if chunked:
+            mp.setattr(pjinv.maps, "MAX_BATCH_ENTRIES", 4 * 37)
+        got = _stack_bounds(vertices, radii, net)
+        want = loop_stack_bounds(vertices, radii, net)
+    for values, reference in zip(got, want):
+        assert values.dtype == reference.dtype
+        np.testing.assert_array_equal(values, reference)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(certifiable_hulls())
+# sigma_min of order 1e-10 over the whole hull, and a hull whose co-norm
+# has a zero between coarse rows
+@example((np.array([np.diag([1.0, 1e-10]), np.diag([2.0, 3e-10])]), 0.0,
+          1e-3))
+@example((np.array([np.diag([-1.0, 1.0]), np.diag([1.0, 3e-3])]), 0.0, 1e-3))
+# the benchmark's set, where the chord bounds rule out every later row
+@example((build_set(theta_map("c", 4), np.zeros(4),
+                    parse_provider("clarke:delta=1e-3,m=2,eps=0"),
+                    rng=5).vertices, 0.0, 1e-3))
+def test_chord_bounds_lie_below_the_full_mesh(case):
+    # the chord bound of every later-level row, from its corners' full-mesh
+    # co-norms, is at most the row's own; the prune takes it from corners
+    # that are at most those, and the bound grows with every corner.  With
+    # infinite steps the first-order bound is -inf, and the chord stands
+    # alone
+    vertices, _, net = case
+    assume(not (vertices == vertices[0]).all())
+    subdivisions = max(math.ceil(1.0 / net), 1)
+    values = full_mesh_conorms(vertices, net)
+    pairs = np.triu_indices(len(vertices), 1)
+    diam = np.max(spectral_norm(vertices[pairs[0]] - vertices[pairs[1]]))
+    scale = np.array([diam / (2 * subdivisions)])
+    unit = np.array([1.0 + np.linalg.norm(vertices, axis=(1, 2)).max()])
+    for rows, corner, steps, lam, spread in _mesh(len(vertices),
+                                                  subdivisions)[2]:
+        chord = _level_bounds(values[corner][None],
+                              np.full(steps.shape, np.inf), lam, spread,
+                              scale, unit)[0]
+        assert (chord <= values[rows]).all()
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(st.integers(2, 4), st.integers(1, 200))
 def test_mesh_levels_partition_the_mesh(k, subdivisions):
     # every mesh a bound builds; 4 vertices take at most 103 subdivisions
     assume(math.comb(subdivisions + k - 1, k - 1) <= MAX_MESH_POINTS)
-    weights, levels = _mesh.__wrapped__(k, subdivisions)
+    weights, first, levels = _mesh.__wrapped__(k, subdivisions)
     counts = np.rint(weights * subdivisions).astype(np.int64)
     assert (counts >= 0).all() and (counts.sum(axis=1) == subdivisions).all()
     level = np.full(len(weights), -1)
-    for i, (rows, corner, steps) in enumerate(levels):
+    level[first] = 0
+    for i, (rows, corner, steps, lam, spread) in enumerate(levels, 1):
         assert (level[rows] == -1).all()  # no row in two levels
         level[rows] = i
-        if i == 0:
-            assert corner is None and steps is None
-            continue
-        assert corner.shape == steps.shape == (2 ** (k - 1), rows.size)
+        assert corner.shape == steps.shape == lam.shape == \
+            (2 ** (k - 1), rows.size)
         # a corner is a mesh row, so a point of the simplex, of an earlier
         # level, and its step is the l1 distance of the counts
         assert ((corner >= 0) & (corner < len(weights))).all()
         assert ((level[corner] >= 0) & (level[corner] < i)).all()
         np.testing.assert_array_equal(
             steps, np.abs(counts[rows] - counts[corner]).sum(axis=-1))
+        # the chord weights: none on a cell cut by the simplex's boundary,
+        # else convex weights that combine the corners' counts into the
+        # row's, and spread is the steps' squares under those weights
+        whole = lam.any(axis=0)
+        assert (lam >= 0.0).all()
+        np.testing.assert_allclose(lam[:, whole].sum(axis=0), 1.0, atol=1e-12)
+        np.testing.assert_allclose(
+            np.einsum("cr,crk->rk", lam[:, whole], counts[corner[:, whole]]),
+            counts[rows[whole]], atol=1e-9)
+        np.testing.assert_allclose(spread, (lam * steps ** 2).sum(axis=0))
     assert (level >= 0).all()
 
 

@@ -7,14 +7,14 @@ import pytest
 import pjinv.indices
 import pjinv.linalg
 import pjinv.maps
-from oracles import jacobi_conorm
+from oracles import jacobi_conorm, loop_stack_bounds
 from pjinv.cli import main
 from pjinv.indices import (DEFAULT_NET, ConormBounds, _singleton_values,
                            _stack_bounds, regularity_index, set_conorm_bounds)
 from pjinv.linalg import conorm, spectral_norm
 from pjinv.maps import linear_map, make_map, theta_map
 from pjinv.pseudojac import (ProviderSpec, PseudoJacobianSet, build_set,
-                             parse_provider)
+                             build_sets, parse_provider)
 
 
 @pytest.fixture
@@ -154,36 +154,85 @@ class TestHullBounds:
         spec = ProviderSpec("clarke", delta=1e-3, m=k, eps=0.0)
         jset = build_set(theta_map("c", 3), np.array([0.1, -0.2, 0.3]), spec,
                          rng=k)
-        for net in (DEFAULT_NET, 1e-2):
+        # the matrices of each call, at the default net and at 1e-2: a
+        # certified bound takes diam with the first level, then the rows of
+        # each later level its bounds cannot rule out (the 2-vertex hull
+        # none, at either net); a sampled one takes the k vertices and
+        # 4,096 samples
+        calls = {2: ([12], [6]), 3: ([4099], [18, 16, 16]),
+                 4: ([4100], [41, 344, 2178]), 32: ([4128], [4128])}[k]
+        for net, matrices in zip((DEFAULT_NET, 1e-2), calls):
             svd_calls.clear()
             bounds = set_conorm_bounds(jset, net=net)
-            # a certified bound takes diam with the first level, then the
-            # rows of each later level its bounds cannot rule out; a sampled
-            # one takes the samples
-            assert len(svd_calls) == (3 if bounds.certified else 1), svd_calls
+            assert bounds.certified == (matrices[0] < 4099)
+            assert [shape[0] for shape in svd_calls] == matrices
 
-    def test_the_mesh_op_decomposes_twenty_of_its_rows(self, svd_calls):
+    def test_the_mesh_op_decomposes_only_its_first_level(self, svd_calls):
         # the benchmark's mesh op: a 2-vertex Clarke set of theta-c:4 at the
         # origin.  Its 1,001-row mesh has levels of 11, 90 and 900 rows
         # (strides 100, 10 and 1); the first goes into one call with the
-        # vertex difference, and the Lipschitz bounds leave 4 rows of each
-        # later level
+        # vertex difference, and the chord bounds rule out every row of the
+        # later levels, of which the Lipschitz bounds alone keep 4 each
         spec = ProviderSpec("clarke", delta=1e-3, m=2, eps=0.0)
         jset = build_set(theta_map("c", 4), np.zeros(4), spec, rng=5)
         svd_calls.clear()
         assert set_conorm_bounds(jset).certified
-        assert svd_calls == [(12, 4, 4), (4, 4, 4), (4, 4, 4)]
+        assert svd_calls == [(12, 4, 4)]
 
     def test_the_mesh_command_decomposes_at_most_140_matrices(self, svd_calls,
                                                                capsys):
-        # the benchmark's mesh command at --seed 11: four 2-vertex bounds of
-        # three calls each, and no call for the profile's singleton sets, of
-        # which there are none; the two-level prune decomposed 287
+        # the benchmark's mesh command at --seed 11: 48 matrices, the
+        # index's set, then the profile's three sets (the origin and two
+        # shell points) in one stack pass, each of 11 first-level rows and
+        # the vertex difference, and no call for singleton sets, of which
+        # there are none
         assert main(["certify", "--map", "theta-c:4", "--provider",
                      "clarke:delta=1e-3,m=2,eps=0", "--grid-n", "3",
                      "--shell-samples", "1", "--seed", "11"]) == 0
-        assert len(svd_calls) == 12
-        assert sum(shape[0] for shape in svd_calls) <= 140, svd_calls
+        assert svd_calls == [(12, 4, 4), (36, 4, 4)]
+
+    def test_the_default_mesh_certify_decomposes_99248_matrices(self,
+                                                                svd_calls,
+                                                                capsys):
+        # the default-size certify of the benchmark's map and provider: the
+        # index's set, then the profile's 8,129 sets in 25 blocks of at most
+        # 327 (a set's table and three arrays of its largest level take
+        # 6,401 entries), each block taking its first level in one call and
+        # the rows that survive a later level in one more, 40 in all
+        assert main(["certify", "--map", "theta-c:4", "--provider",
+                     "clarke:delta=1e-3,m=2,eps=0"]) == 0
+        assert len(svd_calls) == 66
+        assert sum(shape[0] for shape in svd_calls) == 99_248
+
+    def test_a_tied_stack_in_several_blocks_equals_the_full_mesh(
+            self, svd_calls, monkeypatch):
+        # theta-a:4:0.5 Clarke sets at points on and near its kinks, where
+        # ties in sigma_min defeat the prune: two of the six sets decompose
+        # every row of the last level.  A set's table and three arrays of
+        # its largest level take 6,401 entries, so a cap of twice that makes
+        # blocks of two sets, each visiting both later levels
+        points = np.zeros((6, 4))
+        points[1:, 0] = np.linspace(-0.5, 0.5, 5)
+        points[3, 1:] = 0.2
+        vertices, radii = build_sets(
+            theta_map("a", 4, 0.5), points,
+            parse_provider("clarke:delta=1e-3,m=2,eps=0"), rng=1)
+        monkeypatch.setattr(pjinv.maps, "MAX_BATCH_ENTRIES", 2 * 6401)
+        blocks = []
+        level_bounds = pjinv.indices._level_bounds
+
+        def spy(corners, *args):
+            blocks.append(len(corners))
+            return level_bounds(corners, *args)
+
+        monkeypatch.setattr(pjinv.indices, "_level_bounds", spy)
+        got = _stack_bounds(vertices, radii, DEFAULT_NET)
+        assert blocks == [2] * 6
+        assert sum(shape[0] for shape in svd_calls) >= 6 * 12 + 2 * 900
+        monkeypatch.undo()
+        for values, want in zip(got, loop_stack_bounds(vertices, radii,
+                                                       DEFAULT_NET)):
+            np.testing.assert_array_equal(values, want)
 
     def test_a_broadcast_stack_takes_one_svd(self, svd_calls, monkeypatch):
         # blocks of 4 operators: a broadcast stack is one operator and takes
@@ -295,21 +344,22 @@ class TestRegularityIndex:
             assert abs(at_point.alpha - shrunk.alpha) <= 2 * net + 1e-3
 
     def test_shrinking_balls_bound_each_set_once(self, monkeypatch):
-        # 3 radii of 1 + 24 points, each a 2-vertex hull: 75 hull bounds,
-        # and the witness comes from the pass, not from a 76th
+        # 3 radii of 1 + 24 points, each a 2-vertex hull: one stack pass of
+        # 25 hulls per radius, 75 hull bounds, and the witness comes from
+        # the pass, not from a 76th
         calls = []
         original = pjinv.indices._hull_bounds
 
-        def spy(*args):
-            calls.append(args)
-            return original(*args)
+        def spy(vertices, *args):
+            calls.append(len(vertices))
+            return original(vertices, *args)
 
         monkeypatch.setattr(pjinv.indices, "_hull_bounds", spy)
         rep = regularity_index(theta_map("c", 3),
                                parse_provider("clarke:delta=1e-3,m=2,eps=0"),
                                np.zeros(3), rng=0, use_usc_shortcut=False)
         assert rep.bound_kind == "certified" and rep.regular
-        assert len(calls) == 75
+        assert calls == [25, 25, 25]
 
     @pytest.mark.parametrize(
         "map_id, provider, x, seed, alpha, radius, digest", [

@@ -451,6 +451,38 @@ def test_descent_directions_keep_the_solve_rule(case, seed):
     assert all(same_bits(d, w) for d, w in zip(searched, want))
 
 
+@pytest.mark.parametrize("provider", [EXACT, SUM])
+def test_ekeland_takes_no_singleton_svd_and_keeps_its_bits(monkeypatch,
+                                                            provider):
+    # theta-a:50:0.5 from 0 towards linspace(-2, 2, 50): every set is a
+    # singleton whose co-norm is far above 1e-12.  The run makes no SVD,
+    # and a run that hands each singleton's co-norm to the solve rule, as
+    # Ekeland did before it skipped that SVD, takes the same steps to the
+    # bit
+    model, x0 = theta_map("a", 50, 0.5), np.zeros(50)
+    y = np.linspace(-2.0, 2.0, 50)
+    svds = []
+    singular_values = pjinv.linalg.singular_values
+
+    def counted(a):
+        svds.append(np.shape(a))
+        return singular_values(a)
+
+    monkeypatch.setattr(pjinv.linalg, "singular_values", counted)
+    got = ekeland_descent(model, provider, y, x0, rng=0)
+    assert svds == []
+    direction = pjinv.invert._newton_direction
+    monkeypatch.setattr(
+        pjinv.invert, "_newton_direction",
+        lambda t_op, r, c=None: direction(t_op, r,
+                                          conorm(t_op) if c is None else c))
+    want = ekeland_descent(model, provider, y, x0, rng=0)
+    assert len(svds) >= len(want.iterates) - 1 > 0
+    assert got.status == want.status == "converged"
+    assert same_bits(got.iterates, want.iterates)
+    assert same_bits(got.residuals, want.residuals)
+
+
 class TestWorkPerNewtonStep:
     """One ``build_set`` call and one ``singular_values`` call per Newton
     step, and no SVD for a singleton set: what the benchmark tracer's
