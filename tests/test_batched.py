@@ -487,21 +487,31 @@ def mixed_stacks(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
-@given(mixed_stacks(), st.booleans())
+@given(mixed_stacks(), st.sampled_from(["whole", "148 entries", "2 matrices"]))
 # flat ties at both nets' sizes, beside a singleton and a sigma_min 1e-10
 @example((np.array([FLAT_TIE, FLAT_TIE[::-1], [np.eye(2)] * 2,
                     [np.diag([1.0, 1e-10]), np.diag([2.0, 3e-10])]]),
-          np.array([0.0, 0.5, 0.25, 0.0]), 1e-3), True)
-def test_stack_bounds_equal_each_set_bounded_alone(case, chunked):
+          np.array([0.0, 0.5, 0.25, 0.0]), 1e-3), "148 entries")
+# square and wide 4-vertex hulls, whose 6 vertex differences fill three
+# chunks ahead of the first level
+@example((np.random.default_rng(4).uniform(-1.0, 1.0, (2, 4, 3, 3)),
+          np.array([0.0, 0.25]), 1 / 9), "2 matrices")
+@example((np.random.default_rng(5).uniform(-1.0, 1.0, (1, 4, 2, 3)),
+          np.array([0.25]), 1 / 9), "2 matrices")
+def test_stack_bounds_equal_each_set_bounded_alone(case, chunk):
     # the stack pass against each set's full mesh or samples, to the bit;
     # a cap of 148 entries puts each set in its own block and cuts its
-    # levels into chunks
+    # levels into chunks, and a cap of 2 matrices also cuts the vertex
+    # differences of 3 or more vertices, leaving chunks that hold no
+    # combination
     vertices, radii, net = case
+    m, n = vertices.shape[2:]
+    cap = {"whole": None, "148 entries": 4 * 37, "2 matrices": 2 * m * n}
+    want = loop_stack_bounds(vertices, radii, net)
     with pytest.MonkeyPatch.context() as mp:
-        if chunked:
-            mp.setattr(pjinv.maps, "MAX_BATCH_ENTRIES", 4 * 37)
+        if cap[chunk]:
+            mp.setattr(pjinv.maps, "MAX_BATCH_ENTRIES", cap[chunk])
         got = _stack_bounds(vertices, radii, net)
-        want = loop_stack_bounds(vertices, radii, net)
     for values, reference in zip(got, want):
         assert values.dtype == reference.dtype
         np.testing.assert_array_equal(values, reference)

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pjinv.invert
@@ -427,10 +427,16 @@ def test_newton_direction_keeps_the_solve_rule(case, t_conorm, given_conorm,
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(case=operator_stacks(), seed=st.integers(0, 2**32 - 1))
+# a square singleton of co-norm 1e-17, below 1e-12, whose solve is finite:
+# Ekeland takes it, (-1, -1e17), as Newton does for a singleton, where a
+# co-norm would have sent it to least squares, (-1, 0)
+@example(case=(np.array([np.diag([1.0, 1e-17])]), np.array([1.0, 1.0])),
+         seed=0)
 def test_descent_directions_keep_the_solve_rule(case, seed):
     # one Ekeland step whose every trial is refused: the directions it
     # searches along, the vertices' first and in vertex order, against the
-    # rule Ekeland used before it shared Newton's
+    # rule Ekeland used before it shared Newton's, and Newton's singleton
+    # step for a one-vertex set
     vertices, r = case
     model = linear_map(vertices[0])
     x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, model.dim_in)
