@@ -470,8 +470,10 @@ def _mesh_conorms(vertices, mesh, pairs, subdivisions):
         best = values.min(axis=1)
         diam[block] = tops.reshape(size, -1).max(axis=1, initial=0.0)
         scale = diam[block] / (2 * subdivisions)
-        # 1 + the largest vertex Frobenius norm, at most the largest float
-        top = np.sqrt((vs * vs).sum(axis=(2, 3))).max(axis=1)
+        # 1 + the largest vertex Frobenius norm, at most the largest float:
+        # a norm that overflows is inf, with no warning
+        with np.errstate(over="ignore"):
+            top = np.sqrt((vs * vs).sum(axis=(2, 3))).max(axis=1)
         unit = np.minimum(1.0 + top, sys.float_info.max)
         margin = ROUNDING * unit
         for level_rows, corner, steps, lam, spread in levels:

@@ -2,7 +2,13 @@
 
 Path lifting follows a codomain line segment with Newton correctors; a step
 underflow or iterate blow-up is recorded as *evidence* (not proof) that the
-limiting path-lifting condition fails for the map.
+limiting path-lifting condition fails for the map.  Once two nodes are
+accepted, each corrector starts from the secant extrapolation of the last
+two, when f there is nearer the corrector's target than at the last node
+(one evaluation, no set); otherwise, and at the first node, it starts
+from the last node.  A corrector stops once its residual is at most tol,
+so a predicted start that already meets tol is accepted with no Newton
+step: a lift's node residuals are at most tol, not near 0.
 
 Every inverter evaluates f once per point it visits: the value at an
 accepted trial point is the next iterate's value.  ``semismooth_newton``
@@ -62,13 +68,14 @@ class InversionTrace:
     do), else None; it is not part of the record.  final_residual is the
     residual to the run's own target at the last iterate: the last of
     residuals unless the caller gives it (path lifting, whose residuals
-    are to the path's nodes).  The trace keeps the lists it is given,
-    without a copy.
+    are to the path's nodes).  newton_steps is the number of Newton steps
+    that path lifting's correctors accepted, recorded for "path" runs
+    only.  The trace keeps the lists it is given, without a copy.
     """
 
     def __init__(self, method, t_grid, iterates, residuals, status,
                  used_pseudoinverse=False, stationary_distance=None,
-                 final_fx=None, final_residual=None):
+                 final_fx=None, final_residual=None, newton_steps=None):
         if len(iterates) != len(residuals):
             raise ValueError("iterates and residuals must have equal length")
         self.method = method
@@ -81,6 +88,7 @@ class InversionTrace:
         self.final_fx = final_fx
         self.final_residual = (residuals[-1] if final_residual is None
                                else final_residual)
+        self.newton_steps = newton_steps
 
     @property
     def final_x(self):
@@ -100,6 +108,8 @@ class InversionTrace:
         if self.method == "ekeland":
             # None when the descent never stalled
             record["stationary_distance"] = self.stationary_distance
+        elif self.method == "path":
+            record["newton_steps"] = self.newton_steps
         return record
 
 
@@ -239,12 +249,22 @@ def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
     terminates with the matching status.
     A corrector "overflow" ends the run with that status: the residual
     norm at the current point then overflows whatever the step.
-    Each corrector starts from the value of f that the previous converged
-    one ended with, so f is evaluated once per point.  ``residuals`` holds
-    each node's corrector residual to p(t); ``final_residual`` is
-    ||f(final_x) - y_target|| from the value of f already held, so a lift
-    that stops early reports its distance to the target.  The trace flags a
-    pseudo-inverse step when any corrector took one, converged or not.
+
+    From the second node on, the corrector for t + step is offered the
+    secant prediction x + step / (t - t_prev) * (x - x_prev) of the last
+    two nodes, unless it equals x.  f is evaluated there once, and the
+    corrector starts from the prediction when its residual to p(t + step)
+    is below that of the last node x, whose f is held; otherwise, and
+    where the prediction leaves the domain box (an inf residual), it
+    starts from x.  Each corrector is given f at its start, so f is
+    evaluated once per point.
+    A corrector accepts its start when that residual is at most tol, so
+    ``residuals`` holds each node's corrector residual to p(t), at most
+    tol but not near 0; ``newton_steps`` counts the Newton steps all
+    correctors took.  ``final_residual`` is ||f(final_x) - y_target|| from
+    the value of f already held, so a lift that stops early reports its
+    distance to the target.  The trace flags a pseudo-inverse step when
+    any corrector took one, converged or not.
     """
     x = as_vector(x0).copy()
     y_target = as_vector(y_target)
@@ -257,6 +277,7 @@ def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
     iterates = [x]
     residuals = [0.0]
     used_pinv = False
+    newton_steps = 0
     status = "max_iter"
     for _ in range(100000):
         if t >= 1.0:
@@ -264,9 +285,19 @@ def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
             break
         step = min(dt, 1.0 - t)
         target = (1.0 - (t + step)) * y0 + (t + step) * y_target
-        corr = semismooth_newton(model, provider, target, x, tol=tol,
-                                 max_iter=CORRECTOR_ITERS, rng=rng, fx0=fx)
+        start, f_start = x, fx
+        if len(iterates) > 1:
+            guess = x + (step / (t - t_grid[-2])) * (x - iterates[-2])
+            # a secant that leaves x where it is needs no second f(x)
+            if not np.array_equal(guess, x):
+                f_guess, _, miss = _trial(model, guess, target)
+                if miss < _misfit(fx, target)[1]:
+                    start, f_start = guess, f_guess
+        corr = semismooth_newton(model, provider, target, start, tol=tol,
+                                 max_iter=CORRECTOR_ITERS, rng=rng,
+                                 fx0=f_start)
         used_pinv = used_pinv or corr.used_pseudoinverse
+        newton_steps += len(corr.iterates) - 1
         if corr.status == "converged":
             x, fx = corr.final_x, corr.final_fx
             t += step
@@ -290,7 +321,8 @@ def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
                 break
     return InversionTrace("path", t_grid, iterates, residuals, status,
                           used_pseudoinverse=used_pinv,
-                          final_residual=_misfit(fx, y_target)[1])
+                          final_residual=_misfit(fx, y_target)[1],
+                          newton_steps=newton_steps)
 
 
 def ekeland_descent(model, provider, y, x0, lam=1e-3, eps=1e-3, tol=1e-8,

@@ -14,6 +14,9 @@ when none is named):
   profile bounds 33 certified hulls in one stack pass;
 - profile (a sampled 2-vertex Clarke profile), ball_check,
   invert_ekeland (the Clarke theta-a:4:0.5 descent) and check_optimality;
+- invert_off_ray, a theta-b:4 path lift with ``sum`` sets from a start
+  off the origin, whose path is no ray: it crosses kinks, and some of
+  its secant predictions are rejected;
 - config_error, which cycles through one malformed command for each
   config error that ``pjinv.cli`` raises (a config file it names is
   written, with a relative path, to the directory the sweep runs in).
@@ -81,6 +84,9 @@ CLASSES = {
         "invert --map theta-a:4:0.5 --provider clarke:delta=1e-4,m=8,eps=0 "
         f"--method ekeland --target={_target(s, 4)} --seed {s}"),
     "check_optimality": lambda s: f"check optimality --seed {s}",
+    "invert_off_ray": lambda s: (
+        "invert --map theta-b:4 --provider sum --method path "
+        f"--x0 0.3,-0.2,0.1,0.5 --target={_target(s, 4)} --seed {s}"),
     "config_error": lambda s: (f"{CONFIG_ERRORS[s % len(CONFIG_ERRORS)]} "
                                f"--seed {s}"),
 }

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,20 @@ class TestHullBounds:
         assert (tiny.lower, tiny.upper) == (fine.lower, fine.upper) == (0.0, 1.0)
         np.testing.assert_array_equal(tiny.witness, fine.witness)
 
+    def test_huge_vertices_raise_no_overflow_warning(self):
+        # the vertices' Frobenius norms overflow: the margin's unit is then
+        # the largest float, and the bounds are the hull's own.  Members
+        # are 1e200 * diag(2 - lam, 6 - 5 lam), least at the first vertex,
+        # and the vertex difference has norm 5e200
+        hull = PseudoJacobianSet([1e200 * np.eye(2),
+                                  2e200 * np.diag([1.0, 3.0])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = set_conorm_bounds(hull)
+        assert b.certified
+        assert b.upper == pytest.approx(1e200, rel=1e-15)
+        assert b.lower == pytest.approx(1e200 - DEFAULT_NET * 5e200,
+                                        rel=1e-12)
 
     def test_a_hull_at_net_zero_is_refused(self):
         # a hull takes the stack pass's one net check, as a singleton does

@@ -36,6 +36,17 @@ class TestTrace:
         assert rec["iterations"] == 1
         assert rec["final_x"] == [1.0, 1.0]
 
+    def test_newton_steps_only_in_path_records(self):
+        # a count, like stationary_distance for Ekeland: Newton and
+        # Ekeland records keep their fields
+        for method in ("newton", "ekeland"):
+            tr = InversionTrace(method, [1.0], [np.zeros(2)], [0.0],
+                                "converged")
+            assert "newton_steps" not in tr.to_record()
+        tr = InversionTrace("path", [0.0, 1.0], [np.zeros(2), np.ones(2)],
+                            [0.0, 0.0], "converged", newton_steps=3)
+        assert tr.to_record()["newton_steps"] == 3
+
 
 class TestNewton:
     def test_linear_one_step(self):
@@ -130,6 +141,117 @@ class TestPathLift:
         tol = 1e-10
         tr = path_lift_invert(m, EXACT, np.zeros(4), np.ones(4), tol=tol)
         assert all(r <= tol for r in tr.residuals[1:])
+
+
+class TestSecantPredictor:
+    @pytest.fixture
+    def correctors(self, monkeypatch):
+        """(start, f at the start, target, last node, f there) of each
+        corrector, in order, and (point, f, misfit, norm) of each trial
+        that path lifting made outside its correctors: the predictions."""
+        log = {"correctors": [], "predictions": []}
+        newton, trial = semismooth_newton, pjinv.invert._trial
+        node, running = [], []
+
+        def corrector(model, provider, y, x0, **kwargs):
+            if not node:
+                # the first corrector starts from the lift's x0
+                node[:] = x0, kwargs["fx0"]
+            log["correctors"].append((x0, kwargs["fx0"], y, *node))
+            running.append(True)
+            tr = newton(model, provider, y, x0, **kwargs)
+            running.pop()
+            if tr.status == "converged":
+                node[:] = tr.final_x, tr.final_fx
+            return tr
+
+        def predicted(model, x, y):
+            out = trial(model, x, y)
+            if not running:
+                log["predictions"].append((x, *out))
+            return out
+
+        monkeypatch.setattr(pjinv.invert, "semismooth_newton", corrector)
+        monkeypatch.setattr(pjinv.invert, "_trial", predicted)
+        return log
+
+    # kept: the correctors that start from their prediction
+    @pytest.mark.parametrize("model,provider,x0,y,kept", [
+        # on the ray x(t) = t x*, every prediction after the first node
+        (theta_map("a", 4, 0.5), CLARKE, [0.0] * 4, [1.0, -2.0, 0.5, 3.0],
+         15),
+        # off the ray the path crosses kinks, and 2 of 15 predictions miss
+        (theta_map("b", 4), SUM, [0.3, -0.2, 0.1, 0.5],
+         [-1.0, 2.0, -2.0, -4.0], 13),
+        # correctors fail and halve the step; 52 correctors in all
+        (exp1d_map(), EXACT, [0.0], [-1.0], 51),
+    ], ids=["theta-a-clarke", "theta-b-sum-off-ray", "exp1d-exact"])
+    def test_no_corrector_starts_farther_than_the_last_node(
+            self, correctors, model, provider, x0, y, kept):
+        path_lift_invert(model, provider, np.array(x0), np.array(y), rng=0)
+        starts = correctors["correctors"]
+        # one prediction for each corrector but the first
+        assert len(correctors["predictions"]) == len(starts) - 1 > 0
+        assert np.array_equal(starts[0][0], x0)
+        for start, f_start, target, node, f_node in starts:
+            assert np.array_equal(f_start, evaluate(model, start))
+            assert (np.linalg.norm(f_start - target)
+                    <= np.linalg.norm(f_node - target))
+        assert sum(not np.array_equal(start, node)
+                   for start, _, _, node, _ in starts) == kept
+
+    def test_a_lift_that_stays_put_evaluates_its_start_once(self,
+                                                             monkeypatch):
+        # the target is f(x0), so every node is x0 and so is every secant
+        # prediction: x0 is the one point evaluated
+        model, x0 = theta_map("a", 3, 0.5), np.array([1.0, -2.0, 0.5])
+        fn, seen = model.fn, []
+        monkeypatch.setattr(model, "fn",
+                            lambda x: seen.append(x.tobytes()) or fn(x))
+        tr = path_lift_invert(model, EXACT, x0, fn(x0), rng=0)
+        assert tr.status == "converged" and tr.newton_steps == 0
+        assert seen == [x0.tobytes()]
+
+    def test_a_prediction_outside_the_box_starts_from_the_last_node(
+            self, correctors):
+        # x + x^3 on [-1 - 1e-6, 1 + 1e-6]: the lift of [0, 2] is concave
+        # in t and ends at x = 1, so a secant prediction overshoots the
+        # box and cannot be evaluated
+        cubic = MapModel("cubic", 1, 1, lambda xs: xs + xs ** 3,
+                         deriv=lambda xs: (1.0 + 3.0 * xs ** 2)[:, :, None],
+                         domain_halfwidth=1.0 + 1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = path_lift_invert(cubic, EXACT, np.zeros(1), np.array([2.0]),
+                                  rng=0)
+        assert tr.status == "converged"
+        assert tr.final_x == pytest.approx([1.0], abs=1e-10)
+        outside = [(x, miss) for x, _, _, miss in correctors["predictions"]
+                   if abs(x[0]) > 1.0 + 1e-6]
+        assert outside and all(miss == np.inf for _, miss in outside)
+        # each such prediction is followed by a corrector from the node
+        for (x, *_, miss), (start, _, _, node, _) in zip(
+                correctors["predictions"], correctors["correctors"][1:]):
+            if miss == np.inf:
+                assert np.array_equal(start, node)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 20), c=st.floats(-0.9, 0.9),
+       provider=st.sampled_from([EXACT, SUM]), data=st.data())
+def test_theta_a_lifts_reach_the_back_substitution_inverse(n, c, provider,
+                                                           data):
+    # |c| <= 0.9 keeps the inverse's Lipschitz constant, at most
+    # 1 / (1 - |c|), at 10, so a residual of 1e-10 puts x within 1e-9
+    box = st.floats(-5.0, 5.0)
+    y = np.array(data.draw(st.lists(box, min_size=n, max_size=n)))
+    x0 = data.draw(st.one_of(
+        st.just([0.0] * n), st.lists(box, min_size=n, max_size=n).filter(any)))
+    model = theta_map("a", n, c)
+    tr = path_lift_invert(model, provider, np.array(x0), y, rng=0)
+    assert tr.status == "converged"
+    assert tr.final_residual <= 1e-10
+    assert np.max(np.abs(tr.final_x - model.inverse(y))) <= 1e-8
 
 
 class TestEkeland:
@@ -542,6 +664,13 @@ class TestWorkPerNewtonStep:
         steps = self.steps(calls["traces"])
         assert steps > 1
         assert calls["build_set"] == calls["singular_values"] == steps
+
+    def test_the_clarke_path_builds_nine_sets(self, calls):
+        # the correctors start from the secant prediction: 32 Newton steps,
+        # each one set build, when they started from the last node
+        tr = self.invert("path", CLARKE)
+        assert calls["build_set"] == self.steps(calls["traces"]) == 9
+        assert tr.newton_steps == 9
 
     @pytest.mark.parametrize("method", ["newton", "path"])
     def test_a_singleton_takes_no_svd(self, calls, method):
