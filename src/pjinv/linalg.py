@@ -2,6 +2,12 @@
 
 All norms are Euclidean.  Adjoints are plain transposes (self-duality), so
 dual vectors are ordinary arrays.
+
+NumPy runs an element-wise pass that broadcasts over a C block of short
+rows with its inner loop along each row, a few entries per loop.  On a
+tall block of 2 or 3 columns (``_tall``) the package's kernels run such a
+pass down the columns instead, into an output of the same layout.  Each
+element is rounded alone either way, so the order moves no value.
 """
 
 import numpy as np
@@ -16,6 +22,23 @@ __all__ = [
     "project_to_hull",
     "dist_to_hull",
 ]
+
+
+# a block of at least this many rows of 2 or 3 entries is tall (_tall)
+TALL_ROWS = 64
+
+
+def _tall(rows, cols):
+    # Whether an element-wise pass that broadcasts an operand over a C block
+    # of rows x cols entries should run down the columns: iteration order
+    # "F", with out= an array of the block's layout.  NumPy runs such a
+    # pass's inner loop along the last axis, at about 5 ns of overhead per
+    # loop, so rows of 2 or 3 entries cost several times a pass down the
+    # columns.  One column has nothing to gain; at 4 columns the strided
+    # column passes gained nothing below 4,096 rows in timeit, and at 6 or
+    # more they lost; under 64 rows the order's set-up eats the gain.
+    # Callers keep NumPy's own pass on any other block
+    return 2 <= cols <= 3 and rows >= TALL_ROWS
 
 
 def as_matrix(a):
@@ -154,6 +177,10 @@ def project_to_hull(p, vertices, gap_tol=1e-10, max_iter=50000):
     ends the run, so its distance is attained: an upper bound on the true
     distance, up to rounding.
 
+    The shift w keeps the layout of the vertices, which the oracle's
+    products round by.  A tall hull (``_tall``) computes it down its
+    columns; each entry is one subtraction either way, so no value moves.
+
     Returns
     -------
     (ndarray, float)
@@ -163,7 +190,10 @@ def project_to_hull(p, vertices, gap_tol=1e-10, max_iter=50000):
     v = np.atleast_2d(np.asarray(vertices, dtype=float))
     if v.shape[1] != p.size:
         raise ValueError("point and hull vertices have different dimensions")
-    w = v - p
+    if _tall(*v.shape):
+        w = np.subtract(v, p, out=np.empty_like(v), order="F")
+    else:
+        w = v - p
     active, lam = [0], np.ones(1)
     x = w[0]
     xx = x @ x
@@ -231,7 +261,7 @@ def dist_to_hull(p, vertices, radius=0.0, gap_tol=1e-10):
     of the vertex list, a nonempty finite array of shape (k, dim).
     """
     v = np.atleast_2d(np.asarray(vertices, dtype=float))
-    if v.shape[0] < 1 or not np.all(np.isfinite(v)):
+    if v.shape[0] < 1 or not np.isfinite(v).all():
         raise ValueError("hull vertices must be a nonempty finite array")
     if not (radius >= 0.0):
         raise ValueError("hull radius must be >= 0")

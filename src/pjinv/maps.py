@@ -22,13 +22,17 @@ point comes from one transform, ``_ball_points``, fed by ``_uniform_balls``
 uniforms; ``_uniform_ball`` is its one-center case) or by the Hadamard
 profile, whose grid shell j takes its normals and radial uniforms from one
 draw of ``default_rng(j)`` and which caches their ``_ball_directions``.
+The ball transform and the central-difference stencils run their
+broadcast passes down the columns of a tall block (``linalg._tall``),
+with the bits of the passes along the rows.
 """
 
+import functools
 import warnings
 
 import numpy as np
 
-from .linalg import _row_dots, _row_norms, as_matrix, as_vector
+from .linalg import _row_dots, _row_norms, _tall, as_matrix, as_vector
 
 __all__ = [
     "MapModel",
@@ -233,8 +237,15 @@ def _central_differences(model, zs, step):
 
     step is one step for every row, or an array of k steps, one per row.
     The 2 * n stencil points of each row go to the oracle in two batch
-    calls per block of ``_blocks(k, n * max(m, n))`` rows.  Points are not
-    validated, and non-finite entries are passed through.
+    calls per block of ``_blocks(k, n * max(m, n))`` rows, as C rows, row
+    j of point i's stencil z_i +- h e_j.  Points are not validated, and
+    non-finite entries are passed through.
+
+    Each stencil is one pass z + (eye(n) * h) and one z - (eye(n) * h) over
+    a (rows, n, n) block, so the entries off the diagonal are z + 0.0 (a
+    -0.0 becomes +0.0) and z - 0.0.  A tall block (``linalg._tall``) runs
+    each pass along its long axis, the rows, instead of n entries at a
+    time; each entry takes the same one operation, so no value moves.
     """
     k, n = zs.shape
     # row j of cols[i] is column j of Jacobian i, as the stencil yields it;
@@ -244,11 +255,25 @@ def _central_differences(model, zs, step):
     for block in _blocks(k, n * max(n, model.dim_out)):
         z = zs[block, None, :]
         h = step[block, None, None] if isinstance(step, np.ndarray) else step
-        stencil = np.eye(n) * h
-        fp = _oracle_rows(model, (z + stencil).reshape(-1, n))
-        fm = _oracle_rows(model, (z - stencil).reshape(-1, n))
+        stencil = _eye(n) * h
+        if _tall(len(z), n):
+            shape = (len(z), n, n)
+            plus = np.add(z, stencil, out=np.empty(shape), order="F")
+            minus = np.subtract(z, stencil, out=np.empty(shape), order="F")
+        else:
+            plus, minus = z + stencil, z - stencil
+        fp = _oracle_rows(model, plus.reshape(-1, n))
+        fm = _oracle_rows(model, minus.reshape(-1, n))
         np.divide((fp - fm).reshape(len(z), n, -1), 2.0 * h, out=cols[block])
     return cols.transpose(0, 2, 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _eye(n):
+    # np.eye(n), read-only, made once per n
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def local_lipschitz_estimate(model, x, r, samples=1000, rng=None):
@@ -308,23 +333,47 @@ def _unit_rows(d):
 def _ball_points(center, radius, normals, uniforms):
     """Points of B(center, radius): row i of normals (count, n), normalized
     (a zero row stays zero), at distance radius * uniforms[i, 0] ** (1 / n).
+
+    center is one point or count of them, radius a scalar or a (count, 1)
+    column.  A tall block (``linalg._tall``) scales its rows, and adds one
+    center, down its columns; a center per row is added along the whole
+    array.  Each entry takes the same operations either way.
     """
     # in place: one array of the points' size, whatever the count
     points, scale = _ball_directions(normals, uniforms)
     scale *= radius
-    points *= scale
-    points += center
+    if not _tall(*points.shape):
+        points *= scale
+        points += center
+        return points
+    np.multiply(points, scale, out=points, order="F")
+    np.add(points, center, out=points,
+           order="K" if np.shape(center) == points.shape else "F")
     return points
 
 
 def _ball_directions(normals, uniforms):
-    # _ball_points' unit rows (a new array) and radial scales, which depend
-    # on the draws alone.  The norms are np.linalg.norm(normals, axis=1)'s
-    # operations, sqrt(add.reduce(normals * normals)), without its dispatch
-    norms = np.add.reduce(normals * normals, axis=1, keepdims=True)
+    """_ball_points' unit rows (a new array, in the layout of normals) and
+    radial scales, which depend on the draws alone.
+
+    The norms are np.linalg.norm(normals, axis=1)'s operations,
+    sqrt(add.reduce(normals * normals)), without its dispatch.  A tall
+    block (``linalg._tall``) keeps its squares column by column, so that
+    the reduce adds whole columns in turn along the long axis: below 8
+    entries NumPy reduces a row by that same sequential sum (8 or more take
+    its pairwise sum, and no tall block has them).  Its division by the
+    norms runs down the columns; each entry is one division either way.
+    """
+    count, n = normals.shape
+    tall = _tall(count, n)
+    squares = (np.multiply(normals, normals, out=np.empty((n, count)).T,
+                           order="F") if tall else normals * normals)
+    norms = np.add.reduce(squares, axis=1, keepdims=True)
     np.sqrt(norms, out=norms)
     norms[norms == 0.0] = 1.0
-    return normals / norms, uniforms ** (1.0 / normals.shape[1])
+    units = (np.divide(normals, norms, out=np.empty_like(normals), order="F")
+             if tall else normals / norms)
+    return units, uniforms ** (1.0 / n)
 
 
 def _uniform_ball(rng, center, radius, count):

@@ -17,6 +17,9 @@ when none is named):
 - invert_off_ray, a theta-b:4 path lift with ``sum`` sets from a start
   off the origin, whose path is no ray: it crosses kinks, and some of
   its secant predictions are rejected;
+- check_mvt_maps, which cycles through a Clarke ``check mvt`` on each of
+  MVT_MAPS (n = 1 to 4), so that the sampling, stencil and hull kernels
+  run on blocks of every width from 1 to 4 columns;
 - config_error, which cycles through one malformed command for each
   config error that ``pjinv.cli`` raises (a config file it names is
   written, with a relative path, to the directory the sweep runs in).
@@ -87,9 +90,15 @@ CLASSES = {
     "invert_off_ray": lambda s: (
         "invert --map theta-b:4 --provider sum --method path "
         f"--x0 0.3,-0.2,0.1,0.5 --target={_target(s, 4)} --seed {s}"),
+    "check_mvt_maps": lambda s: (
+        f"check mvt --map {MVT_MAPS[s % len(MVT_MAPS)]} "
+        f"--provider clarke:delta=1e-3,m=16,eps=0 --trials 20 --seed {s}"),
     "config_error": lambda s: (f"{CONFIG_ERRORS[s % len(CONFIG_ERRORS)]} "
                                f"--seed {s}"),
 }
+
+# the maps that check_mvt_maps cycles through, n = 1, 2, 3 and 4
+MVT_MAPS = ["exp1d", "complexsq", "theta-c:3", "theta-b:4"]
 
 # the config files that config_error names, written where the sweep runs
 FILES = {

@@ -50,6 +50,11 @@ derivatives out entry by entry.
 ``check chain`` and ``chain_rule_check`` build it.
 ``reference_format_record`` is a separate copy of the report serialiser;
 the CLI's reports must equal it to the byte.
+``reference_central_differences``, ``reference_ball_points`` and
+``reference_project_to_hull`` are the stencil, ball transform and hull
+projection as the package wrote them before their broadcast passes ran
+down the columns of a tall block: every pass along the rows.  The
+kernels must equal them to the bit, zero signs included.
 """
 
 import copy
@@ -61,7 +66,8 @@ from fractions import Fraction
 import numpy as np
 
 from pjinv.indices import set_conorm_bounds
-from pjinv.linalg import _row_norms, as_vector, conorm, spectral_norm
+from pjinv.linalg import (_corral, _off_affine, _row_norms, as_vector, conorm,
+                          spectral_norm)
 from pjinv.maps import (DomainError, MapModel, _blocks, _oracle_rows,
                         _uniform_ball, evaluate, evaluate_batch,
                         local_lipschitz_estimate, numeric_jacobian)
@@ -585,3 +591,62 @@ def reference_format_record(record):
     """Sorted keys, 12 significant digits, a non-finite float as null."""
     return json.dumps(_reference_round_floats(record), sort_keys=True,
                       allow_nan=False) + "\n"
+
+
+def reference_central_differences(model, zs, step):
+    """Central-difference Jacobians at each row of zs, shape (k, m, n), in
+    the blocks of ``_blocks``: each stencil one broadcast pass along the
+    rows, z + eye(n) * h and z - eye(n) * h."""
+    k, n = zs.shape
+    cols = np.empty((k, n, model.dim_out))
+    for block in _blocks(k, n * max(n, model.dim_out)):
+        z = zs[block, None, :]
+        h = step[block, None, None] if isinstance(step, np.ndarray) else step
+        stencil = np.eye(n) * h
+        fp = _oracle_rows(model, (z + stencil).reshape(-1, n))
+        fm = _oracle_rows(model, (z - stencil).reshape(-1, n))
+        np.divide((fp - fm).reshape(len(z), n, -1), 2.0 * h, out=cols[block])
+    return cols.transpose(0, 2, 1)
+
+
+def reference_ball_points(center, radius, normals, uniforms):
+    """Points of B(center, radius) from normals (count, n) and uniforms
+    (count, 1), every pass along the rows."""
+    norms = np.add.reduce(normals * normals, axis=1, keepdims=True)
+    np.sqrt(norms, out=norms)
+    norms[norms == 0.0] = 1.0
+    points, scale = normals / norms, uniforms ** (1.0 / normals.shape[1])
+    scale *= radius
+    points *= scale
+    points += center
+    return points
+
+
+def reference_project_to_hull(p, vertices, gap_tol=1e-10, max_iter=50000):
+    """Wolfe's minimum-norm point of co(vertices) - p, as
+    ``linalg.project_to_hull`` with w = vertices - p one pass along the
+    rows; returns (point, distance)."""
+    p = as_vector(p)
+    v = np.atleast_2d(np.asarray(vertices, dtype=float))
+    w = v - p
+    active, lam = [0], np.ones(1)
+    x = w[0]
+    xx = x @ x
+    for _ in range(max_iter):
+        g = _off_affine(w[active], x)
+        gg = g @ g
+        scores = w @ g
+        j = int(np.argmin(scores))
+        lb2 = gg - 2.0 * (gg - scores[j])
+        if np.sqrt(xx) - (np.sqrt(lb2) if lb2 > 0.0 else 0.0) <= gap_tol:
+            break
+        if j in active or len(active) > p.size:
+            break
+        new_active, new_lam = _corral(w, active + [j], np.append(lam, 0.0))
+        new_x = new_lam @ w[new_active]
+        new_xx = new_x @ new_x
+        if not new_xx < xx:
+            break
+        active, lam, x, xx = new_active, new_lam, new_x, new_xx
+    point = lam @ v[active]
+    return point, float(np.linalg.norm(point - p))

@@ -11,8 +11,8 @@ Two sets of reports live under golden/:
 - ``COMMANDS``: one operation of each of the benchmark's nine operation
   classes at benchmark seeds 11 and 12, and the commands that evaluate the
   map at single points (``invert`` with every method, ``check`` with every
-  suite, ``ball-check``), a validity check that fails about half its
-  trials, sampled ``certify`` profiles of theta-a:10:0.5 and theta-c:3
+  suite, ``ball-check``), a Clarke mean value check on theta-c:3, a
+  validity check that fails about half its trials, sampled ``certify`` profiles of theta-a:10:0.5 and theta-c:3
   with the sum, exact and 2-vertex Clarke providers, and of exp1d and
   complexsq with the sum provider, and a theta-c:3 certify with 5-vertex
   Clarke sets, whose sampled hull bounds give ``regular-sampled``.  Each
@@ -212,6 +212,11 @@ COMMANDS = {
     "check_validity_complexsq": ("check validity --map complexsq --seed 3", 0),
     "check_chain_complexsq": ("check chain --map complexsq --seed 3", 0),
     "check_mvt_complexsq": ("check mvt --map complexsq --seed 3", 0),
+    # the Clarke mean value check at n = 3: its sampling, stencils and
+    # hull projection on blocks of 3 columns
+    "check_mvt_theta-c_3_clarke": (
+        "check mvt --map theta-c:3 --provider clarke:delta=1e-3,m=16,eps=0 "
+        "--trials 20 --seed 5", 0),
     "check_optimality": ("check optimality", 0),
     # a one-vertex Clarke set at the kink fails about half the trials, so a
     # change of the support bounds that moves a verdict moves this rate

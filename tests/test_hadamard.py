@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pjinv.hadamard
+from oracles import reference_ball_points
 from pjinv.hadamard import (BetaProfile, _profile_points, _shell_draws,
                             ball_inclusion_test, beta_profile, hadamard_verdict,
                             rho_at, write_profile_csv)
@@ -194,9 +195,11 @@ class TestShellDraws:
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0.0
 
-    @pytest.mark.parametrize("n, grid_n, count", [(3, 4, 5), (10, 32, 32)])
+    @pytest.mark.parametrize("n, grid_n, count",
+                             [(3, 4, 5), (10, 32, 32), (2, 9, 16)])
     def test_profile_points_are_ball_points_of_the_draws(self, n, grid_n, count):
-        # the cached directions give the bits of _ball_points on the draws
+        # the cached directions give the bits of _ball_points on the draws,
+        # and so of the row-wise transform, for a tall block of 129 x 2 too
         draws = np.ones((1 + (grid_n - 1) * count, n + 2))
         for j in range(1, grid_n):
             draws[1 + (j - 1) * count:1 + j * count] = (
@@ -206,6 +209,8 @@ class TestShellDraws:
         grid = np.linspace(0.0, 1.5, grid_n)
         radii = np.repeat(grid, [1] + [count] * (grid_n - 1))[:, None]
         expected = _ball_points(center, radii, draws[:, :n], radial)
+        reference = reference_ball_points(center, radii, draws[:, :n], radial)
+        assert expected.tobytes() == reference.tobytes()
         expected[0] = center
         np.testing.assert_array_equal(_profile_points(center, grid, count),
                                       expected)

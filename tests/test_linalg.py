@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pjinv.properties
 from oracles import frank_wolfe_project
 from oracles import jacobi_conorm as oracle_conorm
-from oracles import jacobi_singular_values
-from pjinv.linalg import (_row_dots, _row_norms, conorm, dist_to_hull, project_to_hull,
-                          singular_values, spectral_norm, surjectivity_index)
+from oracles import jacobi_singular_values, reference_project_to_hull
+from pjinv.linalg import (TALL_ROWS, _row_dots, _row_norms, conorm, dist_to_hull,
+                          project_to_hull, singular_values, spectral_norm,
+                          surjectivity_index)
 from pjinv.maps import theta_map
 from pjinv.properties import mvt_check
 from pjinv.pseudojac import parse_provider
@@ -163,6 +164,35 @@ def test_projection_matches_frank_wolfe_oracle(problem):
     assert dist >= fw_lower - 1e-12 * scale
 
 
+def _projection_bits(p, v):
+    point, dist = project_to_hull(p, v)
+    want_point, want_dist = reference_project_to_hull(p, v)
+    assert point.tobytes() == want_point.tobytes()
+    assert np.float64(dist).tobytes() == np.float64(want_dist).tobytes()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(dim=st.integers(1, 12), count=st.integers(1, 3 * TALL_ROWS),
+       inside=st.booleans(), zeros=st.booleans(), fortran=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(dim=2, count=TALL_ROWS, inside=True, zeros=True, fortran=False,
+         seed=0)
+@example(dim=3, count=2 * TALL_ROWS, inside=False, zeros=True,
+         fortran=True, seed=1)
+def test_projection_keeps_its_bits(dim, count, inside, zeros, fortran, seed):
+    # the shift w = v - p runs down the columns of a tall hull; the point
+    # and distance are those of the row-wise shift, for vertices and
+    # points with signed zeros, in C and in column-major layout
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((count, dim))
+    p = rng.dirichlet(np.ones(count)) @ v if inside else \
+        3.0 * rng.standard_normal(dim)
+    if zeros:
+        v[rng.random(v.shape) < 0.3] = -0.0
+        p[::2] = -0.0
+    _projection_bits(p, np.asfortranarray(v) if fortran else v)
+
+
 def test_kink_crossing_hull_in_few_steps(monkeypatch):
     # check mvt on a segment across the kink x_2 = 0 of theta-a:2: the 4,096
     # vertex actions form a sliver about 7e-9 wide, on which Frank-Wolfe
@@ -186,6 +216,7 @@ def test_kink_crossing_hull_in_few_steps(monkeypatch):
     _, fw_dist = frank_wolfe_project(p, v)
     assert dist <= fw_dist + 1e-12
     assert dist <= 1e-14
+    _projection_bits(p, v)
 
 
 def test_singular_values_match_lapack():

@@ -5,20 +5,26 @@ provider must draw the same bits as the sampler it used to carry
 (``tests/oracles.py``).  The Hadamard profile feeds the same transform from
 one ``default_rng(j)`` draw per grid shell j.  The Lipschitz probes draw
 their pairs and axis stencils in blocks under ``MAX_BATCH_ENTRIES``.
+The stencils and the ball transform run their broadcast passes down the
+columns of a tall block; they must give the bits of the row-wise passes
+they replaced (``tests/oracles.py``), zero signs included.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pjinv.indices
 import pjinv.maps
-from oracles import counting, inline_ball_points
+from oracles import (counting, inline_ball_points,
+                     reference_ball_points, reference_central_differences)
 from pjinv.hadamard import beta_profile
 from pjinv.invert import inverse_lipschitz_probe
-from pjinv.maps import (_blocks, _central_differences, _uniform_ball,
-                        abs_shift_map, complexsq_map, exp1d_map, linear_map,
+from pjinv.linalg import TALL_ROWS, _row_norms
+from pjinv.maps import (MapModel, _blocks, _central_differences,
+                        _uniform_ball, _uniform_balls, abs_shift_map,
+                        complexsq_map, exp1d_map, linear_map,
                         local_lipschitz_estimate, theta_map)
 from pjinv.pseudojac import build_set, parse_provider
 
@@ -66,6 +72,113 @@ def test_clarke_vertices_keep_their_bits(model, x, seed):
     want = _central_differences(model, zs, spec.delta * 1e-4)
     np.testing.assert_array_equal(got.vertices, want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _bits(a):
+    # the bytes of a's values (zero signs included), its shape and layout
+    return np.ascontiguousarray(a).tobytes(), a.shape, a.strides
+
+
+def _signed_zeros(rng, a):
+    # a with about a quarter of its entries +0.0 and a quarter -0.0
+    pick = rng.random(a.shape)
+    return np.where(pick < 0.25, 0.0, np.where(pick < 0.5, -0.0, a))
+
+
+def _recording(model):
+    # the model, and the list its fn_batch appends a copy of each input to
+    seen = []
+
+    def fn_batch(xs):
+        seen.append(_bits(xs))
+        return model.fn_batch(xs)
+
+    return MapModel(model.name, model.dim_in, model.dim_out, fn_batch), seen
+
+
+def _stencil_map(kind, n, rng):
+    if kind == "theta-a":
+        return theta_map("a", n, 0.5)
+    if kind == "theta-c":
+        return theta_map("c", n)
+    if kind == "complexsq":
+        return complexsq_map()
+    return linear_map(rng.standard_normal((2, n)))  # 2 x n, m != n
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(n=st.integers(1, 12),
+       kind=st.sampled_from(["theta-a", "theta-c", "complexsq", "linear"]),
+       rows=st.integers(1, 3 * TALL_ROWS + 40), per_row=st.booleans(),
+       blocks=st.sampled_from([1, 3, 4]), zeros=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=2, kind="theta-a", rows=TALL_ROWS, per_row=False, blocks=1,
+         zeros=True, seed=0)
+@example(n=3, kind="linear", rows=3 * TALL_ROWS, per_row=True, blocks=3,
+         zeros=True, seed=1)
+@example(n=2, kind="complexsq", rows=TALL_ROWS - 1, per_row=False, blocks=1,
+         zeros=True, seed=2)
+def test_stencils_keep_their_bits(n, kind, rows, per_row, blocks, zeros,
+                                  seed):
+    # the Jacobians and every oracle input, block by block, are those of
+    # the row-wise stencil: a -0.0 off the diagonal of a + stencil is +0.0
+    rng = np.random.default_rng(seed)
+    model = _stencil_map(kind, n, rng)
+    n = model.dim_in
+    zs = rng.standard_normal((rows, n))
+    if zeros:
+        zs = _signed_zeros(rng, zs)
+    step = 1e-6 * (1.0 + _row_norms(zs)) if per_row else 1e-7
+    per_item = n * max(n, model.dim_out)
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of ceil(rows / blocks) rows, so that many when rows allow
+        mp.setattr(pjinv.maps, "MAX_BATCH_ENTRIES",
+                   -(-rows // blocks) * per_item)
+        got_model, got_seen = _recording(model)
+        want_model, want_seen = _recording(model)
+        got = _central_differences(got_model, zs, step)
+        want = reference_central_differences(want_model, zs, step)
+        assert len(got_seen) == 2 * len(_blocks(rows, per_item))
+    assert _bits(got) == _bits(want)
+    assert got_seen == want_seen
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(n=st.integers(1, 12), counts=st.lists(st.integers(0, 2 * TALL_ROWS),
+                                             min_size=1, max_size=4),
+       column=st.booleans(), zeros=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=2, counts=[TALL_ROWS], column=False, zeros=True, seed=0)
+@example(n=3, counts=[40, 40], column=True, zeros=True, seed=1)
+def test_ball_points_keep_their_bits(n, counts, column, zeros, seed):
+    # the sampler's points and the generator's end state are those of the
+    # row-wise transform on the same draws, for one center and for several;
+    # so are the points of draws with zero rows and signed zeros
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-2.0, 2.0, (len(counts), n))
+    if zeros:
+        centers = _signed_zeros(rng, centers)
+    counts = np.array(counts)
+    got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+    got = _uniform_balls(got_rng, centers, 0.5, counts)
+    draws = [(want_rng.standard_normal((count, n)),
+              want_rng.random((count, 1))) for count in counts]
+    normals = np.concatenate([d[0] for d in draws])
+    uniforms = np.concatenate([d[1] for d in draws])
+    spread = centers[0] if len(counts) == 1 else centers.repeat(counts, axis=0)
+    want = reference_ball_points(spread, 0.5, normals, uniforms)
+    assert _bits(got) == _bits(want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    # draws no generator gives: zero rows, signed zeros, a radius per row
+    total = int(counts.sum())
+    normals = _signed_zeros(rng, rng.standard_normal((total, n)))
+    normals[::5] = 0.0
+    uniforms = rng.random((total, 1))
+    radius = rng.uniform(0.0, 3.0, (total, 1)) if column else 2.0
+    for center in (centers[0], spread):
+        got = pjinv.maps._ball_points(center, radius, normals, uniforms)
+        want = reference_ball_points(center, radius, normals, uniforms)
+        assert _bits(got) == _bits(want)
 
 
 @pytest.mark.parametrize("n, center", [(1, [0.5]), (3, [0.0, 1.0, -2.0]),
