@@ -28,17 +28,19 @@ __all__ = [
 TALL_ROWS = 64
 
 
-def _tall(rows, cols):
+def _tall(shape):
     # Whether an element-wise pass that broadcasts an operand over a C block
-    # of rows x cols entries should run down the columns: iteration order
+    # of shape[0] rows of shape[-1] entries should run down the columns (the
+    # axes between, if any, of length 1): iteration order
     # "F", with out= an array of the block's layout.  NumPy runs such a
     # pass's inner loop along the last axis, at about 5 ns of overhead per
     # loop, so rows of 2 or 3 entries cost several times a pass down the
     # columns.  One column has nothing to gain; at 4 columns the strided
     # column passes gained nothing below 4,096 rows in timeit, and at 6 or
     # more they lost; under 64 rows the order's set-up eats the gain.
-    # Callers keep NumPy's own pass on any other block
-    return 2 <= cols <= 3 and rows >= TALL_ROWS
+    # Callers keep NumPy's own pass on any other block.  The row count is
+    # tested first, so a small block pays one comparison
+    return shape[0] >= TALL_ROWS and 2 <= shape[-1] <= 3
 
 
 def as_matrix(a):
@@ -190,7 +192,7 @@ def project_to_hull(p, vertices, gap_tol=1e-10, max_iter=50000):
     v = np.atleast_2d(np.asarray(vertices, dtype=float))
     if v.shape[1] != p.size:
         raise ValueError("point and hull vertices have different dimensions")
-    if _tall(*v.shape):
+    if _tall(v.shape):
         w = np.subtract(v, p, out=np.empty_like(v), order="F")
     else:
         w = v - p
@@ -261,7 +263,7 @@ def dist_to_hull(p, vertices, radius=0.0, gap_tol=1e-10):
     of the vertex list, a nonempty finite array of shape (k, dim).
     """
     v = np.atleast_2d(np.asarray(vertices, dtype=float))
-    if v.shape[0] < 1 or not np.isfinite(v).all():
+    if v.shape[0] < 1 or not np.all(np.isfinite(v)):
         raise ValueError("hull vertices must be a nonempty finite array")
     if not (radius >= 0.0):
         raise ValueError("hull radius must be >= 0")

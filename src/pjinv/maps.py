@@ -27,7 +27,6 @@ broadcast passes down the columns of a tall block (``linalg._tall``),
 with the bits of the passes along the rows.
 """
 
-import functools
 import warnings
 
 import numpy as np
@@ -255,8 +254,8 @@ def _central_differences(model, zs, step):
     for block in _blocks(k, n * max(n, model.dim_out)):
         z = zs[block, None, :]
         h = step[block, None, None] if isinstance(step, np.ndarray) else step
-        stencil = _eye(n) * h
-        if _tall(len(z), n):
+        stencil = np.eye(n) * h
+        if _tall(z.shape):
             shape = (len(z), n, n)
             plus = np.add(z, stencil, out=np.empty(shape), order="F")
             minus = np.subtract(z, stencil, out=np.empty(shape), order="F")
@@ -266,14 +265,6 @@ def _central_differences(model, zs, step):
         fm = _oracle_rows(model, minus.reshape(-1, n))
         np.divide((fp - fm).reshape(len(z), n, -1), 2.0 * h, out=cols[block])
     return cols.transpose(0, 2, 1)
-
-
-@functools.lru_cache(maxsize=8)
-def _eye(n):
-    # np.eye(n), read-only, made once per n
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
 
 
 def local_lipschitz_estimate(model, x, r, samples=1000, rng=None):
@@ -335,20 +326,17 @@ def _ball_points(center, radius, normals, uniforms):
     (a zero row stays zero), at distance radius * uniforms[i, 0] ** (1 / n).
 
     center is one point or count of them, radius a scalar or a (count, 1)
-    column.  A tall block (``linalg._tall``) scales its rows, and adds one
-    center, down its columns; a center per row is added along the whole
-    array.  Each entry takes the same operations either way.
+    column.  A tall block (``linalg._tall``) scales its rows down its
+    columns; each entry takes the same one multiplication either way.
     """
     # in place: one array of the points' size, whatever the count
     points, scale = _ball_directions(normals, uniforms)
     scale *= radius
-    if not _tall(*points.shape):
+    if _tall(points.shape):
+        np.multiply(points, scale, out=points, order="F")
+    else:
         points *= scale
-        points += center
-        return points
-    np.multiply(points, scale, out=points, order="F")
-    np.add(points, center, out=points,
-           order="K" if np.shape(center) == points.shape else "F")
+    points += center
     return points
 
 
@@ -365,7 +353,7 @@ def _ball_directions(normals, uniforms):
     norms runs down the columns; each entry is one division either way.
     """
     count, n = normals.shape
-    tall = _tall(count, n)
+    tall = _tall(normals.shape)
     squares = (np.multiply(normals, normals, out=np.empty((n, count)).T,
                            order="F") if tall else normals * normals)
     norms = np.add.reduce(squares, axis=1, keepdims=True)
