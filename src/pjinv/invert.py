@@ -3,15 +3,30 @@
 Path lifting follows a codomain line segment with Newton correctors; a step
 underflow or iterate blow-up is recorded as *evidence* (not proof) that the
 limiting path-lifting condition fails for the map.  Once two nodes are
-accepted, each corrector starts from the secant extrapolation of the last
-two, when f there is nearer the corrector's target than at the last node
-(one evaluation, no set); otherwise, and at the first node, it starts
-from the last node.  A corrector stops once its residual is at most tol,
-so a predicted start that already meets tol is accepted with no Newton
-step: a lift's node residuals are at most tol, not near 0.
+accepted, each node starts from the secant extrapolation of the last two,
+when f there is nearer the node's target than at the last node (one
+evaluation, no set); otherwise, and at the first node, it starts from the
+last node.  A start whose residual is at most tol is the node, with no
+Newton step, so a lift's node residuals are at most tol, not near 0.
+
+The predictions are planned a run at a time (``_plan``), each from the two
+nodes before it as if every node of the run were accepted at its
+prediction: a run's points are evaluated in one oracle call and both
+misfit norms of its nodes taken in one pass.  The walk accepts each node
+whose prediction meets tol with no corrector call, and hands the first
+node that does not to a corrector, from the start and with the value the
+one-node rule gives; the rest of the run is dropped.  A run takes every
+node left until a prediction is rejected, and from then on one node more
+than the predictions accepted since the last rejected one, so a lift
+whose predictions keep missing tol predicts a node at a time.  For a map
+that does not declare ``rows_match`` (``linear``: a many-row product may
+round differently from a one-row one) every run is one node, and its
+prediction is evaluated by ``evaluate``'s one-row call.
 
 Every inverter evaluates f once per point it visits: the value at an
-accepted trial point is the next iterate's value.  ``semismooth_newton``
+accepted trial point is the next iterate's value, and the points of a
+planned run past its first rejected node are evaluated, dropped and never
+evaluated again.  ``semismooth_newton``
 takes f(x0) as ``fx0`` when the caller has it and leaves the value at its
 last iterate on the trace as ``final_fx``, so path lifting hands each
 converged corrector's value to the next corrector.
@@ -35,8 +50,9 @@ import math
 
 import numpy as np
 
-from .linalg import as_vector, conorm, dist_to_hull
-from .maps import _pair_norms, _unit_rows, evaluate
+from .linalg import _row_norms, as_vector, conorm, dist_to_hull
+from .maps import (MAX_BATCH_ENTRIES, _check_rows, _oracle_rows, _pair_norms,
+                   _unit_rows, evaluate)
 from .pseudojac import build_set
 
 __all__ = [
@@ -70,7 +86,8 @@ class InversionTrace:
     residuals unless the caller gives it (path lifting, whose residuals
     are to the path's nodes).  newton_steps is the number of Newton steps
     that path lifting's correctors accepted, recorded for "path" runs
-    only.  The trace keeps the lists it is given, without a copy.
+    only; a node accepted at its prediction runs no corrector and adds
+    none.  The trace keeps the lists it is given, without a copy.
     """
 
     def __init__(self, method, t_grid, iterates, residuals, status,
@@ -239,6 +256,85 @@ def semismooth_newton(model, provider, y, x0, tol=1e-10, max_iter=100, rng=None,
                           status, used_pseudoinverse=used_pinv, final_fx=fx)
 
 
+def _plan(model, iterates, t_grid, fx, dt, base_dt, y0, y_target, window):
+    """The lift's next nodes, each as (target, guess, f(guess), the guess's
+    misfit norm to the target, that of the node before it), as an iterator.
+
+    Each node assumes that the ones before it in the plan were accepted at
+    their guesses: the steps follow the walk's rule (dt doubles up to
+    base_dt after each node, and t stops at 1), and each guess is the
+    secant prediction of the two nodes before it.  A plan takes at most
+    ``window`` nodes, and one node unless the map declares ``rows_match``.
+    Its guesses are checked and evaluated in one oracle call, and both
+    norms of every node are taken in one pass; a plan of one node takes
+    ``evaluate``'s one-row path, as ``_trial``.  The plan ends early at the
+    first node whose guess is not evaluated: at the lift's first node and
+    where the guess equals the node before it (a point not evaluated
+    again), whose guess is None, and where the guess fails evaluate's
+    input checks.  Such a node's value is None and its norms inf, and a
+    guess whose value is not finite has a norm that is not finite, so the
+    corrector starts from the last node, as it does after ``_trial``'s inf.
+    """
+    times = t_grid[-2:]
+    steps = []
+    # the first node has no prediction to plan; the misfits of a plan of
+    # window rows fill a (2, window, dim_out) array
+    width = 2 * max(model.dim_in, model.dim_out)
+    window = (min(window, MAX_BATCH_ENTRIES // width)
+              if model.rows_match and len(iterates) > 1 else 1)
+    while times[-1] < 1.0 and len(steps) < window:
+        steps.append(min(dt, 1.0 - times[-1]))
+        times.append(times[-1] + steps[-1])
+        dt = min(dt * 2.0, base_dt)
+    if len(steps) == 1:
+        return iter([_predict(model, iterates, t_grid, fx, steps[0], y0,
+                              y_target)])
+    s = np.array(times[2:])[:, None]
+    targets = (1.0 - s) * y0 + s * y_target
+    # x + step / (t - t_prev) * (x - x_prev) in the rows after the last two
+    # nodes, with the bits of that expression
+    nodes = np.empty((len(steps) + 2, model.dim_in))
+    nodes[0], nodes[1] = iterates[-2], iterates[-1]
+    for k, step in enumerate(steps):
+        guess = nodes[k + 2]
+        np.subtract(nodes[k + 1], nodes[k], out=guess)
+        guess *= step / (times[k + 1] - times[k])
+        guess += nodes[k + 1]
+    same = (nodes[2:] == nodes[1:-1]).all(axis=1).tolist()
+    guesses = nodes[2:2 + (same.index(True) if True in same else len(same))]
+    stop = _check_rows(model, guesses)[1]
+    values = _oracle_rows(model, guesses[:stop])
+    if values.shape != (stop, model.dim_out):
+        raise ValueError(f"{model.name}: oracle returned shape {values.shape}")
+    # the misfits of the guesses and of the nodes before them
+    pair = np.empty((2, stop, model.dim_out))
+    pair[0] = values
+    pair[1, :1] = fx
+    pair[1, 1:] = values[:-1]
+    pair -= targets[:stop]
+    with np.errstate(over="ignore", invalid="ignore"):
+        misses, nears = _row_norms(pair).tolist()
+    rows = list(zip(targets, guesses, values, misses, nears))
+    if stop < len(steps):
+        # the first guess that cannot be evaluated, or no guess
+        guess = guesses[stop] if stop < len(guesses) else None
+        rows.append((targets[stop], guess, None, np.inf, np.inf))
+    return iter(rows)
+
+
+def _predict(model, iterates, t_grid, fx, step, y0, y_target):
+    # _plan's one node, from _trial
+    t = t_grid[-1]
+    target = (1.0 - (t + step)) * y0 + (t + step) * y_target
+    if len(iterates) > 1:
+        x = iterates[-1]
+        guess = x + (step / (t - t_grid[-2])) * (x - iterates[-2])
+        if not np.array_equal(guess, x):
+            f_guess, _, miss = _trial(model, guess, target)
+            return target, guess, f_guess, miss, _misfit(fx, target)[1]
+    return target, None, None, np.inf, np.inf
+
+
 def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
                      rng=None):
     """Lift the codomain segment from f(x0) to y_target through f.
@@ -250,21 +346,24 @@ def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
     A corrector "overflow" ends the run with that status: the residual
     norm at the current point then overflows whatever the step.
 
-    From the second node on, the corrector for t + step is offered the
-    secant prediction x + step / (t - t_prev) * (x - x_prev) of the last
-    two nodes, unless it equals x.  f is evaluated there once, and the
-    corrector starts from the prediction when its residual to p(t + step)
-    is below that of the last node x, whose f is held; otherwise, and
-    where the prediction leaves the domain box (an inf residual), it
-    starts from x.  Each corrector is given f at its start, so f is
-    evaluated once per point.
-    A corrector accepts its start when that residual is at most tol, so
-    ``residuals`` holds each node's corrector residual to p(t), at most
-    tol but not near 0; ``newton_steps`` counts the Newton steps all
-    correctors took.  ``final_residual`` is ||f(final_x) - y_target|| from
-    the value of f already held, so a lift that stops early reports its
-    distance to the target.  The trace flags a pseudo-inverse step when
-    any corrector took one, converged or not.
+    From the second node on, the node at t + step is offered the secant
+    prediction x + step / (t - t_prev) * (x - x_prev) of the last two
+    nodes, unless it equals x.  f is evaluated there once, and the node
+    starts from the prediction when its residual to p(t + step) is below
+    that of the last node x, whose f is held; otherwise, and where the
+    prediction leaves the domain box (an inf residual), it starts from x.
+    A prediction that it starts from and whose residual is at most tol
+    is the node, with no corrector call; any other start goes to a
+    corrector with f there, so f is evaluated once per point.
+    ``_plan`` makes the predictions a run at a time, in one oracle call
+    (see the module docstring); the walk takes a run's nodes in order and
+    drops the rest of the run at the first node that goes to a corrector.
+    ``residuals`` holds each node's residual to p(t), at most tol but not
+    near 0; ``newton_steps`` counts the Newton steps all correctors took.
+    ``final_residual`` is ||f(final_x) - y_target|| from the value of f
+    already held, so a lift that stops early reports its distance to the
+    target.  The trace flags a pseudo-inverse step when any corrector took
+    one, converged or not.
     """
     x = as_vector(x0).copy()
     y_target = as_vector(y_target)
@@ -279,46 +378,56 @@ def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
     used_pinv = False
     newton_steps = 0
     status = "max_iter"
+    plan = iter(())
+    # predictions accepted inline since the last rejected one; inf before
+    # any is rejected
+    run = math.inf
     for _ in range(100000):
         if t >= 1.0:
             status = "converged"
             break
-        step = min(dt, 1.0 - t)
-        target = (1.0 - (t + step)) * y0 + (t + step) * y_target
-        start, f_start = x, fx
-        if len(iterates) > 1:
-            guess = x + (step / (t - t_grid[-2])) * (x - iterates[-2])
-            # a secant that leaves x where it is needs no second f(x)
-            if not np.array_equal(guess, x):
-                f_guess, _, miss = _trial(model, guess, target)
-                if miss < _misfit(fx, target)[1]:
-                    start, f_start = guess, f_guess
-        corr = semismooth_newton(model, provider, target, start, tol=tol,
-                                 max_iter=CORRECTOR_ITERS, rng=rng,
-                                 fx0=f_start)
-        used_pinv = used_pinv or corr.used_pseudoinverse
-        newton_steps += len(corr.iterates) - 1
-        if corr.status == "converged":
-            x, fx = corr.final_x, corr.final_fx
-            t += step
-            t_grid.append(t)
-            iterates.append(x)
-            residuals.append(corr.final_residual)
-            dt = min(dt * 2.0, base_dt)
-            if _norm(x) > ITERATE_NORM_LIMIT:
-                status = "diverged"
-                break
-        elif corr.status == "overflow":
-            status = "overflow"
-            break
+        node = next(plan, None)
+        if node is None:
+            plan = _plan(model, iterates, t_grid, fx, dt, base_dt, y0,
+                         y_target, run + 1)
+            node = next(plan)
+        target, guess, f_guess, miss, near = node
+        if miss <= tol and miss < near:
+            # a corrector from the guess would stop there with no step
+            x, fx, residual = guess, f_guess, miss
+            run += 1
         else:
-            if corr.status == "diverged" or _norm(corr.final_x) > ITERATE_NORM_LIMIT:
-                status = "diverged"
+            plan = iter(())  # the rest of the run assumed this guess
+            if guess is not None:
+                run = 0
+            start, f_start = (guess, f_guess) if miss < near else (x, fx)
+            corr = semismooth_newton(model, provider, target, start, tol=tol,
+                                     max_iter=CORRECTOR_ITERS, rng=rng,
+                                     fx0=f_start)
+            used_pinv = used_pinv or corr.used_pseudoinverse
+            newton_steps += len(corr.iterates) - 1
+            if corr.status == "overflow":
+                status = "overflow"
                 break
-            dt *= 0.5
-            if dt < MIN_HOMOTOPY_STEP:
-                status = "step_underflow"
-                break
+            if corr.status != "converged":
+                if (corr.status == "diverged"
+                        or _norm(corr.final_x) > ITERATE_NORM_LIMIT):
+                    status = "diverged"
+                    break
+                dt *= 0.5
+                if dt < MIN_HOMOTOPY_STEP:
+                    status = "step_underflow"
+                    break
+                continue
+            x, fx, residual = corr.final_x, corr.final_fx, corr.final_residual
+        t += min(dt, 1.0 - t)
+        t_grid.append(t)
+        iterates.append(x)
+        residuals.append(residual)
+        dt = min(dt * 2.0, base_dt)
+        if _norm(x) > ITERATE_NORM_LIMIT:
+            status = "diverged"
+            break
     return InversionTrace("path", t_grid, iterates, residuals, status,
                           used_pseudoinverse=used_pinv,
                           final_residual=_misfit(fx, y_target)[1],

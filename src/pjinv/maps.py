@@ -103,11 +103,17 @@ class MapModel:
         Exact inverse oracle y -> x (closed form; used as a test oracle).
     beta_divergent : bool
         Declared: whether the analytic profile's integral diverges.
+    rows_match : bool
+        Declared: whether the multi-row ``fn_batch`` gives each row the bits
+        of its one-row call.  False by default; every catalog map but
+        ``linear`` declares it (a many-row gemm may round differently from
+        a one-row one).  Path lifting evaluates the nodes it predicts in
+        one call only for a map that declares it.
     """
 
     def __init__(self, name, dim_in, dim_out, fn_batch, deriv=None,
                  dir_deriv=None, smooth_part=None, lip_part=None, inverse=None,
-                 beta_divergent=False,
+                 beta_divergent=False, rows_match=False,
                  domain_halfwidth=DEFAULT_DOMAIN_HALFWIDTH):
         self.name = name
         self.dim_in = int(dim_in)
@@ -120,6 +126,7 @@ class MapModel:
         self.lip_part = lip_part
         self.inverse = inverse
         self.beta_divergent = beta_divergent
+        self.rows_match = rows_match
         self.domain_halfwidth = float(domain_halfwidth)
 
     def __call__(self, x):
@@ -495,6 +502,7 @@ def theta_map(kind, n, c=None):
         name, n, n, fn_batch, deriv=deriv, dir_deriv=dir_deriv,
         smooth_part=smooth_part, lip_part=lip_part, beta_divergent=divergent,
         inverse=lambda y: theta_back_substitute(kind, n, y, c),
+        rows_match=True,
     )
 
 
@@ -507,7 +515,7 @@ def identity_map(n=3):
         "identity", n, n, lambda xs: xs.copy(order="K"),
         deriv=deriv, dir_deriv=_derivative_along(deriv), smooth_part=deriv,
         lip_part=lambda xs, r: np.zeros(len(xs)), inverse=lambda y: y.copy(),
-        beta_divergent=True,
+        beta_divergent=True, rows_match=True,
     )
 
 
@@ -532,7 +540,7 @@ def exp1d_map():
     return MapModel(
         "exp1d", 1, 1, np.exp, deriv=deriv,
         dir_deriv=_derivative_along(deriv), smooth_part=deriv,
-        lip_part=lambda xs, r: np.zeros(len(xs)),
+        lip_part=lambda xs, r: np.zeros(len(xs)), rows_match=True,
         domain_halfwidth=700.0,
     )
 
@@ -549,7 +557,7 @@ def complexsq_map():
 
     return MapModel("complexsq", 2, 2, fn_batch, deriv=deriv,
                     dir_deriv=_derivative_along(deriv), smooth_part=deriv,
-                    lip_part=lambda xs, r: np.zeros(len(xs)))
+                    lip_part=lambda xs, r: np.zeros(len(xs)), rows_match=True)
 
 
 def abs_shift_map(c=0.5):
@@ -567,7 +575,7 @@ def abs_shift_map(c=0.5):
         dir_deriv=lambda xs, vs: vs + c * _abs_along(xs, vs),
         smooth_part=lambda xs: np.broadcast_to(eye, (len(xs), 1, 1)),
         lip_part=lambda xs, r: np.full(len(xs), c),
-        inverse=inverse, beta_divergent=c < 1.0,
+        inverse=inverse, beta_divergent=c < 1.0, rows_match=True,
     )
 
 

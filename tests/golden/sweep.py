@@ -17,6 +17,11 @@ when none is named):
 - invert_off_ray, a theta-b:4 path lift with ``sum`` sets from a start
   off the origin, whose path is no ray: it crosses kinks, and some of
   its secant predictions are rejected;
+- invert_linear, a path lift on the ``linear:`` map of LINEAR_FILE (a
+  3 x 3 matrix written where the sweep runs), which declares no
+  ``rows_match`` and so plans one node at a time;
+- invert_failing, an exp1d path lift to a target in [-3, -0.5], outside
+  the range of exp: its correctors fail and halve the step;
 - check_mvt_maps, which cycles through a Clarke ``check mvt`` on each of
   MVT_MAPS (n = 1 to 4), so that the sampling, stencil and hull kernels
   run on blocks of every width from 1 to 4 columns;
@@ -25,7 +30,8 @@ when none is named):
   written, with a relative path, to the directory the sweep runs in).
 
 Command i of a class takes ``--seed S + i``, and an invert command the
-target drawn uniformly in [-5, 5]^n from ``numpy.random.default_rng(S + i)``.
+target drawn uniformly in [-5, 5]^n (invert_failing: [-3, -0.5]) from
+``numpy.random.default_rng(S + i)``.
 The N commands of each class run in this process, in a fresh temporary
 directory, with the package from this checkout's src/, and the script
 prints one sha256 per class over every command line, exit code, report
@@ -53,8 +59,8 @@ from test_golden import (CHAIN, INVERT_CLARKE, INVERT_EXACT, MESH,  # noqa: E402
                          MVT, SAMPLED, SINGLETON, VALIDITY)
 
 
-def _target(seed, n):
-    values = np.random.default_rng(seed).uniform(-5.0, 5.0, n)
+def _target(seed, n, low=-5.0, high=5.0):
+    values = np.random.default_rng(seed).uniform(low, high, n)
     return ",".join(repr(float(value)) for value in values)
 
 
@@ -90,6 +96,12 @@ CLASSES = {
     "invert_off_ray": lambda s: (
         "invert --map theta-b:4 --provider sum --method path "
         f"--x0 0.3,-0.2,0.1,0.5 --target={_target(s, 4)} --seed {s}"),
+    "invert_linear": lambda s: (
+        f"invert --map linear:{LINEAR_FILE} --provider exact --method path "
+        f"--target={_target(s, 3)} --seed {s}"),
+    "invert_failing": lambda s: (
+        "invert --map exp1d --provider exact --method path "
+        f"--target={_target(s, 1, -3.0, -0.5)} --seed {s}"),
     "check_mvt_maps": lambda s: (
         f"check mvt --map {MVT_MAPS[s % len(MVT_MAPS)]} "
         f"--provider clarke:delta=1e-3,m=16,eps=0 --trials 20 --seed {s}"),
@@ -100,8 +112,13 @@ CLASSES = {
 # the maps that check_mvt_maps cycles through, n = 1, 2, 3 and 4
 MVT_MAPS = ["exp1d", "complexsq", "theta-c:3", "theta-b:4"]
 
-# the config files that config_error names, written where the sweep runs
+# the matrix of invert_linear, invertible and not symmetric
+LINEAR_FILE = "matrix.txt"
+
+# the files that config_error and invert_linear name, written where the
+# sweep runs
 FILES = {
+    LINEAR_FILE: b"2 1 0\n0 3 -1\n1 0 2\n",
     "latin1.cfg": b"map = caf\xe9\n",
     "no_equals.cfg": b"map identity\n",
     "unknown_key.cfg": b"bogus = 1\n",

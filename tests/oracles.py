@@ -66,6 +66,9 @@ from fractions import Fraction
 import numpy as np
 
 from pjinv.indices import set_conorm_bounds
+from pjinv.invert import (CORRECTOR_ITERS, ITERATE_NORM_LIMIT,
+                          MIN_HOMOTOPY_STEP, InversionTrace, _misfit, _trial,
+                          semismooth_newton)
 from pjinv.linalg import (_corral, _off_affine, _row_norms, as_vector, conorm,
                           spectral_norm)
 from pjinv.maps import (DomainError, MapModel, _blocks, _oracle_rows,
@@ -387,6 +390,71 @@ def reference_newton_direction(t_op, r, t_conorm=None):
     return np.linalg.lstsq(t_op, -r, rcond=None)[0], True
 
 
+def loop_path_lift(model, provider, x0, y_target, steps=16, tol=1e-10,
+                   rng=None):
+    """``path_lift_invert`` one node at a time, as it ran before its
+    predictions were planned in runs: each node's secant prediction is
+    evaluated alone by ``_trial``, and every node, a prediction that
+    already meets tol included, runs a corrector."""
+    x = as_vector(x0).copy()
+    y_target = as_vector(y_target)
+    rng = np.random.default_rng(rng)
+    y0 = fx = evaluate(model, x)
+    t = 0.0
+    dt = 1.0 / max(int(steps), 1)
+    base_dt = dt
+    t_grid = [0.0]
+    iterates = [x]
+    residuals = [0.0]
+    used_pinv = False
+    newton_steps = 0
+    status = "max_iter"
+    for _ in range(100000):
+        if t >= 1.0:
+            status = "converged"
+            break
+        step = min(dt, 1.0 - t)
+        target = (1.0 - (t + step)) * y0 + (t + step) * y_target
+        start, f_start = x, fx
+        if len(iterates) > 1:
+            guess = x + (step / (t - t_grid[-2])) * (x - iterates[-2])
+            if not np.array_equal(guess, x):
+                f_guess, _, miss = _trial(model, guess, target)
+                if miss < _misfit(fx, target)[1]:
+                    start, f_start = guess, f_guess
+        corr = semismooth_newton(model, provider, target, start, tol=tol,
+                                 max_iter=CORRECTOR_ITERS, rng=rng,
+                                 fx0=f_start)
+        used_pinv = used_pinv or corr.used_pseudoinverse
+        newton_steps += len(corr.iterates) - 1
+        if corr.status == "converged":
+            x, fx = corr.final_x, corr.final_fx
+            t += step
+            t_grid.append(t)
+            iterates.append(x)
+            residuals.append(corr.final_residual)
+            dt = min(dt * 2.0, base_dt)
+            if np.linalg.norm(x) > ITERATE_NORM_LIMIT:
+                status = "diverged"
+                break
+        elif corr.status == "overflow":
+            status = "overflow"
+            break
+        else:
+            if (corr.status == "diverged"
+                    or np.linalg.norm(corr.final_x) > ITERATE_NORM_LIMIT):
+                status = "diverged"
+                break
+            dt *= 0.5
+            if dt < MIN_HOMOTOPY_STEP:
+                status = "step_underflow"
+                break
+    return InversionTrace("path", t_grid, iterates, residuals, status,
+                          used_pseudoinverse=used_pinv,
+                          final_residual=_misfit(fx, y_target)[1],
+                          newton_steps=newton_steps)
+
+
 def reference_descent_directions(vertices, r):
     """Ekeland's Newton candidates, one per vertex of a (k, m, n) stack; a
     singleton's is Newton's, without a co-norm."""
@@ -550,7 +618,8 @@ def chain_suite_map(inner):
                      lambda ys: _row_norms(ys - y0)[:, None])
     return MapModel(
         "chain", inner.dim_in, 1,
-        lambda zs: evaluate_batch(outer, evaluate_batch(inner, zs)))
+        lambda zs: evaluate_batch(outer, evaluate_batch(inner, zs)),
+        rows_match=inner.rows_match)
 
 
 def counting(model):

@@ -1,3 +1,4 @@
+import copy
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import pjinv.invert
 import pjinv.linalg
-from oracles import (counting, reference_descent_directions,
+from oracles import (counting, loop_path_lift, reference_descent_directions,
                      reference_newton_direction, reference_newton_element)
 from pjinv.invert import (InversionTrace, ekeland_descent,
                           inverse_lipschitz_probe, path_lift_invert,
@@ -143,39 +144,91 @@ class TestPathLift:
         assert all(r <= tol for r in tr.residuals[1:])
 
 
+def recorded_points(monkeypatch, model):
+    """The points of every oracle call on model, one-row ``fn`` and
+    multi-row ``fn_batch`` (whose rows bypass ``fn``), as bytes in order."""
+    seen = []
+    fn, fn_batch = model.fn, model.fn_batch
+
+    def one(x):
+        seen.append(np.asarray(x, dtype=float).tobytes())
+        return fn(x)
+
+    def rows(xs):
+        seen.extend(x.tobytes() for x in np.asarray(xs, dtype=float))
+        return fn_batch(xs)
+
+    monkeypatch.setattr(model, "fn", one)
+    monkeypatch.setattr(model, "fn_batch", rows)
+    return seen
+
+
+def cubic_map(nan_outside=False):
+    # x + x^3 on [-1 - 1e-6, 1 + 1e-6]: the lift of [0, 2] is concave in t
+    # and ends at x = 1, so secant predictions overshoot the box near t = 1.
+    # With nan_outside the box is R and the values outside it are NaN
+    edge = 1.0 + 1e-6
+    if nan_outside:
+        return MapModel(
+            "cubic-nan", 1, 1,
+            lambda xs: np.where(np.abs(xs) > edge, np.nan, xs + xs ** 3),
+            deriv=lambda xs: (1.0 + 3.0 * xs ** 2)[:, :, None],
+            rows_match=True)
+    return MapModel("cubic", 1, 1, lambda xs: xs + xs ** 3,
+                    deriv=lambda xs: (1.0 + 3.0 * xs ** 2)[:, :, None],
+                    domain_halfwidth=edge, rows_match=True)
+
+
 class TestSecantPredictor:
     @pytest.fixture
-    def correctors(self, monkeypatch):
-        """(start, f at the start, target, last node, f there) of each
-        corrector, in order, and (point, f, misfit, norm) of each trial
-        that path lifting made outside its correctors: the predictions."""
-        log = {"correctors": [], "predictions": []}
-        newton, trial = semismooth_newton, pjinv.invert._trial
-        node, running = [], []
+    def lift(self, monkeypatch):
+        """path_lift_invert with two logs: the start of each node in order,
+        as (start, f at the start, target, last node, f there), whether a
+        corrector ran from it or the walk accepted its planned prediction
+        with no corrector; and (point, f, misfit norm) of each prediction
+        the walk offered a node, f None where it could not be evaluated."""
+        newton, plan = semismooth_newton, pjinv.invert._plan
+        log = {"starts": [], "predictions": []}
+        node, offered = [], []
+
+        def settle():
+            # an offered prediction that no corrector ran from is the node
+            if offered:
+                target, guess, f_guess = offered.pop()
+                log["starts"].append((guess, f_guess, target, *node))
+                node[:] = guess, f_guess
 
         def corrector(model, provider, y, x0, **kwargs):
+            offered.clear()
             if not node:
                 # the first corrector starts from the lift's x0
                 node[:] = x0, kwargs["fx0"]
-            log["correctors"].append((x0, kwargs["fx0"], y, *node))
-            running.append(True)
+            log["starts"].append((x0, kwargs["fx0"], y, *node))
             tr = newton(model, provider, y, x0, **kwargs)
-            running.pop()
             if tr.status == "converged":
                 node[:] = tr.final_x, tr.final_fx
             return tr
 
-        def predicted(model, x, y):
-            out = trial(model, x, y)
-            if not running:
-                log["predictions"].append((x, *out))
-            return out
+        def planned(*args):
+            # the plan's rows as the walk takes them
+            for target, guess, f_guess, miss, near in plan(*args):
+                settle()
+                if guess is not None:
+                    log["predictions"].append((guess, f_guess, miss))
+                offered[:] = [(target, guess, f_guess)]
+                yield target, guess, f_guess, miss, near
+
+        def run(model, provider, x0, y):
+            tr = path_lift_invert(model, provider, x0, y, rng=0)
+            settle()
+            return tr, log
 
         monkeypatch.setattr(pjinv.invert, "semismooth_newton", corrector)
-        monkeypatch.setattr(pjinv.invert, "_trial", predicted)
-        return log
+        monkeypatch.setattr(pjinv.invert, "_plan", planned)
+        return run
 
-    # kept: the correctors that start from their prediction
+    # kept: the nodes that start from their prediction, with a corrector
+    # or accepted there with none
     @pytest.mark.parametrize("model,provider,x0,y,kept", [
         # on the ray x(t) = t x*, every prediction after the first node
         (theta_map("a", 4, 0.5), CLARKE, [0.0] * 4, [1.0, -2.0, 0.5, 3.0],
@@ -183,15 +236,15 @@ class TestSecantPredictor:
         # off the ray the path crosses kinks, and 2 of 15 predictions miss
         (theta_map("b", 4), SUM, [0.3, -0.2, 0.1, 0.5],
          [-1.0, 2.0, -2.0, -4.0], 13),
-        # correctors fail and halve the step; 52 correctors in all
+        # correctors fail and halve the step; 52 starts in all
         (exp1d_map(), EXACT, [0.0], [-1.0], 51),
     ], ids=["theta-a-clarke", "theta-b-sum-off-ray", "exp1d-exact"])
     def test_no_corrector_starts_farther_than_the_last_node(
-            self, correctors, model, provider, x0, y, kept):
-        path_lift_invert(model, provider, np.array(x0), np.array(y), rng=0)
-        starts = correctors["correctors"]
-        # one prediction for each corrector but the first
-        assert len(correctors["predictions"]) == len(starts) - 1 > 0
+            self, lift, model, provider, x0, y, kept):
+        _, log = lift(model, provider, np.array(x0), np.array(y))
+        starts = log["starts"]
+        # one prediction for each node but the first
+        assert len(log["predictions"]) == len(starts) - 1 > 0
         assert np.array_equal(starts[0][0], x0)
         for start, f_start, target, node, f_node in starts:
             assert np.array_equal(f_start, evaluate(model, start))
@@ -205,33 +258,26 @@ class TestSecantPredictor:
         # the target is f(x0), so every node is x0 and so is every secant
         # prediction: x0 is the one point evaluated
         model, x0 = theta_map("a", 3, 0.5), np.array([1.0, -2.0, 0.5])
-        fn, seen = model.fn, []
-        monkeypatch.setattr(model, "fn",
-                            lambda x: seen.append(x.tobytes()) or fn(x))
-        tr = path_lift_invert(model, EXACT, x0, fn(x0), rng=0)
+        y = model.fn(x0)
+        seen = recorded_points(monkeypatch, model)
+        tr = path_lift_invert(model, EXACT, x0, y, rng=0)
         assert tr.status == "converged" and tr.newton_steps == 0
         assert seen == [x0.tobytes()]
 
     def test_a_prediction_outside_the_box_starts_from_the_last_node(
-            self, correctors):
-        # x + x^3 on [-1 - 1e-6, 1 + 1e-6]: the lift of [0, 2] is concave
-        # in t and ends at x = 1, so a secant prediction overshoots the
-        # box and cannot be evaluated
-        cubic = MapModel("cubic", 1, 1, lambda xs: xs + xs ** 3,
-                         deriv=lambda xs: (1.0 + 3.0 * xs ** 2)[:, :, None],
-                         domain_halfwidth=1.0 + 1e-6)
+            self, lift):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tr = path_lift_invert(cubic, EXACT, np.zeros(1), np.array([2.0]),
-                                  rng=0)
+            tr, log = lift(cubic_map(), EXACT, np.zeros(1), np.array([2.0]))
         assert tr.status == "converged"
         assert tr.final_x == pytest.approx([1.0], abs=1e-10)
-        outside = [(x, miss) for x, _, _, miss in correctors["predictions"]
+        outside = [(x, f, miss) for x, f, miss in log["predictions"]
                    if abs(x[0]) > 1.0 + 1e-6]
-        assert outside and all(miss == np.inf for _, miss in outside)
+        assert outside and all(f is None and miss == np.inf
+                               for _, f, miss in outside)
         # each such prediction is followed by a corrector from the node
-        for (x, *_, miss), (start, _, _, node, _) in zip(
-                correctors["predictions"], correctors["correctors"][1:]):
+        for (x, _, miss), (start, _, _, node, _) in zip(
+                log["predictions"], log["starts"][1:]):
             if miss == np.inf:
                 assert np.array_equal(start, node)
 
@@ -381,14 +427,9 @@ class TestOneEvaluationPerPoint:
                              ids=REGULAR_IDS)
     def test_no_point_reaches_the_oracle_twice(self, monkeypatch, method,
                                                model, provider, y):
-        seen = []
-        fn = model.fn
-
-        def spy(x):
-            seen.append(np.asarray(x, dtype=float).tobytes())
-            return fn(x)
-
-        monkeypatch.setattr(model, "fn", spy)
+        # a path lift's planned predictions reach fn_batch in one call;
+        # the rows of a dropped plan count as evaluated points too
+        seen = recorded_points(monkeypatch, model)
         tr = INVERTERS[method](model, provider, np.array(y),
                                np.zeros(model.dim_in))
         assert tr.status == "converged"
@@ -439,7 +480,94 @@ def patchy_map():
     def fn_batch(xs):
         return np.where(xs[:, :1] > 0.5, np.nan, xs)
 
-    return MapModel("patchy", 2, 2, fn_batch)
+    return MapModel("patchy", 2, 2, fn_batch, rows_match=True)
+
+
+def without_rows_match(model):
+    # the same map, its multi-row oracle calls declared unlike one-row ones
+    copied = copy.copy(model)
+    copied.rows_match = False
+    return copied
+
+
+# each map with its start box, its target box (low and high ends) and the
+# providers it takes: lifts that are straight (theta-a from 0), cross
+# kinks or curve, that fail (exp1d to a negative target), that plan one
+# node at a time (linear and a theta-a copy without rows_match), and whose
+# predictions leave the box or reach NaN values inside a plan (the cubics
+# to a corner, +-2, where the lift ends at the edge)
+CLARKE_TEXT = "clarke:delta=1e-4,m=8,eps=0"
+ALL_PROVIDERS = ["exact", "sum", CLARKE_TEXT]
+PLANNED_LIFTS = [
+    (theta_map("a", 4, 0.5), 3.0, (-5.0, 5.0), ALL_PROVIDERS),
+    (theta_map("b", 4), 3.0, (-5.0, 5.0), ALL_PROVIDERS),
+    (theta_map("c", 3), 3.0, (-5.0, 5.0), ALL_PROVIDERS),
+    (abs_shift_map(), 3.0, (-5.0, 5.0), ALL_PROVIDERS),
+    (exp1d_map(), 1.0, (-3.0, 3.0), ALL_PROVIDERS),
+    (linear_map(np.array([[2.0, 1.0, 0.0], [0.0, 3.0, -1.0],
+                          [1.0, 0.0, 2.0]])), 3.0, (-5.0, 5.0),
+     ALL_PROVIDERS),
+    (without_rows_match(theta_map("a", 4, 0.5)), 3.0, (-5.0, 5.0),
+     ALL_PROVIDERS),
+    (cubic_map(), 1.0, (-2.0, 2.0), ["exact", CLARKE_TEXT]),
+    (cubic_map(nan_outside=True), 1.0, (-2.0, 2.0), ["exact"]),
+]
+
+
+def lift_outcome(lift, model, provider, x0, y, steps, seed):
+    # the record, every node's bits and final_fx, or the error raised
+    try:
+        tr = lift(model, provider, x0, y, steps=steps, rng=seed)
+    except (ValueError, FloatingPointError) as exc:
+        return type(exc), str(exc)
+    return tr.to_record(), [x.tobytes() for x in tr.iterates], tr.final_fx
+
+
+def assert_same_lift(got, want):
+    # repr tells -0.0 from 0.0 in the records
+    assert repr(got[:2]) == repr(want[:2])
+    if len(want) == 3:
+        assert same_bits(got[2], want[2])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=st.sampled_from(PLANNED_LIFTS), data=st.data(),
+       steps=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+def test_planned_lifts_keep_the_bits_of_the_node_by_node_lift(case, data,
+                                                              steps, seed):
+    model, start_box, (low, high), providers = case
+    provider = parse_provider(data.draw(st.sampled_from(providers)))
+    rng = np.random.default_rng(seed)
+    m = model.dim_out
+    x0 = (np.zeros(model.dim_in) if data.draw(st.booleans())
+          else rng.uniform(-start_box, start_box, model.dim_in))
+    y = (np.where(rng.uniform(size=m) < 0.5, low, high)
+         if data.draw(st.booleans()) else rng.uniform(low, high, m))
+    assert_same_lift(
+        lift_outcome(path_lift_invert, model, provider, x0, y, steps, seed),
+        lift_outcome(loop_path_lift, model, provider, x0, y, steps, seed))
+
+
+@pytest.mark.parametrize("y", [[2.0, 2.0], [1.0, 0.5]])
+def test_a_planned_lift_into_a_nan_patch_keeps_the_bits(y):
+    # patchy's values are NaN in most rows of the first plan; its exact
+    # sets (the identity's derivative) fail the lift in a few correctors
+    model = patchy_map()
+    model.deriv = lambda xs: np.broadcast_to(np.eye(2), (len(xs), 2, 2))
+    got = lift_outcome(path_lift_invert, model, EXACT, np.zeros(2),
+                       np.array(y), 16, 0)
+    assert_same_lift(got, lift_outcome(loop_path_lift, model, EXACT,
+                                       np.zeros(2), np.array(y), 16, 0))
+    assert got[0]["status"] == "step_underflow"
+
+
+def test_a_plan_refuses_an_oracle_of_the_wrong_shape():
+    # a map that declares rows_match but answers many rows with one
+    model = MapModel("first-row", 1, 1, lambda xs: xs[:1] + 0.0,
+                     deriv=lambda xs: np.ones((len(xs), 1, 1)),
+                     rows_match=True)
+    with pytest.raises(ValueError, match="oracle returned shape"):
+        path_lift_invert(model, EXACT, np.zeros(1), np.array([1.0]), rng=0)
 
 
 # a wide map: every co-norm is 0, so the first vertex is the element

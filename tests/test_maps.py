@@ -227,51 +227,59 @@ def test_row_oracles_equal_one_row_calls(model, closed_form, count, seed,
             (lower[i], upper[i], certified[i])
 
 
-# every catalog map and the chain suite's composed map, each with whether
-# its multi-row oracle call must give each row the bits of its one-row call;
-# linear's many-row gemm may round differently from its one-row call
+# every catalog map and the chain suite's composed map; each declares
+# whether its multi-row oracle call gives each row the bits of its one-row
+# call (rows_match), and linear, whose many-row gemm may round differently
+# from its one-row call, declares that it does not
 EVALUATION_MAPS = [
-    (identity_map(3), True),
-    (linear_map(np.array([[2.0, 1.0, 0.5], [0.0, 3.0, -1.0]])), False),
-    (theta_map("a", 4, 0.5), True),
-    (theta_map("b", 3), True),
-    (theta_map("c", 5), True),
-    (exp1d_map(), True),
-    (complexsq_map(), True),
-    (abs_shift_map(), True),
-    (chain_suite_map(theta_map("c", 3)), True),
+    identity_map(3),
+    linear_map(np.array([[2.0, 1.0, 0.5], [0.0, 3.0, -1.0]])),
+    theta_map("a", 4, 0.5),
+    theta_map("b", 3),
+    theta_map("c", 5),
+    exp1d_map(),
+    complexsq_map(),
+    abs_shift_map(),
+    chain_suite_map(theta_map("c", 3)),
 ]
 
 
-def assert_one_evaluation_path(model, xs, rows_match):
-    # evaluate is the one-row case of evaluate_batch, to the bit
+def assert_one_evaluation_path(model, xs):
+    # evaluate is the one-row case of evaluate_batch, to the bit, and so is
+    # each row of a multi-row call of a map that declares rows_match
     ones = np.array([evaluate_batch(model, x[None])[0] for x in xs])
     for x, one in zip(xs, ones):
         np.testing.assert_array_equal(evaluate(model, x), one, strict=True)
-    if rows_match:
+    if model.rows_match:
         np.testing.assert_array_equal(evaluate_batch(model, xs), ones,
                                       strict=True)
 
 
-@pytest.mark.parametrize("model, rows_match", EVALUATION_MAPS,
-                         ids=[model.name for model, _ in EVALUATION_MAPS])
+def test_every_map_but_linear_declares_rows_match():
+    assert [model.rows_match for model in EVALUATION_MAPS] == \
+        [model.name != "linear" for model in EVALUATION_MAPS]
+    assert not MapModel("plain", 1, 1, lambda xs: xs).rows_match
+
+
+@pytest.mark.parametrize("model", EVALUATION_MAPS,
+                         ids=[model.name for model in EVALUATION_MAPS])
 @settings(derandomize=True, deadline=None, max_examples=25)
-@given(count=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+@given(count=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
        zeroed=st.sampled_from([0.0, 0.5, 1.0]))
-def test_single_points_take_the_row_oracle(model, rows_match, count, seed,
-                                           zeroed):
-    # points in [-3, 3]^n, some coordinates zeroed onto the kinks
+def test_single_points_take_the_row_oracle(model, count, seed, zeroed):
+    # points in [-3, 3]^n, some coordinates zeroed onto the kinks; up to 64
+    # rows, as many as a path lift's plan of 16 steps and 40 halvings
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-3.0, 3.0, (count, model.dim_in))
     xs[rng.uniform(size=xs.shape) < zeroed] = 0.0
-    assert_one_evaluation_path(model, xs, rows_match)
+    assert_one_evaluation_path(model, xs)
 
 
 def test_complexsq_single_points_take_the_row_oracle():
     # a scalar form of x0^2 - x1^2 and 2 x0 x1 differs from the row form in
     # the last bit at about one point in a thousand
     xs = np.random.default_rng(17).uniform(-3.0, 3.0, (20_000, 2))
-    assert_one_evaluation_path(complexsq_map(), xs, True)
+    assert_one_evaluation_path(complexsq_map(), xs)
 
 
 # every catalog map; theta-a with c < 0 too, whose kinks bend the other way
