@@ -12,24 +12,25 @@ Newton step, so a lift's node residuals are at most tol, not near 0.
 The predictions are planned a run at a time (``_plan``), each from the two
 nodes before it as if every node of the run were accepted at its
 prediction: a run's points are evaluated in one oracle call and both
-misfit norms of its nodes taken in one pass.  The walk accepts each node
-whose prediction meets tol with no corrector call, and hands the first
-node that does not to a corrector, from the start and with the value the
-one-node rule gives; the rest of the run is dropped.  A run takes every
-node left until a prediction is rejected, and from then on one node more
-than the predictions accepted since the last rejected one, so a lift
-whose predictions keep missing tol predicts a node at a time.  For a map
-that does not declare ``rows_match`` (``linear``: a many-row product may
-round differently from a one-row one) every run is one node, and its
-prediction is evaluated by ``evaluate``'s one-row call.
+misfit norms of its nodes taken in one pass.  The walk hands each node
+to a corrector, from the start and with the value the one-node rule
+gives; a corrector from a prediction that meets tol stops there with no
+step.  At the first node that is not its prediction the rest of the run
+is dropped.  A run takes every node left until a prediction is rejected,
+and from then on one node more than the predictions kept since the last
+rejected one, so a lift whose predictions keep missing tol predicts a
+node at a time.  For a map that does not declare ``rows_match``
+(``linear``: a many-row product may round differently from a one-row
+one) every run is one node, and its prediction is evaluated by
+``evaluate``'s one-row call.
 
 Every inverter evaluates f once per point it visits: the value at an
 accepted trial point is the next iterate's value, and the points of a
 planned run past its first rejected node are evaluated, dropped and never
-evaluated again.  ``semismooth_newton``
-takes f(x0) as ``fx0`` when the caller has it and leaves the value at its
-last iterate on the trace as ``final_fx``, so path lifting hands each
-converged corrector's value to the next corrector.
+evaluated again.  ``semismooth_newton`` takes f(x0) as ``fx0`` when the
+caller has it and leaves the value at its last iterate on the trace as
+``final_fx``, so path lifting hands each converged corrector's value to
+the next corrector.
 
 A Newton or Ekeland step makes one ``build_set`` call and, unless the
 set is a singleton, one ``conorm`` call: one SVD call for all its
@@ -86,8 +87,7 @@ class InversionTrace:
     residuals unless the caller gives it (path lifting, whose residuals
     are to the path's nodes).  newton_steps is the number of Newton steps
     that path lifting's correctors accepted, recorded for "path" runs
-    only; a node accepted at its prediction runs no corrector and adds
-    none.  The trace keeps the lists it is given, without a copy.
+    only.  The trace keeps the lists it is given, without a copy.
     """
 
     def __init__(self, method, t_grid, iterates, residuals, status,
@@ -311,8 +311,8 @@ def _plan(model, iterates, t_grid, fx, dt, base_dt, y0, y_target, window):
     pair[0] = values
     pair[1, :1] = fx
     pair[1, 1:] = values[:-1]
-    pair -= targets[:stop]
     with np.errstate(over="ignore", invalid="ignore"):
+        pair -= targets[:stop]
         misses, nears = _row_norms(pair).tolist()
     rows = list(zip(targets, guesses, values, misses, nears))
     if stop < len(steps):
@@ -352,12 +352,12 @@ def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
     starts from the prediction when its residual to p(t + step) is below
     that of the last node x, whose f is held; otherwise, and where the
     prediction leaves the domain box (an inf residual), it starts from x.
-    A prediction that it starts from and whose residual is at most tol
-    is the node, with no corrector call; any other start goes to a
-    corrector with f there, so f is evaluated once per point.
-    ``_plan`` makes the predictions a run at a time, in one oracle call
-    (see the module docstring); the walk takes a run's nodes in order and
-    drops the rest of the run at the first node that goes to a corrector.
+    The start goes to a corrector with f there, so f is evaluated once
+    per point, and a prediction whose residual is at most tol is the
+    node, with no Newton step.  ``_plan`` makes the predictions a run at
+    a time, in one oracle call (see the module docstring); the walk takes
+    a run's nodes in order and drops the rest of the run at the first
+    node that is not its prediction.
     ``residuals`` holds each node's residual to p(t), at most tol but not
     near 0; ``newton_steps`` counts the Newton steps all correctors took.
     ``final_residual`` is ||f(final_x) - y_target|| from the value of f
@@ -379,7 +379,7 @@ def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
     newton_steps = 0
     status = "max_iter"
     plan = iter(())
-    # predictions accepted inline since the last rejected one; inf before
+    # predictions kept since the last rejected one; inf before
     # any is rejected
     run = math.inf
     for _ in range(100000):
@@ -393,37 +393,36 @@ def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,
             node = next(plan)
         target, guess, f_guess, miss, near = node
         if miss <= tol and miss < near:
-            # a corrector from the guess would stop there with no step
-            x, fx, residual = guess, f_guess, miss
+            # the corrector stops at the guess with no step
             run += 1
         else:
             plan = iter(())  # the rest of the run assumed this guess
             if guess is not None:
                 run = 0
-            start, f_start = (guess, f_guess) if miss < near else (x, fx)
-            corr = semismooth_newton(model, provider, target, start, tol=tol,
-                                     max_iter=CORRECTOR_ITERS, rng=rng,
-                                     fx0=f_start)
-            used_pinv = used_pinv or corr.used_pseudoinverse
-            newton_steps += len(corr.iterates) - 1
-            if corr.status == "overflow":
-                status = "overflow"
+        start, f_start = (guess, f_guess) if miss < near else (x, fx)
+        corr = semismooth_newton(model, provider, target, start, tol=tol,
+                                 max_iter=CORRECTOR_ITERS, rng=rng,
+                                 fx0=f_start)
+        used_pinv = used_pinv or corr.used_pseudoinverse
+        newton_steps += len(corr.iterates) - 1
+        if corr.status == "overflow":
+            status = "overflow"
+            break
+        if corr.status != "converged":
+            if (corr.status == "diverged"
+                    or _norm(corr.final_x) > ITERATE_NORM_LIMIT):
+                status = "diverged"
                 break
-            if corr.status != "converged":
-                if (corr.status == "diverged"
-                        or _norm(corr.final_x) > ITERATE_NORM_LIMIT):
-                    status = "diverged"
-                    break
-                dt *= 0.5
-                if dt < MIN_HOMOTOPY_STEP:
-                    status = "step_underflow"
-                    break
-                continue
-            x, fx, residual = corr.final_x, corr.final_fx, corr.final_residual
+            dt *= 0.5
+            if dt < MIN_HOMOTOPY_STEP:
+                status = "step_underflow"
+                break
+            continue
+        x, fx = corr.final_x, corr.final_fx
         t += min(dt, 1.0 - t)
         t_grid.append(t)
         iterates.append(x)
-        residuals.append(residual)
+        residuals.append(corr.final_residual)
         dt = min(dt * 2.0, base_dt)
         if _norm(x) > ITERATE_NORM_LIMIT:
             status = "diverged"

@@ -394,8 +394,7 @@ def loop_path_lift(model, provider, x0, y_target, steps=16, tol=1e-10,
                    rng=None):
     """``path_lift_invert`` one node at a time, as it ran before its
     predictions were planned in runs: each node's secant prediction is
-    evaluated alone by ``_trial``, and every node, a prediction that
-    already meets tol included, runs a corrector."""
+    evaluated alone by ``_trial`` before its corrector runs."""
     x = as_vector(x0).copy()
     y_target = as_vector(y_target)
     rng = np.random.default_rng(rng)

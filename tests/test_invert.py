@@ -181,54 +181,37 @@ def cubic_map(nan_outside=False):
 
 class TestSecantPredictor:
     @pytest.fixture
-    def lift(self, monkeypatch):
-        """path_lift_invert with two logs: the start of each node in order,
-        as (start, f at the start, target, last node, f there), whether a
-        corrector ran from it or the walk accepted its planned prediction
-        with no corrector; and (point, f, misfit norm) of each prediction
-        the walk offered a node, f None where it could not be evaluated."""
+    def correctors(self, monkeypatch):
+        """(start, f at the start, target, last node, f there) of each
+        corrector, in order, and (point, f, misfit norm) of each prediction
+        that the walk offered a node, f None where it could not be
+        evaluated: the rows of the plans that the walk took."""
+        log = {"correctors": [], "predictions": []}
         newton, plan = semismooth_newton, pjinv.invert._plan
-        log = {"starts": [], "predictions": []}
-        node, offered = [], []
-
-        def settle():
-            # an offered prediction that no corrector ran from is the node
-            if offered:
-                target, guess, f_guess = offered.pop()
-                log["starts"].append((guess, f_guess, target, *node))
-                node[:] = guess, f_guess
+        node = []
 
         def corrector(model, provider, y, x0, **kwargs):
-            offered.clear()
             if not node:
                 # the first corrector starts from the lift's x0
                 node[:] = x0, kwargs["fx0"]
-            log["starts"].append((x0, kwargs["fx0"], y, *node))
+            log["correctors"].append((x0, kwargs["fx0"], y, *node))
             tr = newton(model, provider, y, x0, **kwargs)
             if tr.status == "converged":
                 node[:] = tr.final_x, tr.final_fx
             return tr
 
         def planned(*args):
-            # the plan's rows as the walk takes them
-            for target, guess, f_guess, miss, near in plan(*args):
-                settle()
+            for row in plan(*args):
+                _, guess, f_guess, miss, _ = row
                 if guess is not None:
                     log["predictions"].append((guess, f_guess, miss))
-                offered[:] = [(target, guess, f_guess)]
-                yield target, guess, f_guess, miss, near
-
-        def run(model, provider, x0, y):
-            tr = path_lift_invert(model, provider, x0, y, rng=0)
-            settle()
-            return tr, log
+                yield row
 
         monkeypatch.setattr(pjinv.invert, "semismooth_newton", corrector)
         monkeypatch.setattr(pjinv.invert, "_plan", planned)
-        return run
+        return log
 
-    # kept: the nodes that start from their prediction, with a corrector
-    # or accepted there with none
+    # kept: the correctors that start from their prediction
     @pytest.mark.parametrize("model,provider,x0,y,kept", [
         # on the ray x(t) = t x*, every prediction after the first node
         (theta_map("a", 4, 0.5), CLARKE, [0.0] * 4, [1.0, -2.0, 0.5, 3.0],
@@ -236,15 +219,15 @@ class TestSecantPredictor:
         # off the ray the path crosses kinks, and 2 of 15 predictions miss
         (theta_map("b", 4), SUM, [0.3, -0.2, 0.1, 0.5],
          [-1.0, 2.0, -2.0, -4.0], 13),
-        # correctors fail and halve the step; 52 starts in all
+        # correctors fail and halve the step; 52 correctors in all
         (exp1d_map(), EXACT, [0.0], [-1.0], 51),
     ], ids=["theta-a-clarke", "theta-b-sum-off-ray", "exp1d-exact"])
     def test_no_corrector_starts_farther_than_the_last_node(
-            self, lift, model, provider, x0, y, kept):
-        _, log = lift(model, provider, np.array(x0), np.array(y))
-        starts = log["starts"]
-        # one prediction for each node but the first
-        assert len(log["predictions"]) == len(starts) - 1 > 0
+            self, correctors, model, provider, x0, y, kept):
+        path_lift_invert(model, provider, np.array(x0), np.array(y), rng=0)
+        starts = correctors["correctors"]
+        # one prediction for each corrector but the first
+        assert len(correctors["predictions"]) == len(starts) - 1 > 0
         assert np.array_equal(starts[0][0], x0)
         for start, f_start, target, node, f_node in starts:
             assert np.array_equal(f_start, evaluate(model, start))
@@ -265,19 +248,20 @@ class TestSecantPredictor:
         assert seen == [x0.tobytes()]
 
     def test_a_prediction_outside_the_box_starts_from_the_last_node(
-            self, lift):
+            self, correctors):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tr, log = lift(cubic_map(), EXACT, np.zeros(1), np.array([2.0]))
+            tr = path_lift_invert(cubic_map(), EXACT, np.zeros(1),
+                                  np.array([2.0]), rng=0)
         assert tr.status == "converged"
         assert tr.final_x == pytest.approx([1.0], abs=1e-10)
-        outside = [(x, f, miss) for x, f, miss in log["predictions"]
+        outside = [(x, f, miss) for x, f, miss in correctors["predictions"]
                    if abs(x[0]) > 1.0 + 1e-6]
         assert outside and all(f is None and miss == np.inf
                                for _, f, miss in outside)
         # each such prediction is followed by a corrector from the node
         for (x, _, miss), (start, _, _, node, _) in zip(
-                log["predictions"], log["starts"][1:]):
+                correctors["predictions"], correctors["correctors"][1:]):
             if miss == np.inf:
                 assert np.array_equal(start, node)
 
