@@ -11,10 +11,14 @@ makes one ``fn_batch`` call and applies ``evaluate``'s checks to every row.
 The derivative oracles ``deriv``, ``smooth_part`` and ``lip_part`` take rows
 as well: P points give P operators or P radii in one call, and
 ``dir_deriv`` gives P one-sided directional derivatives, at P points or at
-one point shared by P directions.  Every catalog map has ``dir_deriv``:
-the theta maps and abs-shift write it from the one-sided derivative of
-|s|, ``_abs_along``, and the C^1 maps take deriv(x) v from
-``_derivative_along``.
+one point shared by P directions.  Every catalog map has the form
+f(x) = g(x) + S theta(|x|): a smooth part g, a switch S that selects
+coordinates and a scalar theta, Griewank's abs-normal form with coordinate
+switching variables.  Each family declares this record once, and
+``_abs_normal_map`` derives every oracle from it, ``dir_deriv`` included
+(g'(x) v, plus theta' times the one-sided derivative of |s|,
+``_abs_along``).  One table, ``_CATALOG``, gives each identifier head its
+field counts, its constructor and its line in ``catalog_ids``.
 Batched kernels keep each working array under ``MAX_BATCH_ENTRIES`` float
 entries and process larger jobs in the blocks ``_blocks`` cuts.  Every ball
 point comes from one transform, ``_ball_points``, fed by ``_uniform_balls``
@@ -405,22 +409,90 @@ def _uniform_balls(rng, centers, radius, counts):
 # catalog
 # ---------------------------------------------------------------------------
 
-_THETA = {
-    "a": (lambda t, c: c * t, lambda t, c: c),
-    "b": (lambda t, c: t, lambda t, c: 1.0),
-    "c": (lambda t, c: t - np.log1p(t), lambda t, c: t / (1.0 + t)),
-}
-
-
 def _abs_along(s, w):
     # the one-sided derivative of |s| along w: sign(s) * w, and |w| at s = 0
     return np.where(s == 0.0, np.abs(w), np.sign(s) * w)
 
 
-def _derivative_along(deriv):
-    # the dir_deriv oracle of a C^1 map, deriv(x) v: entry i the dot of row
-    # i of deriv(x) with v, one BLAS dot's bits however many rows
-    return lambda xs, vs: _row_dots(deriv(xs), vs[:, None, :])
+def _constant_rows(a):
+    # the derivative oracle of rows of a map whose derivative is a
+    # everywhere: a read-only stride-0 view, copied nowhere, bounded once
+    m, n = a.shape
+    return lambda xs: np.broadcast_to(a, (len(xs), m, n))
+
+
+def _abs_normal_map(name, n, m, g=None, dg=None, theta=None, shift=0,
+                    **declared):
+    """The MapModel of f(x) = g(x) + S theta(|x|), every oracle derived from
+    this one record of its structure.
+
+    g is the smooth part's value oracle of rows and dg its derivative
+    oracle of rows; left out, they are the identity's on R^n.  A theta
+    gives the map a switch S, which adds theta(|x_{i+shift}|) to row
+    i < n - shift; a switch needs g the identity.  theta is a number c, for
+    theta(t) = c t, or a pair (theta, theta') of functions of t >= 0 with
+    theta' nonnegative and nondecreasing.  The record gives
+
+    - ``fn_batch``: g(x), plus theta(|x_j|) in row j - shift;
+    - ``deriv``: g'(x), plus theta'(|x_j|) sign(x_j) at (j - shift, j);
+    - ``dir_deriv``: g'(x) v, plus theta'(|x_j|) times the one-sided
+      derivative of |x_j| along v_j in row j - shift;
+    - ``smooth_part``: g';
+    - ``lip_part``: ||S||_2 theta'(||x|| + r), the steepest slope of
+      theta(|.|) on B(x, r) (|c| for a number c), and 0 without a switch.
+      ||S||_2 is taken as 1: S has at most one 1 in each row and column,
+      and none when n = shift, where the bound is sound but loose.
+
+    The keywords ``declared`` go to MapModel as they are.
+    """
+    if g is None:
+        g, dg = (lambda xs: xs.copy(order="K")), _constant_rows(np.eye(n))
+    if theta is None:
+        # deriv(x) v: entry i the dot of row i of deriv(x) with v, one BLAS
+        # dot's bits however many rows
+        return MapModel(
+            name, n, m, g, deriv=dg, smooth_part=dg,
+            dir_deriv=lambda xs, vs: _row_dots(dg(xs), vs[:, None, :]),
+            lip_part=lambda xs, r: np.zeros(len(xs)), **declared)
+    if isinstance(theta, tuple):
+        theta, dtheta = theta
+        lip_part = lambda xs, r: dtheta(_row_norms(xs) + r)
+    else:
+        c = theta
+        theta, dtheta = (lambda t: c * t), (lambda t: c)
+        lip_part = lambda xs, r: np.full(len(xs), abs(c))
+    # the rows that S adds to and its columns, the switching coordinates
+    rows, cols = slice(0, n - shift), slice(shift, None)
+
+    def fn_batch(xs):
+        # g(x) = x in the layout of xs: elementwise work then runs along the
+        # long axis
+        ys = xs.copy(order="K")
+        ys[:, rows] += theta(np.abs(xs[:, cols]))
+        return ys
+
+    def deriv(xs):
+        # g'(x) = I; a slope off the diagonal is written, not added to 0.0,
+        # so that its zero sign stays
+        jac = np.zeros((len(xs), n * n))
+        jac[:, ::n + 1] = 1.0
+        s = xs[:, cols]
+        slopes = dtheta(np.abs(s)) * np.sign(s)
+        jac[:, shift::n + 1] = slopes if shift else 1.0 + slopes
+        return jac.reshape(-1, n, n)
+
+    def dir_deriv(xs, vs):
+        # g'(x) v = v, in the layout of vs
+        s, ds = xs[:, cols], vs.copy(order="K")
+        ds[:, rows] += dtheta(np.abs(s)) * _abs_along(s, vs[:, cols])
+        return ds
+
+    return MapModel(name, n, m, fn_batch, deriv=deriv, dir_deriv=dir_deriv,
+                    smooth_part=dg, lip_part=lip_part, **declared)
+
+
+def _theta_c(t):
+    return t - np.log1p(t)
 
 
 def theta_back_substitute(kind, n, y, c=None):
@@ -429,12 +501,12 @@ def theta_back_substitute(kind, n, y, c=None):
     x_n = y_n and x_i = y_i - theta(|x_{i+1}|) going backwards; the last
     coordinate passes through unperturbed by the truncation convention.
     """
-    theta, _ = _THETA[kind]
+    theta = {"a": lambda t: c * t, "b": lambda t: t, "c": _theta_c}[kind]
     y = as_vector(y)
     x = np.empty_like(y)
     x[-1] = y[-1]
     for i in range(n - 2, -1, -1):
-        x[i] = y[i] - theta(abs(x[i + 1]), c)
+        x[i] = y[i] - theta(abs(x[i + 1]))
     return x
 
 
@@ -444,7 +516,7 @@ def theta_map(kind, n, c=None):
     (f(x))_i = x_i + theta(|x_{i+1}|) for i < n and (f(x))_n = x_n, with
     theta(t) = c*t (kind "a"), t (kind "b") or t - log(1+t) (kind "c").
     """
-    if kind not in _THETA:
+    if kind not in ("a", "b", "c"):
         raise ValueError(f"unknown theta kind {kind!r}")
     if n < 1:
         raise ValueError(f"theta map dimension must be >= 1, got {n}")
@@ -452,71 +524,24 @@ def theta_map(kind, n, c=None):
         if c is None or not np.isfinite(c):
             raise ValueError("theta-a requires a finite coefficient c")
         c = float(c)
-    theta, dtheta = _THETA[kind]
-
-    def fn_batch(xs):
-        # in the layout of xs: elementwise work then runs along the long axis
-        ys = xs.copy(order="K")
-        ys[:, :-1] += theta(np.abs(xs[:, 1:]), c)
-        return ys
-
-    eye = np.eye(n)
-
-    def deriv(xs):
-        # the identity plus theta'(|x_{i+1}|) * sign(x_{i+1}) at (i, i + 1)
-        jac = np.zeros((len(xs), n * n))
-        jac[:, ::n + 1] = 1.0
-        s = xs[:, 1:]
-        jac[:, 1::n + 1] = dtheta(np.abs(s), c) * np.sign(s)
-        return jac.reshape(-1, n, n)
-
-    def dir_deriv(xs, vs):
-        # v plus theta'(|x_{i+1}|) times the one-sided derivative of
-        # |x_{i+1}| along v_{i+1} in row i < n, in the layout of vs
-        s, ds = xs[:, 1:], vs.copy(order="K")
-        ds[:, :-1] += dtheta(np.abs(s), c) * _abs_along(s, vs[:, 1:])
-        return ds
-
-    def smooth_part(xs):
-        return np.broadcast_to(eye, (len(xs), n, n))
-
-    if kind == "a":
-        lip_part = lambda xs, r: np.full(len(xs), abs(c))
-        divergent = abs(c) < 1.0
-        name = f"theta-a:{n}:{c:g}"
+        theta, divergent, name = c, abs(c) < 1.0, f"theta-a:{n}:{c:g}"
     elif kind == "b":
-        lip_part = lambda xs, r: np.ones(len(xs))
-        divergent = False
-        name = f"theta-b:{n}"
+        theta, divergent, name = 1.0, False, f"theta-b:{n}"
     else:
-        # h is s/(1+s)-Lipschitz on the ball of radius s; bound at B(x, r)
-        # via s = ||x|| + r since theta' is increasing.
-        def lip_part(xs, r):
-            s = _row_norms(xs) + r
-            return s / (1.0 + s)
-
-        divergent = True
-        name = f"theta-c:{n}"
-
-    return MapModel(
-        name, n, n, fn_batch, deriv=deriv, dir_deriv=dir_deriv,
-        smooth_part=smooth_part, lip_part=lip_part, beta_divergent=divergent,
+        # theta' = t / (1 + t) is increasing
+        theta = (_theta_c, lambda t: t / (1.0 + t))
+        divergent, name = True, f"theta-c:{n}"
+    return _abs_normal_map(
+        name, n, n, theta=theta, shift=1, beta_divergent=divergent,
         inverse=lambda y: theta_back_substitute(kind, n, y, c),
-        rows_match=True,
-    )
+        rows_match=True)
 
 
 def identity_map(n=3):
     if n < 1:
         raise ValueError(f"identity map dimension must be >= 1, got {n}")
-    eye = np.eye(n)
-    deriv = lambda xs: np.broadcast_to(eye, (len(xs), n, n))
-    return MapModel(
-        "identity", n, n, lambda xs: xs.copy(order="K"),
-        deriv=deriv, dir_deriv=_derivative_along(deriv), smooth_part=deriv,
-        lip_part=lambda xs, r: np.zeros(len(xs)), inverse=lambda y: y.copy(),
-        beta_divergent=True, rows_match=True,
-    )
+    return _abs_normal_map("identity", n, n, inverse=lambda y: y.copy(),
+                           beta_divergent=True, rows_match=True)
 
 
 def linear_map(a, name=None):
@@ -526,100 +551,80 @@ def linear_map(a, name=None):
     if m == n and abs(np.linalg.det(a)) > 0:
         ainv = np.linalg.inv(a)
         inverse = lambda y: ainv @ y
-    deriv = lambda xs: np.broadcast_to(a, (len(xs), m, n))
-    return MapModel(
-        name or "linear", n, m, lambda xs: xs @ a.T,
-        deriv=deriv, dir_deriv=_derivative_along(deriv), smooth_part=deriv,
-        lip_part=lambda xs, r: np.zeros(len(xs)), inverse=inverse,
-        beta_divergent=inverse is not None,
-    )
+    return _abs_normal_map(name or "linear", n, m, lambda xs: xs @ a.T,
+                           _constant_rows(a), inverse=inverse,
+                           beta_divergent=inverse is not None)
 
 
 def exp1d_map():
-    deriv = lambda xs: np.exp(xs).reshape(-1, 1, 1)
-    return MapModel(
-        "exp1d", 1, 1, np.exp, deriv=deriv,
-        dir_deriv=_derivative_along(deriv), smooth_part=deriv,
-        lip_part=lambda xs, r: np.zeros(len(xs)), rows_match=True,
-        domain_halfwidth=700.0,
-    )
+    return _abs_normal_map("exp1d", 1, 1, np.exp,
+                           lambda xs: np.exp(xs).reshape(-1, 1, 1),
+                           rows_match=True, domain_halfwidth=700.0)
 
 
 def complexsq_map():
-    def fn_batch(xs):
+    def g(xs):
         return np.column_stack([xs[:, 0] ** 2 - xs[:, 1] ** 2,
                                 2.0 * xs[:, 0] * xs[:, 1]])
 
-    def deriv(xs):
+    def dg(xs):
         # [[2 x_0, -2 x_1], [2 x_1, 2 x_0]] at each row
         a, b = 2.0 * xs[:, 0], 2.0 * xs[:, 1]
         return np.stack([a, -b, b, a], axis=1).reshape(-1, 2, 2)
 
-    return MapModel("complexsq", 2, 2, fn_batch, deriv=deriv,
-                    dir_deriv=_derivative_along(deriv), smooth_part=deriv,
-                    lip_part=lambda xs, r: np.zeros(len(xs)), rows_match=True)
+    return _abs_normal_map("complexsq", 2, 2, g, dg, rows_match=True)
 
 
-def abs_shift_map(c=0.5):
-    # scalar f(x) = x + c*|x|, smooth part the identity
-    def fn_batch(xs):
-        return xs + c * np.abs(xs)
-
-    def inverse(y):
-        return np.where(y >= 0, y / (1.0 + c), y / (1.0 - c))
-
-    eye = np.eye(1)
-    return MapModel(
-        "abs-shift", 1, 1, fn_batch,
-        deriv=lambda xs: (1.0 + c * np.sign(xs)).reshape(-1, 1, 1),
-        dir_deriv=lambda xs, vs: vs + c * _abs_along(xs, vs),
-        smooth_part=lambda xs: np.broadcast_to(eye, (len(xs), 1, 1)),
-        lip_part=lambda xs, r: np.full(len(xs), c),
-        inverse=inverse, beta_divergent=c < 1.0, rows_match=True,
-    )
+def abs_shift_map():
+    # scalar f(x) = x + 0.5|x|, smooth part the identity
+    return _abs_normal_map(
+        "abs-shift", 1, 1, theta=0.5, beta_divergent=True, rows_match=True,
+        inverse=lambda y: np.where(y >= 0, y / 1.5, y / 0.5))
 
 
-# catalog head -> the numbers of ":"-separated fields it takes
-_FIELDS = {"identity": (0, 1), "linear": (1,), "theta-a": (2,),
-           "theta-b": (1,), "theta-c": (1,), "exp1d": (0,), "complexsq": (0,),
-           "abs-shift": (0,)}
+def _linear_file(path):
+    # the linear map of a whitespace matrix file, named by its identifier
+    map_id = f"linear:{path}"
+    try:
+        with warnings.catch_warnings():
+            # an empty file is refused below as an empty matrix
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            a = np.loadtxt(path, ndmin=2)
+    except OSError as exc:
+        raise ValueError(f"bad map identifier {map_id!r}: {exc}") from exc
+    return linear_map(a, name=map_id)
+
+
+# catalog head -> (the numbers of ":"-separated fields it takes, the
+# constructor of those fields, its line in the listing)
+_CATALOG = {
+    "identity": ((0, 1), lambda *n: identity_map(*map(int, n)),
+                 ("identity", "n -> n (default n=3)")),
+    "linear": ((1,), _linear_file, ("linear:<matrix-file>",
+                                    "n -> m from a whitespace matrix file")),
+    "theta-a": ((2,), lambda n, c: theta_map("a", int(n), float(c)),
+                ("theta-a:<n>:<c>", "n -> n, theta(t) = c*t")),
+    "theta-b": ((1,), lambda n: theta_map("b", int(n)),
+                ("theta-b:<n>", "n -> n, theta(t) = t")),
+    "theta-c": ((1,), lambda n: theta_map("c", int(n)),
+                ("theta-c:<n>", "n -> n, theta(t) = t - log(1+t)")),
+    "exp1d": ((0,), exp1d_map, ("exp1d", "1 -> 1, exp")),
+    "complexsq": ((0,), complexsq_map, ("complexsq", "2 -> 2, complex square")),
+    "abs-shift": ((0,), abs_shift_map, ("abs-shift", "1 -> 1, x + 0.5|x|")),
+}
 
 
 def make_map(map_id):
     """Resolve a catalog identifier string, every field used, to a MapModel."""
     head, *fields = map_id.split(":")
-    if head not in _FIELDS:
+    if head not in _CATALOG:
         raise ValueError(f"unknown map identifier {map_id!r}")
-    if len(fields) not in _FIELDS[head]:
+    counts, build, _ = _CATALOG[head]
+    if len(fields) not in counts:
         raise ValueError(f"bad map identifier {map_id!r}: wrong field count")
-    if head == "linear":
-        try:
-            with warnings.catch_warnings():
-                # an empty file is refused below as an empty matrix
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                a = np.loadtxt(fields[0], ndmin=2)
-        except OSError as exc:
-            raise ValueError(f"bad map identifier {map_id!r}: {exc}") from exc
-        return linear_map(a, name=map_id)
-    if head == "identity":
-        return identity_map(*map(int, fields))
-    if head == "theta-a":
-        return theta_map("a", int(fields[0]), float(fields[1]))
-    if head in ("theta-b", "theta-c"):
-        return theta_map(head[-1], int(fields[0]))
-    return {"exp1d": exp1d_map, "complexsq": complexsq_map,
-            "abs-shift": abs_shift_map}[head]()
+    return build(*fields)
 
 
 def catalog_ids():
     """Stable listing of catalog identifiers with dimensions."""
-    return [
-        ("identity", "n -> n (default n=3)"),
-        ("linear:<matrix-file>", "n -> m from a whitespace matrix file"),
-        ("theta-a:<n>:<c>", "n -> n, theta(t) = c*t"),
-        ("theta-b:<n>", "n -> n, theta(t) = t"),
-        ("theta-c:<n>", "n -> n, theta(t) = t - log(1+t)"),
-        ("exp1d", "1 -> 1, exp"),
-        ("complexsq", "2 -> 2, complex square"),
-        ("abs-shift", "1 -> 1, x + 0.5|x|"),
-    ]
+    return [line for _, _, line in _CATALOG.values()]

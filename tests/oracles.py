@@ -55,6 +55,11 @@ the CLI's reports must equal it to the byte.
 projection as the package wrote them before their broadcast passes ran
 down the columns of a tall block: every pass along the rows.  The
 kernels must equal them to the bit, zero signs included.
+``reference_catalog_map`` and ``reference_linear_map`` are the catalog
+maps as the package wrote them before it derived their oracles from one
+structure record: each family's ``deriv``, ``dir_deriv``,
+``smooth_part`` and ``lip_part`` written out by hand.  The derived
+oracles must equal them to the bit, zero signs and layouts included.
 """
 
 import copy
@@ -69,8 +74,8 @@ from pjinv.indices import set_conorm_bounds
 from pjinv.invert import (CORRECTOR_ITERS, ITERATE_NORM_LIMIT,
                           MIN_HOMOTOPY_STEP, InversionTrace, _misfit, _trial,
                           semismooth_newton)
-from pjinv.linalg import (_corral, _off_affine, _row_norms, as_vector, conorm,
-                          spectral_norm)
+from pjinv.linalg import (_corral, _off_affine, _row_dots, _row_norms,
+                          as_matrix, as_vector, conorm, spectral_norm)
 from pjinv.maps import (DomainError, MapModel, _blocks, _oracle_rows,
                         _uniform_ball, evaluate, evaluate_batch,
                         local_lipschitz_estimate, numeric_jacobian)
@@ -718,3 +723,170 @@ def reference_project_to_hull(p, vertices, gap_tol=1e-10, max_iter=50000):
         active, lam, x, xx = new_active, new_lam, new_x, new_xx
     point = lam @ v[active]
     return point, float(np.linalg.norm(point - p))
+
+
+# The catalog as the package wrote it before its oracles were derived from
+# one structure record: every family's oracles written out by hand.
+
+_REFERENCE_THETA = {
+    "a": (lambda t, c: c * t, lambda t, c: c),
+    "b": (lambda t, c: t, lambda t, c: 1.0),
+    "c": (lambda t, c: t - np.log1p(t), lambda t, c: t / (1.0 + t)),
+}
+
+
+def _reference_abs_along(s, w):
+    return np.where(s == 0.0, np.abs(w), np.sign(s) * w)
+
+
+def _reference_derivative_along(deriv):
+    return lambda xs, vs: _row_dots(deriv(xs), vs[:, None, :])
+
+
+def reference_theta_back_substitute(kind, n, y, c=None):
+    theta, _ = _REFERENCE_THETA[kind]
+    y = as_vector(y)
+    x = np.empty_like(y)
+    x[-1] = y[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = y[i] - theta(abs(x[i + 1]), c)
+    return x
+
+
+def _reference_theta_map(kind, n, c=None):
+    if kind == "a":
+        c = float(c)
+    theta, dtheta = _REFERENCE_THETA[kind]
+
+    def fn_batch(xs):
+        ys = xs.copy(order="K")
+        ys[:, :-1] += theta(np.abs(xs[:, 1:]), c)
+        return ys
+
+    eye = np.eye(n)
+
+    def deriv(xs):
+        jac = np.zeros((len(xs), n * n))
+        jac[:, ::n + 1] = 1.0
+        s = xs[:, 1:]
+        jac[:, 1::n + 1] = dtheta(np.abs(s), c) * np.sign(s)
+        return jac.reshape(-1, n, n)
+
+    def dir_deriv(xs, vs):
+        s, ds = xs[:, 1:], vs.copy(order="K")
+        ds[:, :-1] += dtheta(np.abs(s), c) * _reference_abs_along(s, vs[:, 1:])
+        return ds
+
+    def smooth_part(xs):
+        return np.broadcast_to(eye, (len(xs), n, n))
+
+    if kind == "a":
+        lip_part = lambda xs, r: np.full(len(xs), abs(c))
+        divergent = abs(c) < 1.0
+        name = f"theta-a:{n}:{c:g}"
+    elif kind == "b":
+        lip_part = lambda xs, r: np.ones(len(xs))
+        divergent = False
+        name = f"theta-b:{n}"
+    else:
+        def lip_part(xs, r):
+            s = _row_norms(xs) + r
+            return s / (1.0 + s)
+
+        divergent = True
+        name = f"theta-c:{n}"
+
+    return MapModel(
+        name, n, n, fn_batch, deriv=deriv, dir_deriv=dir_deriv,
+        smooth_part=smooth_part, lip_part=lip_part, beta_divergent=divergent,
+        inverse=lambda y: reference_theta_back_substitute(kind, n, y, c),
+        rows_match=True,
+    )
+
+
+def _reference_identity_map(n=3):
+    eye = np.eye(n)
+    deriv = lambda xs: np.broadcast_to(eye, (len(xs), n, n))
+    return MapModel(
+        "identity", n, n, lambda xs: xs.copy(order="K"),
+        deriv=deriv, dir_deriv=_reference_derivative_along(deriv),
+        smooth_part=deriv, lip_part=lambda xs, r: np.zeros(len(xs)),
+        inverse=lambda y: y.copy(), beta_divergent=True, rows_match=True,
+    )
+
+
+def reference_linear_map(a, name=None):
+    """The ``linear:`` map of the matrix a, as the package wrote it before
+    its oracles were derived from a structure record."""
+    a = as_matrix(a)
+    m, n = a.shape
+    inverse = None
+    if m == n and abs(np.linalg.det(a)) > 0:
+        ainv = np.linalg.inv(a)
+        inverse = lambda y: ainv @ y
+    deriv = lambda xs: np.broadcast_to(a, (len(xs), m, n))
+    return MapModel(
+        name or "linear", n, m, lambda xs: xs @ a.T,
+        deriv=deriv, dir_deriv=_reference_derivative_along(deriv),
+        smooth_part=deriv, lip_part=lambda xs, r: np.zeros(len(xs)),
+        inverse=inverse, beta_divergent=inverse is not None,
+    )
+
+
+def _reference_exp1d_map():
+    deriv = lambda xs: np.exp(xs).reshape(-1, 1, 1)
+    return MapModel(
+        "exp1d", 1, 1, np.exp, deriv=deriv,
+        dir_deriv=_reference_derivative_along(deriv), smooth_part=deriv,
+        lip_part=lambda xs, r: np.zeros(len(xs)), rows_match=True,
+        domain_halfwidth=700.0,
+    )
+
+
+def _reference_complexsq_map():
+    def fn_batch(xs):
+        return np.column_stack([xs[:, 0] ** 2 - xs[:, 1] ** 2,
+                                2.0 * xs[:, 0] * xs[:, 1]])
+
+    def deriv(xs):
+        a, b = 2.0 * xs[:, 0], 2.0 * xs[:, 1]
+        return np.stack([a, -b, b, a], axis=1).reshape(-1, 2, 2)
+
+    return MapModel("complexsq", 2, 2, fn_batch, deriv=deriv,
+                    dir_deriv=_reference_derivative_along(deriv),
+                    smooth_part=deriv,
+                    lip_part=lambda xs, r: np.zeros(len(xs)), rows_match=True)
+
+
+def _reference_abs_shift_map(c=0.5):
+    def fn_batch(xs):
+        return xs + c * np.abs(xs)
+
+    def inverse(y):
+        return np.where(y >= 0, y / (1.0 + c), y / (1.0 - c))
+
+    eye = np.eye(1)
+    return MapModel(
+        "abs-shift", 1, 1, fn_batch,
+        deriv=lambda xs: (1.0 + c * np.sign(xs)).reshape(-1, 1, 1),
+        dir_deriv=lambda xs, vs: vs + c * _reference_abs_along(xs, vs),
+        smooth_part=lambda xs: np.broadcast_to(eye, (len(xs), 1, 1)),
+        lip_part=lambda xs, r: np.full(len(xs), c),
+        inverse=inverse, beta_divergent=c < 1.0, rows_match=True,
+    )
+
+
+def reference_catalog_map(map_id):
+    """The catalog map of map_id (any identifier but ``linear:``, which
+    ``reference_linear_map`` builds from its matrix), as the package wrote
+    it before its oracles were derived from a structure record."""
+    head, *fields = map_id.split(":")
+    if head == "identity":
+        return _reference_identity_map(*map(int, fields))
+    if head == "theta-a":
+        return _reference_theta_map("a", int(fields[0]), float(fields[1]))
+    if head in ("theta-b", "theta-c"):
+        return _reference_theta_map(head[-1], int(fields[0]))
+    return {"exp1d": _reference_exp1d_map,
+            "complexsq": _reference_complexsq_map,
+            "abs-shift": _reference_abs_shift_map}[head]()

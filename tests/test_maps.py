@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (chain_suite_map, complexsq_jacobian, dini_derivatives,
-                     reference_check_point, theta_jacobian)
+                     reference_catalog_map, reference_check_point,
+                     reference_linear_map, theta_jacobian)
 from pjinv.hadamard import beta_profile
 from pjinv.indices import _stack_bounds, set_conorm_bounds
 from pjinv.maps import (DomainError, MapModel, _check_point, _unit_rows,
@@ -216,8 +217,9 @@ def test_row_oracles_equal_one_row_calls(model, closed_form, count, seed,
     for x, radius in zip(xs, radii):
         assert model.lip_part(x[None], r)[0] == radius
     if closed_form is not None:
+        # to the byte: theta-a with c < 0 has -0.0 at its kinks
         for x, jac in zip(xs, model.deriv(xs)):
-            np.testing.assert_array_equal(jac, closed_form(x))
+            assert jac.tobytes() == closed_form(x).tobytes()
     # the stacked bound of the sum sets equals each set's own bound
     vertices, set_radii = build_sets(model, xs, parse_provider("sum"))
     lower, upper, certified, _ = _stack_bounds(vertices, set_radii, 1e-3)
@@ -315,6 +317,73 @@ def test_dir_deriv_is_the_limit_of_one_sided_quotients(model, seed, zeroed):
     np.testing.assert_array_equal(
         model.dir_deriv(xs[:1], vs),
         model.dir_deriv(np.repeat(xs[:1], count, axis=0), vs), strict=True)
+
+
+# every catalog map beside its frozen hand-written copy in tests/oracles.py,
+# theta-a with c < 0, n = 1 and n = 50 among them
+DERIVED_IDS = ["theta-a:1:0.5", "theta-a:3:-1.5", "theta-a:4:0.5",
+               "theta-a:50:0.5", "theta-a:4:-2", "theta-b:3", "theta-c:1",
+               "theta-c:5", "identity", "identity:1", "exp1d", "complexsq",
+               "abs-shift"]
+LINEAR_MATRICES = [np.array([[2.0, 1.0, 0.5], [0.0, 3.0, -1.0]]),
+                   np.random.default_rng(7).standard_normal((3, 3)),
+                   np.zeros((2, 2))]
+DERIVED_MAPS = ([(make_map(i), reference_catalog_map(i)) for i in DERIVED_IDS]
+                + [(linear_map(a), reference_linear_map(a))
+                   for a in LINEAR_MATRICES])
+
+
+def assert_same_array(a, b):
+    # equal to the byte, zero signs included, in one shape, dtype and layout
+    # (a stride-0 view included)
+    assert (a.shape, a.dtype, a.strides) == (b.shape, b.dtype, b.strides)
+    assert a.tobytes() == b.tobytes()
+
+
+def signed_zeros(rng, a, rate):
+    # a with about rate of its entries set to +0.0 or -0.0
+    hit = rng.uniform(size=a.shape) < rate
+    a[hit] = np.where(rng.uniform(size=a.shape) < 0.5, 0.0, -0.0)[hit]
+    return a
+
+
+@pytest.mark.parametrize("model, reference", DERIVED_MAPS,
+                         ids=[model.name for model, _ in DERIVED_MAPS])
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(count=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       zeroed=st.sampled_from([0.0, 0.5, 1.0]), fortran=st.booleans(),
+       r=st.sampled_from([0.0, 1e-2, 2.0]))
+def test_derived_oracles_equal_the_hand_written_ones(model, reference, count,
+                                                     seed, zeroed, fortran, r):
+    # random points with kink coordinates of either zero sign, directions
+    # with zero entries of either sign, rows in C or Fortran layout
+    rng = np.random.default_rng(seed)
+    layout = np.asfortranarray if fortran else np.ascontiguousarray
+    xs = layout(signed_zeros(rng, rng.uniform(-3.0, 3.0, (count, model.dim_in)),
+                             zeroed))
+    vs = layout(signed_zeros(rng, rng.standard_normal((count, model.dim_in)),
+                             zeroed))
+    for name in ("fn_batch", "deriv", "smooth_part"):
+        assert_same_array(getattr(model, name)(xs), getattr(reference, name)(xs))
+    for radius in (r, rng.uniform(0.0, 2.0, count)):
+        assert_same_array(model.lip_part(xs, radius),
+                          reference.lip_part(xs, radius))
+    # at P points, and at one point that every direction shares
+    for at in (xs, xs[:1]):
+        assert_same_array(model.dir_deriv(at, vs), reference.dir_deriv(at, vs))
+    if reference.inverse is not None:
+        for y in reference.fn_batch(xs):
+            assert_same_array(model.inverse(y), reference.inverse(y))
+
+
+@pytest.mark.parametrize("model, reference", DERIVED_MAPS,
+                         ids=[model.name for model, _ in DERIVED_MAPS])
+def test_derived_maps_declare_what_the_hand_written_ones_did(model, reference):
+    # the layouts, a stride-0 smooth_part included, are compared above
+    for name in ("name", "dim_in", "dim_out", "rows_match", "beta_divergent",
+                 "domain_halfwidth"):
+        assert getattr(model, name) == getattr(reference, name)
+    assert (model.inverse is None) == (reference.inverse is None)
 
 
 class TestLocalLipschitz:
