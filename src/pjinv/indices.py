@@ -524,10 +524,11 @@ def regularity_index(model, provider, x, radii=None, net=DEFAULT_NET,
     points sampled in the ball B(x, r) are bounded (``_set_values``), and
     the index is the max over r of the per-radius minima.  Under upper
     semicontinuity the index equals the hull co-norm infimum at x, so
-    ``use_usc_shortcut`` takes the single radius 0, whose only point is x;
-    otherwise the radii are ``radii``, by default 1, 0.1 and 0.01 times
-    1 + ||x||.  The witness comes from the set of the first minimum at the
-    first maximal radius, by the rule of ``_witness``.
+    ``use_usc_shortcut`` takes the single radius 0, whose only point is x,
+    and refuses ``radii`` (ValueError); otherwise the radii are ``radii``,
+    by default 1, 0.1 and 0.01 times 1 + ||x||.  The witness comes from
+    the set of the first minimum at the first maximal radius, by the rule
+    of ``_witness``.
 
     The ``regular`` verdict requires every bound to be certified and the
     index to clear the numerical-singularity margin 10 * net.
@@ -535,6 +536,8 @@ def regularity_index(model, provider, x, radii=None, net=DEFAULT_NET,
     x = as_vector(x)
     rng = np.random.default_rng(rng)
     if use_usc_shortcut:
+        if radii is not None:
+            raise ValueError("radii need use_usc_shortcut=False")
         radii = [0.0]
     elif radii is None:
         radii = [r * (1.0 + np.linalg.norm(x)) for r in (1.0, 0.1, 0.01)]

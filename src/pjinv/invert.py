@@ -21,8 +21,8 @@ and from then on one node more than the predictions kept since the last
 rejected one, so a lift whose predictions keep missing tol predicts a
 node at a time.  For a map that does not declare ``rows_match``
 (``linear``: a many-row product may round differently from a one-row
-one) every run is one node, and its prediction is evaluated by
-``evaluate``'s one-row call.
+one) every run is one node.  Every prediction, a run of one node
+included, is checked, evaluated and measured by ``_plan``.
 
 Every inverter evaluates f once per point it visits: the value at an
 accepted trial point is the next iterate's value, and the points of a
@@ -265,15 +265,15 @@ def _plan(model, iterates, t_grid, fx, dt, base_dt, y0, y_target, window):
     base_dt after each node, and t stops at 1), and each guess is the
     secant prediction of the two nodes before it.  A plan takes at most
     ``window`` nodes, and one node unless the map declares ``rows_match``.
-    Its guesses are checked and evaluated in one oracle call, and both
-    norms of every node are taken in one pass; a plan of one node takes
-    ``evaluate``'s one-row path, as ``_trial``.  The plan ends early at the
-    first node whose guess is not evaluated: at the lift's first node and
-    where the guess equals the node before it (a point not evaluated
-    again), whose guess is None, and where the guess fails evaluate's
-    input checks.  Such a node's value is None and its norms inf, and a
-    guess whose value is not finite has a norm that is not finite, so the
-    corrector starts from the last node, as it does after ``_trial``'s inf.
+    Its guesses, one or many, are checked and evaluated in one oracle
+    call, and both norms of every node are taken in one pass.  The plan
+    ends early at the first node whose guess is not evaluated: at the
+    lift's first node and where the guess equals the node before it (a
+    point not evaluated again), whose guess is None, and where the guess
+    fails evaluate's input checks.  Such a node's value is None and its
+    norms inf.  A guess whose value is not finite has a norm that is not
+    finite (NaN where ``_trial`` gives inf), and the walk takes either as
+    a rejected guess: the corrector starts from the last node.
     """
     times = t_grid[-2:]
     steps = []
@@ -286,11 +286,10 @@ def _plan(model, iterates, t_grid, fx, dt, base_dt, y0, y_target, window):
         steps.append(min(dt, 1.0 - times[-1]))
         times.append(times[-1] + steps[-1])
         dt = min(dt * 2.0, base_dt)
-    if len(steps) == 1:
-        return iter([_predict(model, iterates, t_grid, fx, steps[0], y0,
-                              y_target)])
-    s = np.array(times[2:])[:, None]
+    s = np.array(times[-len(steps):])[:, None]
     targets = (1.0 - s) * y0 + s * y_target
+    if len(iterates) == 1:
+        return iter([(targets[0], None, None, np.inf, np.inf)])
     # x + step / (t - t_prev) * (x - x_prev) in the rows after the last two
     # nodes, with the bits of that expression
     nodes = np.empty((len(steps) + 2, model.dim_in))
@@ -320,19 +319,6 @@ def _plan(model, iterates, t_grid, fx, dt, base_dt, y0, y_target, window):
         guess = guesses[stop] if stop < len(guesses) else None
         rows.append((targets[stop], guess, None, np.inf, np.inf))
     return iter(rows)
-
-
-def _predict(model, iterates, t_grid, fx, step, y0, y_target):
-    # _plan's one node, from _trial
-    t = t_grid[-1]
-    target = (1.0 - (t + step)) * y0 + (t + step) * y_target
-    if len(iterates) > 1:
-        x = iterates[-1]
-        guess = x + (step / (t - t_grid[-2])) * (x - iterates[-2])
-        if not np.array_equal(guess, x):
-            f_guess, _, miss = _trial(model, guess, target)
-            return target, guess, f_guess, miss, _misfit(fx, target)[1]
-    return target, None, None, np.inf, np.inf
 
 
 def path_lift_invert(model, provider, x0, y_target, steps=16, tol=1e-10,

@@ -440,8 +440,8 @@ def _abs_normal_map(name, n, m, g=None, dg=None, theta=None, shift=0,
     - ``smooth_part``: g';
     - ``lip_part``: ||S||_2 theta'(||x|| + r), the steepest slope of
       theta(|.|) on B(x, r) (|c| for a number c), and 0 without a switch.
-      ||S||_2 is taken as 1: S has at most one 1 in each row and column,
-      and none when n = shift, where the bound is sound but loose.
+      ||S||_2 is 1 when S has a 1 (it has at most one in each row and
+      column), and 0 when n = shift, where S is empty and f is g.
 
     The keywords ``declared`` go to MapModel as they are.
     """
@@ -461,6 +461,8 @@ def _abs_normal_map(name, n, m, g=None, dg=None, theta=None, shift=0,
         c = theta
         theta, dtheta = (lambda t: c * t), (lambda t: c)
         lip_part = lambda xs, r: np.full(len(xs), abs(c))
+    if n == shift:
+        lip_part = lambda xs, r: np.zeros(len(xs))  # ||S||_2 = 0
     # the rows that S adds to and its columns, the switching coordinates
     rows, cols = slice(0, n - shift), slice(shift, None)
 

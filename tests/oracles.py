@@ -58,8 +58,10 @@ kernels must equal them to the bit, zero signs included.
 ``reference_catalog_map`` and ``reference_linear_map`` are the catalog
 maps as the package wrote them before it derived their oracles from one
 structure record: each family's ``deriv``, ``dir_deriv``,
-``smooth_part`` and ``lip_part`` written out by hand.  The derived
-oracles must equal them to the bit, zero signs and layouts included.
+``smooth_part`` and ``lip_part`` written out by hand, except a theta
+map's ``lip_part`` at n = 1, which is 0 there: the map is the identity.
+The derived oracles must equal them to the bit, zero signs and layouts
+included.
 """
 
 import copy
@@ -795,6 +797,9 @@ def _reference_theta_map(kind, n, c=None):
 
         divergent = True
         name = f"theta-c:{n}"
+    if n == 1:
+        # no switch: the identity on R, whose sum set has radius 0
+        lip_part = lambda xs, r: np.zeros(len(xs))
 
     return MapModel(
         name, n, n, fn_batch, deriv=deriv, dir_deriv=dir_deriv,

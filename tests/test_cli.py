@@ -200,6 +200,17 @@ class TestCertify:
         assert code == 1
         assert json.loads(out)["verdict"] == "not-regular"
 
+    @pytest.mark.parametrize("map_id", ["theta-a:1:0.5", "theta-a:1:-3",
+                                        "theta-b:1", "theta-c:1"])
+    def test_a_theta_map_on_r_is_the_identity(self, capsys, map_id):
+        # at n = 1 the switch is empty, so the sum set is {1} with radius 0
+        code, out, _ = run(capsys, "certify", "--map", map_id,
+                           "--provider", "sum", "--grid-n", "9")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["verdict"] == "regular-certified"
+        assert rec["alpha_min"] == 1.0
+
     def test_theta_c_analytic(self, capsys):
         code, out, _ = run(capsys, "certify", "--map", "theta-c:6",
                            "--provider", "sum", "--analytic-beta",

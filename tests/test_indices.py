@@ -410,6 +410,13 @@ class TestRegularityIndex:
             (alpha, radius)
         assert hashlib.sha256(rep.witness.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("radii", [[0.5], [0.0], []])
+    def test_radii_rejected_with_the_usc_shortcut(self, radii):
+        # the shortcut takes radius 0 alone, so given radii would be dropped
+        with pytest.raises(ValueError, match="use_usc_shortcut=False"):
+            regularity_index(theta_map("a", 2, 0.5), parse_provider("sum"),
+                             np.zeros(2), radii=radii)
+
     def test_empty_radii_rejected(self):
         with pytest.raises(ValueError):
             regularity_index(theta_map("a", 2, 0.5), parse_provider("sum"),

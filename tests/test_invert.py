@@ -478,8 +478,9 @@ def without_rows_match(model):
 # providers it takes: lifts that are straight (theta-a from 0), cross
 # kinks or curve, that fail (exp1d to a negative target), that plan one
 # node at a time (linear and a theta-a copy without rows_match), and whose
-# predictions leave the box or reach NaN values inside a plan (the cubics
-# to a corner, +-2, where the lift ends at the edge)
+# predictions leave the box or reach NaN values (the cubics to a corner,
+# +-2, where the lift ends at the edge), inside a plan or, in the copies
+# without rows_match, as a plan's one node
 CLARKE_TEXT = "clarke:delta=1e-4,m=8,eps=0"
 ALL_PROVIDERS = ["exact", "sum", CLARKE_TEXT]
 PLANNED_LIFTS = [
@@ -495,6 +496,10 @@ PLANNED_LIFTS = [
      ALL_PROVIDERS),
     (cubic_map(), 1.0, (-2.0, 2.0), ["exact", CLARKE_TEXT]),
     (cubic_map(nan_outside=True), 1.0, (-2.0, 2.0), ["exact"]),
+    (without_rows_match(cubic_map()), 1.0, (-2.0, 2.0),
+     ["exact", CLARKE_TEXT]),
+    (without_rows_match(cubic_map(nan_outside=True)), 1.0, (-2.0, 2.0),
+     ["exact"]),
 ]
 
 
