@@ -225,8 +225,9 @@ def ball_inclusion_test(model, provider, x0, delta, profile, samples=50,
 
 
 def write_profile_csv(profile, path):
-    """Export a profile as CSV with header t,beta,rho, 12 significant digits."""
+    """Export a profile as CSV with header t,beta,rho, 17 significant digits,
+    so that float() of each field gives back its double to the bit."""
     with open(path, "w", newline="") as fh:
         fh.write("t,beta,rho\n")
         for t, b, r in zip(profile.grid, profile.beta, profile.rho):
-            fh.write(f"{t:.12g},{b:.12g},{r:.12g}\n")
+            fh.write(f"{t:.17g},{b:.17g},{r:.17g}\n")

@@ -17,8 +17,10 @@ coordinates and a scalar theta, Griewank's abs-normal form with coordinate
 switching variables.  Each family declares this record once, and
 ``_abs_normal_map`` derives every oracle from it, ``dir_deriv`` included
 (g'(x) v, plus theta' times the one-sided derivative of |s|,
-``_abs_along``).  One table, ``_CATALOG``, gives each identifier head its
-field counts, its constructor and its line in ``catalog_ids``.
+``_abs_along``), and the ``kinks`` and ``piecewise_affine`` declarations
+that the mean value check cuts a segment by.  One table, ``_CATALOG``,
+gives each identifier head its field counts, its constructor and its line
+in ``catalog_ids``.
 Batched kernels keep each working array under ``MAX_BATCH_ENTRIES`` float
 entries and process larger jobs in the blocks ``_blocks`` cuts.  Every ball
 point comes from one transform, ``_ball_points``, fed by ``_uniform_balls``
@@ -113,11 +115,22 @@ class MapModel:
         ``linear`` declares it (a many-row gemm may round differently from
         a one-row one).  Path lifting evaluates the nodes it predicts in
         one call only for a map that declares it.
+    kinks : sequence of int, optional
+        Declared: the coordinates j off whose hyperplanes x_j = 0 the map is
+        smooth (an abs-normal form's switching coordinates).  None, the
+        default, means unknown; empty means smooth everywhere.
+        ``properties.mvt_check`` cuts a segment where it crosses them.
+    piecewise_affine : bool
+        Declared: whether the map is affine on each sign piece of its
+        ``kinks``, so that its derivative is constant between two kink
+        crossings of a segment.  Read only when ``kinks`` is declared;
+        False by default.
     """
 
     def __init__(self, name, dim_in, dim_out, fn_batch, deriv=None,
                  dir_deriv=None, smooth_part=None, lip_part=None, inverse=None,
-                 beta_divergent=False, rows_match=False,
+                 beta_divergent=False, rows_match=False, kinks=None,
+                 piecewise_affine=False,
                  domain_halfwidth=DEFAULT_DOMAIN_HALFWIDTH):
         self.name = name
         self.dim_in = int(dim_in)
@@ -131,6 +144,8 @@ class MapModel:
         self.inverse = inverse
         self.beta_divergent = beta_divergent
         self.rows_match = rows_match
+        self.kinks = kinks
+        self.piecewise_affine = piecewise_affine
         self.domain_halfwidth = float(domain_halfwidth)
 
     def __call__(self, x):
@@ -422,7 +437,7 @@ def _constant_rows(a):
 
 
 def _abs_normal_map(name, n, m, g=None, dg=None, theta=None, shift=0,
-                    **declared):
+                    affine=False, **declared):
     """The MapModel of f(x) = g(x) + S theta(|x|), every oracle derived from
     this one record of its structure.
 
@@ -441,12 +456,19 @@ def _abs_normal_map(name, n, m, g=None, dg=None, theta=None, shift=0,
     - ``lip_part``: ||S||_2 theta'(||x|| + r), the steepest slope of
       theta(|.|) on B(x, r) (|c| for a number c), and 0 without a switch.
       ||S||_2 is 1 when S has a 1 (it has at most one in each row and
-      column), and 0 when n = shift, where S is empty and f is g.
+      column), and 0 when n = shift, where S is empty and f is g;
+    - ``kinks``: the columns of S, range(shift, n), and none without a
+      switch;
+    - ``piecewise_affine``: whether theta is a number and g affine, which
+      ``affine`` declares (the identity's g is).
 
     The keywords ``declared`` go to MapModel as they are.
     """
     if g is None:
         g, dg = (lambda xs: xs.copy(order="K")), _constant_rows(np.eye(n))
+        affine = True
+    declared.update(kinks=range(shift, n) if theta is not None else range(0),
+                    piecewise_affine=affine and not isinstance(theta, tuple))
     if theta is None:
         # deriv(x) v: entry i the dot of row i of deriv(x) with v, one BLAS
         # dot's bits however many rows
@@ -554,7 +576,7 @@ def linear_map(a, name=None):
         ainv = np.linalg.inv(a)
         inverse = lambda y: ainv @ y
     return _abs_normal_map(name or "linear", n, m, lambda xs: xs @ a.T,
-                           _constant_rows(a), inverse=inverse,
+                           _constant_rows(a), affine=True, inverse=inverse,
                            beta_divergent=inverse is not None)
 
 

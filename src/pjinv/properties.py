@@ -1,4 +1,10 @@
-"""Executable structural checks: mean value inclusion, optimality, chain rule."""
+"""Executable structural checks: mean value inclusion, optimality, chain rule.
+
+The mean value check samples a segment where its derivative can change: a
+map that declares its kinks and is piecewise-affine between them is sampled
+once per sign piece, any other map on a uniform grid (Clarke, Optimization
+and Nonsmooth Analysis, 1983, Prop. 2.6.5, for the inclusion it tests).
+"""
 
 import numpy as np
 
@@ -13,22 +19,52 @@ def mvt_check(model, provider, u, v, segment_samples=64, tol=1e-6, rng=None):
     """Check f(v) - f(u) against the hull of segment derivative actions.
 
     The hull is built from {T (v-u) : T vertex of the provider set at z} for
-    z on a uniform grid of [u, v], inflated by (max provider radius) times
-    ||v - u||; one ``build_sets`` call builds the sets of the whole grid.
-    Returns (distance, pass).
+    z at the points ``_segment_times`` picks on [u, v], inflated by (max
+    provider radius) times ||v - u||; one ``build_sets`` call builds the
+    sets of all of them.  segment_samples is the size of the uniform grid
+    that a map which does not declare itself piecewise-affine is sampled
+    on.  Returns (distance, pass).
     """
     if segment_samples < 2:
         raise ValueError("segment_samples must be >= 2")
     u = as_vector(u)
     v = as_vector(v)
     direction = v - u
-    ts = np.linspace(0.0, 1.0, segment_samples)
+    # the ends first: their checks refuse a bad segment before any set is
+    # built, and the kink crossings need ends of the map's dimension
+    gap = evaluate(model, v) - evaluate(model, u)
+    ts = _segment_times(model, u, v, segment_samples)
     vertices, radii = build_sets(model, u + ts[:, None] * direction, provider,
                                  rng=rng)
-    gap = evaluate(model, v) - evaluate(model, u)
     dist = dist_to_hull(gap, (vertices @ direction).reshape(-1, gap.size),
                         float(radii.max()) * np.linalg.norm(direction))
     return dist, dist <= tol
+
+
+def _segment_times(model, u, v, samples):
+    """The parameters t in [0, 1] of the points u + t (v - u) that
+    ``mvt_check`` builds sets at.
+
+    Kink coordinate j of the model changes sign at t_j = u_j / (u_j - v_j)
+    when u_j and v_j have opposite signs; the distinct t_j cut [0, 1] into
+    sign pieces.  The derivative of a piecewise-affine map is constant on
+    each piece, so the piece midpoints alone give the exact hull.  Any
+    other map is sampled on the uniform grid of ``samples`` points, and
+    when the segment crosses a kink the piece midpoints follow it: the
+    grid's sets keep their draws, and the distance can only fall.  A model
+    whose kinks are unknown takes the grid.
+    """
+    grid = np.linspace(0.0, 1.0, samples)
+    if model.kinks is None:
+        return grid
+    a, b = u[model.kinks], v[model.kinks]
+    cross = np.sign(a) * np.sign(b) < 0.0
+    if not (model.piecewise_affine or cross.any()):
+        return grid
+    a, b = a[cross], b[cross]
+    edges = np.unique(np.concatenate([[0.0, 1.0], a / (a - b)]))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    return mids if model.piecewise_affine else np.concatenate([grid, mids])
 
 
 def optimality_check(scalar_model, provider, x0, tol=1e-6, rng=None):

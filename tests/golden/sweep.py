@@ -25,6 +25,9 @@ when none is named):
 - check_mvt_maps, which cycles through a Clarke ``check mvt`` on each of
   MVT_MAPS (n = 1 to 4), so that the sampling, stencil and hull kernels
   run on blocks of every width from 1 to 4 columns;
+- check_mvt_exact, which cycles through an ``exact`` ``check mvt`` at
+  tolerance 1e-9 on each of MVT_EXACT_MAPS, piecewise-affine maps whose
+  sign pieces give the exact hull: every command must exit 0;
 - config_error, which cycles through one malformed command for each
   config error that ``pjinv.cli`` raises (a config file it names is
   written, with a relative path, to the directory the sweep runs in).
@@ -105,6 +108,9 @@ CLASSES = {
     "check_mvt_maps": lambda s: (
         f"check mvt --map {MVT_MAPS[s % len(MVT_MAPS)]} "
         f"--provider clarke:delta=1e-3,m=16,eps=0 --trials 20 --seed {s}"),
+    "check_mvt_exact": lambda s: (
+        f"check mvt --map {MVT_EXACT_MAPS[s % len(MVT_EXACT_MAPS)]} "
+        f"--provider exact --tol 1e-9 --seed {s}"),
     "config_error": lambda s: (f"{CONFIG_ERRORS[s % len(CONFIG_ERRORS)]} "
                                f"--seed {s}"),
 }
@@ -112,11 +118,16 @@ CLASSES = {
 # the maps that check_mvt_maps cycles through, n = 1, 2, 3 and 4
 MVT_MAPS = ["exp1d", "complexsq", "theta-c:3", "theta-b:4"]
 
-# the matrix of invert_linear, invertible and not symmetric
+# the matrix of invert_linear and check_mvt_exact, invertible and not
+# symmetric
 LINEAR_FILE = "matrix.txt"
 
-# the files that config_error and invert_linear name, written where the
-# sweep runs
+# the maps that check_mvt_exact cycles through
+MVT_EXACT_MAPS = ["theta-b:4", "theta-a:10:0.5", "abs-shift",
+                  f"linear:{LINEAR_FILE}"]
+
+# the files that config_error, invert_linear and check_mvt_exact name,
+# written where the sweep runs
 FILES = {
     LINEAR_FILE: b"2 1 0\n0 3 -1\n1 0 2\n",
     "latin1.cfg": b"map = caf\xe9\n",

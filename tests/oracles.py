@@ -9,6 +9,8 @@ loop references evaluate set operations one vertex at a time, and
 at a time, and ``loop_exact_validity`` its exact path.
 ``without_dir_deriv`` copies a model without its ``dir_deriv`` oracle, so
 that ``validity_check`` takes difference quotients of the same values.
+``without_kinks`` copies a model with its kinks unknown, so that
+``mvt_check`` samples it on its uniform grid.
 ``exact_vertex_actions`` computes each vertex action <ystar, V v> in
 rational arithmetic, with the magnitude sum that bounds its rounding.
 ``frank_wolfe_project`` projects onto a convex hull by away-step
@@ -289,6 +291,13 @@ def without_dir_deriv(model):
     """A copy of model with the same value oracle and no ``dir_deriv``."""
     bare = copy.copy(model)
     bare.dir_deriv = None
+    return bare
+
+
+def without_kinks(model):
+    """A copy of model with the same oracles and no declared ``kinks``."""
+    bare = copy.copy(model)
+    bare.kinks = None
     return bare
 
 

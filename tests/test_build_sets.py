@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import pjinv.indices
 import pjinv.maps
 from oracles import (counting, inline_ball_points, loop_beta_profile,
-                     loop_build_set)
+                     loop_build_set, without_kinks)
 from pjinv.hadamard import BetaProfile, beta_profile
 from pjinv.indices import _stack_bounds, set_conorm_bounds
 from pjinv.maps import (DomainError, MapModel, _blocks, _central_differences,
@@ -349,10 +349,11 @@ def test_profile_equals_the_one_set_loop(model, provider, seed, grid_n, count):
 
 @pytest.mark.parametrize("budget", [None, 2 * 2 * 1000])
 def test_clarke_segment_makes_one_oracle_pair_per_block(monkeypatch, budget):
-    # 64 grid points x 64 Clarke points on theta-a:2, 2 x 2 entries each
+    # 64 grid points x 64 Clarke points on theta-a:2 with its kinks unknown,
+    # 2 x 2 entries each
     if budget is not None:
         monkeypatch.setattr(pjinv.maps, "MAX_BATCH_ENTRIES", budget)
-    model = theta_map("a", 2, 0.5)
+    model = without_kinks(theta_map("a", 2, 0.5))
     calls = counting(model)
     dist, ok = mvt_check(model, parse_provider("clarke:delta=1e-4,m=64,eps=0"),
                          np.array([0.3, -0.5]), np.array([-0.2, 0.7]),

@@ -447,6 +447,15 @@ class TestCheckSuites:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    def test_mvt_samples_every_sign_piece(self, capsys):
+        # the first segment crosses two kinks of theta-b:4 close together,
+        # and no point of a 64-point grid lies between them
+        code, out, _ = run(capsys, "check", "mvt", "--map", "theta-b:4",
+                           "--provider", "clarke:delta=1e-3,m=16,eps=0",
+                           "--trials", "20", "--seed", "1095")
+        assert code == 0
+        assert json.loads(out)["max_distance"] <= 1e-9
+
     def test_optimality_and_negative_control(self, capsys):
         code, out, _ = run(capsys, "check", "optimality", "--tol", "1e-6")
         assert code == 0

@@ -328,6 +328,21 @@ class TestCsvExport:
         assert np.allclose(data[:, 1], p.beta)
         assert np.allclose(data[:, 2], p.rho)
 
+    def test_fields_round_trip_to_the_bit(self, tmp_path):
+        # a dyadic beta puts rho on a 13th-digit tie at every 4th point of
+        # this grid, which 12 significant digits round either way after a
+        # 1-ulp change of beta
+        grid, half = np.linspace(0.0, 1.0, 4097), np.full(4097, 0.5)
+        for beta in (half, np.nextafter(half, 1.0),
+                     np.random.default_rng(0).uniform(0.1, 2.0, 4097)):
+            p = BetaProfile(grid, beta, "analytic")
+            out = tmp_path / "profile.csv"
+            write_profile_csv(p, out)
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            got = np.array([[float(field) for field in row] for row in rows])
+            for col, want in zip(got.T, (p.grid, p.beta, p.rho)):
+                assert col.tobytes() == np.asarray(want, dtype=float).tobytes()
+
 
 def test_rho_at_rejects_out_of_range():
     p = BetaProfile([0.0, 1.0], [1.0, 1.0], "analytic")

@@ -508,6 +508,25 @@ class TestCatalog:
             with pytest.raises(ValueError):
                 make_map(bad)
 
+    @pytest.mark.parametrize("map_id, kinks, piecewise_affine", [
+        ("identity", [], True), ("identity:1", [], True),
+        ("linear:a.txt", [], True), ("theta-a:4:0.5", [1, 2, 3], True),
+        ("theta-a:1:0.5", [], True), ("theta-b:3", [1, 2], True),
+        ("theta-c:3", [1, 2], False), ("theta-c:1", [], False),
+        ("exp1d", [], False), ("complexsq", [], False),
+        ("abs-shift", [0], True)])
+    def test_kinks_are_the_switch_columns(self, tmp_path, monkeypatch, map_id,
+                                          kinks, piecewise_affine):
+        monkeypatch.chdir(tmp_path)
+        np.savetxt("a.txt", np.diag([2.0, 3.0]))
+        m = make_map(map_id)
+        assert list(m.kinks) == kinks
+        assert m.piecewise_affine is piecewise_affine
+
+    def test_hand_built_map_declares_no_kinks(self):
+        m = MapModel("plain", 1, 1, lambda xs: xs)
+        assert m.kinks is None and m.piecewise_affine is False
+
     def test_catalog_listing_stable(self):
         ids = [i for i, _ in catalog_ids()]
         assert "theta-c:<n>" in ids
