@@ -20,22 +20,10 @@ the arguments as the command left them (it may fill in a default), adds
 The argparse parser is built once, when this module is imported, and
 every ``main`` call (and a ``--config`` run's second parse) reuses it, so
 a caller that runs many commands in one process pays only for parsing.
-
-``main`` owns the process, so it also sets its heap policy, once: on glibc
-it asks ``mallopt`` to keep HEAP_TOP_PAD bytes of freed heap instead of
-returning them to the kernel, so that the next batched kernel reuses the
-pages and does not fault them in again.  The gain is in processes that
-call ``main`` more than once; a one-shot command faults its pages in once
-either way.  Setting any ``mallopt`` parameter also fixes glibc's mmap
-threshold at the value it has then, so a request larger than the kept heap
-is mmapped on every call.  Importing this module changes nothing; without
-``mallopt`` (musl, macOS, Windows) the policy is a no-op.
 """
 
 import argparse
 import contextlib
-import ctypes
-import functools
 import json
 import math
 import os
@@ -46,22 +34,10 @@ import numpy as np
 
 from . import hadamard, indices, invert, properties
 from .linalg import _row_norms
-from .maps import MAX_BATCH_ENTRIES, MapModel, catalog_ids, make_map
+from .maps import MapModel, catalog_ids, make_map
 from .pseudojac import build_set, parse_provider, validity_check
 
 __all__ = ["main", "load_config", "format_record"]
-
-# glibc's mallopt parameter: free() keeps this much heap above the top chunk
-_M_TOP_PAD = -2
-# glibc's default gives each check op's ~2 MiB of NumPy temporaries back to
-# the kernel, and the next op faults them in again: about 530 minor faults
-# per `check validity` op of 1,000 trials, 200 per `check chain` and 110 per
-# `check mvt`, against 0-2 with this pad.  In perfbench's check workload
-# (2-core machine) the pad takes the validity op from 3.46 to 2.61 ms.
-# The pad holds one working array of MAX_BATCH_ENTRIES floats (16 MiB), the
-# largest block a batched kernel takes.
-HEAP_TOP_PAD = MAX_BATCH_ENTRIES * 8
-
 
 # check's default --trials, for every suite but optimality, which takes none
 DEFAULT_TRIALS = 200
@@ -422,20 +398,7 @@ _COMMANDS = {
 }
 
 
-@functools.cache
-def _keep_freed_heap():
-    # the heap policy, once per process; a silent no-op without mallopt
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_TOP_PAD, HEAP_TOP_PAD)
-
-
 def main(argv=None):
-    _keep_freed_heap()
     try:
         args = _parse_args(argv)
         if args.command == "catalog":

@@ -402,7 +402,7 @@ def validity_check(model, x, jset, trials=1000, tol=1e-3, rng=None, t0=1e-3,
       (a lower-form failure is the upper form of -ystar, and negation does
       not round).  It is None when no trial fails by more than its margin.
     - Difference quotients, for a model without the oracle (a map built by
-      hand, or a composition with one).  The Dini limsup is approximated
+      hand).  The Dini limsup is approximated
       by the largest of the quotients at the steps t0 * DINI_RATIO^j,
       j < DINI_STEPS, which bounds it from neither side: a quotient at
       step t differs from the directional derivative by a curvature term

@@ -28,6 +28,8 @@ when none is named):
 - check_mvt_exact, which cycles through an ``exact`` ``check mvt`` at
   tolerance 1e-9 on each of MVT_EXACT_MAPS, piecewise-affine maps whose
   sign pieces give the exact hull: every command must exit 0;
+- check_mvt_tight, one ``exact`` ``check mvt`` segment on theta-c:6 at
+  tolerance 1e-12, below the hull projection's default stop of 1e-10;
 - config_error, which cycles through one malformed command for each
   config error that ``pjinv.cli`` raises (a config file it names is
   written, with a relative path, to the directory the sweep runs in).
@@ -111,6 +113,9 @@ CLASSES = {
     "check_mvt_exact": lambda s: (
         f"check mvt --map {MVT_EXACT_MAPS[s % len(MVT_EXACT_MAPS)]} "
         f"--provider exact --tol 1e-9 --seed {s}"),
+    "check_mvt_tight": lambda s: (
+        "check mvt --map theta-c:6 --provider exact --tol 1e-12 --trials 10 "
+        f"--seed {s}"),
     "config_error": lambda s: (f"{CONFIG_ERRORS[s % len(CONFIG_ERRORS)]} "
                                f"--seed {s}"),
 }

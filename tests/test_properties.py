@@ -53,6 +53,14 @@ class TestMvt:
         fine, _ = mvt_check(m, EXACT, u, v, segment_samples=64)
         assert fine <= coarse + 1e-12
 
+    def test_a_tol_below_the_hull_stop_passes_an_inclusion_that_holds(self):
+        # the hull projection's default stop (1e-10) left 5.0e-11 here
+        u = np.array([-0.128, 0.125, -0.44, 0.773, -0.576, 0.085])
+        v = np.array([-0.664, 0.232, 0.804, 0.765, -0.731, 0.25])
+        dist, ok = mvt_check(theta_map("c", 6), EXACT, u, v, tol=1e-12)
+        assert ok
+        assert dist <= 1e-15
+
     def test_segment_samples_validation(self):
         with pytest.raises(ValueError):
             mvt_check(abs1d(), EXACT, np.zeros(1), np.ones(1),
@@ -195,7 +203,8 @@ class TestChainRule:
         assert rate == 1.0
 
     def test_squared_norm_outer_annihilates_abs(self):
-        f = abs1d()
+        f = MapModel("abs1d", 1, 1, np.abs, dir_deriv=lambda xs, vs: np.where(
+            xs == 0.0, np.abs(vs), np.sign(xs) * vs))
         g = MapModel("sqnorm", 1, 1, lambda ys: ys ** 2,
                      deriv=lambda ys: (2.0 * ys)[:, None])
         rate = chain_rule_check(f, g, CLARKE, np.zeros(1), trials=200, rng=1)
@@ -233,3 +242,9 @@ class TestChainRule:
         g = MapModel("no-deriv", 1, 1, lambda ys: ys)
         with pytest.raises(ValueError):
             chain_rule_check(abs1d(), g, EXACT, np.zeros(1))
+
+    def test_inner_needs_dir_deriv(self):
+        g = MapModel("sqnorm", 1, 1, lambda ys: ys ** 2,
+                     deriv=lambda ys: (2.0 * ys)[:, None])
+        with pytest.raises(ValueError, match="abs1d: inner map needs"):
+            chain_rule_check(abs1d(), g, CLARKE, np.zeros(1), rng=1)
